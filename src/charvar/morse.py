@@ -316,8 +316,15 @@ def sample_link(n: int, count: int, rng: np.random.Generator, refine: bool = Fal
         w /= np.linalg.norm(w)
         while True:
             x = rng.normal(size=m)
+            drawn = np.linalg.norm(x)
             x -= (x @ w) * w
             nx = np.linalg.norm(x)
+            if nx < 1e-2 * drawn:
+                # The pass cancelled: x keeps about eps * drawn along w, which
+                # normalizing inflates by drawn / nx.  A second pass removes it
+                # ("twice is enough"); it fires almost only at m = 2.
+                x -= (x @ w) * w
+                nx = np.linalg.norm(x)
             if nx > 1e-6:
                 x /= nx
                 break

@@ -11,6 +11,15 @@ of all words of length at most three in the generators, in a fixed order.
 These are conjugation invariants and separate conjugacy classes at the
 scales this package works at; the numerical conjugator search in
 :mod:`charvar.variety` backstops that claim in the test suite.
+
+One kernel computes fingerprints: :func:`fingerprint` runs it on one
+representation, :func:`fingerprint_batch` on a stack of them.  For each k it caches index arrays: the
+two factors of every pair word, and for every triple word the position of
+its leading pair and its last index.  All pair products come from one
+stacked :func:`~charvar.quat.qmul`; a triple's half-trace is the real part
+of its pair product times its last factor, summed in the order the scalar
+Hamilton product sums it, so every value is bit for bit the same whatever
+the stack shape.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +43,7 @@ from .quat import I, K, ONE, gprod, qconj, qinv, qmul
 
 TOL_REL = 1e-10
 FP_TOL = 1e-9
+FP_CHUNK = 64
 
 GENERATOR_NAMES = ("r1", "s1", "r2", "s2")
 
@@ -100,6 +111,40 @@ def make_rep(meridians, tol: float = TOL_REL) -> PuncturedSphereRep:
     if residual > tol:
         raise ProductNotIdentity(residual)
     return PuncturedSphereRep(m)
+
+
+def product_residuals(meridians: np.ndarray) -> np.ndarray:
+    """|q_1 ... q_k - 1| for each representation in an (N, k, 4) stack."""
+    d = gprod(meridians) - ONE
+    return np.sqrt(np.vecdot(d, d))
+
+
+def complete_reps(partial: np.ndarray, tol: float = TOL_REL) -> np.ndarray:
+    """:func:`complete_rep` on an (N, k-1, 4) stack of partial tuples.
+
+    Returns the validated (N, k, 4) meridians, bit for bit those of
+    ``complete_rep`` row by row.  Every check of ``complete_rep`` and
+    :func:`make_rep` runs on the whole stack; if a row fails, the scalar
+    constructor is replayed on the first failing row, so the exception is
+    the one the scalar loop would have raised first.
+    """
+    part = np.asarray(partial, dtype=float)
+    p = gprod(part)
+    m = np.concatenate([part, qinv(p)[:, None, :]], axis=1)
+    n = np.sqrt(np.vecdot(m, m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = m / n[..., None]
+        bad = (
+            (np.abs(p[:, 0]) > tol)
+            | np.any(np.abs(n - 1.0) > 1e-6, axis=1)
+            | np.any(np.abs(m[..., 0]) > tol, axis=1)
+            | (product_residuals(m) > tol)
+        )
+    if bad.any():
+        row = int(np.argmax(bad))
+        complete_rep(part[row], tol=tol)
+        raise AssertionError(f"stacked validation rejected row {row}, complete_rep accepted it")
+    return m
 
 
 def complete_rep(partial, tol: float = TOL_REL) -> PuncturedSphereRep:
@@ -181,24 +226,45 @@ def word_indices(k: int) -> list[tuple[int, ...]]:
     return singles + pairs + triples
 
 
+@lru_cache(maxsize=None)
 def word_labels(names: tuple[str, ...]) -> tuple[str, ...]:
     return tuple("*".join(names[i] for i in w) for w in word_indices(len(names)))
 
 
+@lru_cache(maxsize=None)
+def _word_index_arrays(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Factors (i, j) of each pair word; leading-pair position and last index
+    of each triple word."""
+    pairs = list(itertools.combinations(range(k), 2))
+    position = {pair: n for n, pair in enumerate(pairs)}
+    triples = list(itertools.combinations(range(k), 3))
+    arrays = (
+        np.array([i for i, _ in pairs], dtype=np.intp),
+        np.array([j for _, j in pairs], dtype=np.intp),
+        np.array([position[(i, j)] for i, j, _ in triples], dtype=np.intp),
+        np.array([l for _, _, l in triples], dtype=np.intp),
+    )
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _fingerprint_values(elements: np.ndarray) -> np.ndarray:
-    k = elements.shape[0]
-    vals = [elements[i, 0] for i in range(k)]
-    pair_prod = {}
-    for i, j in itertools.combinations(range(k), 2):
-        p = qmul(elements[i], elements[j])
-        pair_prod[(i, j)] = p
-        vals.append(p[0])
-    for i, j, l in itertools.combinations(range(k), 3):
-        p = pair_prod[(i, j)]
-        q = elements[l]
-        # only the real part of p * q is needed
-        vals.append(p[0] * q[0] - p[1] * q[1] - p[2] * q[2] - p[3] * q[3])
-    return np.array(vals)
+    """Half-traces of all words of length <= 3, shape (..., k, 4) -> (..., L),
+    in the order of :func:`word_indices`."""
+    first, second, lead, last = _word_index_arrays(elements.shape[-2])
+    pair = qmul(elements[..., first, :], elements[..., second, :])
+    # only the real part of each triple's pair product times its last
+    # factor is needed: p0 q0 - p1 q1 - p2 q2 - p3 q3, summed left to right
+    # one component at a time, so no (..., triples, 4) array is built
+    triple = pair[..., lead, 0] * elements[..., last, 0]
+    for c in (1, 2, 3):
+        triple -= pair[..., lead, c] * elements[..., last, c]
+    return np.concatenate([elements[..., 0], pair[..., 0], triple], axis=-1)
+
+
+def sphere_names(k: int) -> tuple[str, ...]:
+    return tuple(f"x{i + 1}" for i in range(k))
 
 
 def fingerprint(rep: "PuncturedSphereRep | SurfaceRep") -> Fingerprint:
@@ -208,26 +274,24 @@ def fingerprint(rep: "PuncturedSphereRep | SurfaceRep") -> Fingerprint:
         names = GENERATOR_NAMES
     else:
         elements = rep.meridians
-        names = tuple(f"x{i + 1}" for i in range(rep.k))
+        names = sphere_names(rep.k)
     return Fingerprint(word_labels(names), _fingerprint_values(elements))
 
 
 def fingerprint_batch(meridians: np.ndarray) -> np.ndarray:
     """Fingerprint values for a stack of representations, shape (N, k, 4) ->
-    (N, L).  Same word order as :func:`fingerprint`."""
+    (N, L).  Same word order and values as :func:`fingerprint`.
+
+    The kernel runs on FP_CHUNK representations at a time, so its
+    temporaries (a few times FP_CHUNK x L values) stay small next to the
+    N x L result.
+    """
     mers = np.asarray(meridians, dtype=float)
-    n_reps, k, _ = mers.shape
-    cols = [mers[:, i, 0] for i in range(k)]
-    pair_prod = {}
-    for i, j in itertools.combinations(range(k), 2):
-        p = qmul(mers[:, i, :], mers[:, j, :])
-        pair_prod[(i, j)] = p
-        cols.append(p[:, 0])
-    for i, j, l in itertools.combinations(range(k), 3):
-        p = pair_prod[(i, j)]
-        q = mers[:, l, :]
-        cols.append(np.einsum("nc,nc->n", p, q * np.array([1.0, -1.0, -1.0, -1.0])))
-    return np.stack(cols, axis=1)
+    first, _, lead, _ = _word_index_arrays(mers.shape[1])
+    out = np.empty((mers.shape[0], mers.shape[1] + first.size + lead.size))
+    for start in range(0, mers.shape[0], FP_CHUNK):
+        out[start : start + FP_CHUNK] = _fingerprint_values(mers[start : start + FP_CHUNK])
+    return out
 
 
 def fingerprint_csv(fp: Fingerprint) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 from . import quat
 from .errors import AbelianInput, ConstraintViolated
 from .quat import I, J, K, axis_angle, gprod, im, qmul
-from .rep import PuncturedSphereRep, TOL_REL, complete_rep, make_rep
+from .rep import PuncturedSphereRep, TOL_REL, complete_rep, complete_reps, make_rep
 
 RANK_TOL_FACTOR = 1e-8
 
@@ -87,17 +87,80 @@ def sample_point(k: int, rng: np.random.Generator) -> PuncturedSphereRep:
     return complete_rep(qs)
 
 
-def classify_locus(rep: PuncturedSphereRep, tol_factor: float = RANK_TOL_FACTOR) -> LocusLabel:
-    """Locus of a point by the rank of the 3 x k matrix of meridian directions:
-    rank <= 1 abelian, rank 2 binary dihedral, rank 3 generic."""
-    V = rep.meridians[:, 1:]
-    svals = np.linalg.svd(V, compute_uv=False)
-    rank = int(np.sum(svals > tol_factor * svals[0]))
+def _pure_directions(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors ``count`` calls of :func:`quat.random_pure` keep, with their
+    norms, drawn as those calls draw them: one ``standard_normal(3)`` per
+    try, a try of norm <= 1e-12 rejected and drawn again."""
+    v = rng.standard_normal((count, 3))
+    n = np.sqrt(np.vecdot(v, v))
+    keep = n > 1e-12
+    if not keep.all():
+        more_v, more_n = _pure_directions(rng, count - int(keep.sum()))
+        v, n = np.concatenate([v[keep], more_v]), np.concatenate([n[keep], more_n])
+    return v, n
+
+
+def sample_points(k: int, rngs) -> np.ndarray:
+    """:func:`sample_point` for each of the distinct generators ``rngs``, as
+    one (N, k, 4) stack of meridians.
+
+    Every generator draws what ``sample_point`` draws, in the same order, and
+    each row is bit for bit the meridians ``sample_point`` returns: the
+    arithmetic between the draws runs on the stack in the scalar order, with
+    every dot product a ``np.vecdot`` (see :mod:`charvar.quat`).
+    """
+    if k < 3:
+        raise ValueError(f"need k >= 3, got k = {k}")
+    rngs = list(rngs)
+    if len({id(rng) for rng in rngs}) != len(rngs):
+        raise ValueError("each sample needs its own generator")
+    qs = np.zeros((len(rngs), k - 1, 4))
+    for row, rng in enumerate(rngs):
+        v, n = _pure_directions(rng, k - 2)
+        qs[row, : k - 2, 1:] = v / n[:, None]
+    w = gprod(qs[:, : k - 2])
+    wv = w[:, 1:]
+    nw = np.sqrt(np.vecdot(wv, wv))
+    central = nw <= 1e-12
+    turning = ~central
+    axis = wv[turning] / nw[turning, None]
+    h = np.zeros_like(axis)
+    h[np.arange(axis.shape[0]), np.argmin(np.abs(axis), axis=1)] = 1.0
+    u = np.cross(axis, h)
+    u /= np.sqrt(np.vecdot(u, u))[:, None]
+    v = np.cross(axis, u)
+    phi = []
+    for rng, row, is_central in zip(rngs, qs, central):
+        if is_central:
+            row[k - 2] = quat.random_pure(rng)
+        else:
+            phi.append(rng.uniform(0.0, 2.0 * np.pi))
+    phi = np.array(phi)
+    qs[turning, k - 2, 1:] = np.cos(phi)[:, None] * u + np.sin(phi)[:, None] * v
+    return complete_reps(qs)
+
+
+def locus_label(rank: int) -> LocusLabel:
+    """rank <= 1 abelian, rank 2 binary dihedral, rank 3 generic."""
     if rank <= 1:
         return LocusLabel(ABELIAN, rank)
     if rank == 2:
         return LocusLabel(BINARY_DIHEDRAL, rank)
     return LocusLabel(GENERIC, rank)
+
+
+def locus_ranks(meridians: np.ndarray, tol_factor: float = RANK_TOL_FACTOR) -> np.ndarray:
+    """Rank of the 3 x k matrix of meridian directions, for one (k, 4) tuple
+    or each tuple of a (..., k, 4) stack: singular values above
+    ``tol_factor`` times the largest."""
+    svals = np.linalg.svd(np.asarray(meridians)[..., 1:], compute_uv=False)
+    return np.sum(svals > tol_factor * svals[..., :1], axis=-1)
+
+
+def classify_locus(rep: PuncturedSphereRep, tol_factor: float = RANK_TOL_FACTOR) -> LocusLabel:
+    """Locus of a point by the rank of the 3 x k matrix of meridian directions:
+    rank <= 1 abelian, rank 2 binary dihedral, rank 3 generic."""
+    return locus_label(int(locus_ranks(rep.meridians, tol_factor)))
 
 
 def _df_gradient(part: np.ndarray) -> np.ndarray:

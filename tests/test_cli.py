@@ -10,7 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from charvar import morse, selftest
+from charvar import cli, cover, morse, selftest, variety
+from charvar.errors import RelationViolated
+from charvar.quat import ONE, gprod
+from charvar.rep import fingerprint, fingerprint_digest
 
 
 def run_cli(*args, threads=None):
@@ -65,12 +68,67 @@ class TestSample:
         assert proc.returncode == 1
         assert "(seed, index)" in proc.stderr
 
+    @pytest.mark.parametrize("k,seed", [(3, 0), (6, 5), (12, 9), (16, 2)])
+    def test_records_match_scalar_functions(self, k, seed, tmp_path):
+        # the campaign computes all samples as one stack; each record must be
+        # what the scalar sampler, fingerprint, classifier and residuals give
+        records = []
+        for i in range(6):
+            sample = variety.sample_point(k, np.random.default_rng((seed, i)))
+            fp = fingerprint(sample)
+            locus = variety.classify_locus(sample)
+            residuals = {
+                "constraint": abs(variety.eval_f(sample.meridians[:-1])),
+                "product": float(np.linalg.norm(gprod(list(sample.meridians)) - ONE)),
+                "traceless": float(np.max(np.abs(sample.meridians[:, 0]))),
+            }
+            records.append((i, locus, fp, residuals))
+        want_json = "".join(
+            json.dumps(
+                {
+                    "index": i,
+                    "seed": seed,
+                    "k": k,
+                    "locus": locus.label,
+                    "rank": locus.rank,
+                    "fingerprint_digest": fingerprint_digest(fp),
+                    "fingerprint": [float(v) for v in fp.values],
+                    "residuals": res,
+                },
+                separators=(",", ":"),
+            )
+            + "\n"
+            for i, locus, fp, res in records
+        )
+        want_csv = "index,seed,k,locus,rank,fingerprint_digest,constraint,product,traceless\n" + "".join(
+            f"{i},{seed},{k},{locus.label},{locus.rank},{fingerprint_digest(fp)},"
+            f"{res['constraint']!r},{res['product']!r},{res['traceless']!r}\n"
+            for i, locus, fp, res in records
+        )
+        for fmt, want in (("json", want_json), ("csv", want_csv)):
+            path = tmp_path / f"out.{fmt}"
+            argv = ["sample", "--k", str(k), "--count", "6", "--seed", str(seed), "--format", fmt]
+            assert cli.main([*argv, "--out", str(path)]) == 0
+            assert path.read_text() == want
+
     def test_out_file(self, tmp_path):
         path = tmp_path / "samples.jsonl"
         proc = run_cli("sample", "--k", "4", "--count", "2", "--out", str(path))
         assert proc.returncode == 0
         assert proc.stdout == ""
         assert len(path.read_text().strip().splitlines()) == 2
+
+
+def test_package_runs_as_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "charvar", "sample", "--k", "4", "--count", "3"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == run_cli("sample", "--k", "4", "--count", "3").stdout
+    assert "Warning" not in proc.stderr
 
 
 class TestUsageErrors:
@@ -91,6 +149,14 @@ class TestUsageErrors:
     )
     def test_exit_2(self, argv):
         assert run_cli(*argv).returncode == 2
+
+    def test_invariant_failure_exits_1(self, monkeypatch, capsys):
+        def broken(surface, sign=1, tol=None):
+            raise RelationViolated(3.0e-7)
+
+        monkeypatch.setattr(cover, "extend", broken)
+        assert cli.main(["cover", "roundtrip", "--count", "2"]) == 1
+        assert "surface relation residual 3.000e-07" in capsys.readouterr().err
 
     def test_bad_thread_env(self):
         proc = run_cli("sample", "--k", "4", threads="many")

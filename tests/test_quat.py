@@ -63,7 +63,7 @@ class TestMultiplicationTable:
         b = np.stack([random_unit(rng) for _ in range(5)])
         stacked = qmul(a, b)
         for row, (qa, qb) in enumerate(zip(a, b)):
-            assert np.allclose(stacked[row], qmul(qa, qb), atol=1e-15)
+            assert np.array_equal(stacked[row], qmul(qa, qb))
 
 
 class TestGroupIdentities:
@@ -203,3 +203,15 @@ def test_gprod_drift_control():
     rng = np.random.default_rng(41)
     qs = [random_unit(rng) for _ in range(400)]
     assert abs(norm(gprod(*qs)) - 1.0) <= 1e-12
+
+
+def test_gprod_stack_matches_rows_exactly():
+    # rows of 3 factors mostly stay within RENORM_DRIFT, rows of 400 drift
+    # past it and are renormalized: both branches must match the scalar call
+    rng = np.random.default_rng(43)
+    for m in (3, 400):
+        stack = np.stack([[random_unit(rng) for _ in range(m)] for _ in range(6)])
+        batch = gprod(stack)
+        assert batch.shape == (6, 4)
+        for row, qs in zip(batch, stack):
+            assert np.array_equal(row, gprod(list(qs)))

@@ -86,7 +86,7 @@ class TestFingerprint:
         reps = [sample_point(6, np.random.default_rng((29, i))) for i in range(8)]
         batch = fingerprint_batch(np.stack([r.meridians for r in reps]))
         for row, r in zip(batch, reps):
-            assert np.allclose(row, fingerprint(r).values, atol=1e-15)
+            assert np.array_equal(row, fingerprint(r).values)
 
     def test_distance_separates_random_classes(self):
         # distinct random classes should separate by far more than FP_TOL;

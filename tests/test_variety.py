@@ -12,6 +12,7 @@ from charvar.variety import (
     BINARY_DIHEDRAL,
     GENERIC,
     classify_locus,
+    locus_ranks,
     conjugation_rank,
     deform,
     enumerate_abelian,
@@ -19,6 +20,7 @@ from charvar.variety import (
     eval_g,
     local_dimension,
     sample_point,
+    sample_points,
     sign_transport,
     submersion_certificate,
 )
@@ -43,9 +45,68 @@ class TestSampler:
     def test_rejects_tiny_k(self):
         with pytest.raises(ValueError):
             sample_point(2, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            sample_points(2, [np.random.default_rng(0)])
+
+
+class ScriptedNormals:
+    """Stand-in generator whose standard normals come from a script."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float).ravel()
+        self.used = 0
+
+    def standard_normal(self, size):
+        count = int(np.prod(size))
+        out = self.values[self.used : self.used + count]
+        self.used += count
+        return out.reshape(size)
+
+
+class TestBatchSampler:
+    @pytest.mark.parametrize("k", range(3, 17))
+    def test_rows_are_the_scalar_samples(self, k):
+        rows = sample_points(k, [np.random.default_rng((107, k, i)) for i in range(12)])
+        assert rows.shape == (12, k, 4)
+        for i, row in enumerate(rows):
+            single = sample_point(k, np.random.default_rng((107, k, i)))
+            assert row.tobytes() == single.meridians.tobytes()
+
+    def test_central_product_and_rejected_draw(self):
+        # q2 = +-q1 exactly makes w = q1 q2 = -+1, so the last free meridian
+        # is a fresh uniform draw; the zero vector leading the first script
+        # is rejected and drawn again, as quat.random_pure does
+        v = np.array([0.3, -1.2, 0.5])
+        scripts = (
+            [np.zeros(3), v, 2.0 * v, [0.1, 0.7, -0.4]],
+            [v, -v, [1.5, 0.2, 0.9]],
+        )
+        stubs = [ScriptedNormals(s) for s in scripts]
+        rngs = [stubs[0], np.random.default_rng(5), stubs[1]]
+        rows = sample_points(4, rngs)
+        singles = [
+            sample_point(4, ScriptedNormals(scripts[0])),
+            sample_point(4, np.random.default_rng(5)),
+            sample_point(4, ScriptedNormals(scripts[1])),
+        ]
+        assert all(s.used == len(np.ravel(np.concatenate(sc))) for s, sc in zip(stubs, scripts))
+        for row, single in zip(rows, singles):
+            assert row.tobytes() == single.meridians.tobytes()
+
+    def test_shared_generator_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            sample_points(5, [rng, rng])
 
 
 class TestClassification:
+    def test_stacked_ranks_match_single(self):
+        reps = [make_rep([I, I, -I, -I]), bd_from_torus(TorusCoords(n=2, thetas=np.array([0.4, 1.9])))]
+        reps += [sample_point(4, np.random.default_rng((109, i))) for i in range(4)]
+        ranks = locus_ranks(np.stack([r.meridians for r in reps]))
+        assert [classify_locus(r).rank for r in reps] == ranks.tolist()
+        assert ranks.tolist()[:2] == [1, 2]
+
     def test_abelian_anchor(self):
         r = make_rep([I, I, -I, -I])
         label = classify_locus(r)
