@@ -12,15 +12,15 @@ all invariants hold, 1 an invariant failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from typing import Callable
 
 import numpy as np
 
 from . import cover, morse, selftest, variety
-from .cover import LEMMA_TOL
+from .cover import LEMMA_TOL, ROUNDTRIP_TOL
 from .quat import ONE, commutator, gprod, qmul
 from .rep import (
     TOL_REL,
@@ -36,7 +36,6 @@ from .rep import (
 
 K_RANGE = (3, 16)
 N_RANGE = (2, 12)
-ROUNDTRIP_TOL = 1e-9
 
 
 class UsageError(Exception):
@@ -52,11 +51,6 @@ def _check_threads() -> None:
         raise UsageError(f"CHARVAR_THREADS must be an integer, got {raw!r}")
     if value < 1:
         raise UsageError(f"CHARVAR_THREADS must be >= 1, got {value}")
-
-
-def _map_indexed(fn: Callable[[int], dict], count: int) -> list[dict]:
-    _check_threads()
-    return [fn(i) for i in range(count)]
 
 
 def _rng(seed: int, index: int) -> np.random.Generator:
@@ -165,7 +159,8 @@ def cmd_cover_push(args: argparse.Namespace) -> int:
         record["relation_residual"] = _relation_residual(surface)
         return record
 
-    records = _map_indexed(one, args.count)
+    _check_threads()
+    records = [one(i) for i in range(args.count)]
     lines = [_json_line(r) for r in records]
     _emit(lines, args.out, args.sorted)
     worst = max(r["relation_residual"] for r in records)
@@ -197,8 +192,9 @@ def cmd_cover_extend(args: argparse.Namespace) -> int:
             )
         return out
 
+    _check_threads()
     try:
-        records = _map_indexed(one, args.count)
+        records = [one(i) for i in range(args.count)]
     except Exception as exc:
         print(f"cover extend: lift failed: {exc}", file=sys.stderr)
         return 1
@@ -213,16 +209,14 @@ def cmd_cover_roundtrip(args: argparse.Namespace) -> int:
 
     def one(i: int) -> dict:
         surface = cover.surface_sample(_rng(args.seed, i))
-        residuals = {}
-        for sign in (1, -1):
-            back = cover.pushforward(cover.extend(surface, sign))
-            residuals["plus" if sign == 1 else "minus"] = max(
-                float(np.linalg.norm(g1 - g2))
-                for g1, g2 in zip(surface.generators(), back.generators())
-            )
+        residuals = {
+            "plus": cover.roundtrip_residual(surface, 1),
+            "minus": cover.roundtrip_residual(surface, -1),
+        }
         return {"index": i, "seed": args.seed, "residuals": residuals}
 
-    records = _map_indexed(one, args.count)
+    _check_threads()
+    records = [one(i) for i in range(args.count)]
     _emit([_json_line(r) for r in records], args.out, args.sorted)
     worst = max(max(r["residuals"].values()) for r in records)
     failures = [r["index"] for r in records if max(r["residuals"].values()) > args.tol_roundtrip]
@@ -306,9 +300,7 @@ def cmd_lemma52(args: argparse.Namespace) -> int:
         push("generic", i, cover.lemma52_detailed(a, b, c, d, comm_tol=args.tol_comm))
     for branch in (2, 3, 4, 5, 6, 7):
         for i in range(per_branch):
-            quad = selftest._lemma_branch_inputs(
-                branch, np.random.default_rng((args.seed, branch, i))
-            )
+            quad = cover.lemma_branch_inputs(branch, np.random.default_rng((args.seed, branch, i)))
             push(f"branch{branch}", i, cover.lemma52_detailed(*quad, comm_tol=args.tol_comm))
     _emit([_json_line(r) for r in records], args.out, args.sorted)
     coverage = " ".join(f"{b}:{tally[b]}" for b in range(1, 8))
@@ -367,7 +359,11 @@ def _add_common(parser: argparse.ArgumentParser, count_default: int = 10) -> Non
     parser.add_argument("--sorted", action="store_true", help="sort output lines")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it takes a few milliseconds, a large share of
+    a small campaign."""
     parser = argparse.ArgumentParser(
         prog="charvar",
         description="Traceless SU(2) character varieties of punctured spheres.",

@@ -20,12 +20,17 @@ from .errors import ConstraintViolated, RelationViolated
 from .quat import (
     I,
     J,
+    K,
+    ONE,
     axis_angle,
     commutator_defect,
     conjugate,
+    exp_pure,
     gprod,
     qinv,
     qmul,
+    random_pure,
+    random_unit,
     rotor_between,
 )
 from .rep import (
@@ -41,6 +46,7 @@ from .variety import sample_point
 
 COMM_TOL = 1e-8
 LEMMA_TOL = 1e-10
+ROUNDTRIP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -160,6 +166,43 @@ def lemma52_solve(a, b, c, d, comm_tol: float = COMM_TOL, tol: float = TOL_REL) 
     return lemma52_detailed(a, b, c, d, comm_tol=comm_tol, tol=tol).x
 
 
+def _coset_point(theta: float) -> np.ndarray:
+    return qmul(exp_pure(theta, K), I)
+
+
+def lemma_branch_inputs(branch: int, rng: np.random.Generator):
+    """Deterministic input families that land on each rung of the case
+    ladder.  Branches 5 and 6 need commutator defects straddling the
+    commutation cutoff, realized by binary dihedral quadruples with angle
+    gaps eps and 2*eps around it; both satisfy abcd = dcba exactly.  The
+    dihedral quadruples stay in the i,j coordinate plane: the structural
+    zeros keep the tiny defect pointing exactly along k, which a random
+    conjugation would smear by roundoff/defect ~ 1e-8."""
+    eps = 3.7e-9
+    if branch == 2:
+        b, c = random_unit(rng), random_unit(rng)
+        return ONE, b, c, b
+    if branch == 3:
+        u = random_pure(rng)
+        alpha, beta = rng.uniform(0.2, 1.2, size=2)
+        gamma = np.pi - alpha - beta
+        return exp_pure(alpha, u), exp_pure(beta, u), exp_pure(gamma, u), random_unit(rng)
+    if branch == 4:
+        u = random_pure(rng)
+        c = exp_pure(rng.uniform(0.2, 1.2), u)
+        return random_unit(rng), ONE, c, qinv(c)
+    if branch in (5, 6):
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        if branch == 5:
+            gaps = (0.0, -eps, -2.0 * eps, -eps)
+        else:
+            gaps = (0.0, eps, 0.0, -eps)
+        return tuple(_coset_point(theta + d) for d in gaps)
+    if branch == 7:
+        u = random_pure(rng)
+        return tuple(exp_pure(t, u) for t in rng.uniform(0.0, 2.0 * np.pi, size=4))
+    raise ValueError(f"no constructed family for branch {branch}")
+
 def section_inputs(surface: SurfaceRep):
     """The five words (a, b, c, d, e) fed to the case-ladder solver by the
     section; they satisfy e^-1 = abcd = dcba whenever the surface relation
@@ -203,6 +246,15 @@ def extend(surface: SurfaceRep, sign: int = 1, tol: float = TOL_REL) -> Puncture
         gprod(qinv(r2), s1, qinv(x1)),
     ]
     return make_rep(meridians, tol=tol)
+
+
+def roundtrip_residual(surface: SurfaceRep, sign: int) -> float:
+    """Largest generator-wise distance between ``surface`` and
+    pushforward(extend(surface, sign)); zero up to roundoff."""
+    back = pushforward(extend(surface, sign))
+    return max(
+        float(np.linalg.norm(g1 - g2)) for g1, g2 in zip(surface.generators(), back.generators())
+    )
 
 
 def fiber(surface: SurfaceRep, fp_tol: float = 1e-6) -> FiberReport:

@@ -9,8 +9,9 @@ the images of the four standard generators r1, s1, r2, s2, subject to
 The fingerprint of a representation collects the real parts (half-traces)
 of all words of length at most three in the generators, in a fixed order.
 These are conjugation invariants and separate conjugacy classes at the
-scales this package works at; the numerical conjugator search in
-:mod:`charvar.variety` backstops that claim in the test suite.
+scales this package works at; the closed-form conjugator in
+:mod:`charvar.variety` (an SVD alignment of the meridian directions)
+backstops that claim in the test suite.
 
 One kernel computes fingerprints: :func:`fingerprint` runs it on one
 representation, :func:`fingerprint_batch` on a stack of them.  For each k it caches index arrays: the

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import cover, morse, quat, rep, variety
-from .quat import I, J, K, ONE, exp_pure, gprod, qconj, qmul
+from .quat import I, J, K, exp_pure, qconj, qmul
 from .rep import TorusCoords, alpha_star, bd_from_torus, fingerprint, make_rep, torus_from_bd
 from .variety import ABELIAN, BINARY_DIHEDRAL, GENERIC
 
@@ -206,13 +206,8 @@ def check_cover_roundtrip(counts: Mapping[str, int], seed: int = 0) -> CheckResu
     for i in range(counts["roundtrip"]):
         surface = cover.surface_sample(_rng(seed, 5, i))
         for sign in (1, -1):
-            back = cover.pushforward(cover.extend(surface, sign))
-            residual = max(
-                float(np.linalg.norm(g1 - g2))
-                for g1, g2 in zip(surface.generators(), back.generators())
-            )
-            worst = max(worst, residual)
-    ok = worst <= 1e-9
+            worst = max(worst, cover.roundtrip_residual(surface, sign))
+    ok = worst <= cover.ROUNDTRIP_TOL
     return CheckResult(
         "cover-roundtrip", ok, f"max generator residual {worst:.3e} over {counts['roundtrip']}x2 lifts"
     )
@@ -252,44 +247,6 @@ def check_fiber_two_fold(counts: Mapping[str, int], seed: int = 0) -> CheckResul
     )
 
 
-def _coset_point(theta: float) -> np.ndarray:
-    return qmul(exp_pure(theta, K), I)
-
-
-def _lemma_branch_inputs(branch: int, rng: np.random.Generator):
-    """Deterministic input families that land on each rung of the case
-    ladder.  Branches 5 and 6 need commutator defects straddling the
-    commutation cutoff, realized by binary dihedral quadruples with angle
-    gaps eps and 2*eps around it; both satisfy abcd = dcba exactly.  The
-    dihedral quadruples stay in the i,j coordinate plane: the structural
-    zeros keep the tiny defect pointing exactly along k, which a random
-    conjugation would smear by roundoff/defect ~ 1e-8."""
-    eps = 3.7e-9
-    if branch == 2:
-        b, c = quat.random_unit(rng), quat.random_unit(rng)
-        return ONE, b, c, b
-    if branch == 3:
-        u = quat.random_pure(rng)
-        alpha, beta = rng.uniform(0.2, 1.2, size=2)
-        gamma = np.pi - alpha - beta
-        return exp_pure(alpha, u), exp_pure(beta, u), exp_pure(gamma, u), quat.random_unit(rng)
-    if branch == 4:
-        u = quat.random_pure(rng)
-        c = exp_pure(rng.uniform(0.2, 1.2), u)
-        return quat.random_unit(rng), ONE, c, quat.qinv(c)
-    if branch in (5, 6):
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        if branch == 5:
-            gaps = (0.0, -eps, -2.0 * eps, -eps)
-        else:
-            gaps = (0.0, eps, 0.0, -eps)
-        return tuple(_coset_point(theta + d) for d in gaps)
-    if branch == 7:
-        u = quat.random_pure(rng)
-        return tuple(exp_pure(t, u) for t in rng.uniform(0.0, 2.0 * np.pi, size=4))
-    raise ValueError(f"no constructed family for branch {branch}")
-
-
 def check_lemma52_branches(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     """Residuals of the case-ladder solver stay below 1e-10 on valid
     inputs, with every branch of the ladder exercised."""
@@ -303,7 +260,7 @@ def check_lemma52_branches(counts: Mapping[str, int], seed: int = 0) -> CheckRes
         worst = max(worst, float(sol.residuals.max()))
     for branch in (2, 3, 4, 5, 6, 7):
         for i in range(counts["lemma_per_branch"]):
-            quad = _lemma_branch_inputs(branch, _rng(seed, 9, branch, i))
+            quad = cover.lemma_branch_inputs(branch, _rng(seed, 9, branch, i))
             sol = cover.lemma52_detailed(*quad)
             if sol.branch != branch:
                 return CheckResult(
@@ -315,7 +272,7 @@ def check_lemma52_branches(counts: Mapping[str, int], seed: int = 0) -> CheckRes
             worst = max(worst, float(sol.residuals.max()))
     min_needed = counts["lemma_per_branch"]
     missing = [b for b in range(1, 8) if tally[b] < min_needed]
-    ok = worst <= 1e-10 and not missing
+    ok = worst <= cover.LEMMA_TOL and not missing
     coverage = " ".join(f"{b}:{tally[b]}" for b in range(1, 8))
     detail = f"max residual {worst:.3e}; branch coverage {coverage}"
     if missing:

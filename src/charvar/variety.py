@@ -299,86 +299,26 @@ def enumerate_abelian(k: int) -> list[PuncturedSphereRep]:
 # conjugator search
 
 
-def _conjugation_objective(Va: np.ndarray, Vb: np.ndarray):
-    def residual_vec(v: np.ndarray) -> np.ndarray:
-        angle = np.sqrt(np.dot(v, v))
-        if angle < 1e-300:
-            g = quat.ONE
-        else:
-            g = np.array([np.cos(angle), *(np.sin(angle) * v / angle)])
-        return (Va @ quat.rotation_matrix(g).T - Vb).ravel()
-
-    return residual_vec
-
-
-def _gauss_newton(residual_vec, v0: np.ndarray, iters: int = 25) -> np.ndarray:
-    """Damped least-squares descent with forward-difference Jacobians."""
-    v = v0.astype(float)
-    r = residual_vec(v)
-    obj = float(r @ r)
-    lam = 1e-3
-    h = 1e-7
-    for _ in range(iters):
-        if obj < 1e-22:
-            break
-        Jcols = []
-        for a in range(3):
-            dv = v.copy()
-            dv[a] += h
-            Jcols.append((residual_vec(dv) - r) / h)
-        Jt = np.vstack(Jcols)
-        g = Jt @ r
-        H = Jt @ Jt.T
-        stepped = False
-        for _ in range(8):
-            try:
-                delta = np.linalg.solve(H + lam * np.eye(3), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            r_new = residual_vec(v + delta)
-            obj_new = float(r_new @ r_new)
-            if obj_new < obj:
-                v = v + delta
-                r, obj = r_new, obj_new
-                lam = max(lam / 3.0, 1e-12)
-                stepped = True
-                break
-            lam *= 10.0
-        if not stepped:
-            break
-    return v
-
-
 def conjugator_search(
-    a: PuncturedSphereRep,
-    b: PuncturedSphereRep,
-    threshold: float = 1e-7,
-    starts: int = 8,
+    a: PuncturedSphereRep, b: PuncturedSphereRep, threshold: float = 1e-7
 ) -> np.ndarray | None:
-    """Search for g with g a_i g^-1 = b_i for all meridians.
+    """Find g with g a_i g^-1 = b_i for all meridians, or None.
 
-    Multi-start local least-squares over the 3-parameter group (axis-angle
-    chart, numerical derivatives).  Returns the conjugator if the best
+    Conjugation by g rotates pure parts by R = rotation_matrix(g), so the
+    best R is the orthogonal Procrustes solution (Kabsch 1976, Horn 1987):
+    with U S V^T the SVD of sum_i a_i b_i^T, R = V diag(1, 1, d) U^T, where
+    d = det(U V^T) = +-1 keeps R a rotation.  On abelian and binary dihedral
+    tuples the SVD is not unique, but d then acts on a null singular
+    direction and R is still exact.  Returns g if the worst meridian
     residual is at most ``threshold``, else None.
     """
     if a.k != b.k:
         raise ValueError("representations have different numbers of punctures")
-    Va, Vb = a.meridians[:, 1:], b.meridians[:, 1:]
-    residual_vec = _conjugation_objective(Va, Vb)
-    rng = np.random.default_rng(1234)
-    inits = [np.zeros(3)] + [rng.uniform(-np.pi / 2, np.pi / 2, size=3) for _ in range(starts - 1)]
-    best_g, best_res = None, np.inf
-    for v0 in inits:
-        v = _gauss_newton(residual_vec, v0)
-        angle = np.sqrt(np.dot(v, v))
-        g = quat.ONE if angle < 1e-300 else np.array([np.cos(angle), *(np.sin(angle) * v / angle)])
-        res = max(
-            float(np.linalg.norm(quat.conjugate(g, qa) - qb))
-            for qa, qb in zip(a.meridians, b.meridians)
-        )
-        if res < best_res:
-            best_g, best_res = g, res
-        if best_res <= threshold:
-            return best_g
-    return None
+    U, _, Vt = np.linalg.svd(a.meridians[:, 1:].T @ b.meridians[:, 1:])
+    d = np.sign(np.linalg.det(U @ Vt))
+    g = quat.from_rotation_matrix(Vt.T @ np.diag([1.0, 1.0, d]) @ U.T)
+    res = max(
+        float(np.linalg.norm(quat.conjugate(g, qa) - qb))
+        for qa, qb in zip(a.meridians, b.meridians)
+    )
+    return g if res <= threshold else None

@@ -22,7 +22,7 @@ def run_cli(*args, threads=None):
     if threads is not None:
         env["CHARVAR_THREADS"] = str(threads)
     return subprocess.run(
-        [sys.executable, "-m", "charvar.cli", *args],
+        [sys.executable, "-m", "charvar", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -119,16 +119,40 @@ class TestSample:
         assert len(path.read_text().strip().splitlines()) == 2
 
 
-def test_package_runs_as_module():
-    proc = subprocess.run(
-        [sys.executable, "-m", "charvar", "sample", "--k", "4", "--count", "3"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+def test_package_runs_as_module(capsys):
+    proc = run_cli("sample", "--k", "4", "--count", "3")
     assert proc.returncode == 0
-    assert proc.stdout == run_cli("sample", "--k", "4", "--count", "3").stdout
+    assert cli.main(["sample", "--k", "4", "--count", "3"]) == 0
+    assert proc.stdout == capsys.readouterr().out
     assert "Warning" not in proc.stderr
+
+
+def test_repeated_calls_in_one_process(capsys):
+    # the parser is built once per process; every call must parse afresh
+    commands = [
+        ["sample", "--k", "5", "--count", "4", "--seed", "2"],
+        ["cover", "roundtrip", "--count", "3", "--seed", "1"],
+        ["sample", "--k", "7", "--count", "2", "--format", "csv", "--sorted"],
+        ["morse", "--n", "2..3"],
+        ["lemma52", "--count", "20", "--tol-lemma", "1e-30"],
+        ["link-sample", "--n", "3", "--count", "5"],
+        ["sample", "--k", "2"],
+    ]
+
+    def run_all():
+        outputs = []
+        for argv in commands:
+            rc = cli.main(argv)
+            captured = capsys.readouterr()
+            outputs.append((rc, captured.out, captured.err))
+        with pytest.raises(SystemExit):
+            cli.main(["nonsense"])
+        capsys.readouterr()
+        return outputs
+
+    first = run_all()
+    assert [rc for rc, _, _ in first] == [0, 0, 0, 0, 1, 0, 2]
+    assert run_all() == first
 
 
 class TestUsageErrors:
@@ -163,6 +187,10 @@ class TestUsageErrors:
         assert proc.returncode == 2
         proc = run_cli("sample", "--k", "4", threads="0")
         assert proc.returncode == 2
+
+    def test_bad_thread_env_is_a_usage_error_in_cover_extend(self, monkeypatch):
+        monkeypatch.setenv("CHARVAR_THREADS", "many")
+        assert cli.main(["cover", "extend", "--count", "1"]) == 2
 
 
 class TestCover:

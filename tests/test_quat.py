@@ -17,6 +17,7 @@ from charvar.quat import (
     conjugate,
     exp_chart,
     exp_pure,
+    from_rotation_matrix,
     gprod,
     im,
     is_pure_unit,
@@ -108,6 +109,17 @@ class TestRotation:
         g = units(5)
         p = random_pure(np.random.default_rng(6))
         assert np.allclose(im(conjugate(g, p)), rotation_matrix(g) @ im(p), atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "g",
+        # 1, i, j, k each make a different diagonal entry of R the largest,
+        # so between them they take all four branches of Shepperd's method
+        [ONE, I, J, K, *units(13, 6)],
+    )
+    def test_from_rotation_matrix_round_trip(self, g):
+        back = from_rotation_matrix(rotation_matrix(g))
+        assert is_unit(back)
+        assert min(np.linalg.norm(back - g), np.linalg.norm(back + g)) <= 1e-14
 
     def test_rotor_between_basis_pairs(self):
         for u, v in ((I, J), (J, K), (I, K), (K, I)):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from charvar.errors import NotBinaryDihedral, NotTraceless, ProductNotIdentity, RelationViolated
-from charvar.quat import I, J, K, ONE, exp_pure, qmul, random_unit
+from charvar.quat import I, J, K, ONE, conjugate, exp_pure, qmul, random_unit
 from charvar.rep import (
     Fingerprint,
     PuncturedSphereRep,
@@ -27,7 +27,7 @@ from charvar.rep import (
     torus_from_bd,
     word_indices,
 )
-from charvar.variety import conjugator_search, sample_point
+from charvar.variety import conjugator_search, enumerate_abelian, sample_point
 
 
 class TestConstruction:
@@ -165,6 +165,40 @@ class TestConjugatorSearch:
         a = sample_point(6, np.random.default_rng(47))
         b = sample_point(6, np.random.default_rng(48))
         assert conjugator_search(a, b) is None
+
+    @staticmethod
+    def worst_residual(g, a, b):
+        return max(float(np.linalg.norm(conjugate(g, qa) - qb)) for qa, qb in zip(a.meridians, b.meridians))
+
+    @pytest.mark.parametrize("k", [4, 6, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_conjugate_found_independent_refused(self, k, seed):
+        rng = np.random.default_rng((53, k, seed))
+        a = sample_point(k, rng)
+        b = conjugate_rep(random_unit(rng), a)
+        found = conjugator_search(a, b)
+        assert found is not None
+        assert self.worst_residual(found, a, b) <= 1e-12
+        assert conjugator_search(a, sample_point(k, rng)) is None
+
+    def test_binary_dihedral_pair(self):
+        # rank-2 directions: the SVD has a null direction and is not unique
+        rng = np.random.default_rng(59)
+        a = bd_from_torus(TorusCoords(n=3, thetas=rng.uniform(0.0, 2.0 * np.pi, size=4)))
+        b = conjugate_rep(random_unit(rng), a)
+        found = conjugator_search(a, b)
+        assert found is not None
+        assert self.worst_residual(found, a, b) <= 1e-12
+
+    def test_abelian_points_conjugate_only_to_themselves(self):
+        reps = enumerate_abelian(6)
+        for i, a in enumerate(reps):
+            for j, b in enumerate(reps):
+                assert (conjugator_search(a, b) is not None) == (i == j), (i, j)
+
+    def test_generic_point_not_conjugate_to_its_sign_flip(self):
+        r = sample_point(6, np.random.default_rng(61))
+        assert conjugator_search(r, alpha_star(r)) is None
 
 
 class TestTorus:
