@@ -2,11 +2,9 @@
 certification, and the selftest suite.
 
 Every campaign draws per-sample generators keyed by (seed, index), so a
-given configuration produces byte-identical output.  CHARVAR_THREADS is
-validated but the work runs in one thread: the per-sample numpy calls
-hold the interpreter lock, so threads only slowed campaigns down.  Data
-goes to --out (or stdout); human summaries go to stderr.  Exit codes: 0
-all invariants hold, 1 an invariant failed, 2 usage error.
+given configuration produces byte-identical output.  Data goes to --out
+(or stdout); human summaries go to stderr.  Exit codes: 0 all invariants
+hold, 1 an invariant failed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -42,24 +39,16 @@ class UsageError(Exception):
     pass
 
 
-def _check_threads() -> None:
-    """Validate CHARVAR_THREADS, which campaigns accept but run in one thread."""
-    raw = os.environ.get("CHARVAR_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"CHARVAR_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"CHARVAR_THREADS must be >= 1, got {value}")
-
-
 def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
 
-def _emit(lines: list[str], out: str | None, sort: bool) -> None:
+def _emit(lines: list[str], out: str | None, sort: bool, header: str | None = None) -> None:
+    """Write the data lines, sorted if asked, after the CSV header if any."""
     if sort:
         lines = sorted(lines)
+    if header is not None:
+        lines = [header, *lines]
     text = "\n".join(lines) + ("\n" if lines else "")
     if out is None:
         sys.stdout.write(text)
@@ -96,9 +85,6 @@ def _parse_n_spec(spec: str) -> list[int]:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     _check_range("k", args.k, *K_RANGE)
-    if args.count < 1:
-        raise UsageError("count must be >= 1")
-    _check_threads()
     tol = args.tol_rel
     mers = variety.sample_points(args.k, [_rng(args.seed, i) for i in range(args.count)])
     labels = word_labels(sphere_names(args.k))
@@ -125,17 +111,18 @@ def cmd_sample(args: argparse.Namespace) -> int:
             }
         )
     failures = [r["index"] for r in records if max(r["residuals"].values()) > tol]
+    header = None
     if args.format == "json":
         lines = [_json_line(r) for r in records]
     else:
-        lines = ["index,seed,k,locus,rank,fingerprint_digest,constraint,product,traceless"]
-        lines += [
+        header = "index,seed,k,locus,rank,fingerprint_digest,constraint,product,traceless"
+        lines = [
             f"{r['index']},{r['seed']},{r['k']},{r['locus']},{r['rank']},"
             f"{r['fingerprint_digest']},{r['residuals']['constraint']!r},"
             f"{r['residuals']['product']!r},{r['residuals']['traceless']!r}"
             for r in records
         ]
-    _emit(lines, args.out, args.sorted)
+    _emit(lines, args.out, args.sorted, header)
     worst = max(max(r["residuals"].values()) for r in records)
     if failures:
         print(
@@ -149,9 +136,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_cover_push(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise UsageError("count must be >= 1")
-
     def one(i: int) -> dict:
         surface = cover.pushforward(variety.sample_point(6, _rng(args.seed, i)))
         record = {"index": i, "seed": args.seed}
@@ -159,7 +143,6 @@ def cmd_cover_push(args: argparse.Namespace) -> int:
         record["relation_residual"] = _relation_residual(surface)
         return record
 
-    _check_threads()
     records = [one(i) for i in range(args.count)]
     lines = [_json_line(r) for r in records]
     _emit(lines, args.out, args.sorted)
@@ -175,9 +158,6 @@ def _relation_residual(surface) -> float:
 
 
 def cmd_cover_extend(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise UsageError("count must be >= 1")
-
     def one(i: int) -> dict:
         surface = cover.surface_sample(_rng(args.seed, i))
         out = {"index": i, "seed": args.seed, "lifts": []}
@@ -192,21 +172,13 @@ def cmd_cover_extend(args: argparse.Namespace) -> int:
             )
         return out
 
-    _check_threads()
-    try:
-        records = [one(i) for i in range(args.count)]
-    except Exception as exc:
-        print(f"cover extend: lift failed: {exc}", file=sys.stderr)
-        return 1
+    records = [one(i) for i in range(args.count)]
     _emit([_json_line(r) for r in records], args.out, args.sorted)
     print(f"cover extend: count={args.count} ok", file=sys.stderr)
     return 0
 
 
 def cmd_cover_roundtrip(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise UsageError("count must be >= 1")
-
     def one(i: int) -> dict:
         surface = cover.surface_sample(_rng(args.seed, i))
         residuals = {
@@ -215,7 +187,6 @@ def cmd_cover_roundtrip(args: argparse.Namespace) -> int:
         }
         return {"index": i, "seed": args.seed, "residuals": residuals}
 
-    _check_threads()
     records = [one(i) for i in range(args.count)]
     _emit([_json_line(r) for r in records], args.out, args.sorted)
     worst = max(max(r["residuals"].values()) for r in records)
@@ -235,8 +206,6 @@ def cmd_cover_fiber(args: argparse.Namespace) -> int:
     if args.abelian_points:
         surfaces = [cover.pushforward(r) for r in variety.enumerate_abelian(6)]
     else:
-        if args.count < 1:
-            raise UsageError("count must be >= 1")
         surfaces = [cover.surface_sample(_rng(args.seed, i)) for i in range(args.count)]
     records = []
     for i, surface in enumerate(surfaces):
@@ -259,27 +228,26 @@ def cmd_morse(args: argparse.Namespace) -> int:
     records = []
     ok = True
     for n in ns:
-        report = morse.certify_hessian_numeric(n, step=1e-4)
+        report = morse.certify_hessian_numeric(n)
         ok = ok and report.exact_ok() and report.numeric_ok(args.tol_fd)
         records.append(morse.hessian_report_json(report))
+    header = None
     if args.format == "json":
         lines = [_json_line(r) for r in records]
     else:
-        lines = ["n,det_A,pfaffian,b_squared_identity_mod2,eig_positive,eig_negative,fd_max_error"]
-        lines += [
+        header = "n,det_A,pfaffian,b_squared_identity_mod2,eig_positive,eig_negative,fd_max_error"
+        lines = [
             f"{r['n']},{r['det_A']},{r['pfaffian']},{int(r['b_squared_identity_mod2'])},"
             f"{r['eig_positive']},{r['eig_negative']},{r['fd_max_error']!r}"
             for r in records
         ]
-    _emit(lines, args.out, args.sorted)
+    _emit(lines, args.out, args.sorted, header)
     worst = max(r["fd_max_error"] for r in records)
     print(f"morse: n={args.n} max fd error {worst:.3e}", file=sys.stderr)
     return 0 if ok else 1
 
 
 def cmd_lemma52(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise UsageError("count must be >= 1")
     per_branch = max(1, args.count // 20)
     records = []
     worst = 0.0
@@ -313,17 +281,16 @@ def cmd_link_sample(args: argparse.Namespace) -> int:
     if len(ns) != 1:
         raise UsageError("link-sample expects a single n, not a range")
     n = ns[0]
-    if args.count < 1:
-        raise UsageError("count must be >= 1")
     points = morse.sample_link(n, args.count, np.random.default_rng((args.seed,)))
     bad = [
         i
         for i, pt in enumerate(points)
-        if abs(float(np.linalg.norm(pt.zs)) - 1.0) > 1e-12
-        or abs(morse.quadratic_form(n, pt.zs)) > 1e-12
+        if abs(float(np.linalg.norm(pt.zs)) - 1.0) > morse.LINK_TOL
+        or abs(morse.quadratic_form(n, pt.zs)) > morse.LINK_TOL
     ]
+    header = None
     if args.format == "csv":
-        lines = morse.link_csv(points).splitlines()
+        header, *lines = morse.link_csv(points).splitlines()
     else:
         lines = [
             _json_line(
@@ -335,7 +302,7 @@ def cmd_link_sample(args: argparse.Namespace) -> int:
             )
             for i, pt in enumerate(points)
         ]
-    _emit(lines, args.out, args.sorted)
+    _emit(lines, args.out, args.sorted, header)
     real_count = sum(pt.is_real for pt in points)
     print(
         f"link-sample: n={n} count={args.count} real-tagged {real_count}",
@@ -351,10 +318,14 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _add_common(parser: argparse.ArgumentParser, count_default: int = 10) -> None:
+def _add_sampling(parser: argparse.ArgumentParser, count_default: int) -> None:
     parser.add_argument("--count", type=int, default=count_default, help="number of samples")
     parser.add_argument("--seed", type=int, default=0, help="base seed; sample i uses (seed, i)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_output(parser: argparse.ArgumentParser, csv: bool = False) -> None:
+    if csv:
+        parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--sorted", action="store_true", help="sort output lines")
 
@@ -372,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample the k-punctured variety, classify, fingerprint")
     p.add_argument("--k", type=int, required=True, help="number of punctures (3..16)")
-    _add_common(p, count_default=10)
+    _add_sampling(p, count_default=10)
+    _add_output(p, csv=True)
     p.add_argument("--tol-rel", type=float, default=TOL_REL)
     p.set_defaults(fn=cmd_sample)
 
@@ -380,22 +352,26 @@ def build_parser() -> argparse.ArgumentParser:
     csub = c.add_subparsers(dest="subaction", required=True)
 
     p = csub.add_parser("push", help="pushforward of sampled 6-punctured classes")
-    _add_common(p)
+    _add_sampling(p, count_default=10)
+    _add_output(p)
     p.add_argument("--tol-rel", type=float, default=TOL_REL)
     p.set_defaults(fn=cmd_cover_push)
 
     p = csub.add_parser("extend", help="lift sampled surface classes along both sheets")
-    _add_common(p)
+    _add_sampling(p, count_default=10)
+    _add_output(p)
     p.set_defaults(fn=cmd_cover_extend)
 
     p = csub.add_parser("roundtrip", help="verify pushforward after extend is the identity")
-    _add_common(p, count_default=100)
+    _add_sampling(p, count_default=100)
+    _add_output(p)
     p.add_argument("--tol-roundtrip", type=float, default=ROUNDTRIP_TOL)
     p.set_defaults(fn=cmd_cover_roundtrip)
 
     p = csub.add_parser("fiber", help="enumerate both sheets over surface classes")
-    _add_common(p, count_default=100)
-    p.add_argument("--tol-fp", type=float, default=1e-6, help="fingerprint dedup tolerance")
+    _add_sampling(p, count_default=100)
+    _add_output(p)
+    p.add_argument("--tol-fp", type=float, default=cover.FIBER_TOL, help="fingerprint dedup tolerance")
     p.add_argument(
         "--abelian-points",
         action="store_true",
@@ -405,19 +381,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("morse", help="Hessian certification at the abelian points")
     p.add_argument("--n", required=True, help="half the puncture count: an integer or a range like 2..8")
-    _add_common(p, count_default=1)
+    _add_output(p, csv=True)
     p.add_argument("--tol-fd", type=float, default=morse.FD_TOL)
     p.set_defaults(fn=cmd_morse)
 
     p = sub.add_parser("lemma52", help="case-ladder solver campaign with branch coverage")
-    _add_common(p, count_default=1000)
+    _add_sampling(p, count_default=1000)
+    _add_output(p)
     p.add_argument("--tol-comm", type=float, default=cover.COMM_TOL)
     p.add_argument("--tol-lemma", type=float, default=LEMMA_TOL)
     p.set_defaults(fn=cmd_lemma52)
 
     p = sub.add_parser("link-sample", help="sample the link quadric at an abelian point")
     p.add_argument("--n", required=True, help="half the puncture count (single integer)")
-    _add_common(p, count_default=100)
+    _add_sampling(p, count_default=100)
+    _add_output(p, csv=True)
     p.set_defaults(fn=cmd_link_sample)
 
     p = sub.add_parser("selftest", help="run the named verification suite at reduced counts")
@@ -432,6 +410,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "count", 1) < 1:
+            raise UsageError("count must be >= 1")
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

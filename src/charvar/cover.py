@@ -47,6 +47,7 @@ from .variety import sample_point
 COMM_TOL = 1e-8
 LEMMA_TOL = 1e-10
 ROUNDTRIP_TOL = 1e-9
+FIBER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,7 @@ def roundtrip_residual(surface: SurfaceRep, sign: int) -> float:
     )
 
 
-def fiber(surface: SurfaceRep, fp_tol: float = 1e-6) -> FiberReport:
+def fiber(surface: SurfaceRep, fp_tol: float = FIBER_TOL) -> FiberReport:
     """Both sheets over a surface class, merged when they are conjugate.
 
     The sheets coincide exactly over classes with abelian image, where the

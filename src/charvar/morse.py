@@ -20,7 +20,10 @@ import numpy as np
 from .quat import I, exp_chart, gprod
 from .rep import PuncturedSphereRep, TOL_REL, complete_rep
 
+FD_STEP = 1e-4
 FD_TOL = 1e-6
+LINK_TOL = 1e-12
+REFINE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -179,7 +182,7 @@ def _zs_from_coords(u: np.ndarray, ordering: str) -> np.ndarray:
     raise ValueError(f"unknown ordering {ordering!r}")
 
 
-def fd_hessian(n: int, step: float = 1e-4, ordering: str = "yx") -> np.ndarray:
+def fd_hessian(n: int, step: float = FD_STEP, ordering: str = "yx") -> np.ndarray:
     """Central finite-difference Hessian of the chart function at 0.
 
     ``ordering`` fixes how the 2(2n-2) derivative coordinates are laid
@@ -214,7 +217,7 @@ def hessian_block(n: int) -> np.ndarray:
     return float((-1) ** (n - 1)) * np.block([[Z, A], [A.T, Z]])
 
 
-def certify_hessian_numeric(n: int, step: float = 1e-4) -> HessianReport:
+def certify_hessian_numeric(n: int, step: float = FD_STEP) -> HessianReport:
     """Numeric part: finite-difference agreement with the exact block
     Hessian and the (2n-2, 2n-2) eigenvalue split (signature zero)."""
     if not 1e-6 <= step <= 1e-2:
@@ -289,7 +292,7 @@ def refine_chart_zero(n: int, zs, tol: float = 1e-12, max_iter: int = 60) -> np.
         v = v - val * grad / nsq
         v = v / np.linalg.norm(v)
     residual = abs(eval_chart_g(n, v))
-    if residual > 1e-10:
+    if residual > REFINE_TOL:
         raise ArithmeticError(f"refinement stalled at residual {residual:.3e}")
     return v
 
@@ -301,7 +304,7 @@ def sample_link(n: int, count: int, rng: np.random.Generator, refine: bool = Fal
     The bilinear constraint x^T A y = 0 is solved exactly by drawing the
     y factor on the sphere, drawing x in the hyperplane orthogonal to Ay,
     and mixing radially.  With ``refine`` (n = 3 only) each sample is
-    Newton-projected onto the exact cutout, residual at most 1e-10.
+    Newton-projected onto the exact cutout, residual at most ``REFINE_TOL``.
     """
     if count < 1:
         raise ValueError("count must be at least 1")

@@ -30,6 +30,9 @@ import numpy as np
 TOL_UNIT = 1e-12
 TOL_PURE = 1e-12
 RENORM_DRIFT = 1e-14
+# a Gaussian draw of norm at most this is rejected and drawn again; the
+# batch sampler in ``variety`` rejects by the same cutoff to stay bit-exact
+DRAW_CUTOFF = 1e-12
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 I = np.array([0.0, 1.0, 0.0, 0.0])
@@ -244,7 +247,7 @@ def random_pure(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.standard_normal(3)
         n = np.sqrt(np.dot(v, v))
-        if n > 1e-12:
+        if n > DRAW_CUTOFF:
             break
     out = np.empty(4)
     out[0] = 0.0
@@ -257,7 +260,7 @@ def random_unit(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.standard_normal(4)
         n = np.sqrt(np.dot(v, v))
-        if n > 1e-12:
+        if n > DRAW_CUTOFF:
             return v / n
 
 

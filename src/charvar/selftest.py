@@ -229,7 +229,7 @@ def check_fiber_two_fold(counts: Mapping[str, int], seed: int = 0) -> CheckResul
         crossed = max(got[0].distance(want[1]), got[1].distance(want[0]))
         match = min(direct, crossed)
         worst_match = max(worst_match, match)
-        if match > 1e-6:
+        if match > cover.FIBER_TOL:
             return CheckResult("fiber-two-fold", False, f"generic sample {i}: fiber mismatch {match:.3e}")
     for i in range(counts["fiber_bd"]):
         rng = _rng(seed, 7, i)
@@ -308,7 +308,7 @@ def check_hessian_numeric(counts: Mapping[str, int], seed: int = 0) -> CheckResu
     signature zero."""
     worst = 0.0
     for n in range(2, counts["hessian_numeric_n_max"] + 1):
-        report = morse.certify_hessian_numeric(n, step=1e-4)
+        report = morse.certify_hessian_numeric(n)
         if not report.numeric_ok():
             return CheckResult(
                 "hessian-numeric",
@@ -320,7 +320,7 @@ def check_hessian_numeric(counts: Mapping[str, int], seed: int = 0) -> CheckResu
     return CheckResult(
         "hessian-numeric",
         True,
-        f"n=2..{counts['hessian_numeric_n_max']}: max fd error {worst:.3e} <= 1e-06, signature 0",
+        f"n=2..{counts['hessian_numeric_n_max']}: max fd error {worst:.3e} <= {morse.FD_TOL:g}, signature 0",
     )
 
 
@@ -416,9 +416,9 @@ def check_link_sampler(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
         worst_refined = max(worst_refined, abs(morse.eval_chart_g(3, pt.zs)))
         worst_unit = max(worst_unit, abs(float(np.linalg.norm(pt.zs)) - 1.0))
     ok = (
-        worst_unit <= 1e-12
-        and worst_quad <= 1e-12
-        and worst_refined <= 1e-10
+        worst_unit <= morse.LINK_TOL
+        and worst_quad <= morse.LINK_TOL
+        and worst_refined <= morse.REFINE_TOL
         and real_tagged <= max(1, total // 1000)
     )
     return CheckResult(

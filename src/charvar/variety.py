@@ -20,6 +20,9 @@ from .quat import I, J, K, axis_angle, gprod, im, qmul
 from .rep import PuncturedSphereRep, TOL_REL, complete_rep, complete_reps, make_rep
 
 RANK_TOL_FACTOR = 1e-8
+# the sampler takes w = q_1 ... q_{k-2} as central (+-1) when |im w| is at
+# most this; sample_point and sample_points must agree to stay bit-exact
+CENTRAL_CUTOFF = 1e-12
 
 ABELIAN = "abelian"
 BINARY_DIHEDRAL = "binary_dihedral"
@@ -73,7 +76,7 @@ def sample_point(k: int, rng: np.random.Generator) -> PuncturedSphereRep:
     w = gprod(qs)
     wv = w[1:]
     nw = float(np.sqrt(np.dot(wv, wv)))
-    if nw <= 1e-12:
+    if nw <= CENTRAL_CUTOFF:
         qs.append(quat.random_pure(rng))
     else:
         axis = wv / nw
@@ -90,10 +93,10 @@ def sample_point(k: int, rng: np.random.Generator) -> PuncturedSphereRep:
 def _pure_directions(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The vectors ``count`` calls of :func:`quat.random_pure` keep, with their
     norms, drawn as those calls draw them: one ``standard_normal(3)`` per
-    try, a try of norm <= 1e-12 rejected and drawn again."""
+    try, a try of norm <= ``quat.DRAW_CUTOFF`` rejected and drawn again."""
     v = rng.standard_normal((count, 3))
     n = np.sqrt(np.vecdot(v, v))
-    keep = n > 1e-12
+    keep = n > quat.DRAW_CUTOFF
     if not keep.all():
         more_v, more_n = _pure_directions(rng, count - int(keep.sum()))
         v, n = np.concatenate([v[keep], more_v]), np.concatenate([n[keep], more_n])
@@ -121,7 +124,7 @@ def sample_points(k: int, rngs) -> np.ndarray:
     w = gprod(qs[:, : k - 2])
     wv = w[:, 1:]
     nw = np.sqrt(np.vecdot(wv, wv))
-    central = nw <= 1e-12
+    central = nw <= CENTRAL_CUTOFF
     turning = ~central
     axis = wv[turning] / nw[turning, None]
     h = np.zeros_like(axis)

@@ -1,8 +1,7 @@
 """End-to-end command-line behavior: exit codes, output formats, byte
-determinism across thread counts, and the selftest gate."""
+determinism, and the selftest gate."""
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -16,16 +15,11 @@ from charvar.quat import ONE, gprod
 from charvar.rep import fingerprint, fingerprint_digest
 
 
-def run_cli(*args, threads=None):
-    env = dict(os.environ)
-    env.pop("CHARVAR_THREADS", None)
-    if threads is not None:
-        env["CHARVAR_THREADS"] = str(threads)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "charvar", *args],
         capture_output=True,
         text=True,
-        env=env,
         timeout=120,
     )
 
@@ -56,12 +50,6 @@ class TestSample:
         b = run_cli("sample", "--k", "5", "--count", "8", "--seed", "11")
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
-
-    def test_threaded_run_matches_serial(self):
-        serial = run_cli("sample", "--k", "6", "--count", "12", "--sorted", threads=1)
-        threaded = run_cli("sample", "--k", "6", "--count", "12", "--sorted", threads=4)
-        assert serial.stdout == threaded.stdout
-        assert serial.returncode == threaded.returncode == 0
 
     def test_impossible_tolerance_fails_with_pointers(self):
         proc = run_cli("sample", "--k", "6", "--count", "4", "--tol-rel", "0")
@@ -127,6 +115,23 @@ def test_package_runs_as_module(capsys):
     assert "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv,header",
+    [
+        (["sample", "--k", "6", "--count", "12"], "index,seed,k,locus,rank,"),
+        (["morse", "--n", "2..4"], "n,det_A,pfaffian,"),
+        (["link-sample", "--n", "3", "--count", "12"], "re_1,im_1,"),
+    ],
+)
+def test_sorted_csv_keeps_header_first(argv, header, capsys):
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert cli.main([*argv, "--format", "csv", "--sorted"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(header)
+    assert lines == [plain[0], *sorted(plain[1:])]
+
+
 def test_repeated_calls_in_one_process(capsys):
     # the parser is built once per process; every call must parse afresh
     commands = [
@@ -137,6 +142,7 @@ def test_repeated_calls_in_one_process(capsys):
         ["lemma52", "--count", "20", "--tol-lemma", "1e-30"],
         ["link-sample", "--n", "3", "--count", "5"],
         ["sample", "--k", "2"],
+        ["cover", "fiber", "--abelian-points", "--count", "0"],
     ]
 
     def run_all():
@@ -151,7 +157,7 @@ def test_repeated_calls_in_one_process(capsys):
         return outputs
 
     first = run_all()
-    assert [rc for rc, _, _ in first] == [0, 0, 0, 0, 1, 0, 2]
+    assert [rc for rc, _, _ in first] == [0, 0, 0, 0, 1, 0, 2, 2]
     assert run_all() == first
 
 
@@ -167,6 +173,10 @@ class TestUsageErrors:
             ("morse", "--n", "abc"),
             ("morse", "--n", "4..2"),
             ("link-sample", "--n", "2..4"),
+            ("cover", "roundtrip", "--format", "csv"),
+            ("lemma52", "--format", "json"),
+            ("morse", "--n", "2", "--count", "3"),
+            ("morse", "--n", "2", "--seed", "1"),
             ("nonsense",),
             ("cover",),
         ],
@@ -182,15 +192,21 @@ class TestUsageErrors:
         assert cli.main(["cover", "roundtrip", "--count", "2"]) == 1
         assert "surface relation residual 3.000e-07" in capsys.readouterr().err
 
-    def test_bad_thread_env(self):
-        proc = run_cli("sample", "--k", "4", threads="many")
-        assert proc.returncode == 2
-        proc = run_cli("sample", "--k", "4", threads="0")
-        assert proc.returncode == 2
+    def test_cover_extend_invariant_failure_exits_1(self, monkeypatch, capsys):
+        def broken(surface, sign=1, tol=None):
+            raise RelationViolated(3.0e-7)
 
-    def test_bad_thread_env_is_a_usage_error_in_cover_extend(self, monkeypatch):
-        monkeypatch.setenv("CHARVAR_THREADS", "many")
-        assert cli.main(["cover", "extend", "--count", "1"]) == 2
+        monkeypatch.setattr(cover, "extend", broken)
+        assert cli.main(["cover", "extend", "--count", "2"]) == 1
+        assert "error: surface relation residual 3.000e-07" in capsys.readouterr().err
+
+    def test_cover_extend_programming_error_propagates(self, monkeypatch):
+        def broken(surface, sign=1, tol=None):
+            raise TypeError("not a lift")
+
+        monkeypatch.setattr(cover, "extend", broken)
+        with pytest.raises(TypeError, match="not a lift"):
+            cli.main(["cover", "extend", "--count", "2"])
 
 
 class TestCover:
