@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +40,17 @@ class UsageError(Exception):
     pass
 
 
-def _rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng((seed, index))
+class Run(NamedTuple):
+    """A command's data lines, the CSV header written before them (if any),
+    its stderr verdict, and whether every invariant held."""
+
+    lines: list[str]
+    header: str | None
+    verdict: str
+    ok: bool
 
 
-def _emit(lines: list[str], out: str | None, sort: bool, header: str | None = None) -> None:
+def _emit(lines: list[str], out: str | None, sort: bool, header: str | None) -> None:
     """Write the data lines, sorted if asked, after the CSV header if any."""
     if sort:
         lines = sorted(lines)
@@ -59,6 +66,10 @@ def _emit(lines: list[str], out: str | None, sort: bool, header: str | None = No
 
 def _json_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"))
+
+
+def _failing(seed: int, indices: list[int]) -> str:
+    return f"failing (seed, index) pairs: {[(seed, i) for i in indices]}"
 
 
 def _check_range(name: str, value: int, lo: int, hi: int) -> None:
@@ -83,10 +94,10 @@ def _parse_n_spec(spec: str) -> list[int]:
     return values
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
+def cmd_sample(args: argparse.Namespace) -> Run:
     _check_range("k", args.k, *K_RANGE)
     tol = args.tol_rel
-    mers = variety.sample_points(args.k, [_rng(args.seed, i) for i in range(args.count)])
+    mers = variety.sample_points(args.k, [selftest._rng(args.seed, i) for i in range(args.count)])
     labels = word_labels(sphere_names(args.k))
     constraint = np.abs(gprod(mers[:, :-1])[:, 0])
     product = product_residuals(mers)
@@ -122,44 +133,33 @@ def cmd_sample(args: argparse.Namespace) -> int:
             f"{r['residuals']['product']!r},{r['residuals']['traceless']!r}"
             for r in records
         ]
-    _emit(lines, args.out, args.sorted, header)
-    worst = max(max(r["residuals"].values()) for r in records)
     if failures:
-        print(
-            f"sample: {len(failures)} of {args.count} samples exceed tol {tol:g}; "
-            f"failing (seed, index) pairs: {[(args.seed, i) for i in failures]}",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"sample: k={args.k} count={args.count} max residual {worst:.3e} ok", file=sys.stderr)
-    return 0
+        verdict = f"sample: {len(failures)} of {args.count} samples exceed tol {tol:g}; "
+        verdict += _failing(args.seed, failures)
+    else:
+        worst = max(max(r["residuals"].values()) for r in records)
+        verdict = f"sample: k={args.k} count={args.count} max residual {worst:.3e} ok"
+    return Run(lines, header, verdict, not failures)
 
 
-def cmd_cover_push(args: argparse.Namespace) -> int:
-    def one(i: int) -> dict:
-        surface = cover.pushforward(variety.sample_point(6, _rng(args.seed, i)))
-        record = {"index": i, "seed": args.seed}
-        record.update(surface_to_json(surface))
-        record["relation_residual"] = _relation_residual(surface)
-        return record
-
-    records = [one(i) for i in range(args.count)]
-    lines = [_json_line(r) for r in records]
-    _emit(lines, args.out, args.sorted)
+def cmd_cover_push(args: argparse.Namespace) -> Run:
+    records = []
+    for i in range(args.count):
+        s = cover.surface_sample(selftest._rng(args.seed, i))
+        residual = float(np.linalg.norm(qmul(commutator(s.r1, s.s1), commutator(s.r2, s.s2)) - ONE))
+        records.append({"index": i, "seed": args.seed, **surface_to_json(s), "relation_residual": residual})
     worst = max(r["relation_residual"] for r in records)
+    verdict = f"cover push: count={args.count} max relation residual {worst:.3e}"
     ok = worst <= args.tol_rel
-    print(f"cover push: count={args.count} max relation residual {worst:.3e}", file=sys.stderr)
-    return 0 if ok else 1
+    if not ok:
+        failures = [r["index"] for r in records if r["relation_residual"] > args.tol_rel]
+        verdict += f" > {args.tol_rel:g}; {_failing(args.seed, failures)}"
+    return Run([_json_line(r) for r in records], None, verdict, ok)
 
 
-def _relation_residual(surface) -> float:
-    rel = qmul(commutator(surface.r1, surface.s1), commutator(surface.r2, surface.s2))
-    return float(np.linalg.norm(rel - ONE))
-
-
-def cmd_cover_extend(args: argparse.Namespace) -> int:
+def cmd_cover_extend(args: argparse.Namespace) -> Run:
     def one(i: int) -> dict:
-        surface = cover.surface_sample(_rng(args.seed, i))
+        surface = cover.surface_sample(selftest._rng(args.seed, i))
         out = {"index": i, "seed": args.seed, "lifts": []}
         for sign in (1, -1):
             lifted = cover.extend(surface, sign)
@@ -172,65 +172,41 @@ def cmd_cover_extend(args: argparse.Namespace) -> int:
             )
         return out
 
-    records = [one(i) for i in range(args.count)]
-    _emit([_json_line(r) for r in records], args.out, args.sorted)
-    print(f"cover extend: count={args.count} ok", file=sys.stderr)
-    return 0
+    lines = [_json_line(one(i)) for i in range(args.count)]
+    return Run(lines, None, f"cover extend: count={args.count} ok", True)
 
 
-def cmd_cover_roundtrip(args: argparse.Namespace) -> int:
-    def one(i: int) -> dict:
-        surface = cover.surface_sample(_rng(args.seed, i))
-        residuals = {
-            "plus": cover.roundtrip_residual(surface, 1),
-            "minus": cover.roundtrip_residual(surface, -1),
-        }
-        return {"index": i, "seed": args.seed, "residuals": residuals}
-
-    records = [one(i) for i in range(args.count)]
-    _emit([_json_line(r) for r in records], args.out, args.sorted)
+def cmd_cover_roundtrip(args: argparse.Namespace) -> Run:
+    records = selftest.roundtrip_records(args.seed, (), args.count)
     worst = max(max(r["residuals"].values()) for r in records)
     failures = [r["index"] for r in records if max(r["residuals"].values()) > args.tol_roundtrip]
     if failures:
-        print(
-            f"cover roundtrip: max residual {worst:.3e} > {args.tol_roundtrip:g}; "
-            f"failing (seed, index) pairs: {[(args.seed, i) for i in failures]}",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"cover roundtrip: count={args.count} max residual {worst:.3e} ok", file=sys.stderr)
-    return 0
+        verdict = f"cover roundtrip: max residual {worst:.3e} > {args.tol_roundtrip:g}; "
+        verdict += _failing(args.seed, failures)
+    else:
+        verdict = f"cover roundtrip: count={args.count} max residual {worst:.3e} ok"
+    return Run([_json_line(r) for r in records], None, verdict, not failures)
 
 
-def cmd_cover_fiber(args: argparse.Namespace) -> int:
+def cmd_cover_fiber(args: argparse.Namespace) -> Run:
     if args.abelian_points:
         surfaces = [cover.pushforward(r) for r in variety.enumerate_abelian(6)]
     else:
-        surfaces = [cover.surface_sample(_rng(args.seed, i)) for i in range(args.count)]
-    records = []
-    for i, surface in enumerate(surfaces):
-        report = cover.fiber(surface, fp_tol=args.tol_fp)
-        records.append({"index": i, **cover.fiber_to_json(report)})
-    _emit([_json_line(r) for r in records], args.out, args.sorted)
+        surfaces = [cover.surface_sample(selftest._rng(args.seed, i)) for i in range(args.count)]
+    reports = [cover.fiber(surface, fp_tol=args.tol_fp) for surface in surfaces]
+    records = [{"index": i, **cover.fiber_to_json(report)} for i, report in enumerate(reports)]
     fraction = sum(r["on_branch"] for r in records) / len(records)
-    print(
-        f"cover fiber: {len(records)} fibers, branch fraction {fraction:.4f}",
-        file=sys.stderr,
-    )
-    if args.abelian_points and fraction != 1.0:
-        print("cover fiber: abelian points must all lie on the branch locus", file=sys.stderr)
-        return 1
-    return 0
+    verdict = f"cover fiber: {len(records)} fibers, branch fraction {fraction:.4f}"
+    ok = not args.abelian_points or fraction == 1.0
+    if not ok:
+        verdict += "\ncover fiber: abelian points must all lie on the branch locus"
+    return Run([_json_line(r) for r in records], None, verdict, ok)
 
 
-def cmd_morse(args: argparse.Namespace) -> int:
-    ns = _parse_n_spec(args.n)
-    records = []
-    ok = True
-    for n in ns:
-        report = morse.certify_hessian_numeric(n)
-        ok = ok and report.exact_ok() and report.numeric_ok(args.tol_fd)
-        records.append(morse.hessian_report_json(report))
+def cmd_morse(args: argparse.Namespace) -> Run:
+    reports = [morse.certify_hessian_numeric(n) for n in _parse_n_spec(args.n)]
+    records = [morse.hessian_report_json(report) for report in reports]
+    failing = [r.n for r in reports if not (r.exact_ok() and r.numeric_ok(args.tol_fd))]
     header = None
     if args.format == "json":
         lines = [_json_line(r) for r in records]
@@ -241,47 +217,30 @@ def cmd_morse(args: argparse.Namespace) -> int:
             f"{r['eig_positive']},{r['eig_negative']},{r['fd_max_error']!r}"
             for r in records
         ]
-    _emit(lines, args.out, args.sorted, header)
     worst = max(r["fd_max_error"] for r in records)
-    print(f"morse: n={args.n} max fd error {worst:.3e}", file=sys.stderr)
-    return 0 if ok else 1
+    verdict = f"morse: n={args.n} max fd error {worst:.3e}"
+    if failing:
+        verdict += f"; failing n: {failing}"
+    return Run(lines, header, verdict, not failing)
 
 
-def cmd_lemma52(args: argparse.Namespace) -> int:
+def cmd_lemma52(args: argparse.Namespace) -> Run:
     per_branch = max(1, args.count // 20)
-    records = []
-    worst = 0.0
-    tally: dict[int, int] = {b: 0 for b in range(1, 8)}
-
-    def push(family: str, index: int, sol) -> None:
-        nonlocal worst
-        largest = float(sol.residuals.max())
-        worst = max(worst, largest)
-        tally[sol.branch] += 1
-        records.append(
-            {"family": family, "index": index, "branch": sol.branch, "max_residual": largest}
-        )
-
-    for i in range(args.count):
-        surface = cover.surface_sample(_rng(args.seed, i))
-        a, b, c, d, _ = cover.section_inputs(surface)
-        push("generic", i, cover.lemma52_detailed(a, b, c, d, comm_tol=args.tol_comm))
-    for branch in (2, 3, 4, 5, 6, 7):
-        for i in range(per_branch):
-            quad = cover.lemma_branch_inputs(branch, np.random.default_rng((args.seed, branch, i)))
-            push(f"branch{branch}", i, cover.lemma52_detailed(*quad, comm_tol=args.tol_comm))
-    _emit([_json_line(r) for r in records], args.out, args.sorted)
-    coverage = " ".join(f"{b}:{tally[b]}" for b in range(1, 8))
-    print(f"lemma52: max residual {worst:.3e}, branch coverage {coverage}", file=sys.stderr)
-    return 0 if worst <= args.tol_lemma else 1
+    records = selftest.ladder_records(args.seed, ((), ()), args.count, per_branch, args.tol_comm)
+    worst = max(r["max_residual"] for r in records)
+    verdict = f"lemma52: max residual {worst:.3e}, branch coverage {selftest.ladder_coverage(records)}"
+    ok = worst <= args.tol_lemma
+    if not ok:
+        over = [(args.seed, r["family"], r["index"]) for r in records if r["max_residual"] > args.tol_lemma]
+        verdict += f"; failing (seed, family, index) over {args.tol_lemma:g}: {over}"
+    return Run([_json_line(r) for r in records], None, verdict, ok)
 
 
-def cmd_link_sample(args: argparse.Namespace) -> int:
-    ns = _parse_n_spec(args.n)
-    if len(ns) != 1:
+def cmd_link_sample(args: argparse.Namespace) -> Run:
+    n, *rest = _parse_n_spec(args.n)
+    if rest:
         raise UsageError("link-sample expects a single n, not a range")
-    n = ns[0]
-    points = morse.sample_link(n, args.count, np.random.default_rng((args.seed,)))
+    points = morse.sample_link(n, args.count, selftest._rng(args.seed))
     bad = [
         i
         for i, pt in enumerate(points)
@@ -302,20 +261,16 @@ def cmd_link_sample(args: argparse.Namespace) -> int:
             )
             for i, pt in enumerate(points)
         ]
-    _emit(lines, args.out, args.sorted, header)
     real_count = sum(pt.is_real for pt in points)
-    print(
-        f"link-sample: n={n} count={args.count} real-tagged {real_count}",
-        file=sys.stderr,
-    )
-    return 0 if not bad else 1
+    verdict = f"link-sample: n={n} count={args.count} real-tagged {real_count}"
+    if bad:
+        verdict += f"; {_failing(args.seed, bad)}"
+    return Run(lines, header, verdict, not bad)
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def cmd_selftest(args: argparse.Namespace) -> Run:
     ok, lines = selftest.run_selftest(seed=args.seed)
-    _emit(lines, args.out, sort=False)
-    print(f"selftest: {'ok' if ok else 'FAILED'}", file=sys.stderr)
-    return 0 if ok else 1
+    return Run(lines, None, f"selftest: {'ok' if ok else 'FAILED'}", ok)
 
 
 def _add_sampling(parser: argparse.ArgumentParser, count_default: int) -> None:
@@ -407,12 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "count", 1) < 1:
             raise UsageError("count must be >= 1")
-        return args.fn(args)
+        run = args.fn(args)
+        # selftest has no --sorted
+        _emit(run.lines, args.out, getattr(args, "sorted", False), run.header)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -420,6 +376,8 @@ def main(argv: list[str] | None = None) -> int:
         # every validation error of the library: an invariant failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(run.verdict, file=sys.stderr)
+    return 0 if run.ok else 1
 
 
 if __name__ == "__main__":

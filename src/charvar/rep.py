@@ -305,9 +305,11 @@ def fingerprint_csv(fp: Fingerprint) -> str:
 def fingerprint_digest(fp: Fingerprint, decimals: int = 9) -> str:
     """Short hex identifier of a fingerprint rounded to ``decimals`` places.
 
-    Conjugate representations share a digest; the rounding absorbs
-    floating-point noise well below the scale at which distinct classes
-    separate.  Adding 0.0 normalizes negative zeros before hashing.
+    A grouping hint, not a class test: the rounding absorbs floating-point
+    noise, but a value within noise of a rounding boundary can give two
+    conjugate representations different digests.  Decide class equality
+    with `Fingerprint.close` or `variety.conjugator_search`.  Adding 0.0
+    normalizes negative zeros before hashing.
     """
     vals = np.round(np.asarray(fp.values, dtype=float), decimals) + 0.0
     return hashlib.sha256(vals.tobytes()).hexdigest()[:16]

@@ -66,13 +66,15 @@ FULL_COUNTS: dict[str, int] = {
 
 @dataclass(frozen=True)
 class CheckResult:
-    name: str
     ok: bool
     detail: str
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng((seed, *path))
+
+
+ALGEBRA_TOL = 1e-12
 
 
 def check_quaternion_algebra(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
@@ -92,10 +94,8 @@ def check_quaternion_algebra(counts: Mapping[str, int], seed: int = 0) -> CheckR
         )
         aa = quat.axis_angle(a)
         worst = max(worst, float(np.linalg.norm(exp_pure(aa.angle, aa.axis) - a)))
-    ok = worst <= 1e-12
-    return CheckResult(
-        "quaternion-algebra", ok, f"max algebraic deviation {worst:.3e} over {counts['algebra']} triples"
-    )
+    ok = worst <= ALGEBRA_TOL
+    return CheckResult(ok, f"max algebraic deviation {worst:.3e} over {counts['algebra']} triples")
 
 
 def check_abelian_census(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
@@ -107,18 +107,14 @@ def check_abelian_census(counts: Mapping[str, int], seed: int = 0) -> CheckResul
         k = 2 * n
         reps = variety.enumerate_abelian(k)
         if len(reps) != 2 ** (k - 2):
-            return CheckResult(
-                "abelian-census", False, f"k={k}: {len(reps)} classes, expected {2 ** (k - 2)}"
-            )
+            return CheckResult(False, f"k={k}: {len(reps)} classes, expected {2 ** (k - 2)}")
         labels = {variety.classify_locus(r).label for r in reps}
         if labels != {ABELIAN}:
-            return CheckResult("abelian-census", False, f"k={k}: non-abelian labels {labels}")
+            return CheckResult(False, f"k={k}: non-abelian labels {labels}")
         values = rep.fingerprint_batch(np.stack([r.meridians for r in reps]))
         distinct = np.unique(np.round(values, 6), axis=0).shape[0]
         if distinct != len(reps):
-            return CheckResult(
-                "abelian-census", False, f"k={k}: only {distinct} distinct fingerprints"
-            )
+            return CheckResult(False, f"k={k}: only {distinct} distinct fingerprints")
         details.append(f"k={k}:{len(reps)}")
     for n in (2, 3):
         k = 2 * n
@@ -130,10 +126,11 @@ def check_abelian_census(counts: Mapping[str, int], seed: int = 0) -> CheckResul
             r = rep.complete_rep([I, *flipped])
             seen.add(rep.fingerprint_digest(fingerprint(r)))
         if len(seen) != 2 ** (k - 2):
-            return CheckResult(
-                "abelian-census", False, f"k={k}: sign action reached {len(seen)} classes"
-            )
-    return CheckResult("abelian-census", True, "counts " + " ".join(details) + ", all distinct")
+            return CheckResult(False, f"k={k}: sign action reached {len(seen)} classes")
+    return CheckResult(True, "counts " + " ".join(details) + ", all distinct")
+
+
+RIGIDITY_TOL = 1e-9
 
 
 def check_small_k_rigidity(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
@@ -144,8 +141,8 @@ def check_small_k_rigidity(counts: Mapping[str, int], seed: int = 0) -> CheckRes
     for i in range(counts["k3"]):
         fp = fingerprint(variety.sample_point(3, _rng(seed, 2, i)))
         worst = max(worst, fp.distance(ref))
-    if worst > 1e-9:
-        return CheckResult("small-k-rigidity", False, f"k=3 fingerprint spread {worst:.3e}")
+    if worst > RIGIDITY_TOL:
+        return CheckResult(False, f"k=3 fingerprint spread {worst:.3e}")
     tally: Counter[str] = Counter()
     for i in range(counts["k4"]):
         tally[variety.classify_locus(variety.sample_point(4, _rng(seed, 3, i))).label] += 1
@@ -157,7 +154,12 @@ def check_small_k_rigidity(counts: Mapping[str, int], seed: int = 0) -> CheckRes
     )
     if bad:
         detail = f"k=4 produced loci {sorted(bad)}; " + detail
-    return CheckResult("small-k-rigidity", ok, detail)
+    return CheckResult(ok, detail)
+
+
+SUBMERSION_STEP = 1e-5
+MIN_DERIVATIVE = 1e-8
+SUBMERSION_FD_TOL = 1e-6
 
 
 def check_submersion(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
@@ -165,7 +167,6 @@ def check_submersion(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     matches a finite difference, a rank-1 constraint Jacobian, a rank-3
     conjugation action, and local dimension 2k-6."""
     ks = (4, 6, 8)
-    h = 1e-5
     min_deriv = np.inf
     worst_fd = 0.0
     for i in range(counts["submersion"]):
@@ -179,38 +180,41 @@ def check_submersion(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
         cert = variety.submersion_certificate(partial)
         min_deriv = min(min_deriv, abs(cert.derivative))
         fd = (
-            variety.eval_f(variety.deform(partial, cert, h))
-            - variety.eval_f(variety.deform(partial, cert, -h))
-        ) / (2.0 * h)
+            variety.eval_f(variety.deform(partial, cert, SUBMERSION_STEP))
+            - variety.eval_f(variety.deform(partial, cert, -SUBMERSION_STEP))
+        ) / (2.0 * SUBMERSION_STEP)
         worst_fd = max(worst_fd, abs(fd - cert.derivative))
         if cert.jacobian_rank != 1:
-            return CheckResult("submersion-certificates", False, f"sample {i}: df rank {cert.jacobian_rank}")
+            return CheckResult(False, f"sample {i}: df rank {cert.jacobian_rank}")
         if variety.conjugation_rank(partial) != 3:
-            return CheckResult("submersion-certificates", False, f"sample {i}: conjugation rank != 3")
+            return CheckResult(False, f"sample {i}: conjugation rank != 3")
         dim = variety.local_dimension(sample)
         if dim != 2 * k - 6:
-            return CheckResult(
-                "submersion-certificates", False, f"sample {i}: local dimension {dim} != {2 * k - 6}"
-            )
-    ok = min_deriv > 1e-8 and worst_fd <= 1e-6
+            return CheckResult(False, f"sample {i}: local dimension {dim} != {2 * k - 6}")
+    ok = min_deriv > MIN_DERIVATIVE and worst_fd <= SUBMERSION_FD_TOL
     return CheckResult(
-        "submersion-certificates",
         ok,
         f"min |derivative| {min_deriv:.3e}, max fd mismatch {worst_fd:.3e} over {counts['submersion']} samples",
     )
 
 
+def roundtrip_records(seed: int, path: tuple[int, ...], count: int) -> list[dict]:
+    """Round-trip residuals of `count` surface samples, both signs; sample
+    i draws from the generator keyed by (seed, *path, i)."""
+    records = []
+    for i in range(count):
+        surface = cover.surface_sample(_rng(seed, *path, i))
+        plus, minus = (cover.roundtrip_residual(surface, sign) for sign in (1, -1))
+        records.append({"index": i, "seed": seed, "residuals": {"plus": plus, "minus": minus}})
+    return records
+
+
 def check_cover_roundtrip(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     """pushforward(extend(s, sign)) returns s generator-wise, both signs."""
-    worst = 0.0
-    for i in range(counts["roundtrip"]):
-        surface = cover.surface_sample(_rng(seed, 5, i))
-        for sign in (1, -1):
-            worst = max(worst, cover.roundtrip_residual(surface, sign))
+    records = roundtrip_records(seed, (5,), counts["roundtrip"])
+    worst = max(max(r["residuals"].values()) for r in records)
     ok = worst <= cover.ROUNDTRIP_TOL
-    return CheckResult(
-        "cover-roundtrip", ok, f"max generator residual {worst:.3e} over {counts['roundtrip']}x2 lifts"
-    )
+    return CheckResult(ok, f"max generator residual {worst:.3e} over {counts['roundtrip']}x2 lifts")
 
 
 def check_fiber_two_fold(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
@@ -222,7 +226,7 @@ def check_fiber_two_fold(counts: Mapping[str, int], seed: int = 0) -> CheckResul
         rho = variety.sample_point(6, _rng(seed, 6, i))
         report = cover.fiber(cover.pushforward(rho))
         if report.on_branch or len(report.classes) != 2:
-            return CheckResult("fiber-two-fold", False, f"generic sample {i}: {len(report.classes)} class(es)")
+            return CheckResult(False, f"generic sample {i}: {len(report.classes)} class(es)")
         want = (fingerprint(rho), fingerprint(alpha_star(rho)))
         got = report.classes
         direct = max(got[0].distance(want[0]), got[1].distance(want[1]))
@@ -230,54 +234,68 @@ def check_fiber_two_fold(counts: Mapping[str, int], seed: int = 0) -> CheckResul
         match = min(direct, crossed)
         worst_match = max(worst_match, match)
         if match > cover.FIBER_TOL:
-            return CheckResult("fiber-two-fold", False, f"generic sample {i}: fiber mismatch {match:.3e}")
+            return CheckResult(False, f"generic sample {i}: fiber mismatch {match:.3e}")
     for i in range(counts["fiber_bd"]):
         rng = _rng(seed, 7, i)
         coords = TorusCoords(n=3, thetas=rng.uniform(0.0, 2.0 * np.pi, size=4))
         report = cover.fiber(cover.pushforward(bd_from_torus(coords)))
         if not report.on_branch or len(report.classes) != 1:
-            return CheckResult("fiber-two-fold", False, f"dihedral sample {i}: not a single class")
+            return CheckResult(False, f"dihedral sample {i}: not a single class")
         if variety.classify_locus(report.witnesses[0]).label == GENERIC:
-            return CheckResult("fiber-two-fold", False, f"dihedral sample {i}: generic witness")
+            return CheckResult(False, f"dihedral sample {i}: generic witness")
     return CheckResult(
-        "fiber-two-fold",
         True,
         f"{counts['fiber_generic']} generic fibers match {{rho, alpha*rho}} (worst {worst_match:.3e}); "
         f"{counts['fiber_bd']} dihedral fibers collapse to one class",
     )
 
 
-def check_lemma52_branches(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
-    """Residuals of the case-ladder solver stay below 1e-10 on valid
-    inputs, with every branch of the ladder exercised."""
-    tally: Counter[int] = Counter()
-    worst = 0.0
-    for i in range(counts["lemma_generic"]):
-        surface = cover.surface_sample(_rng(seed, 8, i))
-        a, b, c, d, _ = cover.section_inputs(surface)
-        sol = cover.lemma52_detailed(a, b, c, d)
-        tally[sol.branch] += 1
-        worst = max(worst, float(sol.residuals.max()))
+def ladder_records(
+    seed: int, paths: tuple[tuple[int, ...], tuple[int, ...]], count: int, per_branch: int, comm_tol: float
+) -> list[dict]:
+    """Case-ladder solutions: `count` generic section inputs, sample i drawn
+    from (seed, *paths[0], i), then `per_branch` inputs constructed for
+    each rung b = 2..7, input i drawn from (seed, *paths[1], b, i)."""
+    generic_path, branch_path = paths
+    records = []
+
+    def push(family: str, index: int, sol) -> None:
+        largest = float(sol.residuals.max())
+        records.append({"family": family, "index": index, "branch": sol.branch, "max_residual": largest})
+
+    for i in range(count):
+        a, b, c, d, _ = cover.section_inputs(cover.surface_sample(_rng(seed, *generic_path, i)))
+        push("generic", i, cover.lemma52_detailed(a, b, c, d, comm_tol=comm_tol))
     for branch in (2, 3, 4, 5, 6, 7):
-        for i in range(counts["lemma_per_branch"]):
-            quad = cover.lemma_branch_inputs(branch, _rng(seed, 9, branch, i))
-            sol = cover.lemma52_detailed(*quad)
-            if sol.branch != branch:
-                return CheckResult(
-                    "lemma52-branches",
-                    False,
-                    f"constructed input for branch {branch} landed on branch {sol.branch}",
-                )
-            tally[sol.branch] += 1
-            worst = max(worst, float(sol.residuals.max()))
+        for i in range(per_branch):
+            quad = cover.lemma_branch_inputs(branch, _rng(seed, *branch_path, branch, i))
+            push(f"branch{branch}", i, cover.lemma52_detailed(*quad, comm_tol=comm_tol))
+    return records
+
+
+def ladder_coverage(records: list[dict]) -> str:
+    """How many records each rung 1..7 solved, as `1:n1 2:n2 ...`."""
+    tally = Counter(r["branch"] for r in records)
+    return " ".join(f"{b}:{tally[b]}" for b in range(1, 8))
+
+
+def check_lemma52_branches(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
+    """Residuals of the case-ladder solver stay below cover.LEMMA_TOL on
+    valid inputs, with every branch of the ladder exercised."""
     min_needed = counts["lemma_per_branch"]
+    records = ladder_records(seed, ((8,), (9,)), counts["lemma_generic"], min_needed, cover.COMM_TOL)
+    for r in records:
+        rung = r["family"].removeprefix("branch")
+        if rung != "generic" and int(rung) != r["branch"]:
+            return CheckResult(False, f"constructed input for branch {rung} landed on branch {r['branch']}")
+    worst = max(r["max_residual"] for r in records)
+    tally = Counter(r["branch"] for r in records)
     missing = [b for b in range(1, 8) if tally[b] < min_needed]
     ok = worst <= cover.LEMMA_TOL and not missing
-    coverage = " ".join(f"{b}:{tally[b]}" for b in range(1, 8))
-    detail = f"max residual {worst:.3e}; branch coverage {coverage}"
+    detail = f"max residual {worst:.3e}; branch coverage {ladder_coverage(records)}"
     if missing:
         detail += f"; branches below {min_needed}: {missing}"
-    return CheckResult("lemma52-branches", ok, detail)
+    return CheckResult(ok, detail)
 
 
 def check_hessian_exact(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
@@ -287,20 +305,12 @@ def check_hessian_exact(counts: Mapping[str, int], seed: int = 0) -> CheckResult
     for n in range(2, counts["hessian_exact_n_max"] + 1):
         report = morse.certify_hessian_combinatorics(n)
         if not report.exact_ok():
-            return CheckResult(
-                "hessian-exact",
-                False,
-                f"n={n}: det {report.det_A}, Pf {report.pfaffian}, "
-                f"B^2=I {report.b_squared_identity_mod2}",
-            )
+            detail = f"n={n}: det {report.det_A}, Pf {report.pfaffian}, B^2=I {report.b_squared_identity_mod2}"
+            return CheckResult(False, detail)
         dets.append(report.det_A)
     if dets[0] != 1 or dets[1] != 1:
-        return CheckResult("hessian-exact", False, f"anchor determinants {dets[:2]} != [1, 1]")
-    return CheckResult(
-        "hessian-exact",
-        True,
-        f"n=2..{counts['hessian_exact_n_max']}: det odd, Pf^2 = det, B^2 = I; dets {dets}",
-    )
+        return CheckResult(False, f"anchor determinants {dets[:2]} != [1, 1]")
+    return CheckResult(True, f"n=2..{counts['hessian_exact_n_max']}: det odd, Pf^2 = det, B^2 = I; dets {dets}")
 
 
 def check_hessian_numeric(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
@@ -310,18 +320,17 @@ def check_hessian_numeric(counts: Mapping[str, int], seed: int = 0) -> CheckResu
     for n in range(2, counts["hessian_numeric_n_max"] + 1):
         report = morse.certify_hessian_numeric(n)
         if not report.numeric_ok():
-            return CheckResult(
-                "hessian-numeric",
-                False,
-                f"n={n}: fd error {report.fd_max_error:.3e}, "
-                f"eig counts ({report.eig_positive}, {report.eig_negative})",
-            )
+            eigs = f"eig counts ({report.eig_positive}, {report.eig_negative})"
+            return CheckResult(False, f"n={n}: fd error {report.fd_max_error:.3e}, {eigs}")
         worst = max(worst, float(report.fd_max_error))
     return CheckResult(
-        "hessian-numeric",
         True,
         f"n=2..{counts['hessian_numeric_n_max']}: max fd error {worst:.3e} <= {morse.FD_TOL:g}, signature 0",
     )
+
+
+SYMMETRY_TOL = 1e-12
+CUBIC_BOUND = 10.0
 
 
 def check_chart_symmetries(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
@@ -346,18 +355,20 @@ def check_chart_symmetries(counts: Mapping[str, int], seed: int = 0) -> CheckRes
                 for t in (1e-1, 1e-2, 1e-3):
                     gap = abs(morse.eval_chart_g(n, t * u) - t * t * qu)
                     worst_cubic = max(worst_cubic, gap / t**3)
-    ok = worst_tau <= 1e-12 and worst_orbit <= 1e-12 and worst_cubic <= 10.0
+    ok = worst_tau <= SYMMETRY_TOL and worst_orbit <= SYMMETRY_TOL and worst_cubic <= CUBIC_BOUND
     return CheckResult(
-        "chart-symmetries",
         ok,
         f"conjugation defect {worst_tau:.3e}, orbit defect {worst_orbit:.3e}, "
-        f"cubic remainder coefficient {worst_cubic:.2f} <= 10",
+        f"cubic remainder coefficient {worst_cubic:.2f} <= {CUBIC_BOUND:g}",
     )
 
 
 def _circle_gap(a: np.ndarray, b: np.ndarray) -> float:
     d = np.abs(np.mod(a, 2.0 * np.pi) - np.mod(b, 2.0 * np.pi))
     return float(np.max(np.minimum(d, 2.0 * np.pi - d)))
+
+
+TORUS_TOL = 1e-9
 
 
 def check_bd_torus(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
@@ -371,7 +382,7 @@ def check_bd_torus(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
             thetas = rng.uniform(0.0, 2.0 * np.pi, size=2 * n - 2)
             bd = bd_from_torus(TorusCoords(n=n, thetas=thetas))
             if variety.classify_locus(bd).label == GENERIC:
-                return CheckResult("bd-torus", False, f"n={n} sample {i}: generic image")
+                return CheckResult(False, f"n={n} sample {i}: generic image")
             rec = torus_from_bd(bd).thetas
             gap = min(_circle_gap(rec, thetas), _circle_gap(rec, -thetas))
             worst_rt = max(worst_rt, gap)
@@ -385,9 +396,8 @@ def check_bd_torus(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
             for q in range(p + 1, 4):
                 comm = float(np.linalg.norm(qmul(gens[p], gens[q]) - qmul(gens[q], gens[p])))
                 worst_comm = max(worst_comm, comm)
-    ok = worst_rt <= 1e-9 and worst_comm <= 1e-9
+    ok = worst_rt <= TORUS_TOL and worst_comm <= TORUS_TOL
     return CheckResult(
-        "bd-torus",
         ok,
         f"round-trip gap {worst_rt:.3e} (n=2..5); pushforward commutator defect {worst_comm:.3e}",
     )
@@ -408,7 +418,7 @@ def check_link_sampler(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
             worst_quad = max(worst_quad, abs(morse.quadratic_form(n, pt.zs)))
             amax = int(np.argmax(np.abs(pt.zs)))
             if pt.zs[amax].imag != 0.0 or pt.zs[amax].real < 0.0:
-                return CheckResult("link-sampler", False, f"n={n}: gauge not fixed")
+                return CheckResult(False, f"n={n}: gauge not fixed")
             real_tagged += int(pt.is_real)
     worst_refined = 0.0
     refined = morse.sample_link(3, counts["link_refine"], _rng(seed, 14), refine=True)
@@ -422,7 +432,6 @@ def check_link_sampler(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
         and real_tagged <= max(1, total // 1000)
     )
     return CheckResult(
-        "link-sampler",
         ok,
         f"sphere defect {worst_unit:.3e}, quadric defect {worst_quad:.3e}, "
         f"refined cutout residual {worst_refined:.3e}, {real_tagged}/{total} real-tagged",
@@ -455,7 +464,7 @@ def run_selftest(counts: Mapping[str, int] | None = None, seed: int = 0) -> tupl
         try:
             result = fn(counts, seed)
         except Exception as exc:  # a crashed check is a failed check
-            result = CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
+            result = CheckResult(False, f"raised {type(exc).__name__}: {exc}")
         all_ok = all_ok and result.ok
-        lines.append(f"{'PASS' if result.ok else 'FAIL'} {result.name}: {result.detail}")
+        lines.append(f"{'PASS' if result.ok else 'FAIL'} {name}: {result.detail}")
     return all_ok, lines

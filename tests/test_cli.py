@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, output formats, byte
 determinism, and the selftest gate."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -130,6 +131,58 @@ def test_sorted_csv_keeps_header_first(argv, header, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith(header)
     assert lines == [plain[0], *sorted(plain[1:])]
+
+
+# exit code and the first 16 hex digits of the sha256 of stdout, a NUL
+# byte and stderr, at fixed seeds; computed with numpy 2.4 on x86-64 Linux
+PINNED_OUTPUTS = {
+    "cover push --count 5 --seed 3": (0, "f1cb06c60f94dccb"),
+    "cover extend --count 4 --seed 3": (0, "e3e0e975f0a6d8e6"),
+    "cover roundtrip --count 10 --seed 3": (0, "3da1be6342e9d159"),
+    "cover fiber --count 6 --seed 3": (0, "43ca29a491015a1a"),
+    "cover fiber --abelian-points": (0, "0d149cd7b2cb7de8"),
+    "lemma52 --count 60 --seed 3": (0, "e6a640428c289fed"),
+    "morse --n 2..4": (0, "c81cb68f9c90e2d4"),
+    "morse --n 2..4 --format csv": (0, "d7d2717e65208c2c"),
+    "link-sample --n 3 --count 20 --seed 3": (0, "3f806eb7e00159d1"),
+    "link-sample --n 3 --count 20 --seed 3 --format csv": (0, "61c1a3a3fe522e79"),
+    "selftest --seed 0": (0, "ae4bd58a8f092303"),
+}
+
+
+@pytest.mark.parametrize("command", PINNED_OUTPUTS)
+def test_output_bytes_are_pinned(command, capsys):
+    # CLI output stays byte-identical for a fixed seed
+    rc, digest = PINNED_OUTPUTS[command]
+    assert cli.main(command.split()) == rc
+    captured = capsys.readouterr()
+    assert hashlib.sha256(f"{captured.out}\0{captured.err}".encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "command,named",
+    [
+        ("cover push --count 3 --tol-rel 0", "failing (seed, index) pairs: [(0, 0), (0, 1), (0, 2)]"),
+        ("lemma52 --count 20 --tol-lemma 1e-30", "(seed, family, index) over 1e-30: [(0, 'generic', 0), "),
+        ("morse --n 2..4 --tol-fd 1e-30", "failing n: [2, 3, 4]"),
+    ],
+)
+def test_failed_gate_names_what_failed(command, named, capsys):
+    assert cli.main(command.split()) == 1
+    assert named in capsys.readouterr().err
+
+
+def test_failed_link_gate_names_samples(monkeypatch, capsys):
+    real = morse.sample_link
+
+    def off_sphere(n, count, rng):
+        points = real(n, count, rng)
+        points[2] = morse.LinkPoint(zs=2.0 * points[2].zs, is_real=points[2].is_real)
+        return points
+
+    monkeypatch.setattr(morse, "sample_link", off_sphere)
+    assert cli.main(["link-sample", "--n", "3", "--count", "5", "--seed", "4"]) == 1
+    assert "failing (seed, index) pairs: [(4, 2)]" in capsys.readouterr().err
 
 
 def test_repeated_calls_in_one_process(capsys):

@@ -110,6 +110,14 @@ class TestFingerprint:
         other = fingerprint(sample_point(6, np.random.default_rng(2)))
         assert fingerprint_digest(other) != fingerprint_digest(fingerprint(r))
 
+    def test_digest_splits_close_fingerprints_at_a_rounding_boundary(self):
+        # 2e-17 apart, one value on each side of 0.5e-9: close() holds, but
+        # rounding to 9 decimals sends them to 0 and 1e-9
+        a = Fingerprint(("x1",), np.array([0.5e-9 - 1e-17]))
+        b = Fingerprint(("x1",), np.array([0.5e-9 + 1e-17]))
+        assert a.close(b)
+        assert fingerprint_digest(a) != fingerprint_digest(b)
+
     def test_csv_round_trip_values(self):
         fp = fingerprint(make_rep([I, J, -K]))
         text = fingerprint_csv(fp)
