@@ -9,7 +9,6 @@ the abelian singular points (`morse`).
 
 from . import cli, cover, morse, quat, rep, selftest, variety
 from .cover import (
-    CentralCharacter,
     FiberReport,
     extend,
     fiber,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianInput",
-    "CentralCharacter",
     "ConstraintViolated",
     "FiberReport",
     "Fingerprint",

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import cover, morse, selftest, variety
-from .cover import LEMMA_TOL, ROUNDTRIP_TOL
+from .cover import LEMMA_TOL  # re-exported: the bound of the lemma52 gate
 from .quat import ONE, commutator, gprod, qmul
 from .rep import (
     TOL_REL,
@@ -96,7 +96,6 @@ def _parse_n_spec(spec: str) -> list[int]:
 
 def cmd_sample(args: argparse.Namespace) -> Run:
     _check_range("k", args.k, *K_RANGE)
-    tol = args.tol_rel
     mers = variety.sample_points(args.k, [selftest._rng(args.seed, i) for i in range(args.count)])
     labels = word_labels(sphere_names(args.k))
     constraint = np.abs(gprod(mers[:, :-1])[:, 0])
@@ -121,7 +120,7 @@ def cmd_sample(args: argparse.Namespace) -> Run:
                 },
             }
         )
-    failures = [r["index"] for r in records if max(r["residuals"].values()) > tol]
+    failures = [r["index"] for r in records if max(r["residuals"].values()) > TOL_REL]
     header = None
     if args.format == "json":
         lines = [_json_line(r) for r in records]
@@ -134,7 +133,7 @@ def cmd_sample(args: argparse.Namespace) -> Run:
             for r in records
         ]
     if failures:
-        verdict = f"sample: {len(failures)} of {args.count} samples exceed tol {tol:g}; "
+        verdict = f"sample: {len(failures)} of {args.count} samples exceed tol {TOL_REL:g}; "
         verdict += _failing(args.seed, failures)
     else:
         worst = max(max(r["residuals"].values()) for r in records)
@@ -150,10 +149,10 @@ def cmd_cover_push(args: argparse.Namespace) -> Run:
         records.append({"index": i, "seed": args.seed, **surface_to_json(s), "relation_residual": residual})
     worst = max(r["relation_residual"] for r in records)
     verdict = f"cover push: count={args.count} max relation residual {worst:.3e}"
-    ok = worst <= args.tol_rel
+    ok = worst <= TOL_REL
     if not ok:
-        failures = [r["index"] for r in records if r["relation_residual"] > args.tol_rel]
-        verdict += f" > {args.tol_rel:g}; {_failing(args.seed, failures)}"
+        failures = [r["index"] for r in records if r["relation_residual"] > TOL_REL]
+        verdict += f" > {TOL_REL:g}; {_failing(args.seed, failures)}"
     return Run([_json_line(r) for r in records], None, verdict, ok)
 
 
@@ -179,9 +178,9 @@ def cmd_cover_extend(args: argparse.Namespace) -> Run:
 def cmd_cover_roundtrip(args: argparse.Namespace) -> Run:
     records = selftest.roundtrip_records(args.seed, (), args.count)
     worst = max(max(r["residuals"].values()) for r in records)
-    failures = [r["index"] for r in records if max(r["residuals"].values()) > args.tol_roundtrip]
+    failures = [r["index"] for r in records if max(r["residuals"].values()) > cover.ROUNDTRIP_TOL]
     if failures:
-        verdict = f"cover roundtrip: max residual {worst:.3e} > {args.tol_roundtrip:g}; "
+        verdict = f"cover roundtrip: max residual {worst:.3e} > {cover.ROUNDTRIP_TOL:g}; "
         verdict += _failing(args.seed, failures)
     else:
         verdict = f"cover roundtrip: count={args.count} max residual {worst:.3e} ok"
@@ -193,7 +192,7 @@ def cmd_cover_fiber(args: argparse.Namespace) -> Run:
         surfaces = [cover.pushforward(r) for r in variety.enumerate_abelian(6)]
     else:
         surfaces = [cover.surface_sample(selftest._rng(args.seed, i)) for i in range(args.count)]
-    reports = [cover.fiber(surface, fp_tol=args.tol_fp) for surface in surfaces]
+    reports = [cover.fiber(surface) for surface in surfaces]
     records = [{"index": i, **cover.fiber_to_json(report)} for i, report in enumerate(reports)]
     fraction = sum(r["on_branch"] for r in records) / len(records)
     verdict = f"cover fiber: {len(records)} fibers, branch fraction {fraction:.4f}"
@@ -206,7 +205,7 @@ def cmd_cover_fiber(args: argparse.Namespace) -> Run:
 def cmd_morse(args: argparse.Namespace) -> Run:
     reports = [morse.certify_hessian_numeric(n) for n in _parse_n_spec(args.n)]
     records = [morse.hessian_report_json(report) for report in reports]
-    failing = [r.n for r in reports if not (r.exact_ok() and r.numeric_ok(args.tol_fd))]
+    failing = [r.n for r in reports if not (r.exact_ok() and r.numeric_ok())]
     header = None
     if args.format == "json":
         lines = [_json_line(r) for r in records]
@@ -226,14 +225,12 @@ def cmd_morse(args: argparse.Namespace) -> Run:
 
 def cmd_lemma52(args: argparse.Namespace) -> Run:
     per_branch = max(1, args.count // 20)
-    records = selftest.ladder_records(args.seed, ((), ()), args.count, per_branch, args.tol_comm)
+    records = selftest.ladder_records(args.seed, ((), ()), args.count, per_branch)
+    failures = selftest.ladder_failures(records, args.seed, per_branch)
     worst = max(r["max_residual"] for r in records)
     verdict = f"lemma52: max residual {worst:.3e}, branch coverage {selftest.ladder_coverage(records)}"
-    ok = worst <= args.tol_lemma
-    if not ok:
-        over = [(args.seed, r["family"], r["index"]) for r in records if r["max_residual"] > args.tol_lemma]
-        verdict += f"; failing (seed, family, index) over {args.tol_lemma:g}: {over}"
-    return Run([_json_line(r) for r in records], None, verdict, ok)
+    verdict = "; ".join([verdict, *failures])
+    return Run([_json_line(r) for r in records], None, verdict, not failures)
 
 
 def cmd_link_sample(args: argparse.Namespace) -> Run:
@@ -300,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="number of punctures (3..16)")
     _add_sampling(p, count_default=10)
     _add_output(p, csv=True)
-    p.add_argument("--tol-rel", type=float, default=TOL_REL)
     p.set_defaults(fn=cmd_sample)
 
     c = sub.add_parser("cover", help="the 2-fold branched cover at k = 6")
@@ -309,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("push", help="pushforward of sampled 6-punctured classes")
     _add_sampling(p, count_default=10)
     _add_output(p)
-    p.add_argument("--tol-rel", type=float, default=TOL_REL)
     p.set_defaults(fn=cmd_cover_push)
 
     p = csub.add_parser("extend", help="lift sampled surface classes along both sheets")
@@ -320,13 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("roundtrip", help="verify pushforward after extend is the identity")
     _add_sampling(p, count_default=100)
     _add_output(p)
-    p.add_argument("--tol-roundtrip", type=float, default=ROUNDTRIP_TOL)
     p.set_defaults(fn=cmd_cover_roundtrip)
 
     p = csub.add_parser("fiber", help="enumerate both sheets over surface classes")
     _add_sampling(p, count_default=100)
     _add_output(p)
-    p.add_argument("--tol-fp", type=float, default=cover.FIBER_TOL, help="fingerprint dedup tolerance")
     p.add_argument(
         "--abelian-points",
         action="store_true",
@@ -337,14 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("morse", help="Hessian certification at the abelian points")
     p.add_argument("--n", required=True, help="half the puncture count: an integer or a range like 2..8")
     _add_output(p, csv=True)
-    p.add_argument("--tol-fd", type=float, default=morse.FD_TOL)
     p.set_defaults(fn=cmd_morse)
 
     p = sub.add_parser("lemma52", help="case-ladder solver campaign with branch coverage")
     _add_sampling(p, count_default=1000)
     _add_output(p)
-    p.add_argument("--tol-comm", type=float, default=cover.COMM_TOL)
-    p.add_argument("--tol-lemma", type=float, default=LEMMA_TOL)
     p.set_defaults(fn=cmd_lemma52)
 
     p = sub.add_parser("link-sample", help="sample the link quadric at an abelian point")

@@ -51,34 +51,6 @@ FIBER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class CentralCharacter:
-    """Character of the 6-meridian group with values in {+1, -1}.
-
-    The convention used by ``pushforward``: +1 on the surface generators
-    and -1 on every meridian (each meridian squares to -1, which is
-    central).  The presentation relation contains each meridian once and
-    the surface generators in cancelling pairs, so these values are
-    consistent.
-    """
-
-    r1: int = 1
-    s1: int = 1
-    r2: int = 1
-    s2: int = 1
-    meridians: tuple[int, ...] = (-1, -1, -1, -1, -1, -1)
-
-    def __post_init__(self) -> None:
-        vals = (self.r1, self.s1, self.r2, self.s2, *self.meridians)
-        if any(v not in (-1, 1) for v in vals):
-            raise ValueError("character values must be +-1")
-        if any(v != -1 for v in self.meridians):
-            raise ValueError("meridian values must all be -1")
-
-
-CHI = CentralCharacter()
-
-
-@dataclass(frozen=True)
 class FiberReport:
     """Both preimages of a surface class, deduplicated up to conjugacy."""
 
@@ -96,7 +68,7 @@ class Lemma52Solution:
     commutator_norms: np.ndarray = field(repr=False)
 
 
-def pushforward(rep: PuncturedSphereRep, tol: float = TOL_REL) -> SurfaceRep:
+def pushforward(rep: PuncturedSphereRep) -> SurfaceRep:
     """Image of a 6-punctured sphere class under the branched cover."""
     if rep.k != 6:
         raise ValueError(f"the cover is defined for k = 6, got k = {rep.k}")
@@ -106,7 +78,6 @@ def pushforward(rep: PuncturedSphereRep, tol: float = TOL_REL) -> SurfaceRep:
         qmul(qinv(q[2]), qinv(q[1])),
         qmul(q[3], q[4]),
         qmul(qinv(q[5]), qinv(q[4])),
-        tol=tol,
     )
 
 
@@ -124,26 +95,26 @@ def _lemma52_residuals(x, a, b, c, d) -> np.ndarray:
     )
 
 
-def lemma52_detailed(a, b, c, d, comm_tol: float = COMM_TOL, tol: float = TOL_REL) -> Lemma52Solution:
+def lemma52_detailed(a, b, c, d) -> Lemma52Solution:
     """Case-ladder solver for the six tracelessness conditions.
 
     Given units with abcd = dcba, produces a pure unit x with re(x),
     re(xa), re(xb), re(xc), re(xd), re(x(abcd)^-1) all zero.  The ladder
     tries the ordered pairs (a,b), (b,c), (c,d), (d,a), (a,c), (b,d): the
-    first with commutator defect |uv - vu| > comm_tol yields
+    first with commutator defect |uv - vu| > COMM_TOL yields
     x = (uv - vu)/|uv - vu|.  If all commute, the inputs share an axis Q
     and x is a fixed pure unit orthogonal to Q.
     """
     a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
     defect = float(np.linalg.norm(gprod(a, b, c, d) - gprod(d, c, b, a)))
-    if defect > tol:
-        raise ConstraintViolated(f"abcd and dcba differ by {defect:.3e} > {tol:.1e}")
+    if defect > TOL_REL:
+        raise ConstraintViolated(f"abcd and dcba differ by {defect:.3e} > {TOL_REL:.1e}")
     pairs = ((a, b), (b, c), (c, d), (d, a), (a, c), (b, d))
     norms = np.empty(6)
     for idx, (u, v) in enumerate(pairs):
         w = commutator_defect(u, v)
         norms[idx] = np.linalg.norm(w)
-        if norms[idx] > comm_tol:
+        if norms[idx] > COMM_TOL:
             x = w / norms[idx]
             return Lemma52Solution(x, idx + 1, _lemma52_residuals(x, a, b, c, d), norms)
     # All pairs commute: the inputs lie in a common one-parameter subgroup
@@ -163,8 +134,8 @@ def lemma52_detailed(a, b, c, d, comm_tol: float = COMM_TOL, tol: float = TOL_RE
     return Lemma52Solution(x, 7, _lemma52_residuals(x, a, b, c, d), norms)
 
 
-def lemma52_solve(a, b, c, d, comm_tol: float = COMM_TOL, tol: float = TOL_REL) -> np.ndarray:
-    return lemma52_detailed(a, b, c, d, comm_tol=comm_tol, tol=tol).x
+def lemma52_solve(a, b, c, d) -> np.ndarray:
+    return lemma52_detailed(a, b, c, d).x
 
 
 def _coset_point(theta: float) -> np.ndarray:
@@ -204,6 +175,7 @@ def lemma_branch_inputs(branch: int, rng: np.random.Generator):
         return tuple(exp_pure(t, u) for t in rng.uniform(0.0, 2.0 * np.pi, size=4))
     raise ValueError(f"no constructed family for branch {branch}")
 
+
 def section_inputs(surface: SurfaceRep):
     """The five words (a, b, c, d, e) fed to the case-ladder solver by the
     section; they satisfy e^-1 = abcd = dcba whenever the surface relation
@@ -217,7 +189,7 @@ def section_inputs(surface: SurfaceRep):
     return a, b, c, d, e
 
 
-def extend(surface: SurfaceRep, sign: int = 1, tol: float = TOL_REL) -> PuncturedSphereRep:
+def extend(surface: SurfaceRep, sign: int = 1) -> PuncturedSphereRep:
     """The explicit section of the cover on the sheet chosen by ``sign``.
 
     Solves for the first meridian x1 = sign * x via the case ladder, then
@@ -234,10 +206,10 @@ def extend(surface: SurfaceRep, sign: int = 1, tol: float = TOL_REL) -> Puncture
         float(np.linalg.norm(einv - gprod(a, b, c, d))),
         float(np.linalg.norm(einv - gprod(d, c, b, a))),
     )
-    if res > tol:
+    if res > TOL_REL:
         raise RelationViolated(res)
     r1, s1, r2, s2 = surface.generators()
-    x1 = float(sign) * lemma52_solve(a, b, c, d, tol=tol)
+    x1 = float(sign) * lemma52_solve(a, b, c, d)
     meridians = [
         x1,
         qmul(qinv(x1), r1),
@@ -246,7 +218,7 @@ def extend(surface: SurfaceRep, sign: int = 1, tol: float = TOL_REL) -> Puncture
         gprod(qinv(s2), x1, qinv(s1), r2),
         gprod(qinv(r2), s1, qinv(x1)),
     ]
-    return make_rep(meridians, tol=tol)
+    return make_rep(meridians)
 
 
 def roundtrip_residual(surface: SurfaceRep, sign: int) -> float:
@@ -258,7 +230,7 @@ def roundtrip_residual(surface: SurfaceRep, sign: int) -> float:
     )
 
 
-def fiber(surface: SurfaceRep, fp_tol: float = FIBER_TOL) -> FiberReport:
+def fiber(surface: SurfaceRep) -> FiberReport:
     """Both sheets over a surface class, merged when they are conjugate.
 
     The sheets coincide exactly over classes with abelian image, where the
@@ -270,7 +242,7 @@ def fiber(surface: SurfaceRep, fp_tol: float = FIBER_TOL) -> FiberReport:
     fp_plus = fingerprint(plus)
     fp_minus = fingerprint(minus)
     sep = fp_plus.distance(fp_minus)
-    on_branch = sep <= fp_tol
+    on_branch = sep <= FIBER_TOL
     classes = (fp_plus,) if on_branch else (fp_plus, fp_minus)
     return FiberReport(classes=classes, on_branch=on_branch, witnesses=(plus, minus), separation=sep)
 

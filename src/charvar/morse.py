@@ -18,12 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 from .quat import I, exp_chart, gprod
-from .rep import PuncturedSphereRep, TOL_REL, complete_rep
+from .rep import PuncturedSphereRep, complete_rep
 
 FD_STEP = 1e-4
 FD_TOL = 1e-6
 LINK_TOL = 1e-12
 REFINE_TOL = 1e-10
+# refine_chart_zero stops at this residual or after REFINE_STEPS Newton steps
+REFINE_TARGET = 1e-12
+REFINE_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -57,11 +60,11 @@ class HessianReport:
             and self.pfaffian**2 == self.det_A
         )
 
-    def numeric_ok(self, fd_tol: float = FD_TOL) -> bool:
+    def numeric_ok(self) -> bool:
         if self.fd_max_error is None or self.eig_positive is None:
             return False
         m = 2 * self.n - 2
-        return self.fd_max_error <= fd_tol and self.eig_positive == m and self.eig_negative == m
+        return self.fd_max_error <= FD_TOL and self.eig_positive == m and self.eig_negative == m
 
 
 @dataclass(frozen=True)
@@ -173,57 +176,43 @@ def certify_hessian_combinatorics(n: int) -> HessianReport:
     return HessianReport(n=n, A=A, det_A=det, pfaffian=pf, b_squared_identity_mod2=b_ok)
 
 
-def _zs_from_coords(u: np.ndarray, ordering: str) -> np.ndarray:
-    m = u.shape[0] // 2
-    if ordering == "yx":
-        return u[m:] + 1j * u[:m]
-    if ordering == "xy":
-        return u[:m] + 1j * u[m:]
-    raise ValueError(f"unknown ordering {ordering!r}")
-
-
-def fd_hessian(n: int, step: float = FD_STEP, ordering: str = "yx") -> np.ndarray:
-    """Central finite-difference Hessian of the chart function at 0.
-
-    ``ordering`` fixes how the 2(2n-2) derivative coordinates are laid
-    out: "yx" puts the imaginary parts first, "xy" the real parts.
-    """
+def fd_hessian(n: int) -> np.ndarray:
+    """Central finite-difference Hessian of the chart function at 0, step
+    FD_STEP, over the 2(2n-2) derivative coordinates (y_1..y_m, x_1..x_m)."""
     m = 2 * n - 2
     dim = 2 * m
 
     def f(u: np.ndarray) -> float:
-        return eval_chart_g(n, _zs_from_coords(u, ordering))
+        return eval_chart_g(n, u[m:] + 1j * u[:m])
 
     H = np.empty((dim, dim))
     f0 = f(np.zeros(dim))
     for p in range(dim):
         ep = np.zeros(dim)
-        ep[p] = step
-        H[p, p] = (f(ep) - 2.0 * f0 + f(-ep)) / step**2
+        ep[p] = FD_STEP
+        H[p, p] = (f(ep) - 2.0 * f0 + f(-ep)) / FD_STEP**2
         for q in range(p + 1, dim):
             eq = np.zeros(dim)
-            eq[q] = step
-            val = (f(ep + eq) - f(ep - eq) - f(-ep + eq) + f(-ep - eq)) / (4.0 * step**2)
+            eq[q] = FD_STEP
+            val = (f(ep + eq) - f(ep - eq) - f(-ep + eq) + f(-ep - eq)) / (4.0 * FD_STEP**2)
             H[p, q] = H[q, p] = val
     return H
 
 
 def hessian_block(n: int) -> np.ndarray:
     """(-1)^(n-1) [[0, A], [A^T, 0]]: the exact Hessian in the (y, x)
-    derivative ordering used by ``fd_hessian``'s default."""
+    derivative ordering used by ``fd_hessian``."""
     A = matrix_A(n).astype(float)
     m = A.shape[0]
     Z = np.zeros((m, m))
     return float((-1) ** (n - 1)) * np.block([[Z, A], [A.T, Z]])
 
 
-def certify_hessian_numeric(n: int, step: float = FD_STEP) -> HessianReport:
+def certify_hessian_numeric(n: int) -> HessianReport:
     """Numeric part: finite-difference agreement with the exact block
     Hessian and the (2n-2, 2n-2) eigenvalue split (signature zero)."""
-    if not 1e-6 <= step <= 1e-2:
-        raise ValueError(f"step {step:g} outside [1e-6, 1e-2]")
     report = certify_hessian_combinatorics(n)
-    H = fd_hessian(n, step=step, ordering="yx")
+    H = fd_hessian(n)
     err = float(np.max(np.abs(H - hessian_block(n))))
     eig = np.linalg.eigvalsh((H + H.T) / 2.0)
     cut = 1e-6 * float(np.max(np.abs(eig)))
@@ -233,7 +222,7 @@ def certify_hessian_numeric(n: int, step: float = FD_STEP) -> HessianReport:
         eig_positive=int(np.sum(eig > cut)),
         eig_negative=int(np.sum(eig < -cut)),
         fd_max_error=err,
-        step=step,
+        step=FD_STEP,
         link=f"S^{d} x S^{d}",
         quotient_link=f"(S^{d} x S^{d})/S^1",
         bd_sublink=f"RP^{d}",
@@ -269,15 +258,15 @@ def _unit_vector(rng: np.random.Generator, m: int) -> np.ndarray:
             return v / norm
 
 
-def refine_chart_zero(n: int, zs, tol: float = 1e-12, max_iter: int = 60) -> np.ndarray:
+def refine_chart_zero(n: int, zs) -> np.ndarray:
     """Newton-project a point of the unit sphere onto the exact cutout
     g^{-1}(0), staying on the sphere; numerical gradients."""
     v = np.array(zs, dtype=complex)
     m = v.shape[0]
     h = 1e-6
-    for _ in range(max_iter):
+    for _ in range(REFINE_STEPS):
         val = eval_chart_g(n, v)
-        if abs(val) <= tol:
+        if abs(val) <= REFINE_TARGET:
             break
         grad = np.empty(m, dtype=complex)
         for idx in range(m):
@@ -357,11 +346,11 @@ def link_csv(points: list[LinkPoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rep_from_chart(zs, tol: float = TOL_REL) -> PuncturedSphereRep:
+def rep_from_chart(zs) -> PuncturedSphereRep:
     """Lift a chart point on g^{-1}(0) to a full representation: meridians
     (i, i e^{x_1 j + y_1 k}, ..., completion)."""
     z = np.asarray(zs, dtype=complex)
-    return complete_rep([I, *exp_chart(z)], tol=tol)
+    return complete_rep([I, *exp_chart(z)])
 
 
 def hessian_report_json(report: HessianReport) -> dict:

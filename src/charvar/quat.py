@@ -91,7 +91,7 @@ def qinv(q: np.ndarray) -> np.ndarray:
 
 
 def norm(q: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(q, q))) if q.ndim == 1 else np.linalg.norm(q, axis=-1)
+    return float(np.sqrt(np.dot(q, q))) if q.ndim == 1 else np.sqrt(np.vecdot(q, q))
 
 
 def normalize(q: np.ndarray) -> np.ndarray:

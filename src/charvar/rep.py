@@ -43,7 +43,12 @@ from .errors import (
 from .quat import I, K, ONE, gprod, qconj, qinv, qmul
 
 TOL_REL = 1e-10
+# a meridian or generator whose norm is farther than this from 1 is rejected
+UNIT_TOL = 1e-6
 FP_TOL = 1e-9
+DIGEST_DECIMALS = 9
+# torus_from_bd: singular values at most this times the largest count as zero
+PLANAR_TOL = 1e-8
 FP_CHUNK = 64
 
 GENERATOR_NAMES = ("r1", "s1", "r2", "s2")
@@ -93,7 +98,7 @@ class SurfaceRep:
         return (self.r1, self.s1, self.r2, self.s2)
 
 
-def make_rep(meridians, tol: float = TOL_REL) -> PuncturedSphereRep:
+def make_rep(meridians) -> PuncturedSphereRep:
     """Validating constructor.  Renormalizes unit norms, then checks that every
     meridian is traceless and that the ordered product is the identity.
     Violations raise; nothing is repaired."""
@@ -102,14 +107,14 @@ def make_rep(meridians, tol: float = TOL_REL) -> PuncturedSphereRep:
         raise ValueError(f"expected (k, 4) meridian array, got {m.shape}")
     for idx in range(m.shape[0]):
         n = np.sqrt(np.dot(m[idx], m[idx]))
-        if abs(n - 1.0) > 1e-6:
+        if abs(n - 1.0) > UNIT_TOL:
             raise ValueError(f"meridian {idx} is not a unit quaternion: |q| = {n:.6f}")
         m[idx] /= n
     for idx in range(m.shape[0]):
-        if abs(m[idx, 0]) > tol:
+        if abs(m[idx, 0]) > TOL_REL:
             raise NotTraceless(idx, float(m[idx, 0]))
     residual = float(np.linalg.norm(gprod(list(m)) - ONE))
-    if residual > tol:
+    if residual > TOL_REL:
         raise ProductNotIdentity(residual)
     return PuncturedSphereRep(m)
 
@@ -120,7 +125,7 @@ def product_residuals(meridians: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(d, d))
 
 
-def complete_reps(partial: np.ndarray, tol: float = TOL_REL) -> np.ndarray:
+def complete_reps(partial: np.ndarray) -> np.ndarray:
     """:func:`complete_rep` on an (N, k-1, 4) stack of partial tuples.
 
     Returns the validated (N, k, 4) meridians, bit for bit those of
@@ -136,44 +141,44 @@ def complete_reps(partial: np.ndarray, tol: float = TOL_REL) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         m = m / n[..., None]
         bad = (
-            (np.abs(p[:, 0]) > tol)
-            | np.any(np.abs(n - 1.0) > 1e-6, axis=1)
-            | np.any(np.abs(m[..., 0]) > tol, axis=1)
-            | (product_residuals(m) > tol)
+            (np.abs(p[:, 0]) > TOL_REL)
+            | np.any(np.abs(n - 1.0) > UNIT_TOL, axis=1)
+            | np.any(np.abs(m[..., 0]) > TOL_REL, axis=1)
+            | (product_residuals(m) > TOL_REL)
         )
     if bad.any():
         row = int(np.argmax(bad))
-        complete_rep(part[row], tol=tol)
+        complete_rep(part[row])
         raise AssertionError(f"stacked validation rejected row {row}, complete_rep accepted it")
     return m
 
 
-def complete_rep(partial, tol: float = TOL_REL) -> PuncturedSphereRep:
+def complete_rep(partial) -> PuncturedSphereRep:
     """Append the forced last meridian (q1...q_{k-1})^-1 to a partial tuple.
 
-    Requires |re(q1...q_{k-1})| <= tol, which is exactly the condition for the
+    Requires |re(q1...q_{k-1})| <= TOL_REL, which is exactly the condition for the
     appended inverse to be traceless.
     """
     part = np.array(partial, dtype=float)
     p = gprod(list(part))
-    if abs(p[0]) > tol:
+    if abs(p[0]) > TOL_REL:
         raise ConstraintViolated(f"partial product has re = {p[0]:.3e}, not on the variety")
-    return make_rep(np.vstack([part, qinv(p)]), tol=tol)
+    return make_rep(np.vstack([part, qinv(p)]))
 
 
-def make_surface_rep(r1, s1, r2, s2, tol: float = TOL_REL) -> SurfaceRep:
+def make_surface_rep(r1, s1, r2, s2) -> SurfaceRep:
     """Validating constructor; checks the relation [r1,s1][r2,s2] = 1."""
     gens = []
     for name, g in zip(GENERATOR_NAMES, (r1, s1, r2, s2)):
         g = np.asarray(g, dtype=float)
         n = np.sqrt(np.dot(g, g))
-        if abs(n - 1.0) > 1e-6:
+        if abs(n - 1.0) > UNIT_TOL:
             raise ValueError(f"generator {name} is not a unit quaternion: |q| = {n:.6f}")
         gens.append(g / n)
     r1, s1, r2, s2 = gens
     rel = gprod(quat.commutator(r1, s1), quat.commutator(r2, s2))
     residual = float(np.linalg.norm(rel - ONE))
-    if residual > tol:
+    if residual > TOL_REL:
         raise RelationViolated(residual)
     return SurfaceRep(r1, s1, r2, s2)
 
@@ -302,8 +307,8 @@ def fingerprint_csv(fp: Fingerprint) -> str:
     return "\n".join(lines) + "\n"
 
 
-def fingerprint_digest(fp: Fingerprint, decimals: int = 9) -> str:
-    """Short hex identifier of a fingerprint rounded to ``decimals`` places.
+def fingerprint_digest(fp: Fingerprint) -> str:
+    """Short hex identifier of a fingerprint rounded to DIGEST_DECIMALS places.
 
     A grouping hint, not a class test: the rounding absorbs floating-point
     noise, but a value within noise of a rounding boundary can give two
@@ -311,7 +316,7 @@ def fingerprint_digest(fp: Fingerprint, decimals: int = 9) -> str:
     with `Fingerprint.close` or `variety.conjugator_search`.  Adding 0.0
     normalizes negative zeros before hashing.
     """
-    vals = np.round(np.asarray(fp.values, dtype=float), decimals) + 0.0
+    vals = np.round(np.asarray(fp.values, dtype=float), DIGEST_DECIMALS) + 0.0
     return hashlib.sha256(vals.tobytes()).hexdigest()[:16]
 
 
@@ -354,7 +359,7 @@ def bd_from_torus(coords: TorusCoords) -> PuncturedSphereRep:
     return make_rep(mers)
 
 
-def torus_from_bd(rep: PuncturedSphereRep, tol: float = 1e-8) -> TorusCoords:
+def torus_from_bd(rep: PuncturedSphereRep) -> TorusCoords:
     """Recover torus coordinates from a binary dihedral representation.
 
     Fits the plane spanned by the meridian directions, rotates it to the
@@ -366,13 +371,13 @@ def torus_from_bd(rep: PuncturedSphereRep, tol: float = 1e-8) -> TorusCoords:
         raise NotBinaryDihedral(f"binary dihedral locus needs even k >= 4, got k = {rep.k}")
     V = np.asarray(rep.meridians[:, 1:], dtype=float)
     svals = np.linalg.svd(V, compute_uv=False)
-    if svals[2] > tol * svals[0]:
+    if svals[2] > PLANAR_TOL * svals[0]:
         raise NotBinaryDihedral("meridian directions span rank 3, not a planar family")
 
     e1 = V[0] / np.linalg.norm(V[0])
     resid = V - np.outer(V @ e1, e1)
     _, s, vt = np.linalg.svd(resid, full_matrices=False)
-    if s[0] > tol * svals[0]:
+    if s[0] > PLANAR_TOL * svals[0]:
         e2 = vt[0]
     else:
         # abelian: the plane is underdetermined, any completion works

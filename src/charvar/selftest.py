@@ -251,7 +251,7 @@ def check_fiber_two_fold(counts: Mapping[str, int], seed: int = 0) -> CheckResul
 
 
 def ladder_records(
-    seed: int, paths: tuple[tuple[int, ...], tuple[int, ...]], count: int, per_branch: int, comm_tol: float
+    seed: int, paths: tuple[tuple[int, ...], tuple[int, ...]], count: int, per_branch: int
 ) -> list[dict]:
     """Case-ladder solutions: `count` generic section inputs, sample i drawn
     from (seed, *paths[0], i), then `per_branch` inputs constructed for
@@ -265,11 +265,11 @@ def ladder_records(
 
     for i in range(count):
         a, b, c, d, _ = cover.section_inputs(cover.surface_sample(_rng(seed, *generic_path, i)))
-        push("generic", i, cover.lemma52_detailed(a, b, c, d, comm_tol=comm_tol))
+        push("generic", i, cover.lemma52_detailed(a, b, c, d))
     for branch in (2, 3, 4, 5, 6, 7):
         for i in range(per_branch):
             quad = cover.lemma_branch_inputs(branch, _rng(seed, *branch_path, branch, i))
-            push(f"branch{branch}", i, cover.lemma52_detailed(*quad, comm_tol=comm_tol))
+            push(f"branch{branch}", i, cover.lemma52_detailed(*quad))
     return records
 
 
@@ -279,23 +279,39 @@ def ladder_coverage(records: list[dict]) -> str:
     return " ".join(f"{b}:{tally[b]}" for b in range(1, 8))
 
 
-def check_lemma52_branches(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
-    """Residuals of the case-ladder solver stay below cover.LEMMA_TOL on
-    valid inputs, with every branch of the ladder exercised."""
-    min_needed = counts["lemma_per_branch"]
-    records = ladder_records(seed, ((8,), (9,)), counts["lemma_generic"], min_needed, cover.COMM_TOL)
-    for r in records:
-        rung = r["family"].removeprefix("branch")
-        if rung != "generic" and int(rung) != r["branch"]:
-            return CheckResult(False, f"constructed input for branch {rung} landed on branch {r['branch']}")
-    worst = max(r["max_residual"] for r in records)
+def ladder_failures(records: list[dict], seed: int, min_needed: int) -> list[str]:
+    """Why case-ladder records fail, empty if they pass: constructed inputs
+    solved on another rung, residuals over cover.LEMMA_TOL, and rungs
+    solved fewer than `min_needed` times.  Records are named by (seed,
+    family, index)."""
+    wrong = [
+        (seed, r["family"], r["index"], r["branch"])
+        for r in records
+        if r["family"] not in ("generic", f"branch{r['branch']}")
+    ]
+    over = [(seed, r["family"], r["index"]) for r in records if r["max_residual"] > cover.LEMMA_TOL]
     tally = Counter(r["branch"] for r in records)
     missing = [b for b in range(1, 8) if tally[b] < min_needed]
-    ok = worst <= cover.LEMMA_TOL and not missing
-    detail = f"max residual {worst:.3e}; branch coverage {ladder_coverage(records)}"
+    failures = []
+    if wrong:
+        failures.append(f"constructed inputs solved on another rung, (seed, family, index, rung): {wrong}")
+    if over:
+        failures.append(f"failing (seed, family, index) over {cover.LEMMA_TOL:g}: {over}")
     if missing:
-        detail += f"; branches below {min_needed}: {missing}"
-    return CheckResult(ok, detail)
+        failures.append(f"branches below {min_needed}: {missing}")
+    return failures
+
+
+def check_lemma52_branches(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
+    """Residuals of the case-ladder solver stay below cover.LEMMA_TOL on
+    valid inputs, constructed inputs land on their rung, and every rung
+    of the ladder is exercised."""
+    min_needed = counts["lemma_per_branch"]
+    records = ladder_records(seed, ((8,), (9,)), counts["lemma_generic"], min_needed)
+    failures = ladder_failures(records, seed, min_needed)
+    worst = max(r["max_residual"] for r in records)
+    detail = "; ".join([f"max residual {worst:.3e}", f"branch coverage {ladder_coverage(records)}", *failures])
+    return CheckResult(not failures, detail)
 
 
 def check_hessian_exact(counts: Mapping[str, int], seed: int = 0) -> CheckResult:

@@ -20,6 +20,7 @@ from .quat import I, J, K, axis_angle, gprod, im, qmul
 from .rep import PuncturedSphereRep, TOL_REL, complete_rep, complete_reps, make_rep
 
 RANK_TOL_FACTOR = 1e-8
+CONJUGATOR_TOL = 1e-7
 # the sampler takes w = q_1 ... q_{k-2} as central (+-1) when |im w| is at
 # most this; sample_point and sample_points must agree to stay bit-exact
 CENTRAL_CUTOFF = 1e-12
@@ -152,18 +153,18 @@ def locus_label(rank: int) -> LocusLabel:
     return LocusLabel(GENERIC, rank)
 
 
-def locus_ranks(meridians: np.ndarray, tol_factor: float = RANK_TOL_FACTOR) -> np.ndarray:
+def locus_ranks(meridians: np.ndarray) -> np.ndarray:
     """Rank of the 3 x k matrix of meridian directions, for one (k, 4) tuple
     or each tuple of a (..., k, 4) stack: singular values above
-    ``tol_factor`` times the largest."""
+    RANK_TOL_FACTOR times the largest."""
     svals = np.linalg.svd(np.asarray(meridians)[..., 1:], compute_uv=False)
-    return np.sum(svals > tol_factor * svals[..., :1], axis=-1)
+    return np.sum(svals > RANK_TOL_FACTOR * svals[..., :1], axis=-1)
 
 
-def classify_locus(rep: PuncturedSphereRep, tol_factor: float = RANK_TOL_FACTOR) -> LocusLabel:
+def classify_locus(rep: PuncturedSphereRep) -> LocusLabel:
     """Locus of a point by the rank of the 3 x k matrix of meridian directions:
     rank <= 1 abelian, rank 2 binary dihedral, rank 3 generic."""
-    return locus_label(int(locus_ranks(rep.meridians, tol_factor)))
+    return locus_label(int(locus_ranks(rep.meridians)))
 
 
 def _df_gradient(part: np.ndarray) -> np.ndarray:
@@ -245,7 +246,7 @@ def deform(partial, cert: SubmersionCertificate, t: float) -> np.ndarray:
     return part
 
 
-def conjugation_rank(partial, tol_factor: float = RANK_TOL_FACTOR) -> int:
+def conjugation_rank(partial) -> int:
     """Rank of the infinitesimal conjugation action on a tuple: rows are the
     brackets [u, q_a] over u in {i, j, k}.  3 exactly when the action is
     locally free (non-abelian tuple)."""
@@ -255,7 +256,7 @@ def conjugation_rank(partial, tol_factor: float = RANK_TOL_FACTOR) -> int:
         rows.append(np.concatenate([(qmul(u, q) - qmul(q, u))[1:] for q in part]))
     M = np.vstack(rows)
     svals = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(svals > tol_factor * svals[0]))
+    return int(np.sum(svals > RANK_TOL_FACTOR * svals[0]))
 
 
 def local_dimension(rep: PuncturedSphereRep) -> int:
@@ -302,9 +303,7 @@ def enumerate_abelian(k: int) -> list[PuncturedSphereRep]:
 # conjugator search
 
 
-def conjugator_search(
-    a: PuncturedSphereRep, b: PuncturedSphereRep, threshold: float = 1e-7
-) -> np.ndarray | None:
+def conjugator_search(a: PuncturedSphereRep, b: PuncturedSphereRep) -> np.ndarray | None:
     """Find g with g a_i g^-1 = b_i for all meridians, or None.
 
     Conjugation by g rotates pure parts by R = rotation_matrix(g), so the
@@ -313,7 +312,7 @@ def conjugator_search(
     d = det(U V^T) = +-1 keeps R a rotation.  On abelian and binary dihedral
     tuples the SVD is not unique, but d then acts on a null singular
     direction and R is still exact.  Returns g if the worst meridian
-    residual is at most ``threshold``, else None.
+    residual is at most CONJUGATOR_TOL, else None.
     """
     if a.k != b.k:
         raise ValueError("representations have different numbers of punctures")
@@ -324,4 +323,4 @@ def conjugator_search(
         float(np.linalg.norm(quat.conjugate(g, qa) - qb))
         for qa, qb in zip(a.meridians, b.meridians)
     )
-    return g if res <= threshold else None
+    return g if res <= CONJUGATOR_TOL else None

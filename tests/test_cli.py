@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, output formats, byte
 determinism, and the selftest gate."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -52,10 +53,10 @@ class TestSample:
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
 
-    def test_impossible_tolerance_fails_with_pointers(self):
-        proc = run_cli("sample", "--k", "6", "--count", "4", "--tol-rel", "0")
-        assert proc.returncode == 1
-        assert "(seed, index)" in proc.stderr
+    def test_impossible_tolerance_fails_with_pointers(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "TOL_REL", 0.0)
+        assert cli.main(["sample", "--k", "6", "--count", "4"]) == 1
+        assert "(seed, index)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k,seed", [(3, 0), (6, 5), (12, 9), (16, 2)])
     def test_records_match_scalar_functions(self, k, seed, tmp_path):
@@ -160,16 +161,72 @@ def test_output_bytes_are_pinned(command, capsys):
 
 
 @pytest.mark.parametrize(
-    "command,named",
+    "command,bound,named",
     [
-        ("cover push --count 3 --tol-rel 0", "failing (seed, index) pairs: [(0, 0), (0, 1), (0, 2)]"),
-        ("lemma52 --count 20 --tol-lemma 1e-30", "(seed, family, index) over 1e-30: [(0, 'generic', 0), "),
-        ("morse --n 2..4 --tol-fd 1e-30", "failing n: [2, 3, 4]"),
+        pytest.param(
+            "cover push --count 3",
+            (cli, "TOL_REL", 0.0),
+            "failing (seed, index) pairs: [(0, 0), (0, 1), (0, 2)]",
+            id="cover-push",
+        ),
+        pytest.param(
+            "lemma52 --count 20",
+            (cover, "LEMMA_TOL", 1e-30),
+            "(seed, family, index) over 1e-30: [(0, 'generic', 0), ",
+            id="lemma52",
+        ),
+        pytest.param("morse --n 2..4", (morse, "FD_TOL", 1e-30), "failing n: [2, 3, 4]", id="morse"),
     ],
 )
-def test_failed_gate_names_what_failed(command, named, capsys):
+def test_failed_gate_names_what_failed(command, bound, named, monkeypatch, capsys):
+    # each gate reads its bound when it runs, so patching the constant moves it
+    monkeypatch.setattr(*bound)
     assert cli.main(command.split()) == 1
     assert named in capsys.readouterr().err
+
+
+def test_lemma52_gate_is_the_check_gate(monkeypatch, capsys):
+    # with a commutation cutoff of 1e-4 the rung-5 and rung-6 families
+    # (defects near 1e-8) land on rung 7 with residuals near 1e-8: under a
+    # residual bound of 1e-6 the command must still fail on the wrong
+    # rungs, as the selftest check does
+    monkeypatch.setattr(cover, "COMM_TOL", 1e-4)
+    monkeypatch.setattr(cover, "LEMMA_TOL", 1e-6)
+    assert cli.main(["lemma52", "--count", "60"]) == 1
+    err = capsys.readouterr().err
+    assert "solved on another rung" in err and "over 1e-06" not in err
+    assert "(0, 'branch5', 0, 7)" in err and "(0, 'branch6', 0, 7)" in err
+    result = selftest.check_lemma52_branches({"lemma_generic": 60, "lemma_per_branch": 3})
+    assert not result.ok
+    assert "solved on another rung" in result.detail
+
+
+# every settable value of every command (39 in all); a new option must be added here
+CLI_OPTIONS = {
+    "sample": {"--k", "--count", "--seed", "--format", "--out", "--sorted"},
+    "cover push": {"--count", "--seed", "--out", "--sorted"},
+    "cover extend": {"--count", "--seed", "--out", "--sorted"},
+    "cover roundtrip": {"--count", "--seed", "--out", "--sorted"},
+    "cover fiber": {"--count", "--seed", "--out", "--sorted", "--abelian-points"},
+    "morse": {"--n", "--format", "--out", "--sorted"},
+    "lemma52": {"--count", "--seed", "--out", "--sorted"},
+    "link-sample": {"--n", "--count", "--seed", "--format", "--out", "--sorted"},
+    "selftest": {"--seed", "--out"},
+}
+
+
+def test_cli_options_are_pinned():
+    def commands(parser, prefix=()):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            options = {o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help")}
+            yield " ".join(prefix), options
+        for action in subs:
+            for name, sub in action.choices.items():
+                yield from commands(sub, (*prefix, name))
+
+    found = dict(commands(cli.build_parser()))
+    assert found == CLI_OPTIONS
 
 
 def test_failed_link_gate_names_samples(monkeypatch, capsys):
@@ -185,14 +242,15 @@ def test_failed_link_gate_names_samples(monkeypatch, capsys):
     assert "failing (seed, index) pairs: [(4, 2)]" in capsys.readouterr().err
 
 
-def test_repeated_calls_in_one_process(capsys):
+def test_repeated_calls_in_one_process(monkeypatch, capsys):
     # the parser is built once per process; every call must parse afresh
+    monkeypatch.setattr(cover, "LEMMA_TOL", 1e-30)
     commands = [
         ["sample", "--k", "5", "--count", "4", "--seed", "2"],
         ["cover", "roundtrip", "--count", "3", "--seed", "1"],
         ["sample", "--k", "7", "--count", "2", "--format", "csv", "--sorted"],
         ["morse", "--n", "2..3"],
-        ["lemma52", "--count", "20", "--tol-lemma", "1e-30"],
+        ["lemma52", "--count", "20"],
         ["link-sample", "--n", "3", "--count", "5"],
         ["sample", "--k", "2"],
         ["cover", "fiber", "--abelian-points", "--count", "0"],
@@ -238,7 +296,7 @@ class TestUsageErrors:
         assert run_cli(*argv).returncode == 2
 
     def test_invariant_failure_exits_1(self, monkeypatch, capsys):
-        def broken(surface, sign=1, tol=None):
+        def broken(surface, sign=1):
             raise RelationViolated(3.0e-7)
 
         monkeypatch.setattr(cover, "extend", broken)
@@ -246,7 +304,7 @@ class TestUsageErrors:
         assert "surface relation residual 3.000e-07" in capsys.readouterr().err
 
     def test_cover_extend_invariant_failure_exits_1(self, monkeypatch, capsys):
-        def broken(surface, sign=1, tol=None):
+        def broken(surface, sign=1):
             raise RelationViolated(3.0e-7)
 
         monkeypatch.setattr(cover, "extend", broken)
@@ -254,7 +312,7 @@ class TestUsageErrors:
         assert "error: surface relation residual 3.000e-07" in capsys.readouterr().err
 
     def test_cover_extend_programming_error_propagates(self, monkeypatch):
-        def broken(surface, sign=1, tol=None):
+        def broken(surface, sign=1):
             raise TypeError("not a lift")
 
         monkeypatch.setattr(cover, "extend", broken)
@@ -282,10 +340,10 @@ class TestCover:
         assert proc.returncode == 0
         assert "ok" in proc.stderr
 
-    def test_roundtrip_gate(self):
-        proc = run_cli("cover", "roundtrip", "--count", "5", "--tol-roundtrip", "1e-20")
-        assert proc.returncode == 1
-        assert "(seed, index)" in proc.stderr
+    def test_roundtrip_gate(self, monkeypatch, capsys):
+        monkeypatch.setattr(cover, "ROUNDTRIP_TOL", 1e-20)
+        assert cli.main(["cover", "roundtrip", "--count", "5"]) == 1
+        assert "(seed, index)" in capsys.readouterr().err
 
     def test_fiber_random(self):
         proc = run_cli("cover", "fiber", "--count", "6")
@@ -317,9 +375,9 @@ class TestMorse:
         assert lines[0].startswith("n,det_A,pfaffian,")
         assert lines[1].split(",")[0] == "3"
 
-    def test_fd_gate(self):
-        proc = run_cli("morse", "--n", "3", "--tol-fd", "1e-12")
-        assert proc.returncode == 1
+    def test_fd_gate(self, monkeypatch):
+        monkeypatch.setattr(morse, "FD_TOL", 1e-12)
+        assert cli.main(["morse", "--n", "3"]) == 1
 
 
 class TestLemma52:

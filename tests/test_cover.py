@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from charvar.cover import (
-    CHI,
-    CentralCharacter,
     extend,
     fiber,
     fiber_to_json,
@@ -192,13 +190,3 @@ class TestFiber:
         assert data["on_branch"] is False
         assert data["class_count"] == 2
         assert len(data["fingerprints"]) == 2
-
-
-class TestCentralCharacter:
-    def test_default_is_branch_character(self):
-        assert CHI.r1 == 1 and CHI.s2 == 1
-        assert all(v == -1 for v in CHI.meridians)
-
-    def test_rejects_non_signs(self):
-        with pytest.raises(ValueError):
-            CentralCharacter(r1=2, s1=1, r2=1, s2=1, meridians=(-1,) * 6)

@@ -227,3 +227,14 @@ def test_gprod_stack_matches_rows_exactly():
         assert batch.shape == (6, 4)
         for row, qs in zip(batch, stack):
             assert np.array_equal(row, gprod(list(qs)))
+
+
+def test_norm_and_normalize_stack_match_rows_exactly():
+    # np.linalg.norm(axis=-1) differs in the last bit from the row-by-row
+    # np.dot on a share of rows; the stacked path must not
+    stack = np.random.default_rng(47).normal(size=(4000, 4))
+    norms = norm(stack)
+    unit = normalize(stack)
+    for q, n, u in zip(stack, norms, unit):
+        assert n == norm(q)
+        assert np.array_equal(u, normalize(q))

@@ -58,7 +58,7 @@ class TestConstruction:
 
     def test_surface_relation_enforced(self):
         with pytest.raises(RelationViolated):
-            make_surface_rep(I, J, K, qmul(I, J), tol=1e-12)
+            make_surface_rep(I, J, K, qmul(I, J))
         s = make_surface_rep(ONE, ONE, ONE, ONE)
         assert all(np.array_equal(g, ONE) for g in s.generators())
 
