@@ -1,0 +1,166 @@
+"""Speed snapshot of charvar: microseconds per operation, scalar and per
+stacked row, and the acceptance criteria of the cover at full counts.
+
+    python3 bench/snapshot.py
+
+Imports charvar from src/ of this checkout, a git clone, and writes
+bench/BENCH_<date>_<revision>.json; the revision ends in -dirty when src/
+differs from HEAD.  Every time is recorded raw and scaled
+to perfbench's reference host speed: a shared host's speed swings by up to
+2x within minutes, so each measurement is bracketed by samples of
+perfbench's host-speed probe and multiplied by their factor.  An operation
+whose stacked form the checkout lacks is recorded as null.
+"""
+
+from __future__ import annotations
+
+import datetime
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+
+import numpy as np  # noqa: E402
+
+from charvar import cover, selftest, variety  # noqa: E402
+from perfbench.worker import HostSpeed  # noqa: E402
+
+ROWS = 256  # inputs per timed pass, scalar and stacked alike
+REPEATS = 5
+# acceptance criteria of the cover, with their budgets in tests/test_acceptance.py
+CRITERIA = (
+    (2, "cover-roundtrip", selftest.check_cover_roundtrip, 10.0),
+    (3, "fiber-two-fold", selftest.check_fiber_two_fold, 10.0),
+    (4, "lemma52-branches", selftest.check_lemma52_branches, 10.0),
+)
+
+
+def timed(fn, speed: HostSpeed) -> tuple[float, float]:
+    """Seconds of the fastest of REPEATS calls of fn, raw and host-scaled:
+    the fastest call is the one least disturbed by other load."""
+    raw, scaled = [], []
+    for _ in range(REPEATS):
+        speed.probe()
+        first = len(speed.samples)
+        start = time.perf_counter()
+        fn()
+        elapsed = time.perf_counter() - start
+        speed.probe()
+        raw.append(elapsed)
+        scaled.append(elapsed * speed.factor(first - 1, len(speed.samples)))
+    return min(raw), min(scaled)
+
+
+def per_op(fn, ops: int, speed: HostSpeed) -> dict[str, float]:
+    raw, scaled = timed(fn, speed)
+    return {"raw_us": 1e6 * raw / ops, "scaled_us": 1e6 * scaled / ops}
+
+
+def layers(speed: HostSpeed) -> dict[str, dict]:
+    """Microseconds per operation: the scalar function on ROWS inputs one at
+    a time, and its stacked form on one stack of ROWS rows, per row."""
+    rngs = lambda: [np.random.default_rng((7, i)) for i in range(ROWS)]  # noqa: E731
+    reps = [variety.sample_point(6, rng) for rng in rngs()]
+    surfaces = [cover.pushforward(r) for r in reps]
+    meridians = np.stack([r.meridians for r in reps])
+    gens = np.stack([np.stack(s.generators()) for s in surfaces])
+    quads = [cover.section_inputs(s)[:4] for s in surfaces]
+    quad_stack = [np.stack(v) for v in zip(*quads)]
+    stacked = {name: getattr(cover, name, None) for name in ("pushforwards", "lifts", "lemma52_stack", "fibers")}
+    ops = {
+        "sample_point": (
+            lambda: [variety.sample_point(6, rng) for rng in rngs()],
+            lambda: variety.sample_points(6, rngs()),
+            "variety.sample_points",
+        ),
+        "pushforward": (
+            lambda: [cover.pushforward(r) for r in reps],
+            stacked["pushforwards"] and (lambda: stacked["pushforwards"](meridians)),
+            "cover.pushforwards",
+        ),
+        "extend": (
+            lambda: [cover.extend(s, sign) for s in surfaces for sign in (1, -1)],
+            stacked["lifts"] and (lambda: stacked["lifts"](gens)),
+            "cover.lifts (both sheets: per row and sheet)",
+        ),
+        "lemma52_detailed": (
+            lambda: [cover.lemma52_detailed(*q) for q in quads],
+            stacked["lemma52_stack"] and (lambda: stacked["lemma52_stack"](*quad_stack)),
+            "cover.lemma52_stack",
+        ),
+        "fiber": (
+            lambda: [cover.fiber(s) for s in surfaces],
+            stacked["fibers"] and (lambda: stacked["fibers"](gens)),
+            "cover.fibers",
+        ),
+    }
+    out = {}
+    for name, (scalar, batch, form) in ops.items():
+        calls = 2 * ROWS if name == "extend" else ROWS
+        out[name] = {
+            "scalar": per_op(scalar, calls, speed),
+            "batch_row": per_op(batch, calls, speed) if batch else None,
+            "batch_form": form,
+        }
+    return out
+
+
+def criteria(speed: HostSpeed) -> dict[str, dict]:
+    out = {}
+    for number, name, check, budget in CRITERIA:
+        speed.probe()
+        first = len(speed.samples)
+        start = time.perf_counter()
+        result = check(selftest.FULL_COUNTS, 0)
+        elapsed = time.perf_counter() - start
+        speed.probe()
+        scaled = elapsed * speed.factor(first - 1, len(speed.samples))
+        out[f"criterion_{number}"] = {
+            "check": name,
+            "ok": result.ok,
+            "raw_s": elapsed,
+            "scaled_s": scaled,
+            "budget_s": budget,
+            "raw_share": elapsed / budget,
+            "scaled_share": scaled / budget,
+        }
+    return out
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
+
+
+def main() -> int:
+    speed = HostSpeed()
+    for _ in range(5):
+        speed.probe()
+    # a working tree whose src/ differs from HEAD is HEAD plus a change
+    revision = git("rev-parse", "--short", "HEAD") + ("-dirty" if git("status", "--porcelain", "--", "src") else "")
+    snapshot = {
+        "revision": revision,
+        "date": datetime.date.today().isoformat(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "rows": ROWS,
+        "repeats": REPEATS,
+        "layers_us_per_op": layers(speed),
+        "criteria_full_counts": criteria(speed),
+        "host_probe_median_s": speed.median(),
+    }
+    path = ROOT / "bench" / f"BENCH_{snapshot['date']}_{revision}.json"
+    path.write_text(json.dumps(snapshot, indent=2) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,10 +23,10 @@ from .quat import ONE, commutator, gprod, qmul
 from .rep import (
     TOL_REL,
     Fingerprint,
+    SurfaceRep,
     fingerprint_batch,
     fingerprint_digest,
     product_residuals,
-    rep_to_json,
     sphere_names,
     surface_to_json,
     word_labels,
@@ -96,30 +96,32 @@ def _parse_n_spec(spec: str) -> list[int]:
 
 def cmd_sample(args: argparse.Namespace) -> Run:
     _check_range("k", args.k, *K_RANGE)
-    mers = variety.sample_points(args.k, [selftest._rng(args.seed, i) for i in range(args.count)])
     labels = word_labels(sphere_names(args.k))
-    constraint = np.abs(gprod(mers[:, :-1])[:, 0])
-    product = product_residuals(mers)
-    traceless = np.max(np.abs(mers[..., 0]), axis=1)
-    records = []
-    for i, (values, rank) in enumerate(zip(fingerprint_batch(mers), variety.locus_ranks(mers))):
-        fp = Fingerprint(labels, values)
-        records.append(
+
+    def sample(keys, rngs):
+        mers = variety.sample_points(args.k, rngs)
+        residuals = zip(
+            np.abs(gprod(mers[:, :-1])[:, 0]).tolist(),
+            product_residuals(mers).tolist(),
+            np.max(np.abs(mers[..., 0]), axis=1).tolist(),
+        )
+        return [
             {
                 "index": i,
-                "seed": args.seed,
+                "seed": seed,
                 "k": args.k,
-                "locus": variety.locus_label(int(rank)).label,
-                "rank": int(rank),
-                "fingerprint_digest": fingerprint_digest(fp),
+                "locus": variety.locus_label(rank).label,
+                "rank": rank,
+                "fingerprint_digest": fingerprint_digest(Fingerprint(labels, values)),
                 "fingerprint": values.tolist(),
-                "residuals": {
-                    "constraint": float(constraint[i]),
-                    "product": float(product[i]),
-                    "traceless": float(traceless[i]),
-                },
+                "residuals": {"constraint": constraint, "product": product, "traceless": traceless},
             }
-        )
+            for (seed, i), values, rank, (constraint, product, traceless) in zip(
+                keys, fingerprint_batch(mers), variety.locus_ranks(mers).tolist(), residuals
+            )
+        ]
+
+    records = selftest.chunked(args.seed, (), args.count, sample)
     failures = [r["index"] for r in records if max(r["residuals"].values()) > TOL_REL]
     header = None
     if args.format == "json":
@@ -142,11 +144,17 @@ def cmd_sample(args: argparse.Namespace) -> Run:
 
 
 def cmd_cover_push(args: argparse.Namespace) -> Run:
-    records = []
-    for i in range(args.count):
-        s = cover.surface_sample(selftest._rng(args.seed, i))
-        residual = float(np.linalg.norm(qmul(commutator(s.r1, s.s1), commutator(s.r2, s.s2)) - ONE))
-        records.append({"index": i, "seed": args.seed, **surface_to_json(s), "relation_residual": residual})
+    def push(keys, rngs):
+        gens = cover.surface_samples(rngs)
+        r1, s1, r2, s2 = np.moveaxis(gens, 1, 0)
+        d = qmul(commutator(r1, s1), commutator(r2, s2)) - ONE
+        residuals = np.sqrt(np.vecdot(d, d)).tolist()
+        return [
+            {"index": i, "seed": seed, **surface_to_json(SurfaceRep(*g)), "relation_residual": residual}
+            for (seed, i), g, residual in zip(keys, gens, residuals)
+        ]
+
+    records = selftest.chunked(args.seed, (), args.count, push)
     worst = max(r["relation_residual"] for r in records)
     verdict = f"cover push: count={args.count} max relation residual {worst:.3e}"
     ok = worst <= TOL_REL
@@ -157,21 +165,22 @@ def cmd_cover_push(args: argparse.Namespace) -> Run:
 
 
 def cmd_cover_extend(args: argparse.Namespace) -> Run:
-    def one(i: int) -> dict:
-        surface = cover.surface_sample(selftest._rng(args.seed, i))
-        out = {"index": i, "seed": args.seed, "lifts": []}
-        for sign in (1, -1):
-            lifted = cover.extend(surface, sign)
-            out["lifts"].append(
-                {
-                    "sign": sign,
-                    "locus": variety.classify_locus(lifted).label,
-                    "meridians": rep_to_json(lifted)["meridians"],
-                }
-            )
-        return out
+    def lift(keys, rngs):
+        sheets = cover.lifts(cover.surface_samples(rngs))
+        loci = variety.locus_ranks(sheets).tolist()
+        return [
+            {
+                "index": i,
+                "seed": seed,
+                "lifts": [
+                    {"sign": sign, "locus": variety.locus_label(rank).label, "meridians": lifted.tolist()}
+                    for sign, lifted, rank in zip((1, -1), lifted_pair, ranks)
+                ],
+            }
+            for (seed, i), lifted_pair, ranks in zip(keys, sheets, loci)
+        ]
 
-    lines = [_json_line(one(i)) for i in range(args.count)]
+    lines = [_json_line(r) for r in selftest.chunked(args.seed, (), args.count, lift)]
     return Run(lines, None, f"cover extend: count={args.count} ok", True)
 
 
@@ -189,10 +198,13 @@ def cmd_cover_roundtrip(args: argparse.Namespace) -> Run:
 
 def cmd_cover_fiber(args: argparse.Namespace) -> Run:
     if args.abelian_points:
-        surfaces = [cover.pushforward(r) for r in variety.enumerate_abelian(6)]
+        meridians = np.stack([r.meridians for r in variety.enumerate_abelian(6)])
+        reports = cover.fibers(cover.pushforwards(meridians))
     else:
-        surfaces = [cover.surface_sample(selftest._rng(args.seed, i)) for i in range(args.count)]
-    reports = [cover.fiber(surface) for surface in surfaces]
+        def fibers(keys, rngs):
+            return cover.fibers(cover.surface_samples(rngs))
+
+        reports = selftest.chunked(args.seed, (), args.count, fibers)
     records = [{"index": i, **cover.fiber_to_json(report)} for i, report in enumerate(reports)]
     fraction = sum(r["on_branch"] for r in records) / len(records)
     verdict = f"cover fiber: {len(records)} fibers, branch fraction {fraction:.4f}"

@@ -8,6 +8,15 @@ that convention the explicit section below inverts it exactly.  The
 section reconstructs the meridians from a solution x of a six-condition
 tracelessness system (the case-ladder solver), and the two choices of
 sign for x give the two sheets.
+
+Every operation has a stacked form for campaigns: :func:`surface_samples`,
+:func:`pushforwards`, :func:`section_inputs` on a generator stack,
+:func:`lemma52_stack`, :func:`lifts`, :func:`roundtrip_residuals` and
+:func:`fibers`.  Each row is bit for bit what the one-sample function
+gives: both run the same word expressions through the kernels of
+:mod:`charvar.quat`, which give the same bits whatever the stack shape.
+A row the stacked validation rejects raises the exception the one-sample
+function raises on it (see :func:`charvar.rep.raise_first_rejected`).
 """
 
 from __future__ import annotations
@@ -39,10 +48,16 @@ from .rep import (
     SurfaceRep,
     TOL_REL,
     fingerprint,
+    fingerprint_batch,
     make_rep,
     make_surface_rep,
+    make_surface_reps,
+    normalize_reps,
+    raise_first_rejected,
+    sphere_names,
+    word_labels,
 )
-from .variety import sample_point
+from .variety import sample_point, sample_points
 
 COMM_TOL = 1e-8
 LEMMA_TOL = 1e-10
@@ -68,31 +83,47 @@ class Lemma52Solution:
     commutator_norms: np.ndarray = field(repr=False)
 
 
+def _norms(q: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(q, q))
+
+
+def _surface_words(x1, x2, x3, x4, x5, x6) -> tuple[np.ndarray, ...]:
+    """The generator words (r1, s1, r2, s2) in the meridians."""
+    return qmul(x1, x2), qmul(qinv(x3), qinv(x2)), qmul(x4, x5), qmul(qinv(x6), qinv(x5))
+
+
 def pushforward(rep: PuncturedSphereRep) -> SurfaceRep:
     """Image of a 6-punctured sphere class under the branched cover."""
     if rep.k != 6:
         raise ValueError(f"the cover is defined for k = 6, got k = {rep.k}")
-    q = rep.meridians
-    return make_surface_rep(
-        qmul(q[0], q[1]),
-        qmul(qinv(q[2]), qinv(q[1])),
-        qmul(q[3], q[4]),
-        qmul(qinv(q[5]), qinv(q[4])),
-    )
+    return make_surface_rep(*_surface_words(*rep.meridians))
+
+
+def pushforwards(meridians: np.ndarray) -> np.ndarray:
+    """:func:`pushforward` on an (N, 6, 4) stack of meridians: the (N, 4, 4)
+    stack of generators (r1, s1, r2, s2), validated as make_surface_rep
+    validates them."""
+    m = np.asarray(meridians, dtype=float)
+    if m.ndim != 3 or m.shape[1:] != (6, 4):
+        raise ValueError(f"the cover is defined for (N, 6, 4) meridian stacks, got {m.shape}")
+    return make_surface_reps(np.stack(_surface_words(*np.moveaxis(m, 1, 0)), axis=1))
+
+
+def surface_samples(rngs) -> np.ndarray:
+    """:func:`surface_sample` for each of the distinct generators ``rngs``, as
+    one (N, 4, 4) stack of generators."""
+    return pushforwards(sample_points(6, rngs))
 
 
 def _lemma52_residuals(x, a, b, c, d) -> np.ndarray:
     w = gprod(a, b, c, d)
-    return np.abs(
-        [
-            x[0],
-            qmul(x, a)[0],
-            qmul(x, b)[0],
-            qmul(x, c)[0],
-            qmul(x, d)[0],
-            qmul(x, qinv(w))[0],
-        ]
-    )
+    parts = [x[..., 0], *(qmul(x, v)[..., 0] for v in (a, b, c, d, qinv(w)))]
+    return np.abs(np.array(parts).T)
+
+
+def _ladder_pairs(a, b, c, d) -> tuple:
+    """The ordered pairs the case ladder tries on rungs 1 to 6."""
+    return ((a, b), (b, c), (c, d), (d, a), (a, c), (b, d))
 
 
 def lemma52_detailed(a, b, c, d) -> Lemma52Solution:
@@ -109,9 +140,8 @@ def lemma52_detailed(a, b, c, d) -> Lemma52Solution:
     defect = float(np.linalg.norm(gprod(a, b, c, d) - gprod(d, c, b, a)))
     if defect > TOL_REL:
         raise ConstraintViolated(f"abcd and dcba differ by {defect:.3e} > {TOL_REL:.1e}")
-    pairs = ((a, b), (b, c), (c, d), (d, a), (a, c), (b, d))
     norms = np.empty(6)
-    for idx, (u, v) in enumerate(pairs):
+    for idx, (u, v) in enumerate(_ladder_pairs(a, b, c, d)):
         w = commutator_defect(u, v)
         norms[idx] = np.linalg.norm(w)
         if norms[idx] > COMM_TOL:
@@ -136,6 +166,38 @@ def lemma52_detailed(a, b, c, d) -> Lemma52Solution:
 
 def lemma52_solve(a, b, c, d) -> np.ndarray:
     return lemma52_detailed(a, b, c, d).x
+
+
+def _ladder(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The case ladder on (N, 4) stacks: x, the rung, and the rows whose
+    inputs lemma52_detailed rejects.  Each pair's defect is computed on the
+    rows no earlier pair solved; rows that reach rung 7 take x from the
+    scalar solver."""
+    rejected = _norms(gprod(a, b, c, d) - gprod(d, c, b, a)) > TOL_REL
+    x = np.zeros(a.shape)
+    rung = np.full(a.shape[0], 7)
+    for idx, (u, v) in enumerate(_ladder_pairs(a, b, c, d)):
+        rows = np.flatnonzero(rung == 7)
+        if rows.size == 0:
+            break
+        w = commutator_defect(u[rows], v[rows])
+        norms = _norms(w)
+        hit = norms > COMM_TOL
+        x[rows[hit]] = w[hit] / norms[hit, None]
+        rung[rows[hit]] = idx + 1
+    for row in np.flatnonzero((rung == 7) & ~rejected):
+        x[row] = lemma52_detailed(a[row], b[row], c[row], d[row]).x
+    return x, rung, rejected
+
+
+def lemma52_stack(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`lemma52_detailed` on (N, 4) stacks of inputs: x (N, 4), the rung
+    (N,) and the residuals (N, 6), each row bit for bit the scalar
+    solution's."""
+    a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
+    x, rung, rejected = _ladder(a, b, c, d)
+    raise_first_rejected(rejected, lambda row: lemma52_detailed(a[row], b[row], c[row], d[row]))
+    return x, rung, _lemma52_residuals(x, a, b, c, d)
 
 
 def _coset_point(theta: float) -> np.ndarray:
@@ -176,17 +238,40 @@ def lemma_branch_inputs(branch: int, rng: np.random.Generator):
     raise ValueError(f"no constructed family for branch {branch}")
 
 
-def section_inputs(surface: SurfaceRep):
+def section_inputs(surface):
     """The five words (a, b, c, d, e) fed to the case-ladder solver by the
     section; they satisfy e^-1 = abcd = dcba whenever the surface relation
-    holds."""
-    r1, s1, r2, s2 = surface.generators()
+    holds.  On an (N, 4, 4) stack of generators (r1, s1, r2, s2) each word
+    is an (N, 4) stack."""
+    if isinstance(surface, SurfaceRep):
+        r1, s1, r2, s2 = surface.generators()
+    else:
+        r1, s1, r2, s2 = np.moveaxis(surface, -2, 0)
     a = r1
     b = qmul(qinv(s1), qinv(r1))
     c = qmul(s2, s1)
     d = gprod(qinv(s1), r2, qinv(s2))
     e = qmul(qinv(r2), s1)
     return a, b, c, d, e
+
+
+def _section_residual(a, b, c, d, e) -> np.ndarray:
+    """How far e^-1 = abcd = dcba fails."""
+    einv = qinv(e)
+    return np.maximum(_norms(einv - gprod(a, b, c, d)), _norms(einv - gprod(d, c, b, a)))
+
+
+def _meridian_words(x1, r1, s1, r2, s2) -> list[np.ndarray]:
+    """The six meridians the section reads off the generator words, given
+    x1: x2 = x1^-1 r1 and so on."""
+    return [
+        x1,
+        qmul(qinv(x1), r1),
+        gprod(qinv(r1), x1, qinv(s1)),
+        gprod(s1, qinv(x1), s2),
+        gprod(qinv(s2), x1, qinv(s1), r2),
+        gprod(qinv(r2), s1, qinv(x1)),
+    ]
 
 
 def extend(surface: SurfaceRep, sign: int = 1) -> PuncturedSphereRep:
@@ -201,24 +286,29 @@ def extend(surface: SurfaceRep, sign: int = 1) -> PuncturedSphereRep:
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     a, b, c, d, e = section_inputs(surface)
-    einv = qinv(e)
-    res = max(
-        float(np.linalg.norm(einv - gprod(a, b, c, d))),
-        float(np.linalg.norm(einv - gprod(d, c, b, a))),
-    )
+    res = float(_section_residual(a, b, c, d, e))
     if res > TOL_REL:
         raise RelationViolated(res)
-    r1, s1, r2, s2 = surface.generators()
     x1 = float(sign) * lemma52_solve(a, b, c, d)
-    meridians = [
-        x1,
-        qmul(qinv(x1), r1),
-        gprod(qinv(r1), x1, qinv(s1)),
-        gprod(s1, qinv(x1), s2),
-        gprod(qinv(s2), x1, qinv(s1), r2),
-        gprod(qinv(r2), s1, qinv(x1)),
-    ]
-    return make_rep(meridians)
+    return make_rep(_meridian_words(x1, *surface.generators()))
+
+
+def lifts(generators: np.ndarray) -> np.ndarray:
+    """:func:`extend` on both sheets of an (N, 4, 4) stack of generators: the
+    (N, 2, 6, 4) meridians of extend(surface, 1) and extend(surface, -1).
+    The ladder runs once; the sheets differ in the sign of x1.  A row that
+    extend rejects on either sheet raises extend's exception."""
+    g = np.asarray(generators, dtype=float)
+    a, b, c, d, e = section_inputs(g)
+    x, _, rejected = _ladder(a, b, c, d)
+    rejected |= _section_residual(a, b, c, d, e) > TOL_REL
+    sheets = []
+    for sign in (1, -1):
+        m, bad = normalize_reps(np.stack(_meridian_words(float(sign) * x, *np.moveaxis(g, 1, 0)), axis=1))
+        sheets.append(m)
+        rejected |= bad
+    raise_first_rejected(rejected, lambda row: [extend(SurfaceRep(*g[row]), sign) for sign in (1, -1)])
+    return np.stack(sheets, axis=1)
 
 
 def roundtrip_residual(surface: SurfaceRep, sign: int) -> float:
@@ -228,6 +318,15 @@ def roundtrip_residual(surface: SurfaceRep, sign: int) -> float:
     return max(
         float(np.linalg.norm(g1 - g2)) for g1, g2 in zip(surface.generators(), back.generators())
     )
+
+
+def roundtrip_residuals(generators: np.ndarray) -> np.ndarray:
+    """:func:`roundtrip_residual` on an (N, 4, 4) stack of generators: (N, 2),
+    the sheets of sign +1 and -1 in that order."""
+    g = np.asarray(generators, dtype=float)
+    sheets = lifts(g)
+    back = np.stack([pushforwards(sheets[:, sheet]) for sheet in (0, 1)], axis=1)
+    return _norms(g[:, None] - back).max(axis=-1)
 
 
 def fiber(surface: SurfaceRep) -> FiberReport:
@@ -245,6 +344,23 @@ def fiber(surface: SurfaceRep) -> FiberReport:
     on_branch = sep <= FIBER_TOL
     classes = (fp_plus,) if on_branch else (fp_plus, fp_minus)
     return FiberReport(classes=classes, on_branch=on_branch, witnesses=(plus, minus), separation=sep)
+
+
+def fibers(generators: np.ndarray) -> list[FiberReport]:
+    """:func:`fiber` over each surface of an (N, 4, 4) stack of generators."""
+    sheets = lifts(generators)
+    plus, minus = (fingerprint_batch(sheets[:, sheet]) for sheet in (0, 1))
+    separation = np.max(np.abs(plus - minus), axis=1)
+    labels = word_labels(sphere_names(6))
+    reports = []
+    for row, sep in enumerate(separation.tolist()):
+        on_branch = sep <= FIBER_TOL
+        classes = (Fingerprint(labels, plus[row]),)
+        if not on_branch:
+            classes += (Fingerprint(labels, minus[row]),)
+        witnesses = (PuncturedSphereRep(sheets[row, 0]), PuncturedSphereRep(sheets[row, 1]))
+        reports.append(FiberReport(classes=classes, on_branch=on_branch, witnesses=witnesses, separation=sep))
+    return reports
 
 
 def surface_sample(rng: np.random.Generator) -> SurfaceRep:

@@ -9,7 +9,8 @@ All group-element constructors renormalize; chained group products go
 through :func:`gprod`, which renormalizes once the accumulated norm drift
 exceeds ``RENORM_DRIFT``.
 
-:func:`qmul` and :func:`gprod` also take stacks with the components on the
+:func:`qmul`, :func:`gprod` (and so :func:`commutator` and :func:`conjugate`)
+and :func:`commutator_defect` also take stacks with the components on the
 last axis, and a stack gives bit for bit the rows the scalar calls give:
 elementwise ufuncs evaluate the same expressions in the same order.  Dot
 products are the exception.  On 3- and 4-vectors ``np.dot`` (a BLAS dot)
@@ -105,26 +106,23 @@ def gprod(*qs: np.ndarray) -> np.ndarray:
     """Product of unit quaternions, renormalized if drift exceeds RENORM_DRIFT.
 
     Takes the factors as arguments or as one list, or one (N, m, 4) stack:
-    then each of the N rows is the product of its m factors, renormalized
-    on its own, bit for bit what the scalar call gives for that row.
+    then each of the N rows is the product of its m factors.  Factors may
+    be (..., 4) stacks; each row of the product is renormalized on its
+    own, bit for bit what the scalar call gives for that row.
     """
     if len(qs) == 1 and isinstance(qs[0], np.ndarray) and qs[0].ndim == 3:
-        stack = qs[0]
-        p = ONE
-        for idx in range(stack.shape[1]):
-            p = qmul(p, stack[:, idx])
-        sq = np.vecdot(p, p)
-        drifted = np.abs(sq - 1.0) > RENORM_DRIFT
-        return np.where(drifted[:, None], p / np.sqrt(sq)[:, None], p)
-    if len(qs) == 1 and isinstance(qs[0], (list, tuple)):
+        qs = tuple(np.moveaxis(qs[0], 1, 0))
+    elif len(qs) == 1 and isinstance(qs[0], (list, tuple)):
         qs = tuple(qs[0])
     p = ONE
     for q in qs:
         p = qmul(p, q)
-    drift = abs(np.dot(p, p) - 1.0)
-    if drift > RENORM_DRIFT:
-        p = p / np.sqrt(np.dot(p, p))
-    return p
+    if p.ndim == 1:
+        sq = np.dot(p, p)
+        return p / np.sqrt(sq) if abs(sq - 1.0) > RENORM_DRIFT else p
+    sq = np.vecdot(p, p)
+    drifted = np.abs(sq - 1.0) > RENORM_DRIFT
+    return np.where(drifted[..., None], p / np.sqrt(sq)[..., None], p)
 
 
 def conjugate(g: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -140,13 +138,11 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
-def _product_diff(a: float, b: float, c: float, d: float) -> float:
-    """a*b - c*d with the rounding error of each product compensated.
-
-    Splits each factor into high and low halves so the products are exact
-    as two-term sums, then lets fsum produce the correctly rounded result.
-    Safe for magnitudes far from overflow, which unit quaternions are.
-    """
+def _split_products(a, b, c, d):
+    """(p, ep, q, eq) with p = fl(a*b), q = fl(c*d) and ep, eq their rounding
+    errors, exact by Dekker splitting: each factor is split into high and
+    low halves so the partial products are exact.  Safe for magnitudes far
+    from overflow, which unit quaternions are.  Elementwise on arrays."""
     ah = _SPLITTER * a - (_SPLITTER * a - a)
     al = a - ah
     bh = _SPLITTER * b - (_SPLITTER * b - b)
@@ -158,7 +154,53 @@ def _product_diff(a: float, b: float, c: float, d: float) -> float:
     p, q = a * b, c * d
     ep = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     eq = ((ch * dh - q) + ch * dl + cl * dh) + cl * dl
+    return p, ep, q, eq
+
+
+def _product_diff(a: float, b: float, c: float, d: float) -> float:
+    """a*b - c*d with the rounding error of each product compensated: the
+    correctly rounded sum p + ep - q - eq of the split products, by fsum."""
+    p, ep, q, eq = _split_products(a, b, c, d)
     return math.fsum((p, ep, -q, -eq))
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = fl(a + b) and the error e with a + b = s + e exactly (Knuth)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _product_diffs(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """:func:`_product_diff` elementwise on arrays, bit for bit.
+
+    fsum returns S = p + ep - q - eq correctly rounded.  Four error-free
+    TwoSum steps give S = r + rho + e + k exactly, with r = fl(s + m) for
+    p - q = s + t, ep - eq = h + k and t + h = m + e.  If |rho + e + k| is
+    below half the gap from |r| down to the next float, S lies strictly
+    inside the reals that round to r, so fsum returns r whatever its tie
+    rule.  The float sum of |rho|, |e| and |k| rounds twice; scaling it by
+    1 + 2^-50 covers both roundings, and rounding is monotone, so the float
+    comparison implies the exact one.  Elements it cannot certify (near a
+    rounding tie) and zero results (fsum fixes the sign of a zero) are
+    recomputed with fsum.
+    """
+    p, ep, q, eq = _split_products(a, b, c, d)
+    s, t = _two_sum(p, -q)
+    h, k = _two_sum(ep, -eq)
+    m, e = _two_sum(t, h)
+    r, rho = _two_sum(s, m)
+    slack = (np.abs(rho) + np.abs(e)) + np.abs(k)
+    half_gap = 0.5 * (np.abs(r) - np.nextafter(np.abs(r), 0.0))
+    unsure = (r == 0.0) | (slack * (1.0 + 2.0**-50) >= half_gap)
+    for idx in zip(*np.nonzero(unsure)):
+        r[idx] = math.fsum((p[idx], ep[idx], -q[idx], -eq[idx]))
+    return r
+
+
+# component i of a x b is a[next i] b[prev i] - a[prev i] b[next i], cyclically in 1, 2, 3
+_NEXT = np.array([2, 3, 1])
+_PREV = np.array([3, 1, 2])
 
 
 def commutator_defect(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -168,12 +210,17 @@ def commutator_defect(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     whose vector part is twice the cross product of the imaginary parts.
     Compensation matters when u and v nearly commute: the naive difference
     of products loses all significant digits exactly where downstream code
-    normalizes the defect into a direction.
+    normalizes the defect into a direction.  On (..., 4) stacks each row is
+    bit for bit the defect of the scalar call, which rounds with fsum.
     """
-    out = np.zeros(4)
-    out[1] = 2.0 * _product_diff(u[2], v[3], u[3], v[2])
-    out[2] = 2.0 * _product_diff(u[3], v[1], u[1], v[3])
-    out[3] = 2.0 * _product_diff(u[1], v[2], u[2], v[1])
+    if u.ndim == 1 and v.ndim == 1:
+        out = np.zeros(4)
+        out[1] = 2.0 * _product_diff(u[2], v[3], u[3], v[2])
+        out[2] = 2.0 * _product_diff(u[3], v[1], u[1], v[3])
+        out[3] = 2.0 * _product_diff(u[1], v[2], u[2], v[1])
+        return out
+    out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
+    out[..., 1:] = 2.0 * _product_diffs(u[..., _NEXT], v[..., _PREV], u[..., _PREV], v[..., _NEXT])
     return out
 
 
@@ -309,6 +356,13 @@ def from_rotation_matrix(R: np.ndarray) -> np.ndarray:
     return g / np.sqrt(np.dot(g, g))
 
 
+def cross(a, b) -> np.ndarray:
+    """Cross product of two 3-vectors, component by component as np.cross
+    computes it (a1 b2 - a2 b1, ...), so bit for bit the same, without its
+    tens of microseconds of per-call overhead."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+
+
 def rotor_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Unit g with g u g^-1 = v for pure unit quaternions u, v.
 
@@ -316,16 +370,16 @@ def rotor_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     axis is ambiguous and any orthogonal axis works.
     """
     a, b = u[1:], v[1:]
-    c = np.cross(a, b)
+    c = cross(a, b)
     d = float(np.dot(a, b))
     s = np.sqrt(np.dot(c, c))
     if s <= 1e-14:
         if d > 0:
             return ONE.copy()
         # antipodal: rotate by pi about anything orthogonal to u
-        w = np.cross(a, [1.0, 0.0, 0.0])
+        w = cross(a, (1.0, 0.0, 0.0))
         if np.dot(w, w) < 1e-12:
-            w = np.cross(a, [0.0, 1.0, 0.0])
+            w = cross(a, (0.0, 1.0, 0.0))
         w = w / np.sqrt(np.dot(w, w))
         return np.array([0.0, *w])
     axis = np.zeros(4)

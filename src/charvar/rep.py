@@ -125,6 +125,46 @@ def product_residuals(meridians: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(d, d))
 
 
+def raise_first_rejected(rejected: np.ndarray, replay) -> None:
+    """Raise what a scalar constructor raises on the first row a stacked
+    validation rejected; ``replay(row)`` runs the scalar constructor on that
+    row.  The exception carries the row as ``exc.row``, so a campaign that
+    knows which sample the row holds can name it."""
+    if not rejected.any():
+        return
+    row = int(np.argmax(rejected))
+    try:
+        replay(row)
+    except ValueError as exc:
+        exc.row = row
+        raise
+    raise AssertionError(f"stacked validation rejected row {row}, the scalar constructor accepted it")
+
+
+def normalize_reps(meridians: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`make_rep`'s renormalization and checks on an (N, k, 4) stack:
+    the renormalized stack, bit for bit make_rep's rows, and a mask of the
+    rows make_rep rejects."""
+    m = np.asarray(meridians, dtype=float)
+    n = np.sqrt(np.vecdot(m, m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = m / n[..., None]
+        rejected = (
+            np.any(np.abs(n - 1.0) > UNIT_TOL, axis=-1)
+            | np.any(np.abs(m[..., 0]) > TOL_REL, axis=-1)
+            | (product_residuals(m) > TOL_REL)
+        )
+    return m, rejected
+
+
+def make_reps(meridians: np.ndarray) -> np.ndarray:
+    """:func:`make_rep` on an (N, k, 4) stack: the validated meridians, bit for
+    bit make_rep's rows; a rejected row raises make_rep's exception."""
+    m, rejected = normalize_reps(meridians)
+    raise_first_rejected(rejected, lambda row: make_rep(meridians[row]))
+    return m
+
+
 def complete_reps(partial: np.ndarray) -> np.ndarray:
     """:func:`complete_rep` on an (N, k-1, 4) stack of partial tuples.
 
@@ -136,20 +176,8 @@ def complete_reps(partial: np.ndarray) -> np.ndarray:
     """
     part = np.asarray(partial, dtype=float)
     p = gprod(part)
-    m = np.concatenate([part, qinv(p)[:, None, :]], axis=1)
-    n = np.sqrt(np.vecdot(m, m))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = m / n[..., None]
-        bad = (
-            (np.abs(p[:, 0]) > TOL_REL)
-            | np.any(np.abs(n - 1.0) > UNIT_TOL, axis=1)
-            | np.any(np.abs(m[..., 0]) > TOL_REL, axis=1)
-            | (product_residuals(m) > TOL_REL)
-        )
-    if bad.any():
-        row = int(np.argmax(bad))
-        complete_rep(part[row])
-        raise AssertionError(f"stacked validation rejected row {row}, complete_rep accepted it")
+    m, rejected = normalize_reps(np.concatenate([part, qinv(p)[:, None, :]], axis=1))
+    raise_first_rejected(rejected | (np.abs(p[:, 0]) > TOL_REL), lambda row: complete_rep(part[row]))
     return m
 
 
@@ -181,6 +209,21 @@ def make_surface_rep(r1, s1, r2, s2) -> SurfaceRep:
     if residual > TOL_REL:
         raise RelationViolated(residual)
     return SurfaceRep(r1, s1, r2, s2)
+
+
+def make_surface_reps(generators: np.ndarray) -> np.ndarray:
+    """:func:`make_surface_rep` on an (N, 4, 4) stack of (r1, s1, r2, s2): the
+    renormalized generators, bit for bit make_surface_rep's rows; a rejected
+    row raises make_surface_rep's exception."""
+    gens = np.asarray(generators, dtype=float)
+    n = np.sqrt(np.vecdot(gens, gens))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = gens / n[..., None]
+        r1, s1, r2, s2 = np.moveaxis(g, -2, 0)
+        d = gprod(quat.commutator(r1, s1), quat.commutator(r2, s2)) - ONE
+        rejected = np.any(np.abs(n - 1.0) > UNIT_TOL, axis=-1) | (np.sqrt(np.vecdot(d, d)) > TOL_REL)
+    raise_first_rejected(rejected, lambda row: make_surface_rep(*gens[row]))
+    return g
 
 
 def conjugate_rep(g: np.ndarray, rep: PuncturedSphereRep) -> PuncturedSphereRep:
@@ -381,12 +424,12 @@ def torus_from_bd(rep: PuncturedSphereRep) -> TorusCoords:
         e2 = vt[0]
     else:
         # abelian: the plane is underdetermined, any completion works
-        e2 = np.cross(e1, [1.0, 0.0, 0.0])
+        e2 = quat.cross(e1, (1.0, 0.0, 0.0))
         if np.dot(e2, e2) < 1e-12:
-            e2 = np.cross(e1, [0.0, 1.0, 0.0])
+            e2 = quat.cross(e1, (0.0, 1.0, 0.0))
     e2 = e2 - (e2 @ e1) * e1
     e2 /= np.linalg.norm(e2)
-    R = np.vstack([e1, e2, np.cross(e1, e2)])
+    R = np.vstack([e1, e2, quat.cross(e1, e2)])
     W = V @ R.T
     thetas = np.arctan2(W[:, 1], W[:, 0])
     n = rep.k // 2

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cover, morse, quat, rep, variety
 from .quat import I, J, K, exp_pure, qconj, qmul
-from .rep import TorusCoords, alpha_star, bd_from_torus, fingerprint, make_rep, torus_from_bd
+from .rep import TorusCoords, bd_from_torus, fingerprint, make_rep, torus_from_bd
 from .variety import ABELIAN, BINARY_DIHEDRAL, GENERIC
 
 REDUCED_COUNTS: dict[str, int] = {
@@ -72,6 +72,30 @@ class CheckResult:
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng((seed, *path))
+
+
+# samples per stacked pass of a chunked campaign: a campaign's stacks stay a
+# few hundred rows long whatever its count, which bounds its memory
+CHUNK = 256
+
+
+def chunked(seed: int, path: tuple[int, ...], count: int, fn: Callable[[list, list], list]) -> list:
+    """The concatenated lists ``fn(keys, rngs)`` over runs of CHUNK samples
+    i < count, sample i keyed (seed, *path, i) and drawing from the
+    generator of that key.  When a stacked validation rejects a row of the
+    run (the exception carries ``row``), the exception names that
+    sample's key."""
+    out = []
+    for start in range(0, count, CHUNK):
+        keys = [(seed, *path, i) for i in range(start, min(start + CHUNK, count))]
+        try:
+            out += fn(keys, [np.random.default_rng(key) for key in keys])
+        except ValueError as exc:
+            row = getattr(exc, "row", None)
+            if row is not None:
+                exc.args = (f"sample {keys[row]}: {exc}",)
+            raise
+    return out
 
 
 ALGEBRA_TOL = 1e-12
@@ -201,12 +225,15 @@ def check_submersion(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
 def roundtrip_records(seed: int, path: tuple[int, ...], count: int) -> list[dict]:
     """Round-trip residuals of `count` surface samples, both signs; sample
     i draws from the generator keyed by (seed, *path, i)."""
-    records = []
-    for i in range(count):
-        surface = cover.surface_sample(_rng(seed, *path, i))
-        plus, minus = (cover.roundtrip_residual(surface, sign) for sign in (1, -1))
-        records.append({"index": i, "seed": seed, "residuals": {"plus": plus, "minus": minus}})
-    return records
+
+    def records(keys, rngs):
+        residuals = cover.roundtrip_residuals(cover.surface_samples(rngs)).tolist()
+        return [
+            {"index": key[-1], "seed": seed, "residuals": {"plus": plus, "minus": minus}}
+            for key, (plus, minus) in zip(keys, residuals)
+        ]
+
+    return chunked(seed, path, count, records)
 
 
 def check_cover_roundtrip(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
@@ -221,33 +248,46 @@ def check_fiber_two_fold(counts: Mapping[str, int], seed: int = 0) -> CheckResul
     """Fibers over generic classes hold exactly the two classes rho and
     alpha*(rho); fibers over abelian-image classes hold one binary
     dihedral class."""
+
+    def generic(keys, rngs):
+        rho = variety.sample_points(6, rngs)
+        want = zip(rep.fingerprint_batch(rho), rep.fingerprint_batch(rep.make_reps(-rho)))
+        return list(zip(keys, cover.fibers(cover.pushforwards(rho)), want))
+
     worst_match = 0.0
-    for i in range(counts["fiber_generic"]):
-        rho = variety.sample_point(6, _rng(seed, 6, i))
-        report = cover.fiber(cover.pushforward(rho))
+    for key, report, want in chunked(seed, (6,), counts["fiber_generic"], generic):
+        i = key[-1]
         if report.on_branch or len(report.classes) != 2:
             return CheckResult(False, f"generic sample {i}: {len(report.classes)} class(es)")
-        want = (fingerprint(rho), fingerprint(alpha_star(rho)))
-        got = report.classes
-        direct = max(got[0].distance(want[0]), got[1].distance(want[1]))
-        crossed = max(got[0].distance(want[1]), got[1].distance(want[0]))
+        got = [fp.values for fp in report.classes]
+        direct = max(_distance(got[0], want[0]), _distance(got[1], want[1]))
+        crossed = max(_distance(got[0], want[1]), _distance(got[1], want[0]))
         match = min(direct, crossed)
         worst_match = max(worst_match, match)
         if match > cover.FIBER_TOL:
             return CheckResult(False, f"generic sample {i}: fiber mismatch {match:.3e}")
-    for i in range(counts["fiber_bd"]):
-        rng = _rng(seed, 7, i)
-        coords = TorusCoords(n=3, thetas=rng.uniform(0.0, 2.0 * np.pi, size=4))
-        report = cover.fiber(cover.pushforward(bd_from_torus(coords)))
+
+    def dihedral(keys, rngs):
+        coords = [TorusCoords(n=3, thetas=rng.uniform(0.0, 2.0 * np.pi, size=4)) for rng in rngs]
+        reports = cover.fibers(cover.pushforwards(np.stack([bd_from_torus(c).meridians for c in coords])))
+        ranks = variety.locus_ranks(np.stack([r.witnesses[0].meridians for r in reports]))
+        return list(zip(keys, reports, ranks))
+
+    for (*_, i), report, rank in chunked(seed, (7,), counts["fiber_bd"], dihedral):
         if not report.on_branch or len(report.classes) != 1:
             return CheckResult(False, f"dihedral sample {i}: not a single class")
-        if variety.classify_locus(report.witnesses[0]).label == GENERIC:
+        if variety.locus_label(int(rank)).label == GENERIC:
             return CheckResult(False, f"dihedral sample {i}: generic witness")
     return CheckResult(
         True,
         f"{counts['fiber_generic']} generic fibers match {{rho, alpha*rho}} (worst {worst_match:.3e}); "
         f"{counts['fiber_bd']} dihedral fibers collapse to one class",
     )
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Fingerprint.distance on value arrays."""
+    return float(np.max(np.abs(a - b)))
 
 
 def ladder_records(
@@ -257,20 +297,26 @@ def ladder_records(
     from (seed, *paths[0], i), then `per_branch` inputs constructed for
     each rung b = 2..7, input i drawn from (seed, *paths[1], b, i)."""
     generic_path, branch_path = paths
-    records = []
 
-    def push(family: str, index: int, sol) -> None:
-        largest = float(sol.residuals.max())
-        records.append({"family": family, "index": index, "branch": sol.branch, "max_residual": largest})
+    def records(family, keys, quads):
+        _, rung, residuals = cover.lemma52_stack(*quads)
+        return [
+            {"family": family, "index": key[-1], "branch": b, "max_residual": largest}
+            for key, b, largest in zip(keys, rung.tolist(), residuals.max(axis=1).tolist())
+        ]
 
-    for i in range(count):
-        a, b, c, d, _ = cover.section_inputs(cover.surface_sample(_rng(seed, *generic_path, i)))
-        push("generic", i, cover.lemma52_detailed(a, b, c, d))
+    def generic(keys, rngs):
+        return records("generic", keys, cover.section_inputs(cover.surface_samples(rngs))[:4])
+
+    out = chunked(seed, generic_path, count, generic)
     for branch in (2, 3, 4, 5, 6, 7):
-        for i in range(per_branch):
-            quad = cover.lemma_branch_inputs(branch, _rng(seed, *branch_path, branch, i))
-            push(f"branch{branch}", i, cover.lemma52_detailed(*quad))
-    return records
+
+        def constructed(keys, rngs, branch=branch):
+            quads = [cover.lemma_branch_inputs(branch, rng) for rng in rngs]
+            return records(f"branch{branch}", keys, [np.stack(inputs) for inputs in zip(*quads)])
+
+        out += chunked(seed, (*branch_path, branch), per_branch, constructed)
+    return out
 
 
 def ladder_coverage(records: list[dict]) -> str:

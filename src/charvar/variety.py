@@ -83,9 +83,9 @@ def sample_point(k: int, rng: np.random.Generator) -> PuncturedSphereRep:
         axis = wv / nw
         h = np.zeros(3)
         h[int(np.argmin(np.abs(axis)))] = 1.0
-        u = np.cross(axis, h)
+        u = quat.cross(axis, h)
         u /= np.linalg.norm(u)
-        v = np.cross(axis, u)
+        v = quat.cross(axis, u)
         phi = rng.uniform(0.0, 2.0 * np.pi)
         qs.append(np.array([0.0, *(np.cos(phi) * u + np.sin(phi) * v)]))
     return complete_rep(qs)
@@ -186,9 +186,9 @@ def _df_gradient(part: np.ndarray) -> np.ndarray:
         axis = part[a, 1:]
         h = np.zeros(3)
         h[int(np.argmin(np.abs(axis)))] = 1.0
-        v1 = np.cross(axis, h)
+        v1 = quat.cross(axis, h)
         v1 /= np.linalg.norm(v1)
-        v2 = np.cross(axis, v1)
+        v2 = quat.cross(axis, v1)
         for v in (v1, v2):
             V = np.array([0.0, *v])
             grads.append(qmul(qmul(pre[a], qmul(part[a], V)), suf[a + 1])[0])

@@ -242,6 +242,29 @@ def test_failed_link_gate_names_samples(monkeypatch, capsys):
     assert "failing (seed, index) pairs: [(4, 2)]" in capsys.readouterr().err
 
 
+def test_rejected_sample_is_named(monkeypatch, capsys):
+    # sample 3 of every run leaves the surface relation: the stacked
+    # validation replays make_surface_rep on it, and the error names the
+    # sample's (seed, *path, index)
+    real = cover.sample_points
+
+    def off_relation(k, rngs):
+        rows = real(k, rngs)
+        rows[3, 0] = rows[3, 1]
+        return rows
+
+    monkeypatch.setattr(cover, "sample_points", off_relation)
+    for argv in (["cover", "roundtrip"], ["cover", "fiber"], ["lemma52"]):
+        assert cli.main([*argv, "--count", "5", "--seed", "4"]) == 1
+        assert capsys.readouterr().err.startswith("error: sample (4, 3): surface relation residual ")
+    checks = ("cover-roundtrip", "lemma52-branches")
+    monkeypatch.setattr(selftest, "CHECKS", tuple(c for c in selftest.CHECKS if c[0] in checks))
+    ok, lines = selftest.run_selftest(seed=2)
+    assert not ok
+    assert lines[0].startswith("FAIL cover-roundtrip: raised RelationViolated: sample (2, 5, 3): surface relation")
+    assert lines[1].startswith("FAIL lemma52-branches: raised RelationViolated: sample (2, 8, 3): surface relation")
+
+
 def test_repeated_calls_in_one_process(monkeypatch, capsys):
     # the parser is built once per process; every call must parse afresh
     monkeypatch.setattr(cover, "LEMMA_TOL", 1e-30)
@@ -296,26 +319,27 @@ class TestUsageErrors:
         assert run_cli(*argv).returncode == 2
 
     def test_invariant_failure_exits_1(self, monkeypatch, capsys):
-        def broken(surface, sign=1):
+        # the campaigns lift through the stacked section, cover.lifts
+        def broken(generators):
             raise RelationViolated(3.0e-7)
 
-        monkeypatch.setattr(cover, "extend", broken)
+        monkeypatch.setattr(cover, "lifts", broken)
         assert cli.main(["cover", "roundtrip", "--count", "2"]) == 1
         assert "surface relation residual 3.000e-07" in capsys.readouterr().err
 
     def test_cover_extend_invariant_failure_exits_1(self, monkeypatch, capsys):
-        def broken(surface, sign=1):
+        def broken(generators):
             raise RelationViolated(3.0e-7)
 
-        monkeypatch.setattr(cover, "extend", broken)
+        monkeypatch.setattr(cover, "lifts", broken)
         assert cli.main(["cover", "extend", "--count", "2"]) == 1
         assert "error: surface relation residual 3.000e-07" in capsys.readouterr().err
 
     def test_cover_extend_programming_error_propagates(self, monkeypatch):
-        def broken(surface, sign=1):
+        def broken(generators):
             raise TypeError("not a lift")
 
-        monkeypatch.setattr(cover, "extend", broken)
+        monkeypatch.setattr(cover, "lifts", broken)
         with pytest.raises(TypeError, match="not a lift"):
             cli.main(["cover", "extend", "--count", "2"])
 

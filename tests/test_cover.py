@@ -4,15 +4,24 @@ traceless-solution case ladder, and fiber enumeration."""
 import numpy as np
 import pytest
 
+from charvar import selftest
 from charvar.cover import (
     extend,
     fiber,
     fiber_to_json,
+    fibers,
     lemma52_detailed,
     lemma52_solve,
+    lemma52_stack,
+    lemma_branch_inputs,
+    lifts,
     pushforward,
+    pushforwards,
+    roundtrip_residual,
+    roundtrip_residuals,
     section_inputs,
     surface_sample,
+    surface_samples,
 )
 from charvar.errors import ConstraintViolated, RelationViolated
 from charvar.quat import I, J, K, ONE, exp_pure, gprod, qmul, random_unit
@@ -24,7 +33,7 @@ from charvar.rep import (
     make_rep,
     make_surface_rep,
 )
-from charvar.variety import BINARY_DIHEDRAL, GENERIC, classify_locus, sample_point
+from charvar.variety import BINARY_DIHEDRAL, GENERIC, classify_locus, enumerate_abelian, sample_point
 
 
 class TestPushforward:
@@ -190,3 +199,80 @@ class TestFiber:
         assert data["on_branch"] is False
         assert data["class_count"] == 2
         assert len(data["fingerprints"]) == 2
+
+
+class TestStackedCover:
+    """The stacked forms behind the cover campaigns give, row for row, the
+    bits of the one-sample functions."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    def test_pipeline_matches_scalar(self, seed, monkeypatch):
+        # chunks of 16 over 40 samples: the rows cross two chunk boundaries
+        monkeypatch.setattr(selftest, "CHUNK", 16)
+
+        def stacked(keys, rngs):
+            gens = surface_samples(rngs)
+            ladder = zip(*lemma52_stack(*section_inputs(gens)[:4]))
+            return list(zip(keys, gens, ladder, lifts(gens), roundtrip_residuals(gens), fibers(gens)))
+
+        rows = selftest.chunked(seed, (), 40, stacked)
+        assert [key for key, *_ in rows] == [(seed, i) for i in range(40)]
+        for key, gens, (x, rung, residuals), sheets, roundtrip, report in rows:
+            surface = surface_sample(np.random.default_rng(key))
+            assert np.stack(surface.generators()).tobytes() == gens.tobytes()
+            sol = lemma52_detailed(*section_inputs(surface)[:4])
+            assert (x.tobytes(), rung, residuals.tobytes()) == (sol.x.tobytes(), sol.branch, sol.residuals.tobytes())
+            for sheet, sign in zip(sheets, (1, -1)):
+                assert sheet.tobytes() == extend(surface, sign).meridians.tobytes()
+            assert roundtrip.tolist() == [roundtrip_residual(surface, 1), roundtrip_residual(surface, -1)]
+            want = fiber(surface)
+            assert (report.separation, report.on_branch) == (want.separation, want.on_branch)
+            assert [fp.values.tobytes() for fp in report.classes] == [fp.values.tobytes() for fp in want.classes]
+            assert [w.meridians.tobytes() for w in report.witnesses] == [w.meridians.tobytes() for w in want.witnesses]
+
+    def test_roundtrip_records_cross_a_chunk(self):
+        count = selftest.CHUNK + 4
+        records = selftest.roundtrip_records(3, (), count)
+        assert len(records) == count
+        for i, record in enumerate(records):
+            surface = surface_sample(np.random.default_rng((3, i)))
+            plus, minus = roundtrip_residual(surface, 1), roundtrip_residual(surface, -1)
+            assert record == {"index": i, "seed": 3, "residuals": {"plus": plus, "minus": minus}}
+
+    def test_ladder_matches_scalar_on_every_rung(self):
+        # constructed inputs of rungs 2..7 (near-cutoff rungs 5 and 6, the
+        # scalar common-axis rung 7) and the anchors, mixed in one stack
+        quads = [(I, J, -J, -I), (ONE, ONE, ONE, ONE)]
+        quads += [
+            lemma_branch_inputs(branch, np.random.default_rng((5, branch, i)))
+            for branch in (2, 3, 4, 5, 6, 7)
+            for i in range(8)
+        ]
+        x, rung, residuals = lemma52_stack(*(np.stack(v) for v in zip(*quads)))
+        assert rung.tolist() == [1, 7] + [b for b in (2, 3, 4, 5, 6, 7) for _ in range(8)]
+        for quad, xr, br, rr in zip(quads, x, rung, residuals):
+            sol = lemma52_detailed(*quad)
+            assert (xr.tobytes(), br, rr.tobytes()) == (sol.x.tobytes(), sol.branch, sol.residuals.tobytes())
+
+    def test_abelian_points_match_scalar(self):
+        meridians = np.stack([r.meridians for r in enumerate_abelian(6)])
+        for report, rep in zip(fibers(pushforwards(meridians)), enumerate_abelian(6)):
+            want = fiber(pushforward(rep))
+            assert report.on_branch and want.on_branch
+            assert report.classes[0].values.tobytes() == want.classes[0].values.tobytes()
+
+    def test_rejected_rows_raise_the_scalar_exception(self):
+        with pytest.raises(ConstraintViolated) as exc:
+            lemma52_stack(*(np.stack(v) for v in zip((I, J, -J, -I), (I, J, K, J))))
+        assert exc.value.row == 1
+        gens = surface_samples([np.random.default_rng((9, i)) for i in range(4)])
+        bad = gens.copy()
+        bad[2, 3] = K
+        with pytest.raises(RelationViolated) as exc:
+            lifts(bad)
+        assert exc.value.row == 2
+        meridians = np.stack([sample_point(6, np.random.default_rng((9, i))).meridians for i in range(4)])
+        meridians[1, 0] = meridians[1, 1]
+        with pytest.raises(RelationViolated) as exc:
+            pushforwards(meridians)
+        assert exc.value.row == 1

@@ -15,6 +15,7 @@ from charvar.quat import (
     commutator,
     commutator_defect,
     conjugate,
+    cross,
     exp_chart,
     exp_pure,
     from_rotation_matrix,
@@ -197,6 +198,50 @@ class TestCommutatorDefect:
         assert np.array_equal(np.abs(x), np.array([0.0, 0.0, 0.0, 1.0]))
 
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+                st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+                st.floats(-2.0, 2.0),
+                st.integers(min_value=-18, max_value=0),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_stack_matches_rows_bit_for_bit(self, rows):
+        # random pairs, then nearly commuting pairs v = s u + 10^e w; the
+        # stacked defect certifies its rounding or falls back to fsum, the
+        # scalar one always rounds with fsum
+        u = np.array([r[0] for r in rows])
+        w = np.array([r[1] for r in rows])
+        scale = np.array([r[2] for r in rows])[:, None]
+        tiny = 10.0 ** np.array([r[3] for r in rows], dtype=float)[:, None]
+        for v in (w, scale * u + tiny * w):
+            stacked = commutator_defect(u, v)
+            for row, a, b in zip(stacked, u, v):
+                assert row.tobytes() == commutator_defect(a, b).tobytes()
+
+    def test_stack_matches_rows_at_ties_and_zeros(self):
+        # component 1 is u2 v3 - u3 v2.  Row 0: 1 - 2^-54 is a rounding tie.
+        # Row 1: (1 + 2^-26)(1 + 2^-27) rounds to p = 1 + 3 2^-27 with error
+        # +2^-53, half an ulp, and 2^-54 2^-54 = 2^-108 tips the exact sum
+        # past the tie that p + 2^-53 alone rounds down to even.  Row 2 is an
+        # exact zero, row 3 a planar pair with structural zeros.
+        t = 2.0**-27
+        u = np.array([[0.0, 0.0, 1.0, t], [0.0, 0.0, 1.0 + 2.0**-26, -(2.0**-54)], [0.0, 0.0, 1.0, 1.0]])
+        v = np.array([[0.0, 0.0, t, 1.0], [0.0, 0.0, 2.0**-54, 1.0 + t], [0.0, 0.0, 1.0, 1.0]])
+        u = np.vstack([u, qmul(exp_pure(0.8, K), I)])
+        v = np.vstack([v, qmul(exp_pure(0.8 + 1e-9, K), I)])
+        stacked = commutator_defect(u, v)
+        assert stacked[0, 1] == 2.0
+        assert stacked[1, 1] == 2.0 * (1.0 + 3.0 * t + 2.0**-52)
+        for row, a, b in zip(stacked, u, v):
+            assert row.tobytes() == commutator_defect(a, b).tobytes()
+
+
 class TestChart:
     def test_zero_coords_give_i(self):
         factors = exp_chart(np.zeros(4, dtype=complex))
@@ -238,3 +283,17 @@ def test_norm_and_normalize_stack_match_rows_exactly():
     for q, n, u in zip(stack, norms, unit):
         assert n == norm(q)
         assert np.array_equal(u, normalize(q))
+
+
+def test_gprod_of_stacked_factors_matches_rows_exactly():
+    rng = np.random.default_rng(45)
+    a, b, c = (np.stack([random_unit(rng) for _ in range(50)]) for _ in range(3))
+    for row, qa, qb, qc in zip(gprod(a, b, c), a, b, c):
+        assert np.array_equal(row, gprod(qa, qb, qc))
+
+
+def test_cross_is_np_cross_bit_for_bit():
+    rng = np.random.default_rng(49)
+    for a, b in rng.normal(size=(500, 2, 3)):
+        assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
+        assert cross(a, (1.0, 0.0, 0.0)).tobytes() == np.cross(a, [1.0, 0.0, 0.0]).tobytes()
