@@ -64,14 +64,16 @@ def per_op(fn, ops: int, speed: HostSpeed) -> dict[str, float]:
 
 
 def layers(speed: HostSpeed) -> dict[str, dict]:
-    """Microseconds per operation: the scalar function on ROWS inputs one at
-    a time, and its stacked form on one stack of ROWS rows, per row."""
+    """Microseconds per operation: the one-sample function ("scalar") on ROWS
+    inputs one at a time, and its stacked form on one stack of ROWS rows,
+    per row.  Where the one-sample function is a one-row call of the
+    stacked form, "scalar" is the cost of such a call."""
     rngs = lambda: [np.random.default_rng((7, i)) for i in range(ROWS)]  # noqa: E731
     reps = [variety.sample_point(6, rng) for rng in rngs()]
     surfaces = [cover.pushforward(r) for r in reps]
     meridians = np.stack([r.meridians for r in reps])
     gens = np.stack([np.stack(s.generators()) for s in surfaces])
-    quads = [cover.section_inputs(s)[:4] for s in surfaces]
+    quads = [cover.section_inputs(np.stack(s.generators()))[:4] for s in surfaces]
     quad_stack = [np.stack(v) for v in zip(*quads)]
     stacked = {name: getattr(cover, name, None) for name in ("pushforwards", "lifts", "lemma52_stack", "fibers")}
     ops = {

@@ -32,7 +32,7 @@ for inputs, story in (
     sol = lemma52_detailed(*inputs)
     print(f"  {story:26s}: branch {sol.branch}, x = {np.round(sol.x, 4)}, "
           f"max residual {sol.residuals.max():.1e}")
-a, b, c, d, _ = section_inputs(surface)
+a, b, c, d, _ = section_inputs(np.stack(surface.generators()))
 sol = lemma52_detailed(a, b, c, d)
 print(f"  {'a generic surface class':26s}: branch {sol.branch}, "
       f"max residual {sol.residuals.max():.1e}")

@@ -9,19 +9,20 @@ section reconstructs the meridians from a solution x of a six-condition
 tracelessness system (the case-ladder solver), and the two choices of
 sign for x give the two sheets.
 
-Every operation has a stacked form for campaigns: :func:`surface_samples`,
-:func:`pushforwards`, :func:`section_inputs` on a generator stack,
+Every operation is implemented once, on stacks of samples:
+:func:`pushforwards`, :func:`surface_samples`, :func:`section_inputs`,
 :func:`lemma52_stack`, :func:`lifts`, :func:`roundtrip_residuals` and
-:func:`fibers`.  Each row is bit for bit what the one-sample function
-gives: both run the same word expressions through the kernels of
-:mod:`charvar.quat`, which give the same bits whatever the stack shape.
-A row the stacked validation rejects raises the exception the one-sample
-function raises on it (see :func:`charvar.rep.raise_first_rejected`).
+:func:`fibers`.  The one-sample functions :func:`pushforward`,
+:func:`surface_sample`, :func:`lemma52_detailed`, :func:`extend` and
+:func:`fiber` are one-row calls of them.  A row is independent of the
+others in its stack: the kernels of :mod:`charvar.quat` give the same bits
+whatever the stack shape.  A stack with a rejected row raises for the
+first such row, with the exception's ``row`` naming it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,17 +48,14 @@ from .rep import (
     PuncturedSphereRep,
     SurfaceRep,
     TOL_REL,
-    fingerprint,
     fingerprint_batch,
     make_rep,
-    make_surface_rep,
     make_surface_reps,
     normalize_reps,
-    raise_first_rejected,
     sphere_names,
     word_labels,
 )
-from .variety import sample_point, sample_points
+from .variety import sample_points
 
 COMM_TOL = 1e-8
 LEMMA_TOL = 1e-10
@@ -80,11 +78,27 @@ class Lemma52Solution:
     x: np.ndarray
     branch: int
     residuals: np.ndarray
-    commutator_norms: np.ndarray = field(repr=False)
 
 
 def _norms(q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(q, q))
+
+
+def _raise_first(*checks) -> None:
+    """Raise for the first row any check rejects, with ``exc.row`` set.
+
+    ``checks`` are (mask, error) pairs in the order one sample meets them;
+    ``error(row)`` returns the exception of the first check that rejects
+    that row, or raises it itself (a replayed constructor)."""
+    rejected = np.logical_or.reduce([mask for mask, _ in checks])
+    if not rejected.any():
+        return
+    row = int(np.argmax(rejected))
+    try:
+        raise next(error for mask, error in checks if mask[row])(row)
+    except ValueError as exc:
+        exc.row = row
+        raise
 
 
 def _surface_words(x1, x2, x3, x4, x5, x6) -> tuple[np.ndarray, ...]:
@@ -92,27 +106,32 @@ def _surface_words(x1, x2, x3, x4, x5, x6) -> tuple[np.ndarray, ...]:
     return qmul(x1, x2), qmul(qinv(x3), qinv(x2)), qmul(x4, x5), qmul(qinv(x6), qinv(x5))
 
 
-def pushforward(rep: PuncturedSphereRep) -> SurfaceRep:
-    """Image of a 6-punctured sphere class under the branched cover."""
-    if rep.k != 6:
-        raise ValueError(f"the cover is defined for k = 6, got k = {rep.k}")
-    return make_surface_rep(*_surface_words(*rep.meridians))
-
-
 def pushforwards(meridians: np.ndarray) -> np.ndarray:
-    """:func:`pushforward` on an (N, 6, 4) stack of meridians: the (N, 4, 4)
-    stack of generators (r1, s1, r2, s2), validated as make_surface_rep
-    validates them."""
+    """Image of an (N, 6, 4) stack of meridians under the branched cover: the
+    (N, 4, 4) stack of generators (r1, s1, r2, s2), validated as
+    make_surface_rep validates them."""
     m = np.asarray(meridians, dtype=float)
     if m.ndim != 3 or m.shape[1:] != (6, 4):
         raise ValueError(f"the cover is defined for (N, 6, 4) meridian stacks, got {m.shape}")
     return make_surface_reps(np.stack(_surface_words(*np.moveaxis(m, 1, 0)), axis=1))
 
 
+def pushforward(rep: PuncturedSphereRep) -> SurfaceRep:
+    """Image of a 6-punctured sphere class under the branched cover."""
+    if rep.k != 6:
+        raise ValueError(f"the cover is defined for k = 6, got k = {rep.k}")
+    return SurfaceRep(*pushforwards(rep.meridians[None])[0])
+
+
 def surface_samples(rngs) -> np.ndarray:
-    """:func:`surface_sample` for each of the distinct generators ``rngs``, as
-    one (N, 4, 4) stack of generators."""
+    """Sample the surface variety through the cover, which is onto: one
+    (N, 4, 4) stack of generators, a row per distinct generator in ``rngs``."""
     return pushforwards(sample_points(6, rngs))
+
+
+def surface_sample(rng: np.random.Generator) -> SurfaceRep:
+    """One sample of :func:`surface_samples`."""
+    return SurfaceRep(*surface_samples([rng])[0])
 
 
 def _lemma52_residuals(x, a, b, c, d) -> np.ndarray:
@@ -126,31 +145,12 @@ def _ladder_pairs(a, b, c, d) -> tuple:
     return ((a, b), (b, c), (c, d), (d, a), (a, c), (b, d))
 
 
-def lemma52_detailed(a, b, c, d) -> Lemma52Solution:
-    """Case-ladder solver for the six tracelessness conditions.
-
-    Given units with abcd = dcba, produces a pure unit x with re(x),
-    re(xa), re(xb), re(xc), re(xd), re(x(abcd)^-1) all zero.  The ladder
-    tries the ordered pairs (a,b), (b,c), (c,d), (d,a), (a,c), (b,d): the
-    first with commutator defect |uv - vu| > COMM_TOL yields
-    x = (uv - vu)/|uv - vu|.  If all commute, the inputs share an axis Q
-    and x is a fixed pure unit orthogonal to Q.
-    """
-    a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
-    defect = float(np.linalg.norm(gprod(a, b, c, d) - gprod(d, c, b, a)))
-    if defect > TOL_REL:
-        raise ConstraintViolated(f"abcd and dcba differ by {defect:.3e} > {TOL_REL:.1e}")
-    norms = np.empty(6)
-    for idx, (u, v) in enumerate(_ladder_pairs(a, b, c, d)):
-        w = commutator_defect(u, v)
-        norms[idx] = np.linalg.norm(w)
-        if norms[idx] > COMM_TOL:
-            x = w / norms[idx]
-            return Lemma52Solution(x, idx + 1, _lemma52_residuals(x, a, b, c, d), norms)
-    # All pairs commute: the inputs lie in a common one-parameter subgroup
-    # {e^{theta Q}}.  Recover Q from the first input whose angle is bounded
-    # away from 0 and pi, then take the image of j under any rotation
-    # carrying i to Q; if Q is within 1e-6 of +-i, take j itself.
+def _common_axis(a, b, c, d) -> np.ndarray:
+    """x on rung 7, where all pairs commute: the inputs lie in a common
+    one-parameter subgroup {e^{theta Q}}.  Recover Q from the first input
+    whose angle is bounded away from 0 and pi, then take the image of j
+    under any rotation carrying i to Q; if Q is within 1e-6 of +-i, take j
+    itself."""
     axis = None
     for g in (a, b, c, d):
         aa = axis_angle(g)
@@ -158,22 +158,15 @@ def lemma52_detailed(a, b, c, d) -> Lemma52Solution:
             axis = aa.axis
             break
     if axis is None or min(np.linalg.norm(axis - I), np.linalg.norm(axis + I)) <= 1e-6:
-        x = J.copy()
-    else:
-        x = conjugate(rotor_between(I, axis), J)
-    return Lemma52Solution(x, 7, _lemma52_residuals(x, a, b, c, d), norms)
-
-
-def lemma52_solve(a, b, c, d) -> np.ndarray:
-    return lemma52_detailed(a, b, c, d).x
+        return J.copy()
+    return conjugate(rotor_between(I, axis), J)
 
 
 def _ladder(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The case ladder on (N, 4) stacks: x, the rung, and the rows whose
-    inputs lemma52_detailed rejects.  Each pair's defect is computed on the
-    rows no earlier pair solved; rows that reach rung 7 take x from the
-    scalar solver."""
-    rejected = _norms(gprod(a, b, c, d) - gprod(d, c, b, a)) > TOL_REL
+    """The case ladder on (N, 4) stacks: x, the rung, and the defect
+    |abcd - dcba| that must stay within TOL_REL.  Each pair's commutator
+    defect is computed on the rows no earlier pair solved."""
+    defect = _norms(gprod(a, b, c, d) - gprod(d, c, b, a))
     x = np.zeros(a.shape)
     rung = np.full(a.shape[0], 7)
     for idx, (u, v) in enumerate(_ladder_pairs(a, b, c, d)):
@@ -185,19 +178,44 @@ def _ladder(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         hit = norms > COMM_TOL
         x[rows[hit]] = w[hit] / norms[hit, None]
         rung[rows[hit]] = idx + 1
-    for row in np.flatnonzero((rung == 7) & ~rejected):
-        x[row] = lemma52_detailed(a[row], b[row], c[row], d[row]).x
-    return x, rung, rejected
+    for row in np.flatnonzero(rung == 7):
+        x[row] = _common_axis(a[row], b[row], c[row], d[row])
+    return x, rung, defect
+
+
+def _defect_check(defect: np.ndarray) -> tuple:
+    """The ladder's input check: abcd = dcba within TOL_REL."""
+    return defect > TOL_REL, lambda row: ConstraintViolated(
+        f"abcd and dcba differ by {defect[row]:.3e} > {TOL_REL:.1e}"
+    )
 
 
 def lemma52_stack(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`lemma52_detailed` on (N, 4) stacks of inputs: x (N, 4), the rung
-    (N,) and the residuals (N, 6), each row bit for bit the scalar
-    solution's."""
+    """Case-ladder solver for the six tracelessness conditions on (N, 4)
+    stacks of inputs: x (N, 4), the rung (N,) and the residuals (N, 6).
+
+    Given units with abcd = dcba, produces a pure unit x with re(x),
+    re(xa), re(xb), re(xc), re(xd), re(x(abcd)^-1) all zero.  The ladder
+    tries the ordered pairs (a,b), (b,c), (c,d), (d,a), (a,c), (b,d): the
+    first with commutator defect |uv - vu| > COMM_TOL yields
+    x = (uv - vu)/|uv - vu|.  If all commute, the inputs share an axis Q
+    and x is a fixed pure unit orthogonal to Q (rung 7).  A row with
+    abcd != dcba raises ConstraintViolated.
+    """
     a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
-    x, rung, rejected = _ladder(a, b, c, d)
-    raise_first_rejected(rejected, lambda row: lemma52_detailed(a[row], b[row], c[row], d[row]))
+    x, rung, defect = _ladder(a, b, c, d)
+    _raise_first(_defect_check(defect))
     return x, rung, _lemma52_residuals(x, a, b, c, d)
+
+
+def lemma52_detailed(a, b, c, d) -> Lemma52Solution:
+    """:func:`lemma52_stack` on one quadruple of units."""
+    x, rung, residuals = lemma52_stack(*(np.asarray(v, dtype=float)[None] for v in (a, b, c, d)))
+    return Lemma52Solution(x[0], int(rung[0]), residuals[0])
+
+
+def lemma52_solve(a, b, c, d) -> np.ndarray:
+    return lemma52_detailed(a, b, c, d).x
 
 
 def _coset_point(theta: float) -> np.ndarray:
@@ -238,15 +256,12 @@ def lemma_branch_inputs(branch: int, rng: np.random.Generator):
     raise ValueError(f"no constructed family for branch {branch}")
 
 
-def section_inputs(surface):
+def section_inputs(generators: np.ndarray):
     """The five words (a, b, c, d, e) fed to the case-ladder solver by the
-    section; they satisfy e^-1 = abcd = dcba whenever the surface relation
-    holds.  On an (N, 4, 4) stack of generators (r1, s1, r2, s2) each word
-    is an (N, 4) stack."""
-    if isinstance(surface, SurfaceRep):
-        r1, s1, r2, s2 = surface.generators()
-    else:
-        r1, s1, r2, s2 = np.moveaxis(surface, -2, 0)
+    section, from a (..., 4, 4) stack of generators (r1, s1, r2, s2); each
+    word is a (..., 4) stack.  They satisfy e^-1 = abcd = dcba whenever the
+    surface relation holds."""
+    r1, s1, r2, s2 = np.moveaxis(generators, -2, 0)
     a = r1
     b = qmul(qinv(s1), qinv(r1))
     c = qmul(s2, s1)
@@ -274,80 +289,59 @@ def _meridian_words(x1, r1, s1, r2, s2) -> list[np.ndarray]:
     ]
 
 
-def extend(surface: SurfaceRep, sign: int = 1) -> PuncturedSphereRep:
-    """The explicit section of the cover on the sheet chosen by ``sign``.
+def lifts(generators: np.ndarray) -> np.ndarray:
+    """The explicit section of the cover on both sheets of an (N, 4, 4) stack
+    of generators: the (N, 2, 6, 4) meridians of the sheets of sign +1 and
+    -1, in that order.
 
     Solves for the first meridian x1 = sign * x via the case ladder, then
     reads the rest off the generator words: x2 = x1^-1 r1 and so on.  Each
     word contains one factor of x1, so the two sheets differ by negating
     every meridian, and the pushforward of the result telescopes back to
-    the input exactly.
+    the input exactly.  A row is checked for the section relation
+    (RelationViolated), the ladder's input (ConstraintViolated) and then
+    each sheet as make_rep checks it; the first rejected row raises.
     """
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
-    a, b, c, d, e = section_inputs(surface)
-    res = float(_section_residual(a, b, c, d, e))
-    if res > TOL_REL:
-        raise RelationViolated(res)
-    x1 = float(sign) * lemma52_solve(a, b, c, d)
-    return make_rep(_meridian_words(x1, *surface.generators()))
-
-
-def lifts(generators: np.ndarray) -> np.ndarray:
-    """:func:`extend` on both sheets of an (N, 4, 4) stack of generators: the
-    (N, 2, 6, 4) meridians of extend(surface, 1) and extend(surface, -1).
-    The ladder runs once; the sheets differ in the sign of x1.  A row that
-    extend rejects on either sheet raises extend's exception."""
     g = np.asarray(generators, dtype=float)
     a, b, c, d, e = section_inputs(g)
-    x, _, rejected = _ladder(a, b, c, d)
-    rejected |= _section_residual(a, b, c, d, e) > TOL_REL
-    sheets = []
-    for sign in (1, -1):
-        m, bad = normalize_reps(np.stack(_meridian_words(float(sign) * x, *np.moveaxis(g, 1, 0)), axis=1))
-        sheets.append(m)
-        rejected |= bad
-    raise_first_rejected(rejected, lambda row: [extend(SurfaceRep(*g[row]), sign) for sign in (1, -1)])
+    residual = _section_residual(a, b, c, d, e)
+    x, _, defect = _ladder(a, b, c, d)
+    words = [np.stack(_meridian_words(float(sign) * x, *np.moveaxis(g, 1, 0)), axis=1) for sign in (1, -1)]
+    sheets, bad = zip(*(normalize_reps(w) for w in words))
+    _raise_first(
+        (residual > TOL_REL, lambda row: RelationViolated(float(residual[row]))),
+        _defect_check(defect),
+        (bad[0], lambda row: make_rep(words[0][row])),
+        (bad[1], lambda row: make_rep(words[1][row])),
+    )
     return np.stack(sheets, axis=1)
 
 
-def roundtrip_residual(surface: SurfaceRep, sign: int) -> float:
-    """Largest generator-wise distance between ``surface`` and
-    pushforward(extend(surface, sign)); zero up to roundoff."""
-    back = pushforward(extend(surface, sign))
-    return max(
-        float(np.linalg.norm(g1 - g2)) for g1, g2 in zip(surface.generators(), back.generators())
-    )
+def extend(surface: SurfaceRep, sign: int = 1) -> PuncturedSphereRep:
+    """The sheet of sign ``sign`` of :func:`lifts` over one surface class."""
+    if sign not in (-1, 1):
+        raise ValueError("sign must be +1 or -1")
+    return PuncturedSphereRep(lifts(np.stack(surface.generators())[None])[0, (1 - sign) // 2])
 
 
 def roundtrip_residuals(generators: np.ndarray) -> np.ndarray:
-    """:func:`roundtrip_residual` on an (N, 4, 4) stack of generators: (N, 2),
-    the sheets of sign +1 and -1 in that order."""
+    """Largest generator-wise distance between each surface of an (N, 4, 4)
+    stack and the pushforward of its lift, zero up to roundoff: (N, 2), the
+    sheets of sign +1 and -1 in that order."""
     g = np.asarray(generators, dtype=float)
     sheets = lifts(g)
     back = np.stack([pushforwards(sheets[:, sheet]) for sheet in (0, 1)], axis=1)
     return _norms(g[:, None] - back).max(axis=-1)
 
 
-def fiber(surface: SurfaceRep) -> FiberReport:
-    """Both sheets over a surface class, merged when they are conjugate.
+def fibers(generators: np.ndarray) -> list[FiberReport]:
+    """Both sheets over each surface of an (N, 4, 4) stack of generators,
+    merged when they are conjugate.
 
     The sheets coincide exactly over classes with abelian image, where the
     single preimage is binary dihedral; elsewhere the two fingerprints are
     macroscopically separated.
     """
-    plus = extend(surface, 1)
-    minus = extend(surface, -1)
-    fp_plus = fingerprint(plus)
-    fp_minus = fingerprint(minus)
-    sep = fp_plus.distance(fp_minus)
-    on_branch = sep <= FIBER_TOL
-    classes = (fp_plus,) if on_branch else (fp_plus, fp_minus)
-    return FiberReport(classes=classes, on_branch=on_branch, witnesses=(plus, minus), separation=sep)
-
-
-def fibers(generators: np.ndarray) -> list[FiberReport]:
-    """:func:`fiber` over each surface of an (N, 4, 4) stack of generators."""
     sheets = lifts(generators)
     plus, minus = (fingerprint_batch(sheets[:, sheet]) for sheet in (0, 1))
     separation = np.max(np.abs(plus - minus), axis=1)
@@ -363,9 +357,9 @@ def fibers(generators: np.ndarray) -> list[FiberReport]:
     return reports
 
 
-def surface_sample(rng: np.random.Generator) -> SurfaceRep:
-    """Sample the surface variety through the cover, which is onto."""
-    return pushforward(sample_point(6, rng))
+def fiber(surface: SurfaceRep) -> FiberReport:
+    """:func:`fibers` over one surface class."""
+    return fibers(np.stack(surface.generators())[None])[0]
 
 
 def fiber_to_json(report: FiberReport) -> dict:

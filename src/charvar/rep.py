@@ -263,8 +263,8 @@ class Fingerprint:
             raise ValueError("fingerprints over different word lists are not comparable")
         return float(np.max(np.abs(self.values - other.values)))
 
-    def close(self, other: "Fingerprint", tol: float = FP_TOL) -> bool:
-        return self.distance(other) <= tol
+    def close(self, other: "Fingerprint") -> bool:
+        return self.distance(other) <= FP_TOL
 
 
 def word_indices(k: int) -> list[tuple[int, ...]]:

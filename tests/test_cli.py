@@ -148,6 +148,8 @@ PINNED_OUTPUTS = {
     "link-sample --n 3 --count 20 --seed 3": (0, "3f806eb7e00159d1"),
     "link-sample --n 3 --count 20 --seed 3 --format csv": (0, "61c1a3a3fe522e79"),
     "selftest --seed 0": (0, "ae4bd58a8f092303"),
+    "selftest --seed 3": (0, "0af98e22f48e9123"),
+    "selftest --seed 5": (0, "9ca05048513db6b1"),
 }
 
 

@@ -4,7 +4,7 @@ traceless-solution case ladder, and fiber enumeration."""
 import numpy as np
 import pytest
 
-from charvar import selftest
+from charvar import cover, selftest
 from charvar.cover import (
     extend,
     fiber,
@@ -17,15 +17,16 @@ from charvar.cover import (
     lifts,
     pushforward,
     pushforwards,
-    roundtrip_residual,
     roundtrip_residuals,
     section_inputs,
     surface_sample,
     surface_samples,
 )
-from charvar.errors import ConstraintViolated, RelationViolated
+from charvar.errors import ConstraintViolated, NotTraceless, RelationViolated
 from charvar.quat import I, J, K, ONE, exp_pure, gprod, qmul, random_unit
 from charvar.rep import (
+    PuncturedSphereRep,
+    SurfaceRep,
     TorusCoords,
     alpha_star,
     bd_from_torus,
@@ -107,14 +108,14 @@ class TestCaseLadder:
         worst = 0.0
         for i in range(200):
             surface = surface_sample(np.random.default_rng((223, i)))
-            a, b, c, d, _ = section_inputs(surface)
+            a, b, c, d, _ = section_inputs(np.stack(surface.generators()))
             sol = lemma52_detailed(a, b, c, d)
             worst = max(worst, float(sol.residuals.max()))
         assert worst <= 1e-10
 
     def test_solve_returns_pure_unit(self):
         surface = surface_sample(np.random.default_rng(227))
-        a, b, c, d, _ = section_inputs(surface)
+        a, b, c, d, _ = section_inputs(np.stack(surface.generators()))
         x = lemma52_solve(a, b, c, d)
         assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
         assert abs(x[0]) <= 1e-12
@@ -201,78 +202,112 @@ class TestFiber:
         assert len(data["fingerprints"]) == 2
 
 
+def _fiber_bytes(report):
+    return (
+        report.separation,
+        report.on_branch,
+        [fp.values.tobytes() for fp in report.classes],
+        [w.meridians.tobytes() for w in report.witnesses],
+    )
+
+
+def _raised(fn, *args):
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value), getattr(exc.value, "row", None)
+
+
 class TestStackedCover:
-    """The stacked forms behind the cover campaigns give, row for row, the
-    bits of the one-sample functions."""
+    """The stacked forms are the one implementation of the cover: a row does
+    not depend on the rows stacked with it, and each one-sample function is
+    a one-row call of its stacked form."""
 
     @pytest.mark.parametrize("seed", [0, 7, 31])
     def test_pipeline_matches_scalar(self, seed, monkeypatch):
-        # chunks of 16 over 40 samples: the rows cross two chunk boundaries
-        monkeypatch.setattr(selftest, "CHUNK", 16)
-
-        def stacked(keys, rngs):
+        def rows(keys, rngs):
             gens = surface_samples(rngs)
-            ladder = zip(*lemma52_stack(*section_inputs(gens)[:4]))
-            return list(zip(keys, gens, ladder, lifts(gens), roundtrip_residuals(gens), fibers(gens)))
+            x, rung, residuals = lemma52_stack(*section_inputs(gens)[:4])
+            return [
+                (key, g.tobytes(), xr.tobytes(), int(br), rr.tobytes(), sheets.tobytes(), rt.tobytes(), _fiber_bytes(fb))
+                for key, g, xr, br, rr, sheets, rt, fb in zip(
+                    keys, gens, x, rung, residuals, lifts(gens), roundtrip_residuals(gens), fibers(gens)
+                )
+            ]
 
-        rows = selftest.chunked(seed, (), 40, stacked)
-        assert [key for key, *_ in rows] == [(seed, i) for i in range(40)]
-        for key, gens, (x, rung, residuals), sheets, roundtrip, report in rows:
+        # 40 rows in chunks of 16 cross two chunk boundaries; in chunks of
+        # 256 they are one stack
+        monkeypatch.setattr(selftest, "CHUNK", 16)
+        chunked = selftest.chunked(seed, (), 40, rows)
+        monkeypatch.setattr(selftest, "CHUNK", 256)
+        assert chunked == selftest.chunked(seed, (), 40, rows)
+        assert [key for key, *_ in chunked] == [(seed, i) for i in range(40)]
+        for key, gens, x, rung, residuals, sheets, roundtrip, report in chunked:
             surface = surface_sample(np.random.default_rng(key))
-            assert np.stack(surface.generators()).tobytes() == gens.tobytes()
-            sol = lemma52_detailed(*section_inputs(surface)[:4])
-            assert (x.tobytes(), rung, residuals.tobytes()) == (sol.x.tobytes(), sol.branch, sol.residuals.tobytes())
-            for sheet, sign in zip(sheets, (1, -1)):
-                assert sheet.tobytes() == extend(surface, sign).meridians.tobytes()
-            assert roundtrip.tolist() == [roundtrip_residual(surface, 1), roundtrip_residual(surface, -1)]
-            want = fiber(surface)
-            assert (report.separation, report.on_branch) == (want.separation, want.on_branch)
-            assert [fp.values.tobytes() for fp in report.classes] == [fp.values.tobytes() for fp in want.classes]
-            assert [w.meridians.tobytes() for w in report.witnesses] == [w.meridians.tobytes() for w in want.witnesses]
+            one = np.stack(surface.generators())
+            assert one.tobytes() == gens
+            sol = lemma52_detailed(*section_inputs(one)[:4])
+            assert (sol.x.tobytes(), sol.branch, sol.residuals.tobytes()) == (x, rung, residuals)
+            assert np.stack([extend(surface, 1).meridians, extend(surface, -1).meridians]).tobytes() == sheets
+            assert roundtrip_residuals(one[None])[0].tobytes() == roundtrip
+            assert _fiber_bytes(fiber(surface)) == report
 
     def test_roundtrip_records_cross_a_chunk(self):
         count = selftest.CHUNK + 4
         records = selftest.roundtrip_records(3, (), count)
+        # the records of two chunks are the rows of one stack of all samples
+        rows = roundtrip_residuals(surface_samples([np.random.default_rng((3, i)) for i in range(count)]))
         assert len(records) == count
-        for i, record in enumerate(records):
-            surface = surface_sample(np.random.default_rng((3, i)))
-            plus, minus = roundtrip_residual(surface, 1), roundtrip_residual(surface, -1)
+        for i, (record, (plus, minus)) in enumerate(zip(records, rows.tolist())):
             assert record == {"index": i, "seed": 3, "residuals": {"plus": plus, "minus": minus}}
 
     def test_ladder_matches_scalar_on_every_rung(self):
         # constructed inputs of rungs 2..7 (near-cutoff rungs 5 and 6, the
-        # scalar common-axis rung 7) and the anchors, mixed in one stack
+        # common-axis rung 7) and the anchors: the whole stack, its chunks of
+        # 16 and one-row calls give the same bytes
         quads = [(I, J, -J, -I), (ONE, ONE, ONE, ONE)]
         quads += [
             lemma_branch_inputs(branch, np.random.default_rng((5, branch, i)))
             for branch in (2, 3, 4, 5, 6, 7)
             for i in range(8)
         ]
-        x, rung, residuals = lemma52_stack(*(np.stack(v) for v in zip(*quads)))
-        assert rung.tolist() == [1, 7] + [b for b in (2, 3, 4, 5, 6, 7) for _ in range(8)]
-        for quad, xr, br, rr in zip(quads, x, rung, residuals):
+        stack = [np.stack(v) for v in zip(*quads)]
+        whole = lemma52_stack(*stack)
+        assert whole[1].tolist() == [1, 7] + [b for b in (2, 3, 4, 5, 6, 7) for _ in range(8)]
+        for start in range(0, len(quads), 16):
+            part = lemma52_stack(*(v[start : start + 16] for v in stack))
+            assert [p.tobytes() for p in part] == [w[start : start + 16].tobytes() for w in whole]
+        for quad, xr, br, rr in zip(quads, *whole):
             sol = lemma52_detailed(*quad)
-            assert (xr.tobytes(), br, rr.tobytes()) == (sol.x.tobytes(), sol.branch, sol.residuals.tobytes())
+            assert (sol.x.tobytes(), sol.branch, sol.residuals.tobytes()) == (xr.tobytes(), br, rr.tobytes())
 
     def test_abelian_points_match_scalar(self):
         meridians = np.stack([r.meridians for r in enumerate_abelian(6)])
-        for report, rep in zip(fibers(pushforwards(meridians)), enumerate_abelian(6)):
-            want = fiber(pushforward(rep))
-            assert report.on_branch and want.on_branch
-            assert report.classes[0].values.tobytes() == want.classes[0].values.tobytes()
+        reports = fibers(pushforwards(meridians))
+        assert all(report.on_branch for report in reports)
+        for report, rep in zip(reports, enumerate_abelian(6)):
+            assert _fiber_bytes(report) == _fiber_bytes(fiber(pushforward(rep)))
 
-    def test_rejected_rows_raise_the_scalar_exception(self):
-        with pytest.raises(ConstraintViolated) as exc:
-            lemma52_stack(*(np.stack(v) for v in zip((I, J, -J, -I), (I, J, K, J))))
-        assert exc.value.row == 1
+    def test_rejected_rows_raise_the_scalar_exception(self, monkeypatch):
+        # a stack names its first rejected row; the one-row call raises the
+        # same class and message for row 0
+        want = (ConstraintViolated, "abcd and dcba differ by 2.000e+00 > 1.0e-10")
+        assert _raised(lemma52_stack, *(np.stack(v) for v in zip((I, J, -J, -I), (I, J, K, J)))) == (*want, 1)
+        assert _raised(lemma52_detailed, I, J, K, J) == (*want, 0)
         gens = surface_samples([np.random.default_rng((9, i)) for i in range(4)])
         bad = gens.copy()
         bad[2, 3] = K
-        with pytest.raises(RelationViolated) as exc:
-            lifts(bad)
-        assert exc.value.row == 2
+        kind, message, row = _raised(lifts, bad)
+        assert (kind, row) == (RelationViolated, 2)
+        for sign in (1, -1):
+            assert _raised(extend, SurfaceRep(*bad[2]), sign) == (kind, message, 0)
         meridians = np.stack([sample_point(6, np.random.default_rng((9, i))).meridians for i in range(4)])
         meridians[1, 0] = meridians[1, 1]
-        with pytest.raises(RelationViolated) as exc:
-            pushforwards(meridians)
-        assert exc.value.row == 1
+        kind, message, row = _raised(pushforwards, meridians)
+        assert (kind, row) == (RelationViolated, 1)
+        assert _raised(pushforward, PuncturedSphereRep(meridians[1])) == (kind, message, 0)
+        # with every pair counted as commuting, rung 7's x does not solve a
+        # generic row: the section holds, and the sheet fails make_rep
+        monkeypatch.setattr(cover, "COMM_TOL", 10.0)
+        kind, message, row = _raised(lifts, gens)
+        assert (kind, row) == (NotTraceless, 0)
+        assert _raised(extend, SurfaceRep(*gens[0]), -1) == (kind, message, 0)

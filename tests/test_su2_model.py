@@ -1,0 +1,117 @@
+"""The quaternion kernels and the cover against an independent model: SU(2)
+as complex 2x2 matrices, where w + xi + yj + zk is
+[[w + ix, y + iz], [-y + iz, w - ix]] and every product is a complex
+matmul.  No code of charvar computes what these tests compare against."""
+
+import functools
+import itertools
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from numpy.linalg import inv
+
+from charvar.cover import (
+    LEMMA_TOL,
+    lemma52_stack,
+    lemma_branch_inputs,
+    lifts,
+    pushforwards,
+    section_inputs,
+    surface_samples,
+)
+from charvar.quat import I, J, ONE, commutator_defect, exp_pure, qmul
+from charvar.rep import fingerprint_batch, sphere_names, word_labels
+from charvar.variety import sample_points
+
+# unit-scale entries: a product of a few of them rounds to within a few
+# ulps of 1, far inside this bound
+MODEL_TOL = 1e-12
+
+components = st.floats(-1.0, 1.0)
+quaternions = st.tuples(*[components] * 4).map(np.array)
+seeds = st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=6, unique=True)
+
+
+def su2(q):
+    """The matrices of a (..., 4) stack of quaternions, (..., 2, 2)."""
+    w, x, y, z = np.moveaxis(np.asarray(q), -1, 0)
+    return np.stack([np.stack([w + 1j * x, y + 1j * z], -1), np.stack([-y + 1j * z, w - 1j * x], -1)], -2)
+
+
+def half_trace(m):
+    return np.trace(m, axis1=-2, axis2=-1).real / 2
+
+
+def rngs_of(keys):
+    return [np.random.default_rng(key) for key in keys]
+
+
+def assert_close(got, want, tol=MODEL_TOL):
+    assert float(np.max(np.abs(got - want))) <= tol
+
+
+class TestKernels:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(quaternions, quaternions)
+    def test_qmul_is_matmul(self, a, b):
+        assert_close(su2(qmul(a, b)), su2(a) @ su2(b))
+        assert_close(su2(qmul(a[None], b[None])[0]), su2(a) @ su2(b))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(quaternions, quaternions)
+    def test_commutator_defect_is_uv_minus_vu(self, u, v):
+        U, V = su2(u), su2(v)
+        assert_close(su2(commutator_defect(u, v)), U @ V - V @ U)
+        assert_close(su2(commutator_defect(u[None], v[None])[0]), U @ V - V @ U)
+
+
+class TestCover:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(seeds)
+    def test_pushforwards_are_the_generator_words(self, keys):
+        meridians = sample_points(6, rngs_of(keys))
+        X = su2(meridians).transpose(1, 0, 2, 3)
+        want = [X[0] @ X[1], inv(X[2]) @ inv(X[1]), X[3] @ X[4], inv(X[5]) @ inv(X[4])]
+        got = su2(pushforwards(meridians))
+        for g, w in zip(got.transpose(1, 0, 2, 3), want):
+            assert_close(g, w)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(seeds)
+    def test_lifts_are_traceless_relations_with_the_input_words(self, keys):
+        gens = surface_samples(rngs_of(keys))
+        R1, S1, R2, S2 = su2(gens).transpose(1, 0, 2, 3)
+        for sheet in lifts(gens).transpose(1, 0, 2, 3):
+            X = su2(sheet).transpose(1, 0, 2, 3)
+            assert_close(np.trace(X, axis1=-2, axis2=-1), 0.0)
+            assert_close(X[0] @ X[1] @ X[2] @ X[3] @ X[4] @ X[5], np.eye(2))
+            assert_close(X[0] @ X[1], R1)
+            assert_close(inv(X[2]) @ inv(X[1]), S1)
+            assert_close(X[3] @ X[4], R2)
+            assert_close(inv(X[5]) @ inv(X[4]), S2)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(seeds, st.lists(st.tuples(st.integers(2, 7), st.integers(0, 10**6)), max_size=6))
+    def test_lemma52_solution_kills_six_traces(self, keys, constructed):
+        # section inputs of surface samples, the anchors of rungs 1 and 7
+        # (all central, a common axis i) and constructed inputs of rungs 2..7
+        quads = list(zip(*section_inputs(surface_samples(rngs_of(keys)))[:4]))
+        quads += [(I, J, -J, -I), (ONE, ONE, ONE, ONE), tuple(exp_pure(t, I) for t in (0.3, 1.1, -0.4, 2.0))]
+        quads += [lemma_branch_inputs(branch, np.random.default_rng(key)) for branch, key in constructed]
+        a, b, c, d = (np.stack(v) for v in zip(*quads))
+        x, _, _ = lemma52_stack(a, b, c, d)
+        X, A, B, C, D = (su2(v) for v in (x, a, b, c, d))
+        for word in (X, X @ A, X @ B, X @ C, X @ D, X @ inv(A @ B @ C @ D)):
+            # the solver's residuals are the real parts, half the traces
+            assert_close(half_trace(word), 0.0, LEMMA_TOL)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.integers(3, 8), seeds)
+    def test_fingerprint_batch_is_half_trace_of_each_word(self, k, keys):
+        meridians = sample_points(k, rngs_of(keys))
+        X = su2(meridians)
+        names = sphere_names(k)
+        words = [w for n in (1, 2, 3) for w in itertools.combinations(range(k), n)]
+        assert word_labels(names) == tuple("*".join(names[i] for i in w) for w in words)
+        want = np.stack([half_trace(functools.reduce(np.matmul, [X[:, i] for i in w])) for w in words], axis=-1)
+        assert_close(fingerprint_batch(meridians), want)
