@@ -1,5 +1,6 @@
 """Speed snapshot of charvar: microseconds per operation, scalar and per
-stacked row, and the acceptance criteria of the cover at full counts.
+stacked row, and the acceptance criteria of the stacked pipelines at full
+counts.
 
     python3 bench/snapshot.py
 
@@ -29,16 +30,20 @@ sys.path.insert(0, str(ROOT))
 
 import numpy as np  # noqa: E402
 
-from charvar import cover, selftest, variety  # noqa: E402
+from charvar import cover, quat, rep, selftest, variety  # noqa: E402
 from perfbench.worker import HostSpeed  # noqa: E402
 
 ROWS = 256  # inputs per timed pass, scalar and stacked alike
 REPEATS = 5
-# acceptance criteria of the cover, with their budgets in tests/test_acceptance.py
+# acceptance criteria on stacks, with their budgets in tests/test_acceptance.py
 CRITERIA = (
+    (1, "abelian-census", selftest.check_abelian_census, 1.0),
     (2, "cover-roundtrip", selftest.check_cover_roundtrip, 10.0),
     (3, "fiber-two-fold", selftest.check_fiber_two_fold, 10.0),
     (4, "lemma52-branches", selftest.check_lemma52_branches, 10.0),
+    (7, "small-k-rigidity", selftest.check_small_k_rigidity, 5.0),
+    (8, "submersion-certificates", selftest.check_submersion, 10.0),
+    (10, "bd-torus", selftest.check_bd_torus, 5.0),
 )
 
 
@@ -67,7 +72,8 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
     """Microseconds per operation: the one-sample function ("scalar") on ROWS
     inputs one at a time, and its stacked form on one stack of ROWS rows,
     per row.  Where the one-sample function is a one-row call of the
-    stacked form, "scalar" is the cost of such a call."""
+    stacked form, "scalar" is the cost of such a call; ``qmul`` on one
+    quaternion keeps its own scalar branch."""
     rngs = lambda: [np.random.default_rng((7, i)) for i in range(ROWS)]  # noqa: E731
     reps = [variety.sample_point(6, rng) for rng in rngs()]
     surfaces = [cover.pushforward(r) for r in reps]
@@ -76,7 +82,35 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
     quads = [cover.section_inputs(np.stack(s.generators()))[:4] for s in surfaces]
     quad_stack = [np.stack(v) for v in zip(*quads)]
     stacked = {name: getattr(cover, name, None) for name in ("pushforwards", "lifts", "lemma52_stack", "fibers")}
+    thetas = np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, size=(ROWS, 4))
+    bd_from_angles = getattr(rep, "bd_from_angles", None)
+    qa, qb = (np.random.default_rng(seed).normal(size=(ROWS, 4)) for seed in (12, 13))
     ops = {
+        "qmul": (
+            lambda: [quat.qmul(a, b) for a, b in zip(qa, qb)],
+            lambda: quat.qmul(qa, qb),
+            "quat.qmul on (N, 4) stacks",
+        ),
+        "make_rep": (
+            lambda: [rep.make_rep(m) for m in meridians],
+            lambda: rep.make_reps(meridians),
+            "rep.make_reps",
+        ),
+        "complete_rep": (
+            lambda: [rep.complete_rep(m[:-1]) for m in meridians],
+            lambda: rep.complete_reps(meridians[:, :-1]),
+            "rep.complete_reps",
+        ),
+        "make_surface_rep": (
+            lambda: [rep.make_surface_rep(*g) for g in gens],
+            lambda: rep.make_surface_reps(gens),
+            "rep.make_surface_reps",
+        ),
+        "bd_from_torus": (
+            lambda: [rep.bd_from_torus(rep.TorusCoords(3, t)) for t in thetas],
+            bd_from_angles and (lambda: bd_from_angles(thetas)),
+            "rep.bd_from_angles",
+        ),
         "sample_point": (
             lambda: [variety.sample_point(6, rng) for rng in rngs()],
             lambda: variety.sample_points(6, rngs()),

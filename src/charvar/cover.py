@@ -17,7 +17,8 @@ Every operation is implemented once, on stacks of samples:
 :func:`fiber` are one-row calls of them.  A row is independent of the
 others in its stack: the kernels of :mod:`charvar.quat` give the same bits
 whatever the stack shape.  A stack with a rejected row raises for the
-first such row, with the exception's ``row`` naming it.
+first such row, with the exception's ``row`` naming it; a one-sample
+function raises the same exception without ``row``.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ from .rep import (
     SurfaceRep,
     TOL_REL,
     fingerprint_batch,
-    make_rep,
     make_surface_reps,
     normalize_reps,
+    one_row,
+    raise_first,
     sphere_names,
     word_labels,
 )
@@ -84,23 +86,6 @@ def _norms(q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(q, q))
 
 
-def _raise_first(*checks) -> None:
-    """Raise for the first row any check rejects, with ``exc.row`` set.
-
-    ``checks`` are (mask, error) pairs in the order one sample meets them;
-    ``error(row)`` returns the exception of the first check that rejects
-    that row, or raises it itself (a replayed constructor)."""
-    rejected = np.logical_or.reduce([mask for mask, _ in checks])
-    if not rejected.any():
-        return
-    row = int(np.argmax(rejected))
-    try:
-        raise next(error for mask, error in checks if mask[row])(row)
-    except ValueError as exc:
-        exc.row = row
-        raise
-
-
 def _surface_words(x1, x2, x3, x4, x5, x6) -> tuple[np.ndarray, ...]:
     """The generator words (r1, s1, r2, s2) in the meridians."""
     return qmul(x1, x2), qmul(qinv(x3), qinv(x2)), qmul(x4, x5), qmul(qinv(x6), qinv(x5))
@@ -108,8 +93,8 @@ def _surface_words(x1, x2, x3, x4, x5, x6) -> tuple[np.ndarray, ...]:
 
 def pushforwards(meridians: np.ndarray) -> np.ndarray:
     """Image of an (N, 6, 4) stack of meridians under the branched cover: the
-    (N, 4, 4) stack of generators (r1, s1, r2, s2), validated as
-    make_surface_rep validates them."""
+    (N, 4, 4) stack of generators (r1, s1, r2, s2), validated by
+    make_surface_reps."""
     m = np.asarray(meridians, dtype=float)
     if m.ndim != 3 or m.shape[1:] != (6, 4):
         raise ValueError(f"the cover is defined for (N, 6, 4) meridian stacks, got {m.shape}")
@@ -120,7 +105,7 @@ def pushforward(rep: PuncturedSphereRep) -> SurfaceRep:
     """Image of a 6-punctured sphere class under the branched cover."""
     if rep.k != 6:
         raise ValueError(f"the cover is defined for k = 6, got k = {rep.k}")
-    return SurfaceRep(*pushforwards(rep.meridians[None])[0])
+    return SurfaceRep(*one_row(pushforwards, rep.meridians[None])[0])
 
 
 def surface_samples(rngs) -> np.ndarray:
@@ -131,7 +116,7 @@ def surface_samples(rngs) -> np.ndarray:
 
 def surface_sample(rng: np.random.Generator) -> SurfaceRep:
     """One sample of :func:`surface_samples`."""
-    return SurfaceRep(*surface_samples([rng])[0])
+    return SurfaceRep(*one_row(surface_samples, [rng])[0])
 
 
 def _lemma52_residuals(x, a, b, c, d) -> np.ndarray:
@@ -204,13 +189,13 @@ def lemma52_stack(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
     x, rung, defect = _ladder(a, b, c, d)
-    _raise_first(_defect_check(defect))
+    raise_first(_defect_check(defect))
     return x, rung, _lemma52_residuals(x, a, b, c, d)
 
 
 def lemma52_detailed(a, b, c, d) -> Lemma52Solution:
     """:func:`lemma52_stack` on one quadruple of units."""
-    x, rung, residuals = lemma52_stack(*(np.asarray(v, dtype=float)[None] for v in (a, b, c, d)))
+    x, rung, residuals = one_row(lemma52_stack, *(np.asarray(v, dtype=float)[None] for v in (a, b, c, d)))
     return Lemma52Solution(x[0], int(rung[0]), residuals[0])
 
 
@@ -300,19 +285,19 @@ def lifts(generators: np.ndarray) -> np.ndarray:
     every meridian, and the pushforward of the result telescopes back to
     the input exactly.  A row is checked for the section relation
     (RelationViolated), the ladder's input (ConstraintViolated) and then
-    each sheet as make_rep checks it; the first rejected row raises.
+    each sheet as make_reps checks it; the first rejected row raises.
     """
     g = np.asarray(generators, dtype=float)
     a, b, c, d, e = section_inputs(g)
     residual = _section_residual(a, b, c, d, e)
     x, _, defect = _ladder(a, b, c, d)
     words = [np.stack(_meridian_words(float(sign) * x, *np.moveaxis(g, 1, 0)), axis=1) for sign in (1, -1)]
-    sheets, bad = zip(*(normalize_reps(w) for w in words))
-    _raise_first(
+    sheets, checks = zip(*(normalize_reps(w) for w in words))
+    raise_first(
         (residual > TOL_REL, lambda row: RelationViolated(float(residual[row]))),
         _defect_check(defect),
-        (bad[0], lambda row: make_rep(words[0][row])),
-        (bad[1], lambda row: make_rep(words[1][row])),
+        *checks[0],
+        *checks[1],
     )
     return np.stack(sheets, axis=1)
 
@@ -321,7 +306,7 @@ def extend(surface: SurfaceRep, sign: int = 1) -> PuncturedSphereRep:
     """The sheet of sign ``sign`` of :func:`lifts` over one surface class."""
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    return PuncturedSphereRep(lifts(np.stack(surface.generators())[None])[0, (1 - sign) // 2])
+    return PuncturedSphereRep(one_row(lifts, np.stack(surface.generators())[None])[0, (1 - sign) // 2])
 
 
 def roundtrip_residuals(generators: np.ndarray) -> np.ndarray:
@@ -359,7 +344,7 @@ def fibers(generators: np.ndarray) -> list[FiberReport]:
 
 def fiber(surface: SurfaceRep) -> FiberReport:
     """:func:`fibers` over one surface class."""
-    return fibers(np.stack(surface.generators())[None])[0]
+    return one_row(fibers, np.stack(surface.generators())[None])[0]
 
 
 def fiber_to_json(report: FiberReport) -> dict:

@@ -52,14 +52,14 @@ def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     stacks with the components on the last axis.  |ab| = |a||b|; no
     renormalization happens here (see gprod for group products)."""
     if a.ndim == 1 and b.ndim == 1:
-        aw, ax, ay, az = a
-        bw, bx, by, bz = b
-        out = np.empty(4)
-        out[0] = aw * bw - ax * bx - ay * by - az * bz
-        out[1] = aw * bx + ax * bw + ay * bz - az * by
-        out[2] = aw * by - ax * bz + ay * bw + az * bx
-        out[3] = aw * bz + ax * by - ay * bx + az * bw
-        return out
+        # the stacked expressions on Python floats, cheaper than numpy scalars
+        aw, ax, ay, az = a.tolist()
+        bw, bx, by, bz = b.tolist()
+        w = aw * bw - ax * bx - ay * by - az * bz
+        x = aw * bx + ax * bw + ay * bz - az * by
+        y = aw * by - ax * bz + ay * bw + az * bx
+        z = aw * bz + ax * by - ay * bx + az * bw
+        return np.array([w, x, y, z], dtype=float)
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
@@ -110,11 +110,13 @@ def gprod(*qs: np.ndarray) -> np.ndarray:
     be (..., 4) stacks; each row of the product is renormalized on its
     own, bit for bit what the scalar call gives for that row.
     """
+    p = ONE
     if len(qs) == 1 and isinstance(qs[0], np.ndarray) and qs[0].ndim == 3:
+        # N rows of no factors are N identities
+        p = np.broadcast_to(ONE, (qs[0].shape[0], 4))
         qs = tuple(np.moveaxis(qs[0], 1, 0))
     elif len(qs) == 1 and isinstance(qs[0], (list, tuple)):
         qs = tuple(qs[0])
-    p = ONE
     for q in qs:
         p = qmul(p, q)
     if p.ndim == 1:

@@ -6,6 +6,13 @@ whose ordered product is 1.  A genus-2 surface representation is stored by
 the images of the four standard generators r1, s1, r2, s2, subject to
 [r1,s1][r2,s2] = 1.
 
+Validation is implemented once, on stacks: :func:`make_reps`,
+:func:`complete_reps`, :func:`make_surface_reps` and :func:`bd_from_angles`;
+:func:`make_rep`, :func:`complete_rep`, :func:`make_surface_rep` and
+:func:`bd_from_torus` are one-row calls of them (:func:`one_row`).  A stack
+raises for its first rejected row with ``exc.row`` naming it
+(:func:`raise_first`); a one-row call raises the same without ``row``.
+
 The fingerprint of a representation collects the real parts (half-traces)
 of all words of length at most three in the generators, in a fixed order.
 These are conjugation invariants and separate conjugacy classes at the
@@ -14,13 +21,12 @@ scales this package works at; the closed-form conjugator in
 backstops that claim in the test suite.
 
 One kernel computes fingerprints: :func:`fingerprint` runs it on one
-representation, :func:`fingerprint_batch` on a stack of them.  For each k it caches index arrays: the
-two factors of every pair word, and for every triple word the position of
-its leading pair and its last index.  All pair products come from one
+representation, :func:`fingerprint_batch` on a stack.  For each k it caches
+the two factors of every pair word, and for every triple word the position
+of its leading pair and its last index.  All pair products come from one
 stacked :func:`~charvar.quat.qmul`; a triple's half-trace is the real part
-of its pair product times its last factor, summed in the order the scalar
-Hamilton product sums it, so every value is bit for bit the same whatever
-the stack shape.
+of its pair product times its last factor, summed in the order of the
+Hamilton product, so every value is the same bits whatever the stack shape.
 """
 
 from __future__ import annotations
@@ -98,25 +104,40 @@ class SurfaceRep:
         return (self.r1, self.s1, self.r2, self.s2)
 
 
-def make_rep(meridians) -> PuncturedSphereRep:
-    """Validating constructor.  Renormalizes unit norms, then checks that every
-    meridian is traceless and that the ordered product is the identity.
-    Violations raise; nothing is repaired."""
-    m = np.array(meridians, dtype=float)
-    if m.ndim != 2 or m.shape[1] != 4:
-        raise ValueError(f"expected (k, 4) meridian array, got {m.shape}")
-    for idx in range(m.shape[0]):
-        n = np.sqrt(np.dot(m[idx], m[idx]))
-        if abs(n - 1.0) > UNIT_TOL:
-            raise ValueError(f"meridian {idx} is not a unit quaternion: |q| = {n:.6f}")
-        m[idx] /= n
-    for idx in range(m.shape[0]):
-        if abs(m[idx, 0]) > TOL_REL:
-            raise NotTraceless(idx, float(m[idx, 0]))
-    residual = float(np.linalg.norm(gprod(list(m)) - ONE))
-    if residual > TOL_REL:
-        raise ProductNotIdentity(residual)
-    return PuncturedSphereRep(m)
+def raise_first(*checks) -> None:
+    """Raise for the first row of a stack that a check rejects, with
+    ``exc.row`` naming it.  ``checks`` are (mask, error) pairs in the order
+    one sample meets them; ``error(row)`` builds the exception."""
+    rejected = np.logical_or.reduce([mask for mask, _ in checks])
+    if not rejected.any():
+        return
+    row = int(np.argmax(rejected))
+    exc = next(error for mask, error in checks if mask[row])(row)
+    exc.row = row
+    raise exc
+
+
+def one_row(stacked, *args):
+    """``stacked(*args)`` on one-row stacks.  A rejection raises without
+    ``row``: the caller's one sample is not a row of a stack it can name."""
+    try:
+        return stacked(*args)
+    except ValueError as exc:
+        if hasattr(exc, "row"):
+            del exc.row
+        raise
+
+
+def _unit_check(norms: np.ndarray, name) -> tuple:
+    """The check that each row of an (N, m) stack of norms is within UNIT_TOL
+    of 1; the error names the first element that is not as ``name(index)``."""
+    off = np.abs(norms - 1.0) > UNIT_TOL
+
+    def error(row):
+        idx = int(np.argmax(off[row]))
+        return ValueError(f"{name(idx)} is not a unit quaternion: |q| = {norms[row, idx]:.6f}")
+
+    return off.any(axis=-1), error
 
 
 def product_residuals(meridians: np.ndarray) -> np.ndarray:
@@ -125,105 +146,89 @@ def product_residuals(meridians: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(d, d))
 
 
-def raise_first_rejected(rejected: np.ndarray, replay) -> None:
-    """Raise what a scalar constructor raises on the first row a stacked
-    validation rejected; ``replay(row)`` runs the scalar constructor on that
-    row.  The exception carries the row as ``exc.row``, so a campaign that
-    knows which sample the row holds can name it."""
-    if not rejected.any():
-        return
-    row = int(np.argmax(rejected))
-    try:
-        replay(row)
-    except ValueError as exc:
-        exc.row = row
-        raise
-    raise AssertionError(f"stacked validation rejected row {row}, the scalar constructor accepted it")
-
-
-def normalize_reps(meridians: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`make_rep`'s renormalization and checks on an (N, k, 4) stack:
-    the renormalized stack, bit for bit make_rep's rows, and a mask of the
-    rows make_rep rejects."""
+def normalize_reps(meridians: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The renormalized (N, k, 4) stack and the checks of :func:`make_reps`
+    as (mask, error) pairs for :func:`raise_first`, in the order a row meets
+    them: every meridian a unit, then traceless, then the product 1."""
     m = np.asarray(meridians, dtype=float)
     n = np.sqrt(np.vecdot(m, m))
     with np.errstate(divide="ignore", invalid="ignore"):
         m = m / n[..., None]
-        rejected = (
-            np.any(np.abs(n - 1.0) > UNIT_TOL, axis=-1)
-            | np.any(np.abs(m[..., 0]) > TOL_REL, axis=-1)
-            | (product_residuals(m) > TOL_REL)
-        )
-    return m, rejected
+        traced = np.abs(m[..., 0]) > TOL_REL
+        residual = product_residuals(m)
+
+    def not_traceless(row):
+        idx = int(np.argmax(traced[row]))
+        return NotTraceless(idx, float(m[row, idx, 0]))
+
+    checks = (
+        _unit_check(n, lambda idx: f"meridian {idx}"),
+        (traced.any(axis=-1), not_traceless),
+        (residual > TOL_REL, lambda row: ProductNotIdentity(float(residual[row]))),
+    )
+    return m, checks
 
 
 def make_reps(meridians: np.ndarray) -> np.ndarray:
-    """:func:`make_rep` on an (N, k, 4) stack: the validated meridians, bit for
-    bit make_rep's rows; a rejected row raises make_rep's exception."""
-    m, rejected = normalize_reps(meridians)
-    raise_first_rejected(rejected, lambda row: make_rep(meridians[row]))
+    """Validating constructor on an (N, k, 4) stack: renormalizes unit norms,
+    then checks that every meridian is traceless and each ordered product
+    is 1.  Nothing is repaired: the first rejected row raises."""
+    m, checks = normalize_reps(meridians)
+    raise_first(*checks)
     return m
 
 
-def complete_reps(partial: np.ndarray) -> np.ndarray:
-    """:func:`complete_rep` on an (N, k-1, 4) stack of partial tuples.
+def make_rep(meridians) -> PuncturedSphereRep:
+    """:func:`make_reps` on one (k, 4) tuple of meridians."""
+    m = np.array(meridians, dtype=float)
+    if m.ndim != 2 or m.shape[1] != 4:
+        raise ValueError(f"expected (k, 4) meridian array, got {m.shape}")
+    return PuncturedSphereRep(one_row(make_reps, m[None])[0])
 
-    Returns the validated (N, k, 4) meridians, bit for bit those of
-    ``complete_rep`` row by row.  Every check of ``complete_rep`` and
-    :func:`make_rep` runs on the whole stack; if a row fails, the scalar
-    constructor is replayed on the first failing row, so the exception is
-    the one the scalar loop would have raised first.
-    """
+
+def complete_reps(partial: np.ndarray) -> np.ndarray:
+    """Append the forced last meridian (q1...q_{k-1})^-1 to each partial tuple
+    of an (N, k-1, 4) stack, and validate the (N, k, 4) result as
+    :func:`make_reps` does.  Requires |re(q1...q_{k-1})| <= TOL_REL, exactly
+    the condition for the appended inverse to be traceless; a row that
+    fails it raises ConstraintViolated before any check of make_reps."""
     part = np.asarray(partial, dtype=float)
     p = gprod(part)
-    m, rejected = normalize_reps(np.concatenate([part, qinv(p)[:, None, :]], axis=1))
-    raise_first_rejected(rejected | (np.abs(p[:, 0]) > TOL_REL), lambda row: complete_rep(part[row]))
+    m, checks = normalize_reps(np.concatenate([part, qinv(p)[:, None, :]], axis=1))
+
+    def off_variety(row):
+        return ConstraintViolated(f"partial product has re = {p[row, 0]:.3e}, not on the variety")
+
+    raise_first((np.abs(p[:, 0]) > TOL_REL, off_variety), *checks)
     return m
 
 
 def complete_rep(partial) -> PuncturedSphereRep:
-    """Append the forced last meridian (q1...q_{k-1})^-1 to a partial tuple.
-
-    Requires |re(q1...q_{k-1})| <= TOL_REL, which is exactly the condition for the
-    appended inverse to be traceless.
-    """
+    """:func:`complete_reps` on one partial tuple; an empty one is (0, 4)."""
     part = np.array(partial, dtype=float)
-    p = gprod(list(part))
-    if abs(p[0]) > TOL_REL:
-        raise ConstraintViolated(f"partial product has re = {p[0]:.3e}, not on the variety")
-    return make_rep(np.vstack([part, qinv(p)]))
-
-
-def make_surface_rep(r1, s1, r2, s2) -> SurfaceRep:
-    """Validating constructor; checks the relation [r1,s1][r2,s2] = 1."""
-    gens = []
-    for name, g in zip(GENERATOR_NAMES, (r1, s1, r2, s2)):
-        g = np.asarray(g, dtype=float)
-        n = np.sqrt(np.dot(g, g))
-        if abs(n - 1.0) > UNIT_TOL:
-            raise ValueError(f"generator {name} is not a unit quaternion: |q| = {n:.6f}")
-        gens.append(g / n)
-    r1, s1, r2, s2 = gens
-    rel = gprod(quat.commutator(r1, s1), quat.commutator(r2, s2))
-    residual = float(np.linalg.norm(rel - ONE))
-    if residual > TOL_REL:
-        raise RelationViolated(residual)
-    return SurfaceRep(r1, s1, r2, s2)
+    return PuncturedSphereRep(one_row(complete_reps, part.reshape(1, len(part), 4))[0])
 
 
 def make_surface_reps(generators: np.ndarray) -> np.ndarray:
-    """:func:`make_surface_rep` on an (N, 4, 4) stack of (r1, s1, r2, s2): the
-    renormalized generators, bit for bit make_surface_rep's rows; a rejected
-    row raises make_surface_rep's exception."""
+    """Validating constructor on an (N, 4, 4) stack of (r1, s1, r2, s2):
+    renormalizes unit norms and checks the relation [r1,s1][r2,s2] = 1.
+    Returns the renormalized stack; the first rejected row raises."""
     gens = np.asarray(generators, dtype=float)
     n = np.sqrt(np.vecdot(gens, gens))
     with np.errstate(divide="ignore", invalid="ignore"):
         g = gens / n[..., None]
         r1, s1, r2, s2 = np.moveaxis(g, -2, 0)
         d = gprod(quat.commutator(r1, s1), quat.commutator(r2, s2)) - ONE
-        rejected = np.any(np.abs(n - 1.0) > UNIT_TOL, axis=-1) | (np.sqrt(np.vecdot(d, d)) > TOL_REL)
-    raise_first_rejected(rejected, lambda row: make_surface_rep(*gens[row]))
+        residual = np.sqrt(np.vecdot(d, d))
+    units = _unit_check(n, lambda idx: f"generator {GENERATOR_NAMES[idx]}")
+    raise_first(units, (residual > TOL_REL, lambda row: RelationViolated(float(residual[row]))))
     return g
+
+
+def make_surface_rep(r1, s1, r2, s2) -> SurfaceRep:
+    """:func:`make_surface_reps` on one quadruple of generators."""
+    gens = np.stack(SurfaceRep(r1, s1, r2, s2).generators())
+    return SurfaceRep(*one_row(make_surface_reps, gens[None])[0])
 
 
 def conjugate_rep(g: np.ndarray, rep: PuncturedSphereRep) -> PuncturedSphereRep:
@@ -385,21 +390,34 @@ class TorusCoords:
         object.__setattr__(self, "thetas", t)
 
 
-def bd_from_torus(coords: TorusCoords) -> PuncturedSphereRep:
-    """Binary dihedral representation with the given torus coordinates.
+def _bd_meridians(thetas: np.ndarray) -> np.ndarray:
+    """The validated (N, 2n, 4) meridians of an (N, 2n-2) stack of angles
+    already reduced mod 2 pi."""
+    n = thetas.shape[1] // 2 + 1
+    signs = np.array([(-1.0) ** (idx + 1) for idx in range(2 * n - 2)])
+    t = np.concatenate([thetas, (n * np.pi + np.vecdot(thetas, signs))[:, None]], axis=1)
+    rotors = np.sin(t)[..., None] * K
+    rotors[..., 0] = np.cos(t)
+    return make_reps(np.concatenate([np.broadcast_to(I, (t.shape[0], 1, 4)), qmul(rotors, I)], axis=1))
+
+
+def bd_from_angles(thetas: np.ndarray) -> np.ndarray:
+    """Binary dihedral representations of an (N, 2n-2) stack of torus angles
+    (theta_2, ..., theta_{2n-1}), taken mod 2 pi: the (N, 2n, 4) meridians.
 
     x_1 = i, x_l = e^{theta_l k} i for 2 <= l <= 2n-1, and the last meridian
     is e^{(n pi - theta_2 + theta_3 - ... + theta_{2n-1}) k} i, which makes
     the product relation hold on the nose.
     """
-    n = coords.n
-    mers = [I]
-    for t in coords.thetas:
-        mers.append(qmul(quat.exp_pure(t, K), I))
-    signs = np.array([(-1.0) ** (idx + 1) for idx in range(2 * n - 2)])
-    t_last = n * np.pi + float(np.dot(signs, coords.thetas))
-    mers.append(qmul(quat.exp_pure(t_last, K), I))
-    return make_rep(mers)
+    t = np.asarray(thetas, dtype=float)
+    if t.ndim != 2 or t.shape[1] < 2 or t.shape[1] % 2:
+        raise ValueError(f"expected an (N, 2n-2) angle stack with n >= 2, got shape {t.shape}")
+    return _bd_meridians(np.mod(t, 2.0 * np.pi))
+
+
+def bd_from_torus(coords: TorusCoords) -> PuncturedSphereRep:
+    """:func:`bd_from_angles` on the angles of one torus point."""
+    return PuncturedSphereRep(one_row(_bd_meridians, coords.thetas[None])[0])
 
 
 def torus_from_bd(rep: PuncturedSphereRep) -> TorusCoords:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cover, morse, quat, rep, variety
 from .quat import I, J, K, exp_pure, qconj, qmul
-from .rep import TorusCoords, bd_from_torus, fingerprint, make_rep, torus_from_bd
+from .rep import fingerprint, make_rep, torus_from_bd
 from .variety import ABELIAN, BINARY_DIHEDRAL, GENERIC
 
 REDUCED_COUNTS: dict[str, int] = {
@@ -132,10 +132,11 @@ def check_abelian_census(counts: Mapping[str, int], seed: int = 0) -> CheckResul
         reps = variety.enumerate_abelian(k)
         if len(reps) != 2 ** (k - 2):
             return CheckResult(False, f"k={k}: {len(reps)} classes, expected {2 ** (k - 2)}")
-        labels = {variety.classify_locus(r).label for r in reps}
+        meridians = np.stack([r.meridians for r in reps])
+        labels = {variety.locus_label(rank).label for rank in variety.locus_ranks(meridians).tolist()}
         if labels != {ABELIAN}:
             return CheckResult(False, f"k={k}: non-abelian labels {labels}")
-        values = rep.fingerprint_batch(np.stack([r.meridians for r in reps]))
+        values = rep.fingerprint_batch(meridians)
         distinct = np.unique(np.round(values, 6), axis=0).shape[0]
         if distinct != len(reps):
             return CheckResult(False, f"k={k}: only {distinct} distinct fingerprints")
@@ -160,16 +161,21 @@ RIGIDITY_TOL = 1e-9
 def check_small_k_rigidity(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     """k = 3 has a single class (the fingerprint of (i, j, -k)); k = 4
     sees only the abelian and binary dihedral loci."""
-    ref = fingerprint(make_rep([I, J, -K]))
-    worst = 0.0
-    for i in range(counts["k3"]):
-        fp = fingerprint(variety.sample_point(3, _rng(seed, 2, i)))
-        worst = max(worst, fp.distance(ref))
+    ref = fingerprint(make_rep([I, J, -K])).values
+
+    def spreads(keys, rngs):
+        # Fingerprint.distance to the reference, row by row
+        return np.max(np.abs(rep.fingerprint_batch(variety.sample_points(3, rngs)) - ref), axis=1).tolist()
+
+    worst = max([0.0, *chunked(seed, (2,), counts["k3"], spreads)])
     if worst > RIGIDITY_TOL:
         return CheckResult(False, f"k=3 fingerprint spread {worst:.3e}")
-    tally: Counter[str] = Counter()
-    for i in range(counts["k4"]):
-        tally[variety.classify_locus(variety.sample_point(4, _rng(seed, 3, i))).label] += 1
+
+    def loci(keys, rngs):
+        ranks = variety.locus_ranks(variety.sample_points(4, rngs)).tolist()
+        return [variety.locus_label(rank).label for rank in ranks]
+
+    tally = Counter(chunked(seed, (3,), counts["k4"], loci))
     bad = set(tally) - {ABELIAN, BINARY_DIHEDRAL}
     ok = not bad
     detail = (
@@ -191,15 +197,21 @@ def check_submersion(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     matches a finite difference, a rank-1 constraint Jacobian, a rank-3
     conjugation action, and local dimension 2k-6."""
     ks = (4, 6, 8)
+    samples = {}
+    for first, k in enumerate(ks):
+        # sample i has k = ks[i % 3] and draws from (seed, 4, i, retry),
+        # retry counting up from 0 while its draw is abelian
+        indices = list(range(first, counts["submersion"], len(ks)))
+        rows = np.empty((len(indices), k, 4))
+        redraw, retry = np.arange(len(indices)), 0
+        while redraw.size:
+            rows[redraw] = variety.sample_points(k, [_rng(seed, 4, indices[j], retry) for j in redraw.tolist()])
+            redraw, retry = redraw[variety.locus_ranks(rows[redraw]) <= 1], retry + 1
+        samples.update(zip(indices, rows))
     min_deriv = np.inf
     worst_fd = 0.0
     for i in range(counts["submersion"]):
-        k = ks[i % len(ks)]
-        retry = 0
-        sample = variety.sample_point(k, _rng(seed, 4, i, retry))
-        while variety.classify_locus(sample).label == ABELIAN:
-            retry += 1
-            sample = variety.sample_point(k, _rng(seed, 4, i, retry))
+        sample = rep.PuncturedSphereRep(samples[i])
         partial = sample.meridians[:-1]
         cert = variety.submersion_certificate(partial)
         min_deriv = min(min_deriv, abs(cert.derivative))
@@ -213,8 +225,8 @@ def check_submersion(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
         if variety.conjugation_rank(partial) != 3:
             return CheckResult(False, f"sample {i}: conjugation rank != 3")
         dim = variety.local_dimension(sample)
-        if dim != 2 * k - 6:
-            return CheckResult(False, f"sample {i}: local dimension {dim} != {2 * k - 6}")
+        if dim != 2 * sample.k - 6:
+            return CheckResult(False, f"sample {i}: local dimension {dim} != {2 * sample.k - 6}")
     ok = min_deriv > MIN_DERIVATIVE and worst_fd <= SUBMERSION_FD_TOL
     return CheckResult(
         ok,
@@ -268,8 +280,8 @@ def check_fiber_two_fold(counts: Mapping[str, int], seed: int = 0) -> CheckResul
             return CheckResult(False, f"generic sample {i}: fiber mismatch {match:.3e}")
 
     def dihedral(keys, rngs):
-        coords = [TorusCoords(n=3, thetas=rng.uniform(0.0, 2.0 * np.pi, size=4)) for rng in rngs]
-        reports = cover.fibers(cover.pushforwards(np.stack([bd_from_torus(c).meridians for c in coords])))
+        thetas = np.stack([rng.uniform(0.0, 2.0 * np.pi, size=4) for rng in rngs])
+        reports = cover.fibers(cover.pushforwards(rep.bd_from_angles(thetas)))
         ranks = variety.locus_ranks(np.stack([r.witnesses[0].meridians for r in reports]))
         return list(zip(keys, reports, ranks))
 
@@ -439,20 +451,23 @@ def check_bd_torus(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     representations push forward to commuting surface generators."""
     worst_rt = 0.0
     for n in range(2, 6):
-        for i in range(counts["bd_roundtrip_per_n"]):
-            rng = _rng(seed, 11, n, i)
-            thetas = rng.uniform(0.0, 2.0 * np.pi, size=2 * n - 2)
-            bd = bd_from_torus(TorusCoords(n=n, thetas=thetas))
-            if variety.classify_locus(bd).label == GENERIC:
+
+        def images(keys, rngs, n=n):
+            thetas = np.stack([rng.uniform(0.0, 2.0 * np.pi, size=2 * n - 2) for rng in rngs])
+            bd = rep.bd_from_angles(thetas)
+            return list(zip(keys, thetas, bd, variety.locus_ranks(bd).tolist()))
+
+        for (*_, i), thetas, bd, rank in chunked(seed, (11, n), counts["bd_roundtrip_per_n"], images):
+            if variety.locus_label(rank).label == GENERIC:
                 return CheckResult(False, f"n={n} sample {i}: generic image")
-            rec = torus_from_bd(bd).thetas
+            rec = torus_from_bd(rep.PuncturedSphereRep(bd)).thetas
             gap = min(_circle_gap(rec, thetas), _circle_gap(rec, -thetas))
             worst_rt = max(worst_rt, gap)
 
     def push_defects(keys, rngs):
         # the largest commutator norm over the six generator pairs of each row
-        reps = [bd_from_torus(TorusCoords(n=3, thetas=rng.uniform(0.0, 2.0 * np.pi, size=4))) for rng in rngs]
-        gens = np.moveaxis(cover.pushforwards(np.stack([r.meridians for r in reps])), 1, 0)
+        thetas = np.stack([rng.uniform(0.0, 2.0 * np.pi, size=4) for rng in rngs])
+        gens = np.moveaxis(cover.pushforwards(rep.bd_from_angles(thetas)), 1, 0)
         d = np.stack([qmul(gens[p], gens[q]) - qmul(gens[q], gens[p]) for p in range(4) for q in range(p + 1, 4)])
         return np.sqrt(np.vecdot(d, d)).max(axis=0).tolist()
 

@@ -6,6 +6,8 @@ unit spheres; the last meridian is the inverse of the product.  This module
 samples f^{-1}(0) exactly, classifies points into the abelian, binary
 dihedral, and generic loci by the rank of the meridian directions, and
 produces explicit submersion certificates away from the abelian points.
+The sampler is implemented once, on stacks (:func:`sample_points`);
+:func:`sample_point` is its one-row call.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import numpy as np
 from . import quat
 from .errors import AbelianInput, ConstraintViolated
 from .quat import I, J, K, axis_angle, gprod, im, qmul
-from .rep import PuncturedSphereRep, TOL_REL, complete_rep, complete_reps, make_rep
+from .rep import PuncturedSphereRep, TOL_REL, complete_reps, one_row
 
 RANK_TOL_FACTOR = 1e-8
 CONJUGATOR_TOL = 1e-7
 # the sampler takes w = q_1 ... q_{k-2} as central (+-1) when |im w| is at
-# most this; sample_point and sample_points must agree to stay bit-exact
+# most this
 CENTRAL_CUTOFF = 1e-12
 
 ABELIAN = "abelian"
@@ -63,34 +65,6 @@ def eval_g(partial) -> float:
     return float(gprod([I, *np.asarray(partial, dtype=float)])[0])
 
 
-def sample_point(k: int, rng: np.random.Generator) -> PuncturedSphereRep:
-    """Draw a point of f^{-1}(0) exactly.
-
-    q_1 ... q_{k-2} are uniform on the traceless sphere.  Writing w for their
-    product, the two conditions on q_{k-1} (traceless, and w q_{k-1} traceless)
-    cut out the great circle orthogonal to im(w), which is sampled uniformly;
-    when w = +-1 the constraint is vacuous and the whole sphere is used.
-    """
-    if k < 3:
-        raise ValueError(f"need k >= 3, got k = {k}")
-    qs = [quat.random_pure(rng) for _ in range(k - 2)]
-    w = gprod(qs)
-    wv = w[1:]
-    nw = float(np.sqrt(np.dot(wv, wv)))
-    if nw <= CENTRAL_CUTOFF:
-        qs.append(quat.random_pure(rng))
-    else:
-        axis = wv / nw
-        h = np.zeros(3)
-        h[int(np.argmin(np.abs(axis)))] = 1.0
-        u = quat.cross(axis, h)
-        u /= np.linalg.norm(u)
-        v = quat.cross(axis, u)
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        qs.append(np.array([0.0, *(np.cos(phi) * u + np.sin(phi) * v)]))
-    return complete_rep(qs)
-
-
 def _pure_directions(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The vectors ``count`` calls of :func:`quat.random_pure` keep, with their
     norms, drawn as those calls draw them: one ``standard_normal(3)`` per
@@ -105,13 +79,17 @@ def _pure_directions(rng: np.random.Generator, count: int) -> tuple[np.ndarray, 
 
 
 def sample_points(k: int, rngs) -> np.ndarray:
-    """:func:`sample_point` for each of the distinct generators ``rngs``, as
-    one (N, k, 4) stack of meridians.
+    """Draw a point of f^{-1}(0) exactly from each of the distinct generators
+    ``rngs``: one (N, k, 4) stack of meridians.
 
-    Every generator draws what ``sample_point`` draws, in the same order, and
-    each row is bit for bit the meridians ``sample_point`` returns: the
-    arithmetic between the draws runs on the stack in the scalar order, with
-    every dot product a ``np.vecdot`` (see :mod:`charvar.quat`).
+    q_1 ... q_{k-2} are uniform on the traceless sphere.  Writing w for their
+    product, the two conditions on q_{k-1} (traceless, and w q_{k-1} traceless)
+    cut out the great circle orthogonal to im(w), which is sampled uniformly;
+    when w = +-1 the constraint is vacuous and the whole sphere is used.
+
+    Each generator draws its ``k - 2`` directions as ``quat.random_pure``
+    does, then the angle or, when w is central, one more direction.  A row
+    is the same bits in any stack (see :mod:`charvar.quat` on dot products).
     """
     if k < 3:
         raise ValueError(f"need k >= 3, got k = {k}")
@@ -142,6 +120,11 @@ def sample_points(k: int, rngs) -> np.ndarray:
     phi = np.array(phi)
     qs[turning, k - 2, 1:] = np.cos(phi)[:, None] * u + np.sin(phi)[:, None] * v
     return complete_reps(qs)
+
+
+def sample_point(k: int, rng: np.random.Generator) -> PuncturedSphereRep:
+    """:func:`sample_points` for one generator."""
+    return PuncturedSphereRep(one_row(sample_points, k, [rng])[0])
 
 
 def locus_label(rank: int) -> LocusLabel:
@@ -286,17 +269,13 @@ def sign_transport(partial, signs) -> np.ndarray:
 
 def enumerate_abelian(k: int) -> list[PuncturedSphereRep]:
     """All abelian classes for even k: sign vectors on (i, ..., i) with the
-    first sign normalized to +1 and the last meridian forced by the product."""
+    first sign normalized to +1 and the last meridian forced by the product,
+    bit b of the row index flipping the sign of meridian b + 2."""
     if k % 2 != 0:
         raise ValueError(f"abelian points exist only for even k, got k = {k}")
-    reps = []
-    for bits in range(2 ** (k - 2)):
-        part = [I]
-        for pos in range(k - 2):
-            sign = 1.0 if (bits >> pos) & 1 == 0 else -1.0
-            part.append(sign * I)
-        reps.append(complete_rep(part))
-    return reps
+    bits = np.arange(2 ** (k - 2))[:, None] >> np.arange(k - 2)
+    signs = np.concatenate([np.ones((bits.shape[0], 1)), np.where(bits & 1, -1.0, 1.0)], axis=1)
+    return [PuncturedSphereRep(m) for m in complete_reps(signs[..., None] * I)]
 
 
 # ---------------------------------------------------------------------------

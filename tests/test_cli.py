@@ -137,6 +137,9 @@ def test_sorted_csv_keeps_header_first(argv, header, capsys):
 # exit code and the first 16 hex digits of the sha256 of stdout, a NUL
 # byte and stderr, at fixed seeds; computed with numpy 2.4 on x86-64 Linux
 PINNED_OUTPUTS = {
+    "sample --k 3 --count 5 --seed 3": (0, "d351274178f55e0d"),
+    "sample --k 12 --count 5 --seed 3": (0, "7b7f170e4adfa6b3"),
+    "sample --k 6 --count 8 --seed 3 --format csv --sorted": (0, "42a223c30b4d8eaa"),
     "cover push --count 5 --seed 3": (0, "f1cb06c60f94dccb"),
     "cover extend --count 4 --seed 3": (0, "e3e0e975f0a6d8e6"),
     "cover roundtrip --count 10 --seed 3": (0, "3da1be6342e9d159"),

@@ -289,25 +289,39 @@ class TestStackedCover:
 
     def test_rejected_rows_raise_the_scalar_exception(self, monkeypatch):
         # a stack names its first rejected row; the one-row call raises the
-        # same class and message for row 0
+        # same class and message without a row
         want = (ConstraintViolated, "abcd and dcba differ by 2.000e+00 > 1.0e-10")
         assert _raised(lemma52_stack, *(np.stack(v) for v in zip((I, J, -J, -I), (I, J, K, J)))) == (*want, 1)
-        assert _raised(lemma52_detailed, I, J, K, J) == (*want, 0)
+        assert _raised(lemma52_detailed, I, J, K, J) == (*want, None)
         gens = surface_samples([np.random.default_rng((9, i)) for i in range(4)])
         bad = gens.copy()
         bad[2, 3] = K
         kind, message, row = _raised(lifts, bad)
         assert (kind, row) == (RelationViolated, 2)
         for sign in (1, -1):
-            assert _raised(extend, SurfaceRep(*bad[2]), sign) == (kind, message, 0)
+            assert _raised(extend, SurfaceRep(*bad[2]), sign) == (kind, message, None)
         meridians = np.stack([sample_point(6, np.random.default_rng((9, i))).meridians for i in range(4)])
         meridians[1, 0] = meridians[1, 1]
         kind, message, row = _raised(pushforwards, meridians)
         assert (kind, row) == (RelationViolated, 1)
-        assert _raised(pushforward, PuncturedSphereRep(meridians[1])) == (kind, message, 0)
+        assert _raised(pushforward, PuncturedSphereRep(meridians[1])) == (kind, message, None)
         # with every pair counted as commuting, rung 7's x does not solve a
         # generic row: the section holds, and the sheet fails make_rep
         monkeypatch.setattr(cover, "COMM_TOL", 10.0)
         kind, message, row = _raised(lifts, gens)
         assert (kind, row) == (NotTraceless, 0)
-        assert _raised(extend, SurfaceRep(*gens[0]), -1) == (kind, message, 0)
+        assert _raised(extend, SurfaceRep(*gens[0]), -1) == (kind, message, None)
+
+    def test_one_row_call_in_a_campaign_names_no_other_sample(self):
+        # extend on the third sample of a chunk fails; without a row on its
+        # exception, chunked does not name row 0 of the chunk, (0, 99, 0)
+        def lift_each(keys, rngs):
+            gens = surface_samples(rngs)
+            gens[2, 3] = K
+            return [extend(SurfaceRep(*g)) for g in gens]
+
+        assert _raised(selftest.chunked, 0, (99,), 3, lift_each) == (
+            RelationViolated,
+            "surface relation residual 4.969e-01",
+            None,
+        )

@@ -63,9 +63,17 @@ class TestMultiplicationTable:
         rng = np.random.default_rng(7)
         a = np.stack([random_unit(rng) for _ in range(5)])
         b = np.stack([random_unit(rng) for _ in range(5)])
+        # signed zeros, and magnitudes near 1e-300 whose products underflow
+        # to zero or to subnormals
+        a = np.vstack([a, [-0.0, 0.0, 0.0, 0.0], [1e-200, 0.0, 0.0, 0.0], [1e-300, -3e-301, 2e-310, -0.0]])
+        b = np.vstack([b, [0.0, 0.0, 0.0, 0.0], [-1e-200, 0.0, 0.0, 0.0], [-1e-300, 5e-324, -0.0, 7e-301]])
+        a = np.vstack([a, [1e-160, 1e-160, 0.0, -1e-160], [-0.0, 0.0, -0.0, 1.0]])
+        b = np.vstack([b, [1e-160, -1e-160, -0.0, 1e-160], [0.0, -0.0, -0.0, -1.0]])
         stacked = qmul(a, b)
+        assert np.signbit(stacked[5:7, 0]).all() and stacked[8, 0] == 3e-320
         for row, (qa, qb) in enumerate(zip(a, b)):
-            assert np.array_equal(stacked[row], qmul(qa, qb))
+            # the bytes, so that -0.0 differs from 0.0
+            assert stacked[row].tobytes() == qmul(qa, qb).tobytes()
 
 
 class TestGroupIdentities:
@@ -264,10 +272,11 @@ def test_gprod_drift_control():
 
 def test_gprod_stack_matches_rows_exactly():
     # rows of 3 factors mostly stay within RENORM_DRIFT, rows of 400 drift
-    # past it and are renormalized: both branches must match the scalar call
+    # past it and are renormalized: both branches must match the scalar
+    # call; rows of no factors are identities
     rng = np.random.default_rng(43)
-    for m in (3, 400):
-        stack = np.stack([[random_unit(rng) for _ in range(m)] for _ in range(6)])
+    for m in (0, 3, 400):
+        stack = np.array([[random_unit(rng) for _ in range(m)] for _ in range(6)]).reshape(6, m, 4)
         batch = gprod(stack)
         assert batch.shape == (6, 4)
         for row, qs in zip(batch, stack):

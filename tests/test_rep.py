@@ -4,7 +4,15 @@ the binary dihedral torus parametrization."""
 import numpy as np
 import pytest
 
-from charvar.errors import NotBinaryDihedral, NotTraceless, ProductNotIdentity, RelationViolated
+from charvar import selftest
+from charvar.cover import pushforwards
+from charvar.errors import (
+    ConstraintViolated,
+    NotBinaryDihedral,
+    NotTraceless,
+    ProductNotIdentity,
+    RelationViolated,
+)
 from charvar.quat import I, J, K, ONE, conjugate, exp_pure, qmul, random_unit
 from charvar.rep import (
     Fingerprint,
@@ -12,8 +20,10 @@ from charvar.rep import (
     SurfaceRep,
     TorusCoords,
     alpha_star,
+    bd_from_angles,
     bd_from_torus,
     complete_rep,
+    complete_reps,
     conjugate_rep,
     fingerprint,
     fingerprint_batch,
@@ -21,13 +31,15 @@ from charvar.rep import (
     fingerprint_digest,
     from_json,
     make_rep,
+    make_reps,
     make_surface_rep,
+    make_surface_reps,
     rep_to_json,
     surface_to_json,
     torus_from_bd,
     word_indices,
 )
-from charvar.variety import conjugator_search, enumerate_abelian, sample_point
+from charvar.variety import conjugator_search, enumerate_abelian, sample_point, sample_points
 
 
 class TestConstruction:
@@ -51,10 +63,12 @@ class TestConstruction:
         assert r.k == 3
         assert np.allclose(r.meridian(2), -K, atol=1e-15)
         # a partial whose product has nonzero real part cannot close
-        from charvar.errors import ConstraintViolated
-
         with pytest.raises(ConstraintViolated):
             complete_rep([I, I])
+        # no meridians: the empty product 1 is not traceless
+        for empty in ([], np.zeros((0, 4))):
+            with pytest.raises(ConstraintViolated):
+                complete_rep(empty)
 
     def test_surface_relation_enforced(self):
         with pytest.raises(RelationViolated):
@@ -81,12 +95,19 @@ class TestFingerprint:
         g = random_unit(rng)
         assert fingerprint(r).distance(fingerprint(conjugate_rep(g, r))) <= 1e-13
 
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(29)
-        reps = [sample_point(6, np.random.default_rng((29, i))) for i in range(8)]
-        batch = fingerprint_batch(np.stack([r.meridians for r in reps]))
-        for row, r in zip(batch, reps):
-            assert np.array_equal(row, fingerprint(r).values)
+    def test_batch_matches_single(self, monkeypatch):
+        # fingerprint_batch does not depend on how the stack is chunked, and
+        # fingerprint is the same kernel on one representation
+        def rows(keys, rngs):
+            return list(fingerprint_batch(sample_points(6, rngs)))
+
+        monkeypatch.setattr(selftest, "CHUNK", 16)
+        chunked = np.stack(selftest.chunked(29, (), 40, rows))
+        monkeypatch.setattr(selftest, "CHUNK", 256)
+        whole = np.stack(selftest.chunked(29, (), 40, rows))
+        assert chunked.tobytes() == whole.tobytes()
+        for i, row in enumerate(whole):
+            assert row.tobytes() == fingerprint(sample_point(6, np.random.default_rng((29, i)))).values.tobytes()
 
     def test_distance_separates_random_classes(self):
         # distinct random classes should separate by far more than FP_TOL;
@@ -257,3 +278,148 @@ class TestSerialization:
         assert isinstance(back, SurfaceRep)
         for g1, g2 in zip(back.generators(), s.generators()):
             assert np.array_equal(g1, g2)
+
+
+def _stacked_rows(monkeypatch, seed, stacked, inputs):
+    """Pairs (input, row) of ``stacked`` on the campaign inputs ``inputs(rngs)``
+    of 40 samples keyed (seed, i), after checking that chunks of 16 give
+    the same bytes as one stack."""
+
+    def rows(keys, rngs):
+        return list(stacked(inputs(rngs)))
+
+    monkeypatch.setattr(selftest, "CHUNK", 16)
+    chunked = np.stack(selftest.chunked(seed, (), 40, rows))
+    monkeypatch.setattr(selftest, "CHUNK", 256)
+    whole = np.stack(selftest.chunked(seed, (), 40, rows))
+    assert chunked.tobytes() == whole.tobytes()
+    return zip(selftest.chunked(seed, (), 40, lambda keys, rngs: list(inputs(rngs))), whole)
+
+
+def _perturbed(rngs, k):
+    """Samples of R(S^2, k) with each meridian scaled off unit norm by about
+    1e-8, so that the constructors renormalize."""
+    return sample_points(k, rngs) * (1.0 + 1e-8 * np.stack([rng.normal(size=(k, 1)) for rng in rngs]))
+
+
+class TestStackedConstructors:
+    """The stacked constructors are the one implementation: a row does not
+    depend on the rows stacked with it, and each one-sample constructor is
+    a one-row call of its stacked form."""
+
+    def test_make_reps(self, monkeypatch):
+        for m, row in _stacked_rows(monkeypatch, 3, make_reps, lambda rngs: _perturbed(rngs, 6)):
+            assert make_rep(m).meridians.tobytes() == row.tobytes()
+
+    def test_complete_reps(self, monkeypatch):
+        for part, row in _stacked_rows(monkeypatch, 5, complete_reps, lambda rngs: _perturbed(rngs, 7)[:, :-1]):
+            assert complete_rep(part).meridians.tobytes() == row.tobytes()
+
+    def test_make_surface_reps(self, monkeypatch):
+        def inputs(rngs):
+            return pushforwards(sample_points(6, rngs)) * (1.0 + 1e-9)
+
+        for gens, row in _stacked_rows(monkeypatch, 7, make_surface_reps, inputs):
+            assert np.stack(make_surface_rep(*gens).generators()).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_bd_from_angles(self, n, monkeypatch):
+        # angles on both sides of [0, 2 pi): the stacked form reduces them
+        # as TorusCoords does
+        def angles(rngs):
+            return np.stack([rng.uniform(-10.0, 10.0, size=2 * n - 2) for rng in rngs])
+
+        for thetas, row in _stacked_rows(monkeypatch, 11, bd_from_angles, angles):
+            assert row.shape == (2 * n, 4)
+            assert bd_from_torus(TorusCoords(n, thetas)).meridians.tobytes() == row.tobytes()
+        # a tiny negative angle reduces to exactly 2 pi, which a second
+        # reduction would turn into 0, with other bits
+        thetas = np.full((1, 2 * n - 2), -1e-20)
+        assert bd_from_angles(thetas)[0].tobytes() == bd_from_torus(TorusCoords(n, thetas[0])).meridians.tobytes()
+
+    def test_bd_from_angles_rejects_odd_angle_counts(self):
+        with pytest.raises(ValueError):
+            bd_from_angles(np.zeros((2, 3)))
+
+
+V = [I, J, -J, -I]
+TILTED = np.array([0.6, 0.8, 0.0, 0.0])  # a unit quaternion with re = 0.6
+ONE_ROW = {
+    make_reps: make_rep,
+    complete_reps: complete_rep,
+    make_surface_reps: lambda gens: make_surface_rep(*gens),
+}
+
+
+@pytest.mark.parametrize(
+    "stacked,stack,kind,message,row",
+    [
+        pytest.param(
+            make_reps,
+            [V, [I, J, 1.5 * J, 0.5 * ONE], [I, TILTED, -J, -I]],
+            ValueError,
+            "meridian 2 is not a unit quaternion: |q| = 1.500000",
+            1,
+            id="make_reps-unit",
+        ),
+        pytest.param(
+            make_reps,
+            [V, V, [I, TILTED, -J, -I]],
+            NotTraceless,
+            "meridian 1 is not traceless: re = 6.000e-01",
+            2,
+            id="make_reps-traceless",
+        ),
+        pytest.param(
+            make_reps,
+            [V, [I, J, K, J], V],
+            ProductNotIdentity,
+            "meridian product differs from 1 by 1.414e+00",
+            1,
+            id="make_reps-product",
+        ),
+        pytest.param(
+            complete_reps,
+            [[I, J, -J], [2 * I, J, K], [I, 1.5 * J, -J]],
+            ConstraintViolated,
+            "partial product has re = -1.000e+00, not on the variety",
+            1,
+            id="complete_reps-constraint",
+        ),
+        pytest.param(
+            complete_reps,
+            [[I, J, -J], [I, 1.5 * J, -J]],
+            ValueError,
+            "meridian 1 is not a unit quaternion: |q| = 1.500000",
+            1,
+            id="complete_reps-unit",
+        ),
+        pytest.param(
+            make_surface_reps,
+            [[ONE] * 4, [ONE, ONE, 2 * ONE, 3 * ONE]],
+            ValueError,
+            "generator r2 is not a unit quaternion: |q| = 2.000000",
+            1,
+            id="make_surface_reps-unit",
+        ),
+        pytest.param(
+            make_surface_reps,
+            [[ONE] * 4, [ONE] * 4, [I, J, K, qmul(I, J)]],
+            RelationViolated,
+            "surface relation residual 2.000e+00",
+            2,
+            id="make_surface_reps-relation",
+        ),
+    ],
+)
+def test_rejected_stacks_raise_for_their_first_row(stacked, stack, kind, message, row):
+    # a row meets the checks in the order of the one-sample constructor,
+    # and the stack raises for its first rejected row with exc.row set; the
+    # one-row call on that row raises the same without a row
+    stack = np.array(stack, dtype=float)
+    with pytest.raises(ValueError) as exc:
+        stacked(stack)
+    assert (type(exc.value), str(exc.value), exc.value.row) == (kind, message, row)
+    with pytest.raises(ValueError) as exc:
+        ONE_ROW[stacked](stack[row])
+    assert (type(exc.value), str(exc.value), getattr(exc.value, "row", None)) == (kind, message, None)

@@ -1,4 +1,5 @@
-"""The quaternion kernels and the cover against an independent model: SU(2)
+"""The quaternion kernels, the constructors, the sampler and the cover
+against an independent model: SU(2)
 as complex 2x2 matrices, where w + xi + yj + zk is
 [[w + ix, y + iz], [-y + iz, w - ix]] and every product is a complex
 matmul.  No code of charvar computes what these tests compare against."""
@@ -20,7 +21,7 @@ from charvar.cover import (
     surface_samples,
 )
 from charvar.quat import I, J, ONE, commutator_defect, exp_pure, qmul
-from charvar.rep import fingerprint_batch, sphere_names, word_labels
+from charvar.rep import bd_from_angles, complete_reps, fingerprint_batch, sphere_names, word_labels
 from charvar.variety import sample_points
 
 # unit-scale entries: a product of a few of them rounds to within a few
@@ -50,6 +51,15 @@ def assert_close(got, want, tol=MODEL_TOL):
     assert float(np.max(np.abs(got - want))) <= tol
 
 
+def assert_traceless_relations(meridians):
+    """Each row of an (N, k, 4) stack is k traceless SU(2) matrices whose
+    ordered product is the identity."""
+    X = su2(meridians)
+    assert_close(np.trace(X, axis1=-2, axis2=-1), 0.0)
+    assert_close(X @ np.conj(np.swapaxes(X, -1, -2)), np.eye(2))
+    assert_close(functools.reduce(np.matmul, np.moveaxis(X, 1, 0)), np.eye(2))
+
+
 class TestKernels:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(quaternions, quaternions)
@@ -63,6 +73,36 @@ class TestKernels:
         U, V = su2(u), su2(v)
         assert_close(su2(commutator_defect(u, v)), U @ V - V @ U)
         assert_close(su2(commutator_defect(u[None], v[None])[0]), U @ V - V @ U)
+
+
+class TestVariety:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.integers(3, 12), seeds)
+    def test_sample_points_are_traceless_relations(self, k, keys):
+        assert_traceless_relations(sample_points(k, rngs_of(keys)))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.integers(3, 12), seeds)
+    def test_complete_reps_close_the_relation(self, k, keys):
+        # sign flips keep re(q_1 ... q_{k-1}) = 0, so each partial tuple of
+        # flipped samples has a completion
+        partial = sample_points(k, rngs_of(keys))[:, :-1]
+        partial = partial * np.random.default_rng(keys).choice([-1.0, 1.0], size=partial.shape[:2])[..., None]
+        rows = complete_reps(partial)
+        assert_traceless_relations(rows)
+        assert_close(su2(rows[:, :-1]), su2(partial))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.integers(2, 6), seeds)
+    def test_bd_from_angles_are_planar_traceless_relations(self, n, keys):
+        thetas = np.stack([np.random.default_rng(key).uniform(-10.0, 10.0, size=2 * n - 2) for key in keys])
+        rows = bd_from_angles(thetas)
+        assert_traceless_relations(rows)
+        # the direction (x, y, z) of a traceless x i + y j + z k read off
+        # its matrix [[i x, y + i z], ...]
+        X = su2(rows)
+        directions = np.stack([X[..., 0, 0].imag, X[..., 0, 1].real, X[..., 0, 1].imag], axis=-1)
+        assert (np.linalg.matrix_rank(directions, tol=1e-9) <= 2).all()
 
 
 class TestCover:

@@ -4,6 +4,7 @@ abelian census."""
 import numpy as np
 import pytest
 
+from charvar import selftest
 from charvar.errors import AbelianInput, ConstraintViolated
 from charvar.quat import I, J, K, exp_pure, gprod, qmul
 from charvar.rep import alpha_star, bd_from_torus, fingerprint, make_rep, TorusCoords
@@ -64,11 +65,23 @@ class ScriptedNormals:
 
 
 class TestBatchSampler:
+    """sample_points is the one sampler: a row does not depend on the rows
+    stacked with it, and sample_point is its one-row call."""
+
     @pytest.mark.parametrize("k", range(3, 17))
-    def test_rows_are_the_scalar_samples(self, k):
-        rows = sample_points(k, [np.random.default_rng((107, k, i)) for i in range(12)])
-        assert rows.shape == (12, k, 4)
-        for i, row in enumerate(rows):
+    def test_rows_are_the_scalar_samples(self, k, monkeypatch):
+        def rows(keys, rngs):
+            return list(sample_points(k, rngs))
+
+        # 40 rows in chunks of 16 cross two chunk boundaries; in chunks of
+        # 256 they are one stack
+        monkeypatch.setattr(selftest, "CHUNK", 16)
+        chunked = np.stack(selftest.chunked(107, (k,), 40, rows))
+        monkeypatch.setattr(selftest, "CHUNK", 256)
+        whole = np.stack(selftest.chunked(107, (k,), 40, rows))
+        assert whole.shape == (40, k, 4)
+        assert chunked.tobytes() == whole.tobytes()
+        for i, row in enumerate(whole):
             single = sample_point(k, np.random.default_rng((107, k, i)))
             assert row.tobytes() == single.meridians.tobytes()
 
