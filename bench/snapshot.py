@@ -85,6 +85,11 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
     thetas = np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, size=(ROWS, 4))
     bd_from_angles = getattr(rep, "bd_from_angles", None)
     qa, qb = (np.random.default_rng(seed).normal(size=(ROWS, 4)) for seed in (12, 13))
+    parts = meridians[:, :-1]
+    certificates = {
+        name: getattr(variety, name, None)
+        for name in ("submersion_certificates", "conjugation_ranks", "local_dimensions")
+    }
     ops = {
         "qmul": (
             lambda: [quat.qmul(a, b) for a, b in zip(qa, qb)],
@@ -115,6 +120,21 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
             lambda: [variety.sample_point(6, rng) for rng in rngs()],
             lambda: variety.sample_points(6, rngs()),
             "variety.sample_points",
+        ),
+        "submersion_certificate": (
+            lambda: [variety.submersion_certificate(p) for p in parts],
+            certificates["submersion_certificates"] and (lambda: certificates["submersion_certificates"](parts)),
+            "variety.submersion_certificates",
+        ),
+        "conjugation_rank": (
+            lambda: [variety.conjugation_rank(p) for p in parts],
+            certificates["conjugation_ranks"] and (lambda: certificates["conjugation_ranks"](parts)),
+            "variety.conjugation_ranks",
+        ),
+        "local_dimension": (
+            lambda: [variety.local_dimension(r) for r in reps],
+            certificates["local_dimensions"] and (lambda: certificates["local_dimensions"](meridians)),
+            "variety.local_dimensions",
         ),
         "pushforward": (
             lambda: [cover.pushforward(r) for r in reps],

@@ -136,13 +136,10 @@ def _common_axis(a, b, c, d) -> np.ndarray:
     whose angle is bounded away from 0 and pi, then take the image of j
     under any rotation carrying i to Q; if Q is within 1e-6 of +-i, take j
     itself."""
-    axis = None
-    for g in (a, b, c, d):
-        aa = axis_angle(g)
-        if min(aa.angle, np.pi - aa.angle) >= 1e-6:
-            axis = aa.axis
-            break
-    if axis is None or min(np.linalg.norm(axis - I), np.linalg.norm(axis + I)) <= 1e-6:
+    aa = axis_angle(np.stack([a, b, c, d]))
+    away = np.minimum(aa.angle, np.pi - aa.angle) >= 1e-6
+    axis = aa.axis[np.argmax(away)]
+    if not away.any() or min(np.linalg.norm(axis - I), np.linalg.norm(axis + I)) <= 1e-6:
         return J.copy()
     return conjugate(rotor_between(I, axis), J)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,19 +93,16 @@ def tau(zs) -> np.ndarray:
     return np.conj(np.asarray(zs, dtype=complex))
 
 
+@lru_cache(maxsize=None)
 def matrix_A(n: int) -> np.ndarray:
     """The exact pairing matrix: zero diagonal, (-1)^(i+j) above it, and
-    (-1)^(i+j+1) below (1-based indices); antisymmetric by construction."""
+    (-1)^(i+j+1) below (1-based indices); antisymmetric by construction.
+    One read-only array per n."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n = {n}")
-    m = 2 * n - 2
-    A = np.zeros((m, m), dtype=np.int64)
-    for p in range(m):
-        for q in range(m):
-            if p < q:
-                A[p, q] = (-1) ** (p + q)
-            elif p > q:
-                A[p, q] = -((-1) ** (p + q))
+    idx = np.arange(2 * n - 2)
+    A = np.sign(idx - idx[:, None]) * (-1) ** np.add.outer(idx, idx)
+    A.flags.writeable = False
     return A
 
 

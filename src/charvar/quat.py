@@ -77,7 +77,7 @@ def re(q: np.ndarray) -> float:
 
 def im(q: np.ndarray) -> np.ndarray:
     """Imaginary part as a 3-vector."""
-    return q[..., 1:] if q.ndim > 1 else q[1:]
+    return q[..., 1:]
 
 
 def qconj(q: np.ndarray) -> np.ndarray:
@@ -255,19 +255,19 @@ class AxisAngle:
 
 
 def axis_angle(q: np.ndarray) -> AxisAngle:
-    """Polar decomposition of a unit quaternion.
+    """Polar decomposition of a unit quaternion or of each of a (..., 4) stack.
 
     For q within TOL_UNIT of +-1 the axis is conventionally I (the angle
     still carries all the information there).
     """
-    v = q[1:]
-    s = float(np.sqrt(np.dot(v, v)))
-    angle = float(np.arctan2(s, q[0]))
-    if s <= TOL_UNIT:
-        return AxisAngle(angle, I)
-    axis = np.zeros(4)
-    axis[1:] = v / s
-    return AxisAngle(angle, axis)
+    v = q[..., 1:]
+    s = np.sqrt(np.vecdot(v, v))
+    angle = np.arctan2(s, q[..., 0])
+    central = s <= TOL_UNIT
+    axis = np.zeros(q.shape)
+    axis[..., 1:] = v / np.where(central, 1.0, s)[..., None]
+    axis[central] = I
+    return AxisAngle(float(angle) if q.ndim == 1 else angle, axis)
 
 
 def exp_chart(zs: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ from .errors import (
     ProductNotIdentity,
     RelationViolated,
 )
-from .quat import I, K, ONE, gprod, qconj, qinv, qmul
+from .quat import I, K, ONE, gprod, qinv, qmul
 
 TOL_REL = 1e-10
 # a meridian or generator whose norm is farther than this from 1 is rejected

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import cover, morse, quat, rep, variety
-from .quat import I, J, K, exp_pure, qconj, qmul
+from .quat import I, J, K, exp_pure, gprod, qconj, qmul
 from .rep import fingerprint, make_rep, torus_from_bd
 from .variety import ABELIAN, BINARY_DIHEDRAL, GENERIC
 
@@ -79,22 +79,26 @@ def _rng(seed: int, *path: int) -> np.random.Generator:
 CHUNK = 256
 
 
+def rows_named(keys: list, stacked, *args):
+    """``stacked(*args)``; a rejected row (the exception carries ``row``)
+    is named by its key."""
+    try:
+        return stacked(*args)
+    except ValueError as exc:
+        if getattr(exc, "row", None) is not None:
+            exc.args = (f"sample {keys[exc.row]}: {exc}",)
+        raise
+
+
 def chunked(seed: int, path: tuple[int, ...], count: int, fn: Callable[[list, list], list]) -> list:
     """The concatenated lists ``fn(keys, rngs)`` over runs of CHUNK samples
     i < count, sample i keyed (seed, *path, i) and drawing from the
-    generator of that key.  When a stacked validation rejects a row of the
-    run (the exception carries ``row``), the exception names that
-    sample's key."""
+    generator of that key.  A stacked rejection names its sample's key
+    (:func:`rows_named`)."""
     out = []
     for start in range(0, count, CHUNK):
         keys = [(seed, *path, i) for i in range(start, min(start + CHUNK, count))]
-        try:
-            out += fn(keys, [np.random.default_rng(key) for key in keys])
-        except ValueError as exc:
-            row = getattr(exc, "row", None)
-            if row is not None:
-                exc.args = (f"sample {keys[row]}: {exc}",)
-            raise
+        out += rows_named(keys, fn, keys, [np.random.default_rng(key) for key in keys])
     return out
 
 
@@ -197,36 +201,37 @@ def check_submersion(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     matches a finite difference, a rank-1 constraint Jacobian, a rank-3
     conjugation action, and local dimension 2k-6."""
     ks = (4, 6, 8)
-    samples = {}
+    jac, conj = np.zeros(counts["submersion"], dtype=int), np.zeros(counts["submersion"], dtype=int)
+    min_deriv, worst_fd = np.inf, 0.0
     for first, k in enumerate(ks):
-        # sample i has k = ks[i % 3] and draws from (seed, 4, i, retry),
-        # retry counting up from 0 while its draw is abelian
-        indices = list(range(first, counts["submersion"], len(ks)))
-        rows = np.empty((len(indices), k, 4))
-        redraw, retry = np.arange(len(indices)), 0
-        while redraw.size:
-            rows[redraw] = variety.sample_points(k, [_rng(seed, 4, indices[j], retry) for j in redraw.tolist()])
-            redraw, retry = redraw[variety.locus_ranks(rows[redraw]) <= 1], retry + 1
-        samples.update(zip(indices, rows))
-    min_deriv = np.inf
-    worst_fd = 0.0
-    for i in range(counts["submersion"]):
-        sample = rep.PuncturedSphereRep(samples[i])
-        partial = sample.meridians[:-1]
-        cert = variety.submersion_certificate(partial)
-        min_deriv = min(min_deriv, abs(cert.derivative))
-        fd = (
-            variety.eval_f(variety.deform(partial, cert, SUBMERSION_STEP))
-            - variety.eval_f(variety.deform(partial, cert, -SUBMERSION_STEP))
-        ) / (2.0 * SUBMERSION_STEP)
-        worst_fd = max(worst_fd, abs(fd - cert.derivative))
-        if cert.jacobian_rank != 1:
-            return CheckResult(False, f"sample {i}: df rank {cert.jacobian_rank}")
-        if variety.conjugation_rank(partial) != 3:
-            return CheckResult(False, f"sample {i}: conjugation rank != 3")
-        dim = variety.local_dimension(sample)
-        if dim != 2 * sample.k - 6:
-            return CheckResult(False, f"sample {i}: local dimension {dim} != {2 * sample.k - 6}")
+        group = range(first, counts["submersion"], len(ks))
+        for start in range(0, len(group), CHUNK):
+            # sample i has k = ks[i % 3] and draws from (seed, 4, i, retry),
+            # retry counting up from 0 while its draw is abelian
+            indices = group[start : start + CHUNK]
+            rows = np.empty((len(indices), k, 4))
+            retries = np.zeros(len(indices), dtype=int)
+            redraw, retry = np.arange(len(indices)), 0
+            while redraw.size:
+                rows[redraw] = variety.sample_points(k, [_rng(seed, 4, indices[j], retry) for j in redraw.tolist()])
+                redraw, retry = redraw[variety.locus_ranks(rows[redraw]) <= 1], retry + 1
+                retries[redraw] = retry
+            parts = rows[:, :-1]
+            keys = [(seed, 4, i, r) for i, r in zip(indices, retries.tolist())]
+            cert = rows_named(keys, variety.submersion_certificates, parts)
+            fd = (
+                gprod(variety.deform(parts, cert, SUBMERSION_STEP))[:, 0]
+                - gprod(variety.deform(parts, cert, -SUBMERSION_STEP))[:, 0]
+            ) / (2.0 * SUBMERSION_STEP)
+            min_deriv = min(min_deriv, float(np.min(np.abs(cert.derivative))))
+            worst_fd = max(worst_fd, float(np.max(np.abs(fd - cert.derivative))))
+            jac[indices] = cert.jacobian_rank
+            conj[indices] = variety.conjugation_ranks(parts)
+    # with df of rank 1 and conjugation of rank 3 the local dimension, 2(k - 1)
+    # minus these two ranks, is 2k - 6
+    for i in np.flatnonzero((jac != 1) | (conj != 3))[:1]:
+        detail = f"df rank {jac[i]}" if jac[i] != 1 else "conjugation rank != 3"
+        return CheckResult(False, f"sample {i}: {detail}")
     ok = min_deriv > MIN_DERIVATIVE and worst_fd <= SUBMERSION_FD_TOL
     return CheckResult(
         ok,

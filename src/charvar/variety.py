@@ -6,8 +6,9 @@ unit spheres; the last meridian is the inverse of the product.  This module
 samples f^{-1}(0) exactly, classifies points into the abelian, binary
 dihedral, and generic loci by the rank of the meridian directions, and
 produces explicit submersion certificates away from the abelian points.
-The sampler is implemented once, on stacks (:func:`sample_points`);
-:func:`sample_point` is its one-row call.
+The sampler and the certificate layer are implemented once, on stacks;
+:func:`sample_point`, :func:`submersion_certificate`, :func:`conjugation_rank`
+and :func:`local_dimension` are one-row calls of their stacked forms.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import quat
 from .errors import AbelianInput, ConstraintViolated
-from .quat import I, J, K, axis_angle, gprod, im, qmul
-from .rep import PuncturedSphereRep, TOL_REL, complete_reps, one_row
+from .quat import I, J, K, axis_angle, gprod, qmul
+from .rep import PuncturedSphereRep, TOL_REL, complete_reps, one_row, raise_first
 
 RANK_TOL_FACTOR = 1e-8
 CONJUGATOR_TOL = 1e-7
@@ -78,6 +79,15 @@ def _pure_directions(rng: np.random.Generator, count: int) -> tuple[np.ndarray, 
     return v, n
 
 
+def _orthonormal_pair(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors u and axis x u orthogonal to each unit 3-vector of a
+    stack: u is axis x e_c, normalized, for the coordinate c of smallest
+    |axis_c|."""
+    u = np.cross(axis, np.eye(3)[np.argmin(np.abs(axis), axis=-1)])
+    u /= quat.norm(u)[..., None]
+    return u, np.cross(axis, u)
+
+
 def sample_points(k: int, rngs) -> np.ndarray:
     """Draw a point of f^{-1}(0) exactly from each of the distinct generators
     ``rngs``: one (N, k, 4) stack of meridians.
@@ -105,12 +115,7 @@ def sample_points(k: int, rngs) -> np.ndarray:
     nw = np.sqrt(np.vecdot(wv, wv))
     central = nw <= CENTRAL_CUTOFF
     turning = ~central
-    axis = wv[turning] / nw[turning, None]
-    h = np.zeros_like(axis)
-    h[np.arange(axis.shape[0]), np.argmin(np.abs(axis), axis=1)] = 1.0
-    u = np.cross(axis, h)
-    u /= np.sqrt(np.vecdot(u, u))[:, None]
-    v = np.cross(axis, u)
+    u, v = _orthonormal_pair(wv[turning] / nw[turning, None])
     phi = []
     for rng, row, is_central in zip(rngs, qs, central):
         if is_central:
@@ -150,36 +155,28 @@ def classify_locus(rep: PuncturedSphereRep) -> LocusLabel:
     return locus_label(int(locus_ranks(rep.meridians)))
 
 
-def _df_gradient(part: np.ndarray) -> np.ndarray:
-    """Analytic gradient of f over the tangent directions of each sphere factor.
+def _df_ranks(parts: np.ndarray) -> np.ndarray:
+    """Rank (0 or 1) of df at each row of an (N, m, 4) stack, from its
+    analytic gradient over the tangent directions of each sphere factor.
 
     The tangent space at q is spanned by q V for pure V orthogonal to q; the
     derivative along it is re(prefix * qV * suffix).
     """
-    m = part.shape[0]
-    pre = [quat.ONE]
-    for q in part:
-        pre.append(qmul(pre[-1], q))
-    suf = [quat.ONE]
-    for q in part[::-1]:
-        suf.append(qmul(q, suf[-1]))
-    suf = suf[::-1]
-    grads = []
+    n, m = parts.shape[:2]
+    pre, suf = np.empty((2, n, m + 1, 4))
+    pre[:, 0] = suf[:, m] = quat.ONE
     for a in range(m):
-        axis = part[a, 1:]
-        h = np.zeros(3)
-        h[int(np.argmin(np.abs(axis)))] = 1.0
-        v1 = quat.cross(axis, h)
-        v1 /= np.linalg.norm(v1)
-        v2 = quat.cross(axis, v1)
-        for v in (v1, v2):
-            V = np.array([0.0, *v])
-            grads.append(qmul(qmul(pre[a], qmul(part[a], V)), suf[a + 1])[0])
-    return np.array(grads)
+        pre[:, a + 1] = qmul(pre[:, a], parts[:, a])
+        suf[:, m - 1 - a] = qmul(parts[:, m - 1 - a], suf[:, m - a])
+    V = np.zeros((n, m, 2, 4))
+    V[..., 1:] = np.stack(_orthonormal_pair(parts[..., 1:]), axis=-2)
+    grads = qmul(qmul(pre[:, :m, None], qmul(parts[:, :, None], V)), suf[:, 1:, None])[..., 0]
+    return (np.max(np.abs(grads), axis=(1, 2)) > RANK_TOL_FACTOR).astype(int)
 
 
-def submersion_certificate(partial) -> SubmersionCertificate:
-    """Explicit first-order certificate that f submerses at a non-abelian point.
+def submersion_certificates(parts) -> SubmersionCertificate:
+    """Explicit first-order certificates that f submerses at the non-abelian
+    tuples of an (N, m, 4) stack: one certificate whose fields hold a row each.
 
     Picks adjacent non-proportional coordinates q_l, q_{l+1}, forms the cyclic
     complement x, and deforms whichever of q_{l+1}, q_l pairs with the factor
@@ -187,72 +184,75 @@ def submersion_certificate(partial) -> SubmersionCertificate:
     from the moved coordinate toward the axis, which stays on the sphere because
     the two are orthogonal on the constraint set.
     """
-    part = np.asarray(partial, dtype=float)
-    m = part.shape[0]
-    if m < 2:
-        raise ValueError("need at least two meridians to certify")
-    seps = np.empty(m - 1)
-    for p in range(m - 1):
-        seps[p] = min(
-            np.linalg.norm(part[p] - part[p + 1]), np.linalg.norm(part[p] + part[p + 1])
-        )
-    p = int(np.argmax(seps))
-    if seps[p] <= 1e-9:
-        raise AbelianInput("all meridians proportional: f is not a submersion here")
-    x = gprod([*part[p + 2 :], *part[:p]])
-    u1 = qmul(x, part[p])
-    u2 = qmul(part[p + 1], x)
-    s1 = float(np.linalg.norm(u1[1:]))
-    s2 = float(np.linalg.norm(u2[1:]))
-    if max(s1, s2) <= 1e-12:
-        raise ConstraintViolated("both cyclic factors are central, certificate degenerates")
-    if s1 >= s2:
-        moved, u = p + 1, u1
-    else:
-        moved, u = p, u2
-    aa = axis_angle(u)
-    grad = _df_gradient(part)
-    jac_rank = int(np.max(np.abs(grad)) > RANK_TOL_FACTOR)
+    parts = np.asarray(parts, dtype=float)
+    n, m = parts.shape[:2]
+    raise_first((np.full(n, m < 2), lambda row: ValueError("need at least two meridians to certify")))
+    seps = np.minimum(quat.norm(parts[:, :-1] - parts[:, 1:]), quat.norm(parts[:, :-1] + parts[:, 1:]))
+    p = np.argmax(seps, axis=1)
+    rows = np.arange(n)
+    x = gprod(parts[rows[:, None], (p[:, None] + 2 + np.arange(m - 2)) % m])
+    u1 = qmul(x, parts[rows, p])
+    u2 = qmul(parts[rows, p + 1], x)
+    s1, s2 = quat.norm(u1[:, 1:]), quat.norm(u2[:, 1:])
+    central = np.maximum(s1, s2) <= 1e-12
+    raise_first(
+        (seps[rows, p] <= 1e-9, lambda row: AbelianInput("all meridians proportional: f is not a submersion here")),
+        (central, lambda row: ConstraintViolated("both cyclic factors are central, certificate degenerates")),
+    )
+    first = s1 >= s2
+    aa = axis_angle(np.where(first[:, None], u1, u2))
     return SubmersionCertificate(
         pair_index=p,
-        moved=moved,
+        moved=np.where(first, p + 1, p),
         axis=aa.axis,
-        derivative=-float(np.sin(aa.angle)),
-        jacobian_rank=jac_rank,
+        derivative=-np.sin(aa.angle),
+        jacobian_rank=_df_ranks(parts),
     )
 
 
+def submersion_certificate(partial) -> SubmersionCertificate:
+    """:func:`submersion_certificates` on one tuple: its row of each field."""
+    stack = one_row(submersion_certificates, [partial])
+    return SubmersionCertificate(*(v[0] if v.ndim > 1 else v[0].item() for v in vars(stack).values()))
+
+
 def deform(partial, cert: SubmersionCertificate, t: float) -> np.ndarray:
-    """The certificate's deformation path at parameter t."""
-    part = np.array(partial, dtype=float)
-    part[cert.moved] = np.cos(t) * part[cert.moved] + np.sin(t) * cert.axis
-    return part
+    """The certificate's deformation path at parameter t; on an (N, m, 4)
+    stack with stacked certificates, each row along its own path."""
+    part = np.asarray(partial, dtype=float)
+    moving = np.arange(part.shape[-2])[:, None] == np.asarray(cert.moved)[..., None, None]
+    return np.where(moving, np.cos(t) * part + np.sin(t) * cert.axis[..., None, :], part)
+
+
+def conjugation_ranks(parts) -> np.ndarray:
+    """Rank of the infinitesimal conjugation action on each tuple of an
+    (N, m, 4) stack: rows are the brackets [u, q_a] over u in {i, j, k}.
+    3 exactly when the action is locally free (non-abelian tuple)."""
+    parts = np.asarray(parts, dtype=float)
+    u = np.stack([I, J, K])[:, None]
+    brackets = qmul(u, parts[:, None]) - qmul(parts[:, None], u)
+    svals = np.linalg.svd(brackets[..., 1:].reshape(len(parts), 3, 3 * parts.shape[1]), compute_uv=False)
+    return np.sum(svals > RANK_TOL_FACTOR * svals[:, :1], axis=-1)
 
 
 def conjugation_rank(partial) -> int:
-    """Rank of the infinitesimal conjugation action on a tuple: rows are the
-    brackets [u, q_a] over u in {i, j, k}.  3 exactly when the action is
-    locally free (non-abelian tuple)."""
-    part = np.asarray(partial, dtype=float)
-    rows = []
-    for u in (I, J, K):
-        rows.append(np.concatenate([(qmul(u, q) - qmul(q, u))[1:] for q in part]))
-    M = np.vstack(rows)
-    svals = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(svals > RANK_TOL_FACTOR * svals[0]))
+    """:func:`conjugation_ranks` on one tuple of meridians."""
+    return int(one_row(conjugation_ranks, [partial])[0])
+
+
+def local_dimensions(meridians) -> np.ndarray:
+    """dim at each non-abelian class of an (N, k, 4) stack: ambient 2(k-1),
+    minus the rank of df (1), minus the rank of the conjugation action (3).
+    Both ranks are measured, not assumed."""
+    abelian = locus_ranks(meridians) <= 1
+    raise_first((abelian, lambda row: AbelianInput("local dimension is undefined at abelian points")))
+    parts = np.asarray(meridians, dtype=float)[:, :-1]
+    return 2 * parts.shape[1] - _df_ranks(parts) - conjugation_ranks(parts)
 
 
 def local_dimension(rep: PuncturedSphereRep) -> int:
-    """dim at a non-abelian class: ambient 2(k-1), minus the rank of df (1),
-    minus the rank of the conjugation action (3).  Both ranks are measured,
-    not assumed."""
-    if classify_locus(rep).label == ABELIAN:
-        raise AbelianInput("local dimension is undefined at abelian points")
-    part = rep.meridians[:-1]
-    grad = _df_gradient(part)
-    rank_df = int(np.max(np.abs(grad)) > RANK_TOL_FACTOR)
-    rank_conj = conjugation_rank(part)
-    return 2 * part.shape[0] - rank_df - rank_conj
+    """:func:`local_dimensions` at one point."""
+    return int(one_row(local_dimensions, rep.meridians[None])[0])
 
 
 def sign_transport(partial, signs) -> np.ndarray:

@@ -76,6 +76,14 @@ class TestExactCombinatorics:
         )
         assert np.array_equal(matrix_A(3), want)
 
+    def test_matrix_is_cached_read_only(self):
+        for n in range(2, 9):
+            A = matrix_A(n)
+            assert A is matrix_A(n) and A.dtype == np.int64 and not A.flags.writeable
+            # (-1)^(i+j) above the diagonal, its negative below
+            for i, j in np.ndindex(A.shape):
+                assert A[i, j] == np.sign(j - i) * (-1) ** (i + j)
+
     def test_pfaffian_against_reference(self):
         rng = np.random.default_rng(307)
         for size in (2, 4, 6):

@@ -175,6 +175,20 @@ class TestExponential:
         back = axis_angle(q)
         assert np.allclose(exp_pure(back.angle, back.axis), q, atol=1e-14)
 
+    def test_axis_angle_stack_matches_rows(self):
+        # rows at and near +-1 take the conventional axis I
+        stack = np.concatenate(
+            [units(7, 200), [ONE, -ONE, ONE + 1e-13 * J, quat(-1.0, 0.0, -0.0, 0.0)]]
+        )
+        batch = axis_angle(stack)
+        assert batch.angle.shape == (204,) and batch.axis.shape == (204, 4)
+        for q, angle, axis in zip(stack, batch.angle, batch.axis):
+            one = axis_angle(q)
+            assert type(one.angle) is float
+            assert np.float64(one.angle).tobytes() == angle.tobytes()
+            assert one.axis.tobytes() == axis.tobytes()
+        assert np.array_equal(batch.axis[-4:], np.tile(I, (4, 1)))
+
     def test_exp_pure_rejects_non_pure_axis(self):
         with pytest.raises(ValueError):
             exp_pure(0.5, quat(0.5, 0.5, 0.5, 0.5))
@@ -306,3 +320,17 @@ def test_cross_is_np_cross_bit_for_bit():
     for a, b in rng.normal(size=(500, 2, 3)):
         assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
         assert cross(a, (1.0, 0.0, 0.0)).tobytes() == np.cross(a, [1.0, 0.0, 0.0]).tobytes()
+
+
+def test_ufuncs_give_scalar_bits_on_arrays():
+    # stacked paths (axis_angle, the submersion certificate, the morse chart)
+    # match their one-sample calls only if these ufuncs round an array
+    # element as they round the same float alone; SIMD loops of numpy may
+    # not on every CPU
+    rng = np.random.default_rng(51)
+    x = np.concatenate([rng.uniform(-10.0, 10.0, 10000), rng.normal(scale=1e-3, size=10000)])
+    y = rng.permutation(x)
+    for name, args in (("arctan2", (np.abs(x), y)), ("sin", (x,)), ("cos", (x,)), ("hypot", (x, y))):
+        fn = getattr(np, name)
+        singles = np.array([fn(*floats) for floats in zip(*(a.tolist() for a in args))])
+        assert fn(*args).tobytes() == singles.tobytes(), name

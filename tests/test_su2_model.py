@@ -1,5 +1,5 @@
-"""The quaternion kernels, the constructors, the sampler and the cover
-against an independent model: SU(2)
+"""The quaternion kernels, the constructors, the sampler, the submersion
+certificates and the cover against an independent model: SU(2)
 as complex 2x2 matrices, where w + xi + yj + zk is
 [[w + ix, y + iz], [-y + iz, w - ix]] and every product is a complex
 matmul.  No code of charvar computes what these tests compare against."""
@@ -20,9 +20,16 @@ from charvar.cover import (
     section_inputs,
     surface_samples,
 )
-from charvar.quat import I, J, ONE, commutator_defect, exp_pure, qmul
+from charvar.quat import I, J, K, ONE, commutator_defect, exp_pure, qmul
 from charvar.rep import bd_from_angles, complete_reps, fingerprint_batch, sphere_names, word_labels
-from charvar.variety import sample_points
+from charvar.variety import (
+    RANK_TOL_FACTOR,
+    conjugation_ranks,
+    deform,
+    enumerate_abelian,
+    sample_points,
+    submersion_certificates,
+)
 
 # unit-scale entries: a product of a few of them rounds to within a few
 # ulps of 1, far inside this bound
@@ -103,6 +110,35 @@ class TestVariety:
         X = su2(rows)
         directions = np.stack([X[..., 0, 0].imag, X[..., 0, 1].real, X[..., 0, 1].imag], axis=-1)
         assert (np.linalg.matrix_rank(directions, tol=1e-9) <= 2).all()
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.integers(3, 12), seeds)
+    def test_certificate_derivative_is_the_slope_of_the_half_trace(self, k, keys):
+        parts = sample_points(k, rngs_of(keys))[:, :-1]
+        cert = submersion_certificates(parts)
+        step = 1e-5
+
+        def f(t):
+            X = su2(deform(parts, cert, t))
+            return half_trace(functools.reduce(np.matmul, np.moveaxis(X, 1, 0)))
+
+        assert_close((f(step) - f(-step)) / (2.0 * step), cert.derivative, tol=1e-6)
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(st.integers(2, 5), seeds)
+    def test_conjugation_rank_is_the_rank_of_the_brackets(self, n, keys):
+        k = 2 * n
+        thetas = np.stack([np.random.default_rng(key).uniform(-10.0, 10.0, size=k - 2) for key in keys])
+        abelian = np.stack([r.meridians for r in enumerate_abelian(k)])
+        parts = np.concatenate([sample_points(k, rngs_of(keys)), bd_from_angles(thetas), abelian])[:, :-1]
+        # [X, Q_a] for X in the su(2) basis, one row of real coordinates per X
+        X, Q = su2(np.stack([I, J, K]))[:, None], su2(parts)[:, None]
+        brackets = (X @ Q - Q @ X).reshape(len(parts), 3, -1)
+        svals = np.linalg.svd(np.concatenate([brackets.real, brackets.imag], axis=-1), compute_uv=False)
+        want = np.sum(svals > RANK_TOL_FACTOR * svals[:, :1], axis=-1)
+        assert np.array_equal(conjugation_ranks(parts), want)
+        # abelian tuples are fixed by a circle of conjugations
+        assert (want[-len(abelian) :] == 2).all() and (want[: -len(abelian)] == 3).all()
 
 
 class TestCover:

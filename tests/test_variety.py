@@ -4,10 +4,10 @@ abelian census."""
 import numpy as np
 import pytest
 
-from charvar import selftest
+from charvar import selftest, variety
 from charvar.errors import AbelianInput, ConstraintViolated
-from charvar.quat import I, J, K, exp_pure, gprod, qmul
-from charvar.rep import alpha_star, bd_from_torus, fingerprint, make_rep, TorusCoords
+from charvar.quat import I, J, K, ONE, exp_pure, gprod, qmul
+from charvar.rep import alpha_star, bd_from_angles, bd_from_torus, fingerprint, make_rep, TorusCoords
 from charvar.variety import (
     ABELIAN,
     BINARY_DIHEDRAL,
@@ -15,15 +15,18 @@ from charvar.variety import (
     classify_locus,
     locus_ranks,
     conjugation_rank,
+    conjugation_ranks,
     deform,
     enumerate_abelian,
     eval_f,
     eval_g,
     local_dimension,
+    local_dimensions,
     sample_point,
     sample_points,
     sign_transport,
     submersion_certificate,
+    submersion_certificates,
 )
 
 
@@ -192,6 +195,144 @@ class TestSubmersion:
     def test_conjugation_rank_generic(self):
         r = sample_point(6, np.random.default_rng(149))
         assert conjugation_rank(r.meridians[:-1]) == 3
+
+
+class TestStackedCertificates:
+    """submersion_certificates, conjugation_ranks and local_dimensions are
+    the one certificate layer; the one-sample functions are one-row calls."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_check_line_does_not_depend_on_chunk(self, seed, monkeypatch):
+        # 30 samples per k: chunks of 8 split each group in four
+        counts = {"submersion": 90}
+        line = selftest.check_submersion(counts, seed)
+        monkeypatch.setattr(selftest, "CHUNK", 8)
+        assert selftest.check_submersion(counts, seed) == line
+        assert line.ok
+
+    @pytest.mark.parametrize("k", [3, 4, 6, 8, 12])
+    def test_one_row_calls_are_rows_of_the_stack(self, k):
+        meridians = sample_points(k, [np.random.default_rng((151, k, i)) for i in range(40)])
+        if k % 2 == 0:
+            # binary dihedral rows: planar meridians, rank 2
+            meridians[:10] = bd_from_angles(np.random.default_rng((157, k)).uniform(0.0, 7.0, size=(10, k - 2)))
+        parts = meridians[:, :-1]
+        certs = submersion_certificates(parts)
+        ranks = conjugation_ranks(parts)
+        dims = local_dimensions(meridians)
+        moved = deform(parts, certs, 0.3)
+        for i, (row, part) in enumerate(zip(meridians, parts)):
+            cert = submersion_certificate(part)
+            assert (cert.pair_index, cert.moved, cert.jacobian_rank) == (
+                certs.pair_index[i],
+                certs.moved[i],
+                certs.jacobian_rank[i],
+            )
+            assert cert.axis.tobytes() == certs.axis[i].tobytes()
+            assert np.float64(cert.derivative).tobytes() == certs.derivative[i].tobytes()
+            assert deform(part, cert, 0.3).tobytes() == moved[i].tobytes()
+            assert conjugation_rank(part) == ranks[i]
+            assert local_dimension(make_rep(row)) == dims[i]
+        # an empty stack gives empty results
+        assert submersion_certificates(parts[:0]).derivative.shape == (0,)
+        assert conjugation_ranks(parts[:0]).shape == local_dimensions(meridians[:0]).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "stacked, stack, kind, message, row",
+        [
+            pytest.param(
+                submersion_certificates,
+                [[I], [J]],
+                ValueError,
+                "need at least two meridians to certify",
+                0,
+                id="certificate-shape",
+            ),
+            pytest.param(
+                submersion_certificates,
+                # [i, i, -i] is central too: proportionality comes first
+                [[I, J, exp_pure(0.4, K)], [I, I, -I], [ONE, 2.0 * ONE, ONE]],
+                AbelianInput,
+                "all meridians proportional: f is not a submersion here",
+                1,
+                id="certificate-abelian",
+            ),
+            pytest.param(
+                submersion_certificates,
+                [[I, J, exp_pure(0.4, K)], [ONE, 2.0 * ONE, ONE], [I, I, -I]],
+                ConstraintViolated,
+                "both cyclic factors are central, certificate degenerates",
+                1,
+                id="certificate-central",
+            ),
+            pytest.param(
+                local_dimensions,
+                [[I, J, I, J], [I, J, -I, -J], [I, I, -I, -I]],
+                AbelianInput,
+                "local dimension is undefined at abelian points",
+                2,
+                id="local-dimension-abelian",
+            ),
+        ],
+    )
+    def test_rejected_stacks_raise_for_their_first_row(self, stacked, stack, kind, message, row):
+        stack = np.array(stack, dtype=float)
+        with pytest.raises(ValueError) as exc:
+            stacked(stack)
+        assert (type(exc.value), str(exc.value), exc.value.row) == (kind, message, row)
+        with pytest.raises(ValueError) as exc:
+            if stacked is submersion_certificates:
+                submersion_certificate(stack[row])
+            else:
+                local_dimension(make_rep(stack[row]))
+        assert (type(exc.value), str(exc.value), getattr(exc.value, "row", None)) == (kind, message, None)
+
+    def test_check_reports_its_first_failing_sample(self, monkeypatch):
+        true_certificates, true_ranks = submersion_certificates, conjugation_ranks
+
+        # row r of the group of k = ks[i % 3] is sample i = 3 r + i % 3
+        def jacobian_rank_0_at_sample_8(parts):
+            cert = true_certificates(parts)
+            if parts.shape[1] + 1 == 8:
+                cert.jacobian_rank[2] = 0
+            return cert
+
+        def conjugation_rank_2_at_samples_15_and_10(parts):
+            ranks = true_ranks(parts)
+            row = {4: 5, 6: 3}.get(parts.shape[1] + 1)
+            if row is not None:
+                ranks[row] = 2
+            return ranks
+
+        monkeypatch.setattr(variety, "submersion_certificates", jacobian_rank_0_at_sample_8)
+        assert selftest.check_submersion({"submersion": 30}, 2).detail == "sample 8: df rank 0"
+        monkeypatch.setattr(variety, "conjugation_ranks", conjugation_rank_2_at_samples_15_and_10)
+        # samples 15 (k = 4), 10 (k = 6) and 8 (k = 8) fail: the k = 4 group
+        # is certified first, and the smallest sample is reported
+        assert selftest.check_submersion({"submersion": 30}, 2).detail == "sample 8: df rank 0"
+        monkeypatch.setattr(variety, "submersion_certificates", true_certificates)
+        assert selftest.check_submersion({"submersion": 30}, 2).detail == "sample 10: conjugation rank != 3"
+
+    def test_check_names_a_rejected_sample_by_its_draw_key(self, monkeypatch):
+        def central_from_row_5(parts):
+            parts = parts.copy()
+            parts[5:] = [ONE, 2.0 * ONE, ONE]
+            return submersion_certificates(parts)
+
+        first_draw = iter([True])
+
+        def abelian_at_first_draw_of_row_5(meridians):
+            ranks = locus_ranks(meridians)
+            if next(first_draw, False):
+                ranks[5] = 1
+            return ranks
+
+        monkeypatch.setattr(variety, "submersion_certificates", central_from_row_5)
+        monkeypatch.setattr(variety, "locus_ranks", abelian_at_first_draw_of_row_5)
+        with pytest.raises(ConstraintViolated) as exc:
+            selftest.check_submersion({"submersion": 30}, 2)
+        # row 5 of the k = 4 group is sample 15, drawn again at retry 1
+        assert str(exc.value) == "sample (2, 4, 15, 1): both cyclic factors are central, certificate degenerates"
 
 
 class TestCensus:
