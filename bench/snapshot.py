@@ -1,6 +1,6 @@
 """Speed snapshot of charvar: microseconds per operation, scalar and per
-stacked row, and the acceptance criteria of the stacked pipelines at full
-counts.
+stacked row, the morse solvers per call, and the acceptance criteria and
+the link sampler at full counts.
 
     python3 bench/snapshot.py
 
@@ -30,20 +30,26 @@ sys.path.insert(0, str(ROOT))
 
 import numpy as np  # noqa: E402
 
-from charvar import cover, quat, rep, selftest, variety  # noqa: E402
+from charvar import cover, morse, quat, rep, selftest, variety  # noqa: E402
 from perfbench.worker import HostSpeed  # noqa: E402
 
 ROWS = 256  # inputs per timed pass, scalar and stacked alike
 REPEATS = 5
-# acceptance criteria on stacks, with their budgets in tests/test_acceptance.py
+REFINE_POINTS = 16  # link points refined one at a time per timed pass
+# acceptance criteria, with their budgets in tests/test_acceptance.py; the
+# link sampler is no criterion and has no budget
 CRITERIA = (
     (1, "abelian-census", selftest.check_abelian_census, 1.0),
     (2, "cover-roundtrip", selftest.check_cover_roundtrip, 10.0),
     (3, "fiber-two-fold", selftest.check_fiber_two_fold, 10.0),
     (4, "lemma52-branches", selftest.check_lemma52_branches, 10.0),
+    (5, "hessian-exact", selftest.check_hessian_exact, 1.0),
+    (6, "hessian-numeric", selftest.check_hessian_numeric, 5.0),
     (7, "small-k-rigidity", selftest.check_small_k_rigidity, 5.0),
     (8, "submersion-certificates", selftest.check_submersion, 10.0),
+    (9, "chart-symmetries", selftest.check_chart_symmetries, 5.0),
     (10, "bd-torus", selftest.check_bd_torus, 5.0),
+    (None, "link-sampler", selftest.check_link_sampler, None),
 )
 
 
@@ -72,8 +78,7 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
     """Microseconds per operation: the one-sample function ("scalar") on ROWS
     inputs one at a time, and its stacked form on one stack of ROWS rows,
     per row.  Where the one-sample function is a one-row call of the
-    stacked form, "scalar" is the cost of such a call; ``qmul`` on one
-    quaternion keeps its own scalar branch."""
+    stacked form, "scalar" is the cost of such a call."""
     rngs = lambda: [np.random.default_rng((7, i)) for i in range(ROWS)]  # noqa: E731
     reps = [variety.sample_point(6, rng) for rng in rngs()]
     surfaces = [cover.pushforward(r) for r in reps]
@@ -90,11 +95,17 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
         name: getattr(variety, name, None)
         for name in ("submersion_certificates", "conjugation_ranks", "local_dimensions")
     }
+    zs = 0.5 * (qa + 1j * qb)  # n = 3 chart coordinates
     ops = {
         "qmul": (
             lambda: [quat.qmul(a, b) for a, b in zip(qa, qb)],
             lambda: quat.qmul(qa, qb),
             "quat.qmul on (N, 4) stacks",
+        ),
+        "eval_chart_g(3)": (
+            lambda: [morse.eval_chart_g(3, z) for z in zs],
+            stacked_chart(zs) and (lambda: morse.eval_chart_g(3, zs)),
+            "morse.eval_chart_g on (N, 4) coordinate stacks",
         ),
         "make_rep": (
             lambda: [rep.make_rep(m) for m in meridians],
@@ -168,6 +179,27 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
     return out
 
 
+def stacked_chart(zs: np.ndarray) -> bool:
+    """Whether this checkout's ``eval_chart_g`` takes coordinate stacks."""
+    try:
+        morse.eval_chart_g(3, zs)
+    except ValueError:
+        return False
+    return True
+
+
+def morse_solvers(speed: HostSpeed) -> dict[str, dict]:
+    """Microseconds per call of the finite-difference Hessian at n = 8 and
+    per refined link point at n = 3 (REFINE_POINTS unrefined samples)."""
+    starts = [p.zs for p in morse.sample_link(3, REFINE_POINTS, np.random.default_rng(14))]
+    return {
+        "fd_hessian(8)": per_op(lambda: morse.fd_hessian(8), 1, speed),
+        "refine_chart_zero(3)": per_op(
+            lambda: [morse.refine_chart_zero(3, z) for z in starts], REFINE_POINTS, speed
+        ),
+    }
+
+
 def criteria(speed: HostSpeed) -> dict[str, dict]:
     out = {}
     for number, name, check, budget in CRITERIA:
@@ -178,14 +210,14 @@ def criteria(speed: HostSpeed) -> dict[str, dict]:
         elapsed = time.perf_counter() - start
         speed.probe()
         scaled = elapsed * speed.factor(first - 1, len(speed.samples))
-        out[f"criterion_{number}"] = {
+        out[name if number is None else f"criterion_{number}"] = {
             "check": name,
             "ok": result.ok,
             "raw_s": elapsed,
             "scaled_s": scaled,
             "budget_s": budget,
-            "raw_share": elapsed / budget,
-            "scaled_share": scaled / budget,
+            "raw_share": budget and elapsed / budget,
+            "scaled_share": budget and scaled / budget,
         }
     return out
 
@@ -209,6 +241,7 @@ def main() -> int:
         "rows": ROWS,
         "repeats": REPEATS,
         "layers_us_per_op": layers(speed),
+        "morse_us_per_call": morse_solvers(speed),
         "criteria_full_counts": criteria(speed),
         "host_probe_median_s": speed.median(),
     }

@@ -200,7 +200,7 @@ def lemma52_solve(a, b, c, d) -> np.ndarray:
     return lemma52_detailed(a, b, c, d).x
 
 
-def _coset_point(theta: float) -> np.ndarray:
+def _coset_point(theta) -> np.ndarray:
     return qmul(exp_pure(theta, K), I)
 
 
@@ -220,7 +220,7 @@ def lemma_branch_inputs(branch: int, rng: np.random.Generator):
         u = random_pure(rng)
         alpha, beta = rng.uniform(0.2, 1.2, size=2)
         gamma = np.pi - alpha - beta
-        return exp_pure(alpha, u), exp_pure(beta, u), exp_pure(gamma, u), random_unit(rng)
+        return (*exp_pure(np.array([alpha, beta, gamma]), u), random_unit(rng))
     if branch == 4:
         u = random_pure(rng)
         c = exp_pure(rng.uniform(0.2, 1.2), u)
@@ -231,10 +231,10 @@ def lemma_branch_inputs(branch: int, rng: np.random.Generator):
             gaps = (0.0, -eps, -2.0 * eps, -eps)
         else:
             gaps = (0.0, eps, 0.0, -eps)
-        return tuple(_coset_point(theta + d) for d in gaps)
+        return tuple(_coset_point(theta + np.array(gaps)))
     if branch == 7:
         u = random_pure(rng)
-        return tuple(exp_pure(t, u) for t in rng.uniform(0.0, 2.0 * np.pi, size=4))
+        return tuple(exp_pure(rng.uniform(0.0, 2.0 * np.pi, size=4), u))
     raise ValueError(f"no constructed family for branch {branch}")
 
 

@@ -7,7 +7,9 @@ z_l = x_l + i y_l.  Its Hessian at 0 is the block pairing of an exact
 integer antisymmetric matrix A; certifying det(A) odd (and signature
 zero) certifies the cone-on-(S^{2n-3} x S^{2n-3})/S^1 local model.  The
 integer work here is exact (arbitrary precision); the finite-difference
-and sampling routines provide the numeric cross-checks.
+and sampling routines provide the numeric cross-checks.  The chart
+function is evaluated on stacks of points: the Hessian stencil and each
+Newton step of the refinement are one stack each.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quat import I, exp_chart, gprod
+from .quat import I, exp_chart
 from .rep import PuncturedSphereRep, complete_rep
+from .variety import eval_g
 
 FD_STEP = 1e-4
 FD_TOL = 1e-6
@@ -74,12 +77,13 @@ class LinkPoint:
     is_real: bool
 
 
-def eval_chart_g(n: int, zs) -> float:
-    """g(z) = re(i * prod_l (i e^{x_l j + y_l k})), the chart cutout function."""
+def eval_chart_g(n: int, zs):
+    """g(z) = re(i * prod_l (i e^{x_l j + y_l k})), the chart cutout function:
+    a float on one point, an array on a (..., 2n-2) stack of points."""
     z = np.asarray(zs, dtype=complex)
-    if n < 2 or z.shape != (2 * n - 2,):
+    if n < 2 or z.ndim == 0 or z.shape[-1] != 2 * n - 2:
         raise ValueError(f"expected 2n-2 = {2 * n - 2} coordinates for n = {n}")
-    return float(gprod([I, *exp_chart(z)])[0])
+    return eval_g(exp_chart(z))
 
 
 def s1_orbit(zs, theta: float) -> np.ndarray:
@@ -176,24 +180,20 @@ def certify_hessian_combinatorics(n: int) -> HessianReport:
 
 def fd_hessian(n: int) -> np.ndarray:
     """Central finite-difference Hessian of the chart function at 0, step
-    FD_STEP, over the 2(2n-2) derivative coordinates (y_1..y_m, x_1..x_m)."""
+    FD_STEP, over the 2(2n-2) derivative coordinates (y_1..y_m, x_1..x_m).
+    The whole stencil, 1 + 2d + 4 C(d, 2) points in d = 2(2n-2) dimensions,
+    is one stack."""
     m = 2 * n - 2
     dim = 2 * m
-
-    def f(u: np.ndarray) -> float:
-        return eval_chart_g(n, u[m:] + 1j * u[:m])
-
+    e = FD_STEP * np.eye(dim)
+    p, q = np.triu_indices(dim, 1)
+    u = np.concatenate([np.zeros((1, dim)), e, -e, e[p] + e[q], e[p] - e[q], -e[p] + e[q], -e[p] - e[q]])
+    f0, fp, fm, fpp, fpm, fmp, fmm = np.split(
+        eval_chart_g(n, u[:, m:] + 1j * u[:, :m]), np.cumsum([1, dim, dim] + [p.size] * 3)
+    )
     H = np.empty((dim, dim))
-    f0 = f(np.zeros(dim))
-    for p in range(dim):
-        ep = np.zeros(dim)
-        ep[p] = FD_STEP
-        H[p, p] = (f(ep) - 2.0 * f0 + f(-ep)) / FD_STEP**2
-        for q in range(p + 1, dim):
-            eq = np.zeros(dim)
-            eq[q] = FD_STEP
-            val = (f(ep + eq) - f(ep - eq) - f(-ep + eq) + f(-ep - eq)) / (4.0 * FD_STEP**2)
-            H[p, q] = H[q, p] = val
+    H[np.diag_indices(dim)] = (fp - 2.0 * f0 + fm) / FD_STEP**2
+    H[p, q] = H[q, p] = (fpp - fpm - fmp + fmm) / (4.0 * FD_STEP**2)
     return H
 
 
@@ -227,12 +227,13 @@ def certify_hessian_numeric(n: int) -> HessianReport:
     )
 
 
-def quadratic_form(n: int, zs) -> float:
+def quadratic_form(n: int, zs):
     """The exact second-order term of the chart function: (-1)^n x^T A y
-    with x = re(z), y = im(z)."""
+    with x = re(z), y = im(z); a float on one point, an array on a stack."""
     z = np.asarray(zs, dtype=complex)
     A = matrix_A(n).astype(float)
-    return float((-1) ** n) * float(z.real @ (A @ z.imag))
+    q = float((-1) ** n) * np.vecdot(z.real, (A @ z.imag[..., None])[..., 0])
+    return float(q) if q.ndim == 0 else q
 
 
 def gauge_fix(zs) -> np.ndarray:
@@ -258,27 +259,26 @@ def _unit_vector(rng: np.random.Generator, m: int) -> np.ndarray:
 
 def refine_chart_zero(n: int, zs) -> np.ndarray:
     """Newton-project a point of the unit sphere onto the exact cutout
-    g^{-1}(0), staying on the sphere; numerical gradients."""
+    g^{-1}(0), staying on the sphere; central-difference gradients.  Each
+    step evaluates the point and its 4m stencil points as one stack."""
     v = np.array(zs, dtype=complex)
     m = v.shape[0]
     h = 1e-6
-    for _ in range(REFINE_STEPS):
-        val = eval_chart_g(n, v)
-        if abs(val) <= REFINE_TARGET:
+    d = np.zeros((m, m), dtype=complex)
+    d[np.diag_indices(m)] = h
+    for step in range(REFINE_STEPS + 1):
+        vals = eval_chart_g(n, np.concatenate([v[None], v + d, v - d, v + 1j * d, v - 1j * d]))
+        val = float(vals[0])
+        if abs(val) <= REFINE_TARGET or step == REFINE_STEPS:
             break
-        grad = np.empty(m, dtype=complex)
-        for idx in range(m):
-            dre = np.zeros(m, dtype=complex)
-            dre[idx] = h
-            gre = (eval_chart_g(n, v + dre) - eval_chart_g(n, v - dre)) / (2 * h)
-            gim = (eval_chart_g(n, v + 1j * dre) - eval_chart_g(n, v - 1j * dre)) / (2 * h)
-            grad[idx] = gre + 1j * gim
+        plus_re, minus_re, plus_im, minus_im = vals[1:].reshape(4, m)
+        grad = (plus_re - minus_re) / (2 * h) + 1j * ((plus_im - minus_im) / (2 * h))
         nsq = float(np.sum(np.abs(grad) ** 2))
         if nsq == 0.0:
             raise ArithmeticError("vanishing gradient during refinement")
         v = v - val * grad / nsq
         v = v / np.linalg.norm(v)
-    residual = abs(eval_chart_g(n, v))
+    residual = abs(val)
     if residual > REFINE_TOL:
         raise ArithmeticError(f"refinement stalled at residual {residual:.3e}")
     return v

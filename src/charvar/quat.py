@@ -1,6 +1,6 @@
 """Unit quaternion arithmetic.
 
-Quaternions are numpy arrays of shape (4,) in the order [w, x, y, z], so
+Quaternions are numpy arrays in the order [w, x, y, z] on the last axis, so
 ``q = w + x i + y j + z k``.  Unit quaternions model SU(2); the real part
 ``re`` is half the trace of the corresponding SU(2) matrix, and the pure
 unit quaternions (re = 0) form the 2-sphere of traceless elements.
@@ -9,16 +9,12 @@ All group-element constructors renormalize; chained group products go
 through :func:`gprod`, which renormalizes once the accumulated norm drift
 exceeds ``RENORM_DRIFT``.
 
-:func:`qmul`, :func:`gprod` (and so :func:`commutator` and :func:`conjugate`)
-and :func:`commutator_defect` also take stacks with the components on the
-last axis, and a stack gives bit for bit the rows the scalar calls give:
-elementwise ufuncs evaluate the same expressions in the same order.  Dot
-products are the exception.  On 3- and 4-vectors ``np.dot`` (a BLAS dot)
-differs in the last bit from a sequential sum, from ``einsum`` and from
-``np.linalg.norm(..., axis=-1)`` on a sizeable share of rows, while
-``np.vecdot`` and stacked ``matmul`` call the same kernel as ``np.dot``.
-So every dot or norm on a batch path that must match a scalar path is
-``np.vecdot`` or ``np.sqrt(np.vecdot(...))``.
+Every operation has one implementation, on (..., 4) stacks; one
+quaternion is a stack of one.  Every dot or norm is ``np.vecdot`` or
+``np.sqrt(np.vecdot(...))``: on 3- and 4-vectors these call the BLAS kernel
+``np.dot`` calls, as stacked ``matmul`` does, while a sequential sum,
+``einsum`` and ``np.linalg.norm(..., axis=-1)`` differ from it in the last
+bit on a sizeable share of rows.
 """
 
 from __future__ import annotations
@@ -48,18 +44,8 @@ def quat(w: float, x: float, y: float, z: float) -> np.ndarray:
 
 
 def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product.  Works on single quaternions and on broadcastable
-    stacks with the components on the last axis.  |ab| = |a||b|; no
+    """Hamilton product of broadcastable stacks.  |ab| = |a||b|; no
     renormalization happens here (see gprod for group products)."""
-    if a.ndim == 1 and b.ndim == 1:
-        # the stacked expressions on Python floats, cheaper than numpy scalars
-        aw, ax, ay, az = a.tolist()
-        bw, bx, by, bz = b.tolist()
-        w = aw * bw - ax * bx - ay * by - az * bz
-        x = aw * bx + ax * bw + ay * bz - az * by
-        y = aw * by - ax * bz + ay * bw + az * bx
-        z = aw * bz + ax * by - ay * bx + az * bw
-        return np.array([w, x, y, z], dtype=float)
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
@@ -71,8 +57,8 @@ def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def re(q: np.ndarray) -> float:
-    """Real part; equals half the SU(2) trace."""
-    return q[..., 0] if q.ndim > 1 else q[0]
+    """Real part; equals half the SU(2) trace.  A scalar on one quaternion."""
+    return np.take(q, 0, axis=-1)
 
 
 def im(q: np.ndarray) -> np.ndarray:
@@ -91,15 +77,15 @@ def qinv(q: np.ndarray) -> np.ndarray:
     return qconj(q)
 
 
-def norm(q: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(q, q))) if q.ndim == 1 else np.sqrt(np.vecdot(q, q))
+def norm(q: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(q, q))
 
 
 def normalize(q: np.ndarray) -> np.ndarray:
     n = norm(q)
-    if np.any(np.asarray(n) == 0.0):
+    if np.any(n == 0.0):
         raise ValueError("cannot normalize a zero quaternion")
-    return q / n if q.ndim == 1 else q / n[..., None]
+    return q / n[..., None]
 
 
 def gprod(*qs: np.ndarray) -> np.ndarray:
@@ -107,8 +93,7 @@ def gprod(*qs: np.ndarray) -> np.ndarray:
 
     Takes the factors as arguments or as one list, or one (N, m, 4) stack:
     then each of the N rows is the product of its m factors.  Factors may
-    be (..., 4) stacks; each row of the product is renormalized on its
-    own, bit for bit what the scalar call gives for that row.
+    be (..., 4) stacks; each row of the product is renormalized on its own.
     """
     p = ONE
     if len(qs) == 1 and isinstance(qs[0], np.ndarray) and qs[0].ndim == 3:
@@ -119,9 +104,6 @@ def gprod(*qs: np.ndarray) -> np.ndarray:
         qs = tuple(qs[0])
     for q in qs:
         p = qmul(p, q)
-    if p.ndim == 1:
-        sq = np.dot(p, p)
-        return p / np.sqrt(sq) if abs(sq - 1.0) > RENORM_DRIFT else p
     sq = np.vecdot(p, p)
     drifted = np.abs(sq - 1.0) > RENORM_DRIFT
     return np.where(drifted[..., None], p / np.sqrt(sq)[..., None], p)
@@ -159,13 +141,6 @@ def _split_products(a, b, c, d):
     return p, ep, q, eq
 
 
-def _product_diff(a: float, b: float, c: float, d: float) -> float:
-    """a*b - c*d with the rounding error of each product compensated: the
-    correctly rounded sum p + ep - q - eq of the split products, by fsum."""
-    p, ep, q, eq = _split_products(a, b, c, d)
-    return math.fsum((p, ep, -q, -eq))
-
-
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """s = fl(a + b) and the error e with a + b = s + e exactly (Knuth)."""
     s = a + b
@@ -174,7 +149,9 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _product_diffs(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """:func:`_product_diff` elementwise on arrays, bit for bit.
+    """a*b - c*d elementwise, with the rounding error of each product
+    compensated: the correctly rounded sum of the split products, which is
+    what ``math.fsum`` returns.
 
     fsum returns S = p + ep - q - eq correctly rounded.  Four error-free
     TwoSum steps give S = r + rho + e + k exactly, with r = fl(s + m) for
@@ -212,15 +189,9 @@ def commutator_defect(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     whose vector part is twice the cross product of the imaginary parts.
     Compensation matters when u and v nearly commute: the naive difference
     of products loses all significant digits exactly where downstream code
-    normalizes the defect into a direction.  On (..., 4) stacks each row is
-    bit for bit the defect of the scalar call, which rounds with fsum.
+    normalizes the defect into a direction.  Each component is rounded
+    once, as ``math.fsum`` of the split products rounds it.
     """
-    if u.ndim == 1 and v.ndim == 1:
-        out = np.zeros(4)
-        out[1] = 2.0 * _product_diff(u[2], v[3], u[3], v[2])
-        out[2] = 2.0 * _product_diff(u[3], v[1], u[1], v[3])
-        out[3] = 2.0 * _product_diff(u[1], v[2], u[2], v[1])
-        return out
     out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
     out[..., 1:] = 2.0 * _product_diffs(u[..., _NEXT], v[..., _PREV], u[..., _PREV], v[..., _NEXT])
     return out
@@ -231,18 +202,20 @@ def is_unit(q: np.ndarray, tol: float = TOL_UNIT) -> bool:
 
 
 def is_pure_unit(q: np.ndarray, tol: float = TOL_PURE) -> bool:
-    return abs(norm(q) - 1.0) <= tol and abs(q[0]) <= tol
+    return (abs(norm(q) - 1.0) <= tol) & (abs(q[..., 0]) <= tol)
 
 
-def exp_pure(angle: float, axis: np.ndarray) -> np.ndarray:
-    """e^{angle * axis} = cos(angle) + sin(angle) * axis for a pure unit axis."""
+def exp_pure(angle, axis: np.ndarray) -> np.ndarray:
+    """e^{angle * axis} = cos(angle) + sin(angle) * axis for pure unit axes:
+    angles of shape (...) against (..., 4) axes, broadcast."""
     axis = np.asarray(axis, dtype=float)
-    if axis.shape != (4,):
+    if axis.ndim == 0 or axis.shape[-1] != 4:
         raise ValueError(f"axis must be a quaternion of shape (4,), got {axis.shape}")
-    if not is_pure_unit(axis, tol=1e-9):
+    if not np.all(is_pure_unit(axis, tol=1e-9)):
         raise ValueError("axis must be a pure unit quaternion")
-    out = np.sin(angle) * axis
-    out[0] = np.cos(angle)
+    angle = np.asarray(angle, dtype=float)
+    out = np.sin(angle)[..., None] * axis
+    out[..., 0] = np.cos(angle)
     return out
 
 
@@ -275,20 +248,15 @@ def exp_chart(zs: np.ndarray) -> np.ndarray:
 
     z = x + y i goes to i * e^{x j + y k}.  Each image is traceless exactly:
     i e^{v} has real part -<i, sin(r) v/r> = 0 for v in the span of j, k.
-    Returns an array of shape (m, 4).
+    Takes (..., m) coordinates and returns (..., m, 4); z = 0 goes to
+    i * 1 exactly.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    out = np.empty((zs.size, 4))
-    for idx, z in enumerate(zs):
-        x, y = z.real, z.imag
-        r = np.hypot(x, y)
-        if r == 0.0:
-            ev = ONE
-        else:
-            s = np.sin(r) / r
-            ev = np.array([np.cos(r), 0.0, s * x, s * y])
-        out[idx] = qmul(I, ev)
-    return out
+    x, y = zs.real, zs.imag
+    r = np.hypot(x, y)
+    # at r = 0 the factor is [1, 0, +-0, +-0], which i times maps to i exactly
+    s = np.sin(r) / np.where(r == 0.0, 1.0, r)
+    return qmul(I, np.stack([np.cos(r), np.zeros_like(r), s * x, s * y], axis=-1))
 
 
 def random_pure(rng: np.random.Generator) -> np.ndarray:
@@ -314,15 +282,15 @@ def random_unit(rng: np.random.Generator) -> np.ndarray:
 
 
 def rotation_matrix(g: np.ndarray) -> np.ndarray:
-    """The SO(3) matrix by which conjugation by unit g rotates imaginary parts."""
-    w, x, y, z = g
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
+    """The SO(3) matrix by which conjugation by unit g rotates imaginary
+    parts; (..., 3, 3) on a (..., 4) stack."""
+    w, x, y, z = np.moveaxis(np.asarray(g), -1, 0)
+    rows = (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
     )
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def from_rotation_matrix(R: np.ndarray) -> np.ndarray:

@@ -108,20 +108,19 @@ ALGEBRA_TOL = 1e-12
 def check_quaternion_algebra(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     """Group algebra on random units: associativity, norms, conjugation,
     the rotation homomorphism, and the axis-angle round trip."""
-    worst = 0.0
-    for i in range(counts["algebra"]):
-        rng = _rng(seed, 1, i)
-        a, b, c = (quat.random_unit(rng) for _ in range(3))
-        worst = max(worst, float(np.linalg.norm(qmul(qmul(a, b), c) - qmul(a, qmul(b, c)))))
-        worst = max(worst, abs(float(np.linalg.norm(qmul(a, b))) - 1.0))
-        worst = max(worst, float(np.linalg.norm(qconj(qmul(a, b)) - qmul(qconj(b), qconj(a)))))
-        Rab = quat.rotation_matrix(qmul(a, b))
-        worst = max(
-            worst,
-            float(np.max(np.abs(Rab - quat.rotation_matrix(a) @ quat.rotation_matrix(b)))),
-        )
-        aa = quat.axis_angle(a)
-        worst = max(worst, float(np.linalg.norm(exp_pure(aa.angle, aa.axis) - a)))
+    rngs = [_rng(seed, 1, i) for i in range(counts["algebra"])]
+    triples = np.array([[quat.random_unit(rng) for _ in range(3)] for rng in rngs]).reshape(-1, 3, 4)
+    a, b, c = np.moveaxis(triples, 1, 0)
+    ab = qmul(a, b)
+    aa = quat.axis_angle(a)
+    deviations = [
+        quat.norm(qmul(ab, c) - qmul(a, qmul(b, c))),
+        abs(quat.norm(ab) - 1.0),
+        quat.norm(qconj(ab) - qmul(qconj(b), qconj(a))),
+        np.abs(quat.rotation_matrix(ab) - quat.rotation_matrix(a) @ quat.rotation_matrix(b)),
+        quat.norm(exp_pure(aa.angle, aa.axis) - a),
+    ]
+    worst = max(float(d.max(initial=0.0)) for d in deviations)
     ok = worst <= ALGEBRA_TOL
     return CheckResult(ok, f"max algebraic deviation {worst:.3e} over {counts['algebra']} triples")
 
@@ -419,21 +418,26 @@ def check_chart_symmetries(counts: Mapping[str, int], seed: int = 0) -> CheckRes
     worst_tau = 0.0
     worst_orbit = 0.0
     worst_cubic = 0.0
+    steps = (1e-1, 1e-2, 1e-3)
+    count = counts["symm_per_n"]
     for n in range(2, counts["symm_n_max"] + 1):
         m = 2 * n - 2
-        for i in range(counts["symm_per_n"]):
+        zs, thetas = np.empty((count, m), dtype=complex), np.empty((count, 1))
+        for i in range(count):
             rng = _rng(seed, 10, n, i)
-            zs = 0.5 * (rng.normal(size=m) + 1j * rng.normal(size=m))
-            val = morse.eval_chart_g(n, zs)
-            worst_tau = max(worst_tau, abs(morse.eval_chart_g(n, morse.tau(zs)) + val))
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            worst_orbit = max(worst_orbit, abs(morse.eval_chart_g(n, morse.s1_orbit(zs, theta)) - val))
-            if i < 20:
-                u = zs / np.linalg.norm(zs)
-                qu = morse.quadratic_form(n, u)
-                for t in (1e-1, 1e-2, 1e-3):
-                    gap = abs(morse.eval_chart_g(n, t * u) - t * t * qu)
-                    worst_cubic = max(worst_cubic, gap / t**3)
+            zs[i] = 0.5 * (rng.normal(size=m) + 1j * rng.normal(size=m))
+            thetas[i] = rng.uniform(0.0, 2.0 * np.pi)
+        # the first 20 samples on the unit sphere (np.linalg.norm of a
+        # complex vector, row by row), scaled by each step
+        z = zs[:20]
+        u = z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
+        stack = np.concatenate([zs, morse.tau(zs), morse.s1_orbit(zs, thetas), *(t * u for t in steps)])
+        val, conj, orbit, *scaled = np.split(morse.eval_chart_g(n, stack), np.cumsum([count] * 3 + [len(u)] * 2))
+        worst_tau = max(worst_tau, float(np.abs(conj + val).max(initial=0.0)))
+        worst_orbit = max(worst_orbit, float(np.abs(orbit - val).max(initial=0.0)))
+        qu = morse.quadratic_form(n, u)
+        for t, g in zip(steps, scaled):
+            worst_cubic = max(worst_cubic, float((np.abs(g - t * t * qu) / t**3).max(initial=0.0)))
     ok = worst_tau <= SYMMETRY_TOL and worst_orbit <= SYMMETRY_TOL and worst_cubic <= CUBIC_BOUND
     return CheckResult(
         ok,
@@ -501,10 +505,9 @@ def check_link_sampler(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
             if pt.zs[amax].imag != 0.0 or pt.zs[amax].real < 0.0:
                 return CheckResult(False, f"n={n}: gauge not fixed")
             real_tagged += int(pt.is_real)
-    worst_refined = 0.0
     refined = morse.sample_link(3, counts["link_refine"], _rng(seed, 14), refine=True)
+    worst_refined = float(np.abs(morse.eval_chart_g(3, np.stack([pt.zs for pt in refined]))).max())
     for pt in refined:
-        worst_refined = max(worst_refined, abs(morse.eval_chart_g(3, pt.zs)))
         worst_unit = max(worst_unit, abs(float(np.linalg.norm(pt.zs)) - 1.0))
     ok = (
         worst_unit <= morse.LINK_TOL

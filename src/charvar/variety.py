@@ -56,14 +56,21 @@ class SubmersionCertificate:
     jacobian_rank: int
 
 
-def eval_f(partial) -> float:
-    """re of the ordered product of the first k-1 meridians."""
-    return float(gprod(list(np.asarray(partial, dtype=float)))[0])
+def _real_part(p: np.ndarray):
+    """re of a product: a float on one quaternion, an array on a stack."""
+    return float(p[0]) if p.ndim == 1 else p[..., 0]
 
 
-def eval_g(partial) -> float:
-    """re(i q_2 ... q_{2n-1}): the cut-down constraint with x_1 = i fixed."""
-    return float(gprod([I, *np.asarray(partial, dtype=float)])[0])
+def eval_f(partial):
+    """re of the ordered product of the first k-1 meridians, on one
+    (k-1, 4) tuple or on each row of a (..., k-1, 4) stack."""
+    return _real_part(gprod(*np.moveaxis(np.asarray(partial, dtype=float), -2, 0)))
+
+
+def eval_g(partial):
+    """re(i q_2 ... q_{2n-1}): the cut-down constraint with x_1 = i fixed,
+    on one (2n-2, 4) tuple or on each row of a (..., 2n-2, 4) stack."""
+    return _real_part(gprod(I, *np.moveaxis(np.asarray(partial, dtype=float), -2, 0)))
 
 
 def _pure_directions(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -298,8 +305,5 @@ def conjugator_search(a: PuncturedSphereRep, b: PuncturedSphereRep) -> np.ndarra
     U, _, Vt = np.linalg.svd(a.meridians[:, 1:].T @ b.meridians[:, 1:])
     d = np.sign(np.linalg.det(U @ Vt))
     g = quat.from_rotation_matrix(Vt.T @ np.diag([1.0, 1.0, d]) @ U.T)
-    res = max(
-        float(np.linalg.norm(quat.conjugate(g, qa) - qb))
-        for qa, qb in zip(a.meridians, b.meridians)
-    )
-    return g if res <= CONJUGATOR_TOL else None
+    diff = quat.conjugate(g, a.meridians) - b.meridians
+    return g if np.sqrt(np.vecdot(diff, diff)).max() <= CONJUGATOR_TOL else None

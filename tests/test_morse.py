@@ -1,12 +1,13 @@
 """Exact Hessian combinatorics, finite-difference agreement, chart
 symmetries, and the link sampler at the singular points."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from charvar import selftest
+from charvar import morse, selftest
 from charvar.morse import (
     bareiss_determinant,
     certify_hessian_combinatorics,
@@ -26,6 +27,7 @@ from charvar.morse import (
     sample_link,
     tau,
 )
+from charvar.quat import I, exp_chart
 
 
 def pfaffian_reference(M):
@@ -209,6 +211,65 @@ class TestChart:
                 qu = quadratic_form(n, u)
                 for t in (1e-1, 1e-2, 1e-3):
                     assert abs(eval_chart_g(n, t * u) - t * t * qu) <= 10.0 * t**3
+
+
+def digest(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest()[:16]
+
+
+class TestStackedChart:
+    def test_stack_rows_are_the_one_point_calls(self):
+        # unit, small, zero and signed-zero coordinates, on a (2, 60, m) stack
+        rng = np.random.default_rng(397)
+        for n in range(2, 9):
+            m = 2 * n - 2
+            zs = rng.normal(size=(2, 60, m)) + 1j * rng.normal(size=(2, 60, m))
+            zs[0, ::3] *= 1e-3
+            zs[1, ::4, 0] = 0.0
+            zs[1, ::5, -1] = complex(-0.0, 0.0)
+            zs[1, 7] = 0.0
+            stacked = eval_chart_g(n, zs)
+            assert stacked.shape == (2, 60)
+            for row, value in zip(zs.reshape(-1, m), stacked.reshape(-1)):
+                one = eval_chart_g(n, row)
+                assert type(one) is float
+                assert np.float64(one).tobytes() == value.tobytes()
+
+    def test_zero_coordinates_give_exactly_i(self):
+        zs = np.array([[0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)], [0.5j, 0.0, 1.0, 0.0]])
+        factors = exp_chart(zs)
+        assert factors.shape == (2, 4, 4)
+        for factor in (*factors[0], factors[1, 1], factors[1, 3]):
+            assert factor.tobytes() == I.tobytes()
+
+    def test_shape_is_checked(self):
+        with pytest.raises(ValueError, match="expected 2n-2 = 4 coordinates for n = 3"):
+            eval_chart_g(3, np.zeros((5, 3), dtype=complex))
+
+    def test_fd_hessian_bytes_are_pinned(self):
+        # sha256 of fd_hessian(n).tobytes(), recorded when each stencil point
+        # was evaluated on its own, with numpy 2.4 on x86-64 Linux
+        pinned = {2: "cf02175a1ec8ac72", 3: "e6a48cfadf0a487b", 4: "3d37b67ff7c7d2c9", 5: "dc248f595f149540"}
+        for n, want in pinned.items():
+            assert digest(fd_hessian(n)) == want
+
+    def test_refined_link_bytes_are_pinned(self):
+        # recorded when each Newton step evaluated its stencil point by point
+        points = sample_link(3, 5, np.random.default_rng((3, 14)), refine=True)
+        assert digest(*(pt.zs for pt in points)) == "f39c0734d39637a3"
+        assert not any(pt.is_real for pt in points)
+
+    def test_refinement_evaluates_one_stack_per_step(self, monkeypatch):
+        sizes = []
+
+        def counted(n, zs):
+            sizes.append(np.shape(zs))
+            return eval_chart_g(n, zs)
+
+        monkeypatch.setattr(morse, "eval_chart_g", counted)
+        start = sample_link(3, 1, np.random.default_rng(401))[0].zs
+        refine_chart_zero(3, start)
+        assert len(sizes) >= 2 and set(sizes) == {(17, 4)}
 
 
 class TestLinkSampler:

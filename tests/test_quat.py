@@ -1,6 +1,8 @@
 """Unit quaternion arithmetic: multiplication table anchors, group
 identities on random units, and the exponential/axis-angle round trip."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from charvar.quat import (
     J,
     K,
     ONE,
+    RENORM_DRIFT,
     AxisAngle,
     axis_angle,
     commutator,
@@ -43,6 +46,56 @@ def units(seed, count=1):
     return qs[0] if count == 1 else qs
 
 
+# Independent references, row by row on Python floats and np.dot, for the
+# stacked kernels: each row must come out bit for bit as these compute it.
+
+
+def hamilton(a, b):
+    """The Hamilton product on Python floats."""
+    aw, ax, ay, az = (float(c) for c in a)
+    bw, bx, by, bz = (float(c) for c in b)
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def row_norm(q):
+    return np.sqrt(np.dot(q, q))
+
+
+def group_product(factors):
+    """Left-to-right Hamilton products from 1, renormalized once if the
+    squared norm drifted from 1 by more than RENORM_DRIFT."""
+    p = np.array([1.0, 0.0, 0.0, 0.0])
+    for q in factors:
+        p = hamilton(p, q)
+    sq = np.dot(p, p)
+    return p / np.sqrt(sq) if abs(sq - 1.0) > RENORM_DRIFT else p
+
+
+def split(x):
+    """Dekker's split of x into a high and a low half of at most 26 bits
+    each, so that every product of two halves is exact."""
+    high = 134217729.0 * x - (134217729.0 * x - x)
+    return high, x - high
+
+
+def compensated_defect(u, v):
+    """uv - vu as 2 im(u) x im(v), each component the correctly rounded
+    a b - c d: math.fsum of the exact products of split halves."""
+    out = [0.0]
+    for i, j in ((2, 3), (3, 1), (1, 2)):
+        (ah, al), (bh, bl), (ch, cl), (dh, dl) = (split(float(x)) for x in (u[i], v[j], u[j], v[i]))
+        terms = (ah * bh, ah * bl, al * bh, al * bl, -(ch * dh), -(ch * dl), -(cl * dh), -(cl * dl))
+        out.append(2.0 * math.fsum(terms))
+    return np.array(out)
+
+
 class TestMultiplicationTable:
     # hand anchors from i^2 = j^2 = k^2 = ijk = -1
     def test_basis_products(self):
@@ -63,17 +116,20 @@ class TestMultiplicationTable:
         rng = np.random.default_rng(7)
         a = np.stack([random_unit(rng) for _ in range(5)])
         b = np.stack([random_unit(rng) for _ in range(5)])
+        # after the special rows, 2000 rows of mixed magnitudes
+        wide = rng.normal(size=(2, 2000, 4)) * 10.0 ** rng.integers(-3, 4, size=(2, 2000, 1))
         # signed zeros, and magnitudes near 1e-300 whose products underflow
         # to zero or to subnormals
         a = np.vstack([a, [-0.0, 0.0, 0.0, 0.0], [1e-200, 0.0, 0.0, 0.0], [1e-300, -3e-301, 2e-310, -0.0]])
         b = np.vstack([b, [0.0, 0.0, 0.0, 0.0], [-1e-200, 0.0, 0.0, 0.0], [-1e-300, 5e-324, -0.0, 7e-301]])
-        a = np.vstack([a, [1e-160, 1e-160, 0.0, -1e-160], [-0.0, 0.0, -0.0, 1.0]])
-        b = np.vstack([b, [1e-160, -1e-160, -0.0, 1e-160], [0.0, -0.0, -0.0, -1.0]])
+        a = np.vstack([a, [1e-160, 1e-160, 0.0, -1e-160], [-0.0, 0.0, -0.0, 1.0], wide[0]])
+        b = np.vstack([b, [1e-160, -1e-160, -0.0, 1e-160], [0.0, -0.0, -0.0, -1.0], wide[1]])
         stacked = qmul(a, b)
         assert np.signbit(stacked[5:7, 0]).all() and stacked[8, 0] == 3e-320
         for row, (qa, qb) in enumerate(zip(a, b)):
             # the bytes, so that -0.0 differs from 0.0
-            assert stacked[row].tobytes() == qmul(qa, qb).tobytes()
+            assert stacked[row].tobytes() == hamilton(qa, qb).tobytes()
+            assert qmul(qa, qb).tobytes() == hamilton(qa, qb).tobytes()
 
 
 class TestGroupIdentities:
@@ -129,6 +185,23 @@ class TestRotation:
         back = from_rotation_matrix(rotation_matrix(g))
         assert is_unit(back)
         assert min(np.linalg.norm(back - g), np.linalg.norm(back + g)) <= 1e-14
+
+    def test_stacks_match_rows(self):
+        g = np.stack(units(15, 40))
+        aa = axis_angle(g)
+        rotations, exps = rotation_matrix(g), exp_pure(aa.angle, aa.axis)
+        assert rotations.shape == (40, 3, 3) and exps.shape == (40, 4)
+        for q, R, e in zip(g, rotations, exps):
+            assert rotation_matrix(q).tobytes() == R.tobytes()
+            one = axis_angle(q)
+            assert exp_pure(one.angle, one.axis).tobytes() == e.tobytes()
+
+    def test_exp_pure_rejects_a_stack_with_one_bad_axis(self):
+        axes = np.stack([I, J, quat(0.5, 0.5, 0.5, 0.5)])
+        with pytest.raises(ValueError, match="axis must be a pure unit quaternion"):
+            exp_pure(np.zeros(3), axes)
+        with pytest.raises(ValueError, match=r"axis must be a quaternion of shape \(4,\), got \(3, 3\)"):
+            exp_pure(0.5, axes[:, 1:])
 
     def test_rotor_between_basis_pairs(self):
         for u, v in ((I, J), (J, K), (I, K), (K, I)):
@@ -235,8 +308,8 @@ class TestCommutatorDefect:
     )
     def test_stack_matches_rows_bit_for_bit(self, rows):
         # random pairs, then nearly commuting pairs v = s u + 10^e w; the
-        # stacked defect certifies its rounding or falls back to fsum, the
-        # scalar one always rounds with fsum
+        # defect certifies its rounding or falls back to fsum, and must
+        # round each component as fsum of the exact split products does
         u = np.array([r[0] for r in rows])
         w = np.array([r[1] for r in rows])
         scale = np.array([r[2] for r in rows])[:, None]
@@ -244,7 +317,8 @@ class TestCommutatorDefect:
         for v in (w, scale * u + tiny * w):
             stacked = commutator_defect(u, v)
             for row, a, b in zip(stacked, u, v):
-                assert row.tobytes() == commutator_defect(a, b).tobytes()
+                assert row.tobytes() == compensated_defect(a, b).tobytes()
+                assert commutator_defect(a, b).tobytes() == row.tobytes()
 
     def test_stack_matches_rows_at_ties_and_zeros(self):
         # component 1 is u2 v3 - u3 v2.  Row 0: 1 - 2^-54 is a rounding tie.
@@ -261,7 +335,8 @@ class TestCommutatorDefect:
         assert stacked[0, 1] == 2.0
         assert stacked[1, 1] == 2.0 * (1.0 + 3.0 * t + 2.0**-52)
         for row, a, b in zip(stacked, u, v):
-            assert row.tobytes() == commutator_defect(a, b).tobytes()
+            assert row.tobytes() == compensated_defect(a, b).tobytes()
+            assert commutator_defect(a, b).tobytes() == row.tobytes()
 
 
 class TestChart:
@@ -286,33 +361,34 @@ def test_gprod_drift_control():
 
 def test_gprod_stack_matches_rows_exactly():
     # rows of 3 factors mostly stay within RENORM_DRIFT, rows of 400 drift
-    # past it and are renormalized: both branches must match the scalar
-    # call; rows of no factors are identities
+    # past it and are renormalized: both branches must match the row-by-row
+    # reference; rows of no factors are identities
     rng = np.random.default_rng(43)
     for m in (0, 3, 400):
         stack = np.array([[random_unit(rng) for _ in range(m)] for _ in range(6)]).reshape(6, m, 4)
         batch = gprod(stack)
         assert batch.shape == (6, 4)
         for row, qs in zip(batch, stack):
-            assert np.array_equal(row, gprod(list(qs)))
+            assert row.tobytes() == group_product(qs).tobytes()
+            assert gprod(list(qs)).tobytes() == row.tobytes()
 
 
 def test_norm_and_normalize_stack_match_rows_exactly():
     # np.linalg.norm(axis=-1) differs in the last bit from the row-by-row
-    # np.dot on a share of rows; the stacked path must not
+    # np.dot on a share of rows; the kernels must not
     stack = np.random.default_rng(47).normal(size=(4000, 4))
     norms = norm(stack)
     unit = normalize(stack)
     for q, n, u in zip(stack, norms, unit):
-        assert n == norm(q)
-        assert np.array_equal(u, normalize(q))
+        assert n == row_norm(q) == norm(q)
+        assert u.tobytes() == (q / row_norm(q)).tobytes() == normalize(q).tobytes()
 
 
 def test_gprod_of_stacked_factors_matches_rows_exactly():
     rng = np.random.default_rng(45)
     a, b, c = (np.stack([random_unit(rng) for _ in range(50)]) for _ in range(3))
     for row, qa, qb, qc in zip(gprod(a, b, c), a, b, c):
-        assert np.array_equal(row, gprod(qa, qb, qc))
+        assert row.tobytes() == group_product([qa, qb, qc]).tobytes()
 
 
 def test_cross_is_np_cross_bit_for_bit():

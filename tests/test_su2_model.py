@@ -1,5 +1,5 @@
 """The quaternion kernels, the constructors, the sampler, the submersion
-certificates and the cover against an independent model: SU(2)
+certificates, the cover and the morse chart against an independent model: SU(2)
 as complex 2x2 matrices, where w + xi + yj + zk is
 [[w + ix, y + iz], [-y + iz, w - ix]] and every product is a complex
 matmul.  No code of charvar computes what these tests compare against."""
@@ -20,6 +20,7 @@ from charvar.cover import (
     section_inputs,
     surface_samples,
 )
+from charvar.morse import eval_chart_g
 from charvar.quat import I, J, K, ONE, commutator_defect, exp_pure, qmul
 from charvar.rep import bd_from_angles, complete_reps, fingerprint_batch, sphere_names, word_labels
 from charvar.variety import (
@@ -139,6 +140,22 @@ class TestVariety:
         assert np.array_equal(conjugation_ranks(parts), want)
         # abelian tuples are fixed by a circle of conjugations
         assert (want[-len(abelian) :] == 2).all() and (want[: -len(abelian)] == 3).all()
+
+
+class TestChart:
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.integers(min_value=2, max_value=6), seeds)
+    def test_chart_function_is_half_trace_of_the_product(self, n, keys):
+        # g(z) = re(i * prod_l i e^{x_l j + y_l k}), where e^V = cos|V| +
+        # sin|V| V / |V| for the pure V = x j + y k; the last row has zeros
+        m = 2 * n - 2
+        zs = np.stack([0.7 * (rng.normal(size=m) + 1j * rng.normal(size=m)) for rng in rngs_of(keys)])
+        zs[-1, ::2] = 0.0
+        r = np.abs(zs)[..., None, None]
+        V = su2(np.stack([np.zeros(zs.shape), np.zeros(zs.shape), zs.real, zs.imag], -1))
+        factors = su2(I) @ (np.cos(r) * np.eye(2) + np.sinc(r / np.pi) * V)
+        product = functools.reduce(np.matmul, np.moveaxis(factors, 1, 0), su2(I))
+        assert_close(eval_chart_g(n, zs), half_trace(product))
 
 
 class TestCover:
