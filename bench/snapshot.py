@@ -1,5 +1,5 @@
 """Speed snapshot of charvar: microseconds per operation, scalar and per
-stacked row, the morse solvers per call, and the acceptance criteria and
+stacked row, the morse and conjugator solvers per call, and the acceptance criteria and
 the link sampler at full counts.
 
     python3 bench/snapshot.py
@@ -35,7 +35,8 @@ from perfbench.worker import HostSpeed  # noqa: E402
 
 ROWS = 256  # inputs per timed pass, scalar and stacked alike
 REPEATS = 5
-REFINE_POINTS = 16  # link points refined one at a time per timed pass
+REFINE_POINTS = 16  # link points refined per timed pass, one at a time and as one stack
+CONJUGATOR_PAIRS = 32  # k = 6 pairs per timed pass, conjugate and independent
 # acceptance criteria, with their budgets in tests/test_acceptance.py; the
 # link sampler is no criterion and has no budget
 CRITERIA = (
@@ -188,15 +189,44 @@ def stacked_chart(zs: np.ndarray) -> bool:
     return True
 
 
-def morse_solvers(speed: HostSpeed) -> dict[str, dict]:
-    """Microseconds per call of the finite-difference Hessian at n = 8 and
-    per refined link point at n = 3 (REFINE_POINTS unrefined samples)."""
-    starts = [p.zs for p in morse.sample_link(3, REFINE_POINTS, np.random.default_rng(14))]
+def stacked_refine(starts: np.ndarray) -> bool:
+    """Whether this checkout's ``refine_chart_zero`` takes stacks of points."""
+    try:
+        return morse.refine_chart_zero(3, starts).shape == starts.shape
+    except ValueError:
+        return False
+
+
+def morse_solvers(speed: HostSpeed) -> dict[str, dict | None]:
+    """Microseconds per call of the finite-difference Hessian at n = 8, and
+    per refined link point at n = 3: REFINE_POINTS unrefined samples refined
+    one at a time and as one stack."""
+    starts = np.stack([p.zs for p in morse.sample_link(3, REFINE_POINTS, np.random.default_rng(14))])
     return {
         "fd_hessian(8)": per_op(lambda: morse.fd_hessian(8), 1, speed),
         "refine_chart_zero(3)": per_op(
             lambda: [morse.refine_chart_zero(3, z) for z in starts], REFINE_POINTS, speed
         ),
+        "refine_chart_zero(3) stacked": (
+            per_op(lambda: morse.refine_chart_zero(3, starts), REFINE_POINTS, speed)
+            if stacked_refine(starts)
+            else None
+        ),
+    }
+
+
+def conjugator(speed: HostSpeed) -> dict[str, dict]:
+    """Microseconds per ``conjugator_search`` call at k = 6, on CONJUGATOR_PAIRS
+    conjugate pairs (a conjugator is found) and as many independent pairs."""
+    rng = np.random.default_rng(15)
+    reps = [variety.sample_point(6, rng) for _ in range(CONJUGATOR_PAIRS)]
+    conjugates = [rep.conjugate_rep(quat.random_unit(rng), a) for a in reps]
+    others = [variety.sample_point(6, rng) for _ in range(CONJUGATOR_PAIRS)]
+    return {
+        f"conjugator_search(6) {kind}": per_op(
+            lambda: [variety.conjugator_search(a, b) for a, b in zip(reps, pairs)], CONJUGATOR_PAIRS, speed
+        )
+        for kind, pairs in (("conjugate", conjugates), ("independent", others))
     }
 
 
@@ -242,6 +272,7 @@ def main() -> int:
         "repeats": REPEATS,
         "layers_us_per_op": layers(speed),
         "morse_us_per_call": morse_solvers(speed),
+        "variety_us_per_call": conjugator(speed),
         "criteria_full_counts": criteria(speed),
         "host_probe_median_s": speed.median(),
     }

@@ -8,8 +8,9 @@ integer antisymmetric matrix A; certifying det(A) odd (and signature
 zero) certifies the cone-on-(S^{2n-3} x S^{2n-3})/S^1 local model.  The
 integer work here is exact (arbitrary precision); the finite-difference
 and sampling routines provide the numeric cross-checks.  The chart
-function is evaluated on stacks of points: the Hessian stencil and each
-Newton step of the refinement are one stack each.
+function is evaluated on stacks of points: the Hessian stencil is one
+stack, and the refinement runs one Newton loop over a stack of points,
+each step one stack of the points still moving and their stencils.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quat import I, exp_chart
-from .rep import PuncturedSphereRep, complete_rep
+from .rep import PuncturedSphereRep, complete_rep, one_row, raise_first
 from .variety import eval_g
 
 FD_STEP = 1e-4
@@ -237,15 +238,17 @@ def quadratic_form(n: int, zs):
 
 
 def gauge_fix(zs) -> np.ndarray:
-    """Rotate by a common phase so the first coordinate of maximal modulus
-    is real and nonnegative (a slice of the circle action)."""
+    """Rotate each point of a (..., m) stack by a common phase so its first
+    coordinate of maximal modulus is real and nonnegative (a slice of the
+    circle action); an all-zero point is returned as it is."""
     z = np.array(zs, dtype=complex)
-    amax = int(np.argmax(np.abs(z)))
-    r = abs(z[amax])
-    if r == 0.0:
-        return z
-    z *= np.conj(z[amax] / r)
-    z[amax] = r
+    amax = np.argmax(np.abs(z), axis=-1)[..., None]
+    top = np.take_along_axis(z, amax, axis=-1)
+    # np.abs of a complex array may round otherwise than abs of one number
+    r = np.hypot(top.real, top.imag)
+    zero = r == 0.0
+    z = np.where(zero, z, z * np.conj(top / np.where(zero, 1.0, r)))
+    np.put_along_axis(z, amax, np.where(zero, top, r), axis=-1)
     return z
 
 
@@ -258,30 +261,53 @@ def _unit_vector(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 def refine_chart_zero(n: int, zs) -> np.ndarray:
-    """Newton-project a point of the unit sphere onto the exact cutout
-    g^{-1}(0), staying on the sphere; central-difference gradients.  Each
-    step evaluates the point and its 4m stencil points as one stack."""
-    v = np.array(zs, dtype=complex)
-    m = v.shape[0]
+    """Newton-project each point of a (..., m) stack on the unit sphere onto
+    the exact cutout g^{-1}(0), staying on the sphere; central-difference
+    gradients.  Each step evaluates the points still moving and their 4m
+    stencil points as one stack; a point stops at residual REFINE_TARGET or
+    after REFINE_STEPS steps, so a stack takes as many steps as its slowest
+    point.  The lowest row that stalls above REFINE_TOL, or whose gradient
+    vanishes, raises ArithmeticError (``row`` names it on a stack)."""
+    z = np.array(zs, dtype=complex)
+    m = z.shape[-1]
+    out = z.reshape(-1, m).copy()
+    residual = np.zeros(out.shape[0])
+    vanished = np.zeros(out.shape[0], dtype=bool)
     h = 1e-6
     d = np.zeros((m, m), dtype=complex)
     d[np.diag_indices(m)] = h
+    rows = np.arange(out.shape[0])
+    v = out
     for step in range(REFINE_STEPS + 1):
-        vals = eval_chart_g(n, np.concatenate([v[None], v + d, v - d, v + 1j * d, v - 1j * d]))
-        val = float(vals[0])
-        if abs(val) <= REFINE_TARGET or step == REFINE_STEPS:
-            break
-        plus_re, minus_re, plus_im, minus_im = vals[1:].reshape(4, m)
+        w = v[:, None]
+        # one flat (A (1+4m), m) stack: a 3-D stack costs a third more per call
+        stencil = np.concatenate([w, w + d, w - d, w + 1j * d, w - 1j * d], axis=1)
+        vals = eval_chart_g(n, stencil.reshape(-1, m)).reshape(-1, 1 + 4 * m)
+        val = vals[:, 0]
+        plus_re, minus_re, plus_im, minus_im = vals[:, 1:].reshape(-1, 4, m).transpose(1, 0, 2)
         grad = (plus_re - minus_re) / (2 * h) + 1j * ((plus_im - minus_im) / (2 * h))
-        nsq = float(np.sum(np.abs(grad) ** 2))
-        if nsq == 0.0:
-            raise ArithmeticError("vanishing gradient during refinement")
-        v = v - val * grad / nsq
-        v = v / np.linalg.norm(v)
-    residual = abs(val)
-    if residual > REFINE_TOL:
-        raise ArithmeticError(f"refinement stalled at residual {residual:.3e}")
-    return v
+        nsq = np.sum(np.abs(grad) ** 2, axis=-1)
+        done = (np.abs(val) <= REFINE_TARGET) | (step == REFINE_STEPS)
+        stop = done | (nsq == 0.0)
+        if stop.any():
+            out[rows[stop]] = v[stop]
+            residual[rows[done]] = np.abs(val[done])
+            vanished[rows[stop & ~done]] = True
+            go = ~stop
+            rows, v, val, grad, nsq = rows[go], v[go], val[go], grad[go], nsq[go]
+            if not rows.size:
+                break
+        v = v - val[:, None] * grad / nsq[:, None]
+        v = v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
+    checks = (
+        (vanished, lambda row: ArithmeticError("vanishing gradient during refinement")),
+        (residual > REFINE_TOL, lambda row: ArithmeticError(f"refinement stalled at residual {residual[row]:.3e}")),
+    )
+    if z.ndim == 1:
+        one_row(raise_first, *checks)
+    else:
+        raise_first(*checks)
+    return out.reshape(z.shape)
 
 
 def sample_link(n: int, count: int, rng: np.random.Generator, refine: bool = False) -> list[LinkPoint]:
@@ -290,8 +316,10 @@ def sample_link(n: int, count: int, rng: np.random.Generator, refine: bool = Fal
 
     The bilinear constraint x^T A y = 0 is solved exactly by drawing the
     y factor on the sphere, drawing x in the hyperplane orthogonal to Ay,
-    and mixing radially.  With ``refine`` (n = 3 only) each sample is
-    Newton-projected onto the exact cutout, residual at most ``REFINE_TOL``.
+    and mixing radially.  With ``refine`` (n = 3 only) the samples are
+    Newton-projected onto the exact cutout as one stack, residual at most
+    ``REFINE_TOL``.  Each sample draws from ``rng`` in turn; refinement and
+    the gauge fix draw nothing and run on the whole stack.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -299,8 +327,8 @@ def sample_link(n: int, count: int, rng: np.random.Generator, refine: bool = Fal
         raise ValueError("exact-cutout refinement is implemented for n = 3 only")
     m = 2 * n - 2
     A = matrix_A(n).astype(float)
-    points = []
-    for _ in range(count):
+    zs = np.empty((count, m), dtype=complex)
+    for i in range(count):
         y = _unit_vector(rng, m)
         w = A @ y
         w /= np.linalg.norm(w)
@@ -319,12 +347,11 @@ def sample_link(n: int, count: int, rng: np.random.Generator, refine: bool = Fal
                 x /= nx
                 break
         t = rng.uniform(0.0, np.pi / 2.0)
-        zs = np.cos(t) * x + 1j * (np.sin(t) * y)
-        if refine:
-            zs = refine_chart_zero(n, zs)
-        zs = gauge_fix(zs)
-        points.append(LinkPoint(zs=zs, is_real=bool(np.all(zs.imag == 0.0))))
-    return points
+        zs[i] = np.cos(t) * x + 1j * (np.sin(t) * y)
+    if refine:
+        zs = refine_chart_zero(n, zs)
+    zs = gauge_fix(zs)
+    return [LinkPoint(zs=z, is_real=bool(real)) for z, real in zip(zs, np.all(zs.imag == 0.0, axis=-1))]
 
 
 def link_csv(points: list[LinkPoint]) -> str:

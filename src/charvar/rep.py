@@ -122,7 +122,7 @@ def one_row(stacked, *args):
     ``row``: the caller's one sample is not a row of a stack it can name."""
     try:
         return stacked(*args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         if hasattr(exc, "row"):
             del exc.row
         raise

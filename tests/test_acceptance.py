@@ -17,10 +17,10 @@ def _run(acceptance_lines, number, title, check, budget_s):
     elapsed = time.perf_counter() - start
     verdict = "PASS" if result.ok and elapsed < budget_s else "FAIL"
     acceptance_lines.append(
-        f"criterion {number:2d} ({title}): {verdict} [{elapsed:.2f}s / {budget_s:.0f}s] {result.detail}"
+        f"criterion {number:2d} ({title}): {verdict} [{elapsed:.3f}s / {budget_s:.0f}s] {result.detail}"
     )
     assert result.ok, result.detail
-    assert elapsed < budget_s, f"{title} took {elapsed:.2f}s, budget {budget_s:.0f}s"
+    assert elapsed < budget_s, f"{title} took {elapsed:.3f}s, budget {budget_s:.0f}s"
 
 
 def test_criterion_01_abelian_census(acceptance_lines):

@@ -217,6 +217,14 @@ def digest(*arrays) -> str:
     return hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest()[:16]
 
 
+def refinement_starts() -> np.ndarray:
+    """Twelve unrefined n = 3 link samples; every third one scaled by 1e-3,
+    which stops after one step."""
+    starts = np.stack([pt.zs for pt in sample_link(3, 12, np.random.default_rng(409))])
+    starts[1::3] *= 1e-3
+    return starts
+
+
 class TestStackedChart:
     def test_stack_rows_are_the_one_point_calls(self):
         # unit, small, zero and signed-zero coordinates, on a (2, 60, m) stack
@@ -267,9 +275,65 @@ class TestStackedChart:
             return eval_chart_g(n, zs)
 
         monkeypatch.setattr(morse, "eval_chart_g", counted)
-        start = sample_link(3, 1, np.random.default_rng(401))[0].zs
-        refine_chart_zero(3, start)
-        assert len(sizes) >= 2 and set(sizes) == {(17, 4)}
+        starts = refinement_starts()[:3]
+        steps = []
+        for z in starts:
+            sizes.clear()
+            refine_chart_zero(3, z)
+            assert set(sizes) == {(17, 4)}
+            steps.append(len(sizes))
+        assert steps == [6, 1, 6]
+        sizes.clear()
+        refine_chart_zero(3, starts)
+        # one stack per step: the 17-point stencils of the rows still moving
+        assert sizes == [(17 * sum(s > step for s in steps), 4) for step in range(max(steps))]
+
+    def test_stack_rows_are_the_one_point_refinements(self):
+        # step counts 1, 4, 5 and 6 in one stack; the digest was recorded
+        # when each point was refined on its own
+        starts = refinement_starts()
+        stacked = refine_chart_zero(3, starts)
+        assert digest(stacked) == "de438dae2b80fc3d"
+        for z, row in zip(starts, stacked):
+            assert refine_chart_zero(3, z).tobytes() == row.tobytes()
+        assert refine_chart_zero(3, starts.reshape(3, 4, 4)).tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stacks_of_samples_match_one_point_calls(self, seed):
+        rng = np.random.default_rng((seed, 419))
+        starts = np.stack([pt.zs for pt in sample_link(3, 9, rng)])
+        starts *= rng.uniform(1e-3, 2.0, size=(9, 1))
+        stacked = refine_chart_zero(3, starts)
+        for z, row in zip(starts, stacked):
+            assert refine_chart_zero(3, z).tobytes() == row.tobytes()
+
+    def test_lowest_failing_row_raises(self, monkeypatch):
+        # rows whose centre has z_4 = 0 see g = 1 + 1e-3 re(z_1), which has
+        # no zero on the sphere: Newton only moves z_1 and rescales, so z_4
+        # stays 0 and the row stalls; rows with z_3 = 0 see g = 1, whose
+        # gradient vanishes at the first step
+        def rigged(n, zs):
+            stencils = zs.reshape(-1, 17, 4)
+            vals = eval_chart_g(n, zs).reshape(-1, 17)
+            stall, flat = (stencils[:, 0, c] == 0.0 for c in (3, 2))
+            vals[stall] = 1.0 + 1e-3 * stencils[stall, :, 0].real
+            vals[flat] = 1.0
+            return vals.reshape(-1)
+
+        monkeypatch.setattr(morse, "eval_chart_g", rigged)
+        good, stall, flat = refinement_starts()[:3]
+        stall[3] = flat[2] = 0.0
+        with pytest.raises(ArithmeticError, match="refinement stalled at residual 9.990e-01") as info:
+            refine_chart_zero(3, np.stack([good, stall, good, flat]))
+        assert info.value.row == 1
+        with pytest.raises(ArithmeticError, match="vanishing gradient during refinement") as info:
+            refine_chart_zero(3, np.stack([good, good, flat, stall]))
+        assert info.value.row == 2
+        for z, message in ((stall, "refinement stalled"), (flat, "vanishing gradient")):
+            with pytest.raises(ArithmeticError, match=message) as info:
+                refine_chart_zero(3, z)
+            assert not hasattr(info.value, "row")
+        assert refine_chart_zero(3, np.stack([good, good])).shape == (2, 4)
 
 
 class TestLinkSampler:
@@ -297,6 +361,16 @@ class TestLinkSampler:
         for phase in rng.uniform(0.0, 2.0 * np.pi, 5):
             again = gauge_fix(zs * np.exp(1j * phase))
             assert np.max(np.abs(again - fixed)) <= 1e-12
+
+    def test_gauge_fix_stack_rows_are_one_point_calls(self):
+        rng = np.random.default_rng(421)
+        zs = rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))
+        zs[3] = [0.0, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]
+        zs[5] = [1j, -1.0, 1.0, -1j]
+        fixed = gauge_fix(zs)
+        assert fixed[3].tobytes() == zs[3].tobytes()
+        for z, row in zip(zs, fixed):
+            assert gauge_fix(z).tobytes() == row.tobytes()
 
     def test_refinement_lands_on_cutout(self):
         points = sample_link(3, 25, np.random.default_rng(373), refine=True)
