@@ -90,6 +90,11 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
     stacked = {name: getattr(cover, name, None) for name in ("pushforwards", "lifts", "lemma52_stack", "fibers")}
     thetas = np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, size=(ROWS, 4))
     bd_from_angles = getattr(rep, "bd_from_angles", None)
+    bd = np.stack([rep.bd_from_torus(rep.TorusCoords(3, t)).meridians for t in thetas])
+    angles_from_bd = getattr(rep, "angles_from_bd", None)
+    pure_u, pure_v = (
+        np.stack([quat.random_pure(np.random.default_rng((seed, i))) for i in range(ROWS)]) for seed in (16, 17)
+    )
     qa, qb = (np.random.default_rng(seed).normal(size=(ROWS, 4)) for seed in (12, 13))
     parts = meridians[:, :-1]
     certificates = {
@@ -127,6 +132,16 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
             lambda: [rep.bd_from_torus(rep.TorusCoords(3, t)) for t in thetas],
             bd_from_angles and (lambda: bd_from_angles(thetas)),
             "rep.bd_from_angles",
+        ),
+        "torus_from_bd": (
+            lambda: [rep.torus_from_bd(rep.PuncturedSphereRep(m)) for m in bd],
+            angles_from_bd and (lambda: angles_from_bd(bd)),
+            "rep.angles_from_bd",
+        ),
+        "rotor_between": (
+            lambda: [quat.rotor_between(u, v) for u, v in zip(pure_u, pure_v)],
+            stacked_rotor(pure_u, pure_v) and (lambda: quat.rotor_between(pure_u, pure_v)),
+            "quat.rotor_between on (N, 4) stacks",
         ),
         "sample_point": (
             lambda: [variety.sample_point(6, rng) for rng in rngs()],
@@ -187,6 +202,14 @@ def stacked_chart(zs: np.ndarray) -> bool:
     except ValueError:
         return False
     return True
+
+
+def stacked_rotor(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether this checkout's ``rotor_between`` takes stacks of pairs."""
+    try:
+        return quat.rotor_between(u, v).shape == u.shape
+    except ValueError:
+        return False
 
 
 def stacked_refine(starts: np.ndarray) -> bool:

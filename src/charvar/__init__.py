@@ -13,7 +13,6 @@ from .cover import (
     extend,
     fiber,
     lemma52_detailed,
-    lemma52_solve,
     pushforward,
     surface_sample,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "fiber",
     "fingerprint",
     "lemma52_detailed",
-    "lemma52_solve",
     "local_dimension",
     "make_rep",
     "make_surface_rep",

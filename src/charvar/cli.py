@@ -250,12 +250,8 @@ def cmd_link_sample(args: argparse.Namespace) -> Run:
     if rest:
         raise UsageError("link-sample expects a single n, not a range")
     points = morse.sample_link(n, args.count, selftest._rng(args.seed))
-    bad = [
-        i
-        for i, pt in enumerate(points)
-        if abs(float(np.linalg.norm(pt.zs)) - 1.0) > morse.LINK_TOL
-        or abs(morse.quadratic_form(n, pt.zs)) > morse.LINK_TOL
-    ]
+    sphere, quad = morse.link_defects(n, np.stack([pt.zs for pt in points]))
+    bad = np.flatnonzero((sphere > morse.LINK_TOL) | (quad > morse.LINK_TOL)).tolist()
     header = None
     if args.format == "csv":
         header, *lines = morse.link_csv(points).splitlines()

@@ -130,18 +130,17 @@ def _ladder_pairs(a, b, c, d) -> tuple:
     return ((a, b), (b, c), (c, d), (d, a), (a, c), (b, d))
 
 
-def _common_axis(a, b, c, d) -> np.ndarray:
-    """x on rung 7, where all pairs commute: the inputs lie in a common
-    one-parameter subgroup {e^{theta Q}}.  Recover Q from the first input
-    whose angle is bounded away from 0 and pi, then take the image of j
-    under any rotation carrying i to Q; if Q is within 1e-6 of +-i, take j
-    itself."""
-    aa = axis_angle(np.stack([a, b, c, d]))
+def _common_axes(a, b, c, d) -> np.ndarray:
+    """x on rung 7, for (N, 4) stacks where all pairs commute: each row's
+    inputs lie in a common one-parameter subgroup {e^{theta Q}}.  Recover Q
+    from the first input whose angle is bounded away from 0 and pi, then
+    take the image of j under the rotation carrying i to Q; where Q is
+    within 1e-6 of +-i, or every input is within 1e-6 of +-1, take j."""
+    aa = axis_angle(np.stack([a, b, c, d], axis=1))
     away = np.minimum(aa.angle, np.pi - aa.angle) >= 1e-6
-    axis = aa.axis[np.argmax(away)]
-    if not away.any() or min(np.linalg.norm(axis - I), np.linalg.norm(axis + I)) <= 1e-6:
-        return J.copy()
-    return conjugate(rotor_between(I, axis), J)
+    axis = np.take_along_axis(aa.axis, np.argmax(away, axis=1)[:, None, None], axis=1)[:, 0]
+    near_i = np.minimum(_norms(axis - I), _norms(axis + I)) <= 1e-6
+    return np.where((near_i | ~away.any(axis=1))[:, None], J, conjugate(rotor_between(I, axis), J))
 
 
 def _ladder(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,8 +159,9 @@ def _ladder(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         hit = norms > COMM_TOL
         x[rows[hit]] = w[hit] / norms[hit, None]
         rung[rows[hit]] = idx + 1
-    for row in np.flatnonzero(rung == 7):
-        x[row] = _common_axis(a[row], b[row], c[row], d[row])
+    seven = np.flatnonzero(rung == 7)
+    if seven.size:
+        x[seven] = _common_axes(a[seven], b[seven], c[seven], d[seven])
     return x, rung, defect
 
 
@@ -194,10 +194,6 @@ def lemma52_detailed(a, b, c, d) -> Lemma52Solution:
     """:func:`lemma52_stack` on one quadruple of units."""
     x, rung, residuals = one_row(lemma52_stack, *(np.asarray(v, dtype=float)[None] for v in (a, b, c, d)))
     return Lemma52Solution(x[0], int(rung[0]), residuals[0])
-
-
-def lemma52_solve(a, b, c, d) -> np.ndarray:
-    return lemma52_detailed(a, b, c, d).x
 
 
 def _coset_point(theta) -> np.ndarray:

@@ -16,7 +16,6 @@ each step one stack of the points still moving and their stencils.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -136,8 +135,14 @@ def bareiss_determinant(matrix) -> int:
 
 def pfaffian_exact(matrix) -> int:
     """Exact Pfaffian of an antisymmetric integer matrix by fraction-free
-    skew elimination (exact rationals internally, integer result)."""
-    M = [[Fraction(int(x)) for x in row] for row in np.asarray(matrix)]
+    skew elimination on Python ints, in the style of bareiss_determinant.
+
+    Each step eliminates a row pair with pivot a and divides by the
+    previous pivot, which keeps every entry a Pfaffian minor, so an integer;
+    the Pfaffian is the last pivot up to the sign of the row swaps.  Each
+    division is checked: a nonzero remainder raises ArithmeticError.
+    """
+    M = [[int(x) for x in row] for row in np.asarray(matrix)]
     size = len(M)
     for r in range(size):
         for c in range(r, size):
@@ -146,7 +151,7 @@ def pfaffian_exact(matrix) -> int:
     if size % 2 != 0:
         return 0
     sign = 1
-    result = Fraction(1)
+    prev = 1
     for i in range(0, size, 2):
         pivot = next((j for j in range(i + 1, size) if M[i][j] != 0), None)
         if pivot is None:
@@ -157,14 +162,14 @@ def pfaffian_exact(matrix) -> int:
                 row[pivot], row[i + 1] = row[i + 1], row[pivot]
             sign = -sign
         a = M[i][i + 1]
-        result *= a
         for r in range(i + 2, size):
             for c in range(i + 2, size):
-                M[r][c] -= (M[i][r] * M[i + 1][c] - M[i + 1][r] * M[i][c]) / a
-    result *= sign
-    if result.denominator != 1:
-        raise ArithmeticError("pfaffian of an integer matrix must be an integer")
-    return int(result)
+                q, rem = divmod(a * M[r][c] - (M[i][r] * M[i + 1][c] - M[i + 1][r] * M[i][c]), prev)
+                if rem:
+                    raise ArithmeticError("fraction-free Pfaffian step left a remainder")
+                M[r][c] = q
+        prev = a
+    return sign * prev
 
 
 def certify_hessian_combinatorics(n: int) -> HessianReport:
@@ -235,6 +240,15 @@ def quadratic_form(n: int, zs):
     A = matrix_A(n).astype(float)
     q = float((-1) ** n) * np.vecdot(z.real, (A @ z.imag[..., None])[..., 0])
     return float(q) if q.ndim == 0 else q
+
+
+def link_defects(n: int, zs) -> tuple[np.ndarray, np.ndarray]:
+    """The sphere defect ||z| - 1| and the quadric defect |q(z)| of each
+    point of an (N, 2n-2) stack; each |z| is bit for bit np.linalg.norm of
+    its row."""
+    z = np.asarray(zs, dtype=complex)
+    sphere = np.abs(np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag)) - 1.0)
+    return sphere, np.abs(quadratic_form(n, z))
 
 
 def gauge_fix(zs) -> np.ndarray:

@@ -197,10 +197,6 @@ def commutator_defect(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_unit(q: np.ndarray, tol: float = TOL_UNIT) -> bool:
-    return abs(norm(q) - 1.0) <= tol
-
-
 def is_pure_unit(q: np.ndarray, tol: float = TOL_PURE) -> bool:
     return (abs(norm(q) - 1.0) <= tol) & (abs(q[..., 0]) <= tol)
 
@@ -326,33 +322,25 @@ def from_rotation_matrix(R: np.ndarray) -> np.ndarray:
     return g / np.sqrt(np.dot(g, g))
 
 
-def cross(a, b) -> np.ndarray:
-    """Cross product of two 3-vectors, component by component as np.cross
-    computes it (a1 b2 - a2 b1, ...), so bit for bit the same, without its
-    tens of microseconds of per-call overhead."""
-    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
-
-
 def rotor_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Unit g with g u g^-1 = v for pure unit quaternions u, v.
+    """Unit g with g u g^-1 = v for pure unit quaternions u, v, or for each
+    pair of broadcast (..., 4) stacks.
 
-    Rotates about the axis u x v by the angle between them; for u = -v the
-    axis is ambiguous and any orthogonal axis works.
+    Rotates about the axis u x v by the angle between them.  Where u = v
+    that is 1; where u = -v the axis is ambiguous and the rotation by pi
+    about u x i (u x j if u is +-i) is taken.
     """
-    a, b = u[1:], v[1:]
-    c = cross(a, b)
-    d = float(np.dot(a, b))
-    s = np.sqrt(np.dot(c, c))
-    if s <= 1e-14:
-        if d > 0:
-            return ONE.copy()
-        # antipodal: rotate by pi about anything orthogonal to u
-        w = cross(a, (1.0, 0.0, 0.0))
-        if np.dot(w, w) < 1e-12:
-            w = cross(a, (0.0, 1.0, 0.0))
-        w = w / np.sqrt(np.dot(w, w))
-        return np.array([0.0, *w])
-    axis = np.zeros(4)
-    axis[1:] = c / s
+    a, b = np.asarray(u, dtype=float)[..., 1:], np.asarray(v, dtype=float)[..., 1:]
+    c = np.cross(a, b)
+    d = np.vecdot(a, b)
+    s = np.sqrt(np.vecdot(c, c))
     half = 0.5 * np.arctan2(s, d)
-    return exp_pure(half, axis)
+    w = np.cross(a, (1.0, 0.0, 0.0))
+    w = np.where((np.vecdot(w, w) < 1e-12)[..., None], np.cross(a, (0.0, 1.0, 0.0)), w)
+    rotor, flip = np.zeros((2, *np.broadcast_shapes(a.shape, b.shape)[:-1], 4))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rotor[..., 1:] = np.sin(half)[..., None] * (c / s[..., None])
+        flip[..., 1:] = w / np.sqrt(np.vecdot(w, w))[..., None]
+    rotor[..., 0] = np.cos(half)
+    parallel = (s <= 1e-14)[..., None]
+    return np.where(parallel, np.where((d > 0)[..., None], ONE, flip), rotor)

@@ -7,11 +7,12 @@ the images of the four standard generators r1, s1, r2, s2, subject to
 [r1,s1][r2,s2] = 1.
 
 Validation is implemented once, on stacks: :func:`make_reps`,
-:func:`complete_reps`, :func:`make_surface_reps` and :func:`bd_from_angles`;
-:func:`make_rep`, :func:`complete_rep`, :func:`make_surface_rep` and
-:func:`bd_from_torus` are one-row calls of them (:func:`one_row`).  A stack
-raises for its first rejected row with ``exc.row`` naming it
-(:func:`raise_first`); a one-row call raises the same without ``row``.
+:func:`complete_reps`, :func:`make_surface_reps`, :func:`bd_from_angles` and
+its inverse :func:`angles_from_bd`; :func:`make_rep`, :func:`complete_rep`,
+:func:`make_surface_rep`, :func:`bd_from_torus` and :func:`torus_from_bd`
+are one-row calls of them (:func:`one_row`).  A stack raises for its first
+rejected row with ``exc.row`` naming it (:func:`raise_first`); a one-row
+call raises the same without ``row``.
 
 The fingerprint of a representation collects the real parts (half-traces)
 of all words of length at most three in the generators, in a fixed order.
@@ -53,7 +54,7 @@ TOL_REL = 1e-10
 UNIT_TOL = 1e-6
 FP_TOL = 1e-9
 DIGEST_DECIMALS = 9
-# torus_from_bd: singular values at most this times the largest count as zero
+# angles_from_bd: singular values at most this times the largest count as zero
 PLANAR_TOL = 1e-8
 FP_CHUNK = 64
 
@@ -348,13 +349,6 @@ def fingerprint_batch(meridians: np.ndarray) -> np.ndarray:
     return out
 
 
-def fingerprint_csv(fp: Fingerprint) -> str:
-    """CSV export: one `label,value` row per word."""
-    lines = ["word,value"]
-    lines += [f"{label},{value!r}" for label, value in zip(fp.labels, fp.values)]
-    return "\n".join(lines) + "\n"
-
-
 def fingerprint_digest(fp: Fingerprint) -> str:
     """Short hex identifier of a fingerprint rounded to DIGEST_DECIMALS places.
 
@@ -420,53 +414,52 @@ def bd_from_torus(coords: TorusCoords) -> PuncturedSphereRep:
     return PuncturedSphereRep(one_row(_bd_meridians, coords.thetas[None])[0])
 
 
-def torus_from_bd(rep: PuncturedSphereRep) -> TorusCoords:
-    """Recover torus coordinates from a binary dihedral representation.
+def angles_from_bd(meridians: np.ndarray) -> np.ndarray:
+    """Torus angles of an (N, k, 4) stack of binary dihedral representations:
+    the (N, k - 2) stack (theta_2, ..., theta_{k-1}) mod 2 pi, the inverse of
+    :func:`bd_from_angles` up to conjugation.
 
-    Fits the plane spanned by the meridian directions, rotates it to the
-    i-j plane with x_1 going to i, and reads the angles off.  The output is
-    canonicalized to the lexicographically smaller of (theta, -theta) mod
-    2 pi, reflecting the residual conjugation freedom.
+    Fits the plane spanned by each row's meridian directions, rotates it to
+    the i-j plane with x_1 going to i, and reads the angles off.  Each row
+    is canonicalized to the lexicographically smaller of (theta, -theta) mod
+    2 pi, reflecting the residual conjugation freedom.  A stack of odd k or
+    k < 4 raises NotBinaryDihedral, as does the first row whose directions
+    span rank 3.
     """
-    if rep.k % 2 != 0 or rep.k < 4:
-        raise NotBinaryDihedral(f"binary dihedral locus needs even k >= 4, got k = {rep.k}")
-    V = np.asarray(rep.meridians[:, 1:], dtype=float)
+    m = np.asarray(meridians, dtype=float)
+    k = m.shape[1]
+    if k % 2 != 0 or k < 4:
+        raise NotBinaryDihedral(f"binary dihedral locus needs even k >= 4, got k = {k}")
+    V = m[..., 1:]
     svals = np.linalg.svd(V, compute_uv=False)
-    if svals[2] > PLANAR_TOL * svals[0]:
-        raise NotBinaryDihedral("meridian directions span rank 3, not a planar family")
-
-    e1 = V[0] / np.linalg.norm(V[0])
-    resid = V - np.outer(V @ e1, e1)
+    rank3 = svals[:, 2] > PLANAR_TOL * svals[:, 0]
+    raise_first((rank3, lambda row: NotBinaryDihedral("meridian directions span rank 3, not a planar family")))
+    e1 = V[:, 0] / np.sqrt(np.vecdot(V[:, 0], V[:, 0]))[:, None]
+    resid = V - (V @ e1[..., None]) * e1[:, None]
     _, s, vt = np.linalg.svd(resid, full_matrices=False)
-    if s[0] > PLANAR_TOL * svals[0]:
-        e2 = vt[0]
-    else:
-        # abelian: the plane is underdetermined, any completion works
-        e2 = quat.cross(e1, (1.0, 0.0, 0.0))
-        if np.dot(e2, e2) < 1e-12:
-            e2 = quat.cross(e1, (0.0, 1.0, 0.0))
-    e2 = e2 - (e2 @ e1) * e1
-    e2 /= np.linalg.norm(e2)
-    R = np.vstack([e1, e2, quat.cross(e1, e2)])
-    W = V @ R.T
-    thetas = np.arctan2(W[:, 1], W[:, 0])
-    n = rep.k // 2
-    cand = np.mod(thetas[1 : rep.k - 1], 2.0 * np.pi)
+    # abelian rows: the plane is underdetermined, any completion works
+    e2 = np.cross(e1, (1.0, 0.0, 0.0))
+    e2 = np.where((np.vecdot(e2, e2) < 1e-12)[:, None], np.cross(e1, (0.0, 1.0, 0.0)), e2)
+    e2 = np.where((s[:, 0] > PLANAR_TOL * svals[:, 0])[:, None], vt[:, 0], e2)
+    e2 = e2 - np.vecdot(e2, e1)[:, None] * e1
+    e2 /= np.sqrt(np.vecdot(e2, e2))[:, None]
+    W = V @ np.stack([e1, e2, np.cross(e1, e2)], axis=1).transpose(0, 2, 1)
+    cand = np.mod(np.arctan2(W[:, 1 : k - 1, 1], W[:, 1 : k - 1, 0]), 2.0 * np.pi)
     mirrored = np.mod(-cand, 2.0 * np.pi)
-    chosen = cand if tuple(cand) <= tuple(mirrored) else mirrored
-    return TorusCoords(n, chosen)
+    # the lexicographically smaller: the first angle where the two differ
+    # decides, and equal rows keep cand
+    first = np.argmax(cand != mirrored, axis=1)[:, None]
+    mirror = np.take_along_axis(mirrored < cand, first, axis=1)
+    return np.mod(np.where(mirror, mirrored, cand), 2.0 * np.pi)
+
+
+def torus_from_bd(rep: PuncturedSphereRep) -> TorusCoords:
+    """:func:`angles_from_bd` on one binary dihedral representation."""
+    return TorusCoords(rep.k // 2, one_row(angles_from_bd, rep.meridians[None])[0])
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def rep_to_json(rep: PuncturedSphereRep) -> dict:
-    return {
-        "kind": "punctured_sphere",
-        "k": rep.k,
-        "meridians": [[float(c) for c in m] for m in rep.meridians],
-    }
 
 
 def surface_to_json(rep: SurfaceRep) -> dict:
@@ -477,13 +470,3 @@ def surface_to_json(rep: SurfaceRep) -> dict:
             for name, g in zip(GENERATOR_NAMES, rep.generators())
         },
     }
-
-
-def from_json(data: dict) -> "PuncturedSphereRep | SurfaceRep":
-    kind = data.get("kind")
-    if kind == "punctured_sphere":
-        return make_rep(np.array(data["meridians"], dtype=float))
-    if kind == "surface":
-        gens = data["generators"]
-        return make_surface_rep(*(np.array(gens[name], dtype=float) for name in GENERATOR_NAMES))
-    raise ValueError(f"unknown representation kind: {kind!r}")

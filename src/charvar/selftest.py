@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cover, morse, quat, rep, variety
 from .quat import I, J, K, exp_pure, gprod, qconj, qmul
-from .rep import fingerprint, make_rep, torus_from_bd
+from .rep import fingerprint, make_rep
 from .variety import ABELIAN, BINARY_DIHEDRAL, GENERIC
 
 REDUCED_COUNTS: dict[str, int] = {
@@ -146,13 +146,12 @@ def check_abelian_census(counts: Mapping[str, int], seed: int = 0) -> CheckResul
         details.append(f"k={k}:{len(reps)}")
     for n in (2, 3):
         k = 2 * n
-        base = np.tile(I, (k - 2, 1))
-        seen = set()
-        for bits in range(2 ** (k - 2)):
-            signs = [1.0 if (bits >> p) & 1 == 0 else -1.0 for p in range(k - 2)]
-            flipped = variety.sign_transport(base, signs)
-            r = rep.complete_rep([I, *flipped])
-            seen.add(rep.fingerprint_digest(fingerprint(r)))
+        # row b flips the sign of meridian p + 2 where bit p of b is set
+        signs = np.where((np.arange(2 ** (k - 2))[:, None] >> np.arange(k - 2)) & 1, -1.0, 1.0)
+        flipped = variety.sign_transport(np.broadcast_to(I, (*signs.shape, 4)), signs)
+        reps = rep.complete_reps(np.concatenate([np.broadcast_to(I, (len(signs), 1, 4)), flipped], axis=1))
+        labels = rep.word_labels(rep.sphere_names(k))
+        seen = {rep.fingerprint_digest(rep.Fingerprint(labels, v)) for v in rep.fingerprint_batch(reps)}
         if len(seen) != 2 ** (k - 2):
             return CheckResult(False, f"k={k}: sign action reached {len(seen)} classes")
     return CheckResult(True, "counts " + " ".join(details) + ", all distinct")
@@ -446,9 +445,11 @@ def check_chart_symmetries(counts: Mapping[str, int], seed: int = 0) -> CheckRes
     )
 
 
-def _circle_gap(a: np.ndarray, b: np.ndarray) -> float:
+def _circle_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The largest distance on the circle between the angles of each row of
+    two (N, m) stacks."""
     d = np.abs(np.mod(a, 2.0 * np.pi) - np.mod(b, 2.0 * np.pi))
-    return float(np.max(np.minimum(d, 2.0 * np.pi - d)))
+    return np.max(np.minimum(d, 2.0 * np.pi - d), axis=-1)
 
 
 TORUS_TOL = 1e-9
@@ -461,16 +462,18 @@ def check_bd_torus(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     worst_rt = 0.0
     for n in range(2, 6):
 
-        def images(keys, rngs, n=n):
+        def gaps(keys, rngs, n=n):
+            # a generic image has no torus angles: its gap is None
             thetas = np.stack([rng.uniform(0.0, 2.0 * np.pi, size=2 * n - 2) for rng in rngs])
             bd = rep.bd_from_angles(thetas)
-            return list(zip(keys, thetas, bd, variety.locus_ranks(bd).tolist()))
+            planar = variety.locus_ranks(bd) < 3
+            rec, t = rep.angles_from_bd(bd[planar]), thetas[planar]
+            found = iter(np.minimum(_circle_gaps(rec, t), _circle_gaps(rec, -t)).tolist())
+            return [(key, next(found) if flat else None) for key, flat in zip(keys, planar.tolist())]
 
-        for (*_, i), thetas, bd, rank in chunked(seed, (11, n), counts["bd_roundtrip_per_n"], images):
-            if variety.locus_label(rank).label == GENERIC:
+        for (*_, i), gap in chunked(seed, (11, n), counts["bd_roundtrip_per_n"], gaps):
+            if gap is None:
                 return CheckResult(False, f"n={n} sample {i}: generic image")
-            rec = torus_from_bd(rep.PuncturedSphereRep(bd)).thetas
-            gap = min(_circle_gap(rec, thetas), _circle_gap(rec, -thetas))
             worst_rt = max(worst_rt, gap)
 
     def push_defects(keys, rngs):
@@ -492,11 +495,6 @@ def check_link_sampler(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     """Link samples sit on the unit sphere and the Hessian quadric with
     the gauge fixed; refined samples (n = 3) land on the exact cutout.
     Each sample stack is checked as one stack."""
-
-    def sphere_defect(zs: np.ndarray) -> float:
-        # per row, bit for bit np.linalg.norm of that row
-        return float(np.abs(np.sqrt(np.vecdot(zs.real, zs.real) + np.vecdot(zs.imag, zs.imag)) - 1.0).max())
-
     worst_unit = 0.0
     worst_quad = 0.0
     real_tagged = 0
@@ -505,15 +503,16 @@ def check_link_sampler(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
         points = morse.sample_link(n, max(count, 1), _rng(seed, 13, n))
         zs = np.stack([pt.zs for pt in points])
         total += len(points)
-        worst_unit = max(worst_unit, sphere_defect(zs))
-        worst_quad = max(worst_quad, float(np.abs(morse.quadratic_form(n, zs)).max()))
+        sphere, quad = morse.link_defects(n, zs)
+        worst_unit = max(worst_unit, float(sphere.max()))
+        worst_quad = max(worst_quad, float(quad.max()))
         lead = np.take_along_axis(zs, np.argmax(np.abs(zs), axis=-1)[:, None], axis=-1)
         if np.any((lead.imag != 0.0) | (lead.real < 0.0)):
             return CheckResult(False, f"n={n}: gauge not fixed")
         real_tagged += sum(pt.is_real for pt in points)
     refined = np.stack([pt.zs for pt in morse.sample_link(3, counts["link_refine"], _rng(seed, 14), refine=True)])
     worst_refined = float(np.abs(morse.eval_chart_g(3, refined)).max())
-    worst_unit = max(worst_unit, sphere_defect(refined))
+    worst_unit = max(worst_unit, float(morse.link_defects(3, refined)[0].max()))
     ok = (
         worst_unit <= morse.LINK_TOL
         and worst_quad <= morse.LINK_TOL

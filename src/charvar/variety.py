@@ -263,15 +263,22 @@ def local_dimension(rep: PuncturedSphereRep) -> int:
 
 
 def sign_transport(partial, signs) -> np.ndarray:
-    """Flip meridian signs on a tuple in g^{-1}(0); the image stays in g^{-1}(0)
-    since the constraint changes only by the product of the signs."""
+    """Flip meridian signs on a tuple in g^{-1}(0), or on each tuple of a
+    (..., m, 4) stack by its row of a (..., m) sign stack; the image stays in
+    g^{-1}(0) since the constraint changes only by the product of the signs.
+    The first tuple off g^{-1}(0) raises ConstraintViolated, with ``row``
+    its flat index on a stack."""
     part = np.asarray(partial, dtype=float)
     sg = np.asarray(signs, dtype=float)
-    if sg.shape != (part.shape[0],) or not np.all(np.abs(sg) == 1.0):
+    if sg.shape != part.shape[:-1] or not np.all(np.abs(sg) == 1.0):
         raise ValueError("signs must be +-1, one per meridian")
-    if abs(eval_g(part)) > TOL_REL:
-        raise ConstraintViolated("input tuple is not in g^{-1}(0)")
-    return part * sg[:, None]
+    off = (np.abs(eval_g(part)) > TOL_REL).reshape(-1)
+    check = (off, lambda row: ConstraintViolated("input tuple is not in g^{-1}(0)"))
+    if part.ndim == 2:
+        one_row(raise_first, check)
+    else:
+        raise_first(check)
+    return part * sg[..., None]
 
 
 def enumerate_abelian(k: int) -> list[PuncturedSphereRep]:

@@ -1,4 +1,17 @@
+import hashlib
+
+import numpy as np
 import pytest
+
+
+@pytest.fixture(scope="session")
+def digest():
+    """The first 16 hex digits of the sha256 of the arrays' bytes, in order."""
+
+    def bytes_digest(*arrays) -> str:
+        return hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest()[:16]
+
+    return bytes_digest
 
 
 @pytest.fixture(scope="session")

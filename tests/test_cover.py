@@ -11,7 +11,6 @@ from charvar.cover import (
     fiber_to_json,
     fibers,
     lemma52_detailed,
-    lemma52_solve,
     lemma52_stack,
     lemma_branch_inputs,
     lifts,
@@ -100,6 +99,25 @@ class TestCaseLadder:
         assert sol.branch == 7
         assert float(sol.residuals.max()) <= 1e-12
 
+    def test_rung7_bytes_are_pinned(self, digest):
+        # x of lemma52_stack on rung-7 stacks, recorded when each rung-7 row
+        # was solved on its own, with numpy 2.4 on x86-64 Linux: constructed
+        # rung-7 inputs, inputs on the axis +-i, and +-1 in every sign
+        quads = [lemma_branch_inputs(7, np.random.default_rng((29, i))) for i in range(100)]
+        angles = np.random.default_rng(31).uniform(0.0, 2.0 * np.pi, size=(40, 4))
+        axis_i = np.where((np.arange(40) % 2 == 0)[:, None, None], 1.0, -1.0) * exp_pure(angles, I)
+        signs = np.where((np.arange(16)[:, None] >> np.arange(4)) & 1, -1.0, 1.0)
+        stacks = {
+            "4261f6e722172e85": [np.stack(q) for q in zip(*quads)],
+            "1914681dfaf35482": list(np.moveaxis(axis_i, 1, 0)),
+            "91e74f6a0c805024": list(np.moveaxis(signs[..., None] * ONE, 1, 0)),
+        }
+        for want, quad in stacks.items():
+            x, rung, residuals = lemma52_stack(*quad)
+            assert (rung == 7).all() and residuals.max() <= 1e-12
+            assert digest(x) == want
+            assert digest(np.stack([lemma52_detailed(*row).x for row in zip(*quad)])) == want
+
     def test_invalid_input_rejected(self):
         with pytest.raises(ConstraintViolated):
             lemma52_detailed(I, J, K, J)
@@ -116,7 +134,7 @@ class TestCaseLadder:
     def test_solve_returns_pure_unit(self):
         surface = surface_sample(np.random.default_rng(227))
         a, b, c, d, _ = section_inputs(np.stack(surface.generators()))
-        x = lemma52_solve(a, b, c, d)
+        x = lemma52_detailed(a, b, c, d).x
         assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
         assert abs(x[0]) <= 1e-12
 

@@ -1,7 +1,6 @@
 """Exact Hessian combinatorics, finite-difference agreement, chart
 symmetries, and the link sampler at the singular points."""
 
-import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -88,12 +87,25 @@ class TestExactCombinatorics:
 
     def test_pfaffian_against_reference(self):
         rng = np.random.default_rng(307)
-        for size in (2, 4, 6):
-            for _ in range(10):
-                upper = rng.integers(-4, 5, size=(size, size))
-                M = np.triu(upper, 1)
-                M = M - M.T
-                assert pfaffian_exact(M) == pfaffian_reference(M)
+        for size in (2, 4, 6, 8, 10):
+            for zeros in (0.0, 0.3, 0.7):
+                for _ in range(10 if size < 10 else 3):
+                    # with zeros, pivots vanish and rows are swapped
+                    upper = rng.integers(-4, 5, size=(size, size)) * (rng.random((size, size)) >= zeros)
+                    M = np.triu(upper, 1)
+                    M = M - M.T
+                    assert pfaffian_exact(M) == pfaffian_reference(M)
+        # a zero first pivot, a pivot that vanishes after the first step, and
+        # a zero row
+        swapped = np.array([[0, 0, 2, 1], [0, 0, 3, 0], [-2, -3, 0, 5], [-1, 0, -5, 0]])
+        vanishing = np.array(
+            [[0, 1, 1, 0, 0, 0], [-1, 0, 0, 1, 0, 0], [-1, 0, 0, 1, 2, 0],
+             [0, -1, -1, 0, 0, 3], [0, 0, -2, 0, 0, 1], [0, 0, 0, -3, -1, 0]]
+        )
+        singular = np.zeros((4, 4), dtype=int)
+        singular[2, 3], singular[3, 2] = 7, -7
+        for M in (swapped, vanishing, singular):
+            assert pfaffian_exact(M) == pfaffian_reference(M)
 
     def test_pfaffian_of_chart_matrices(self):
         for n in range(2, 7):
@@ -213,10 +225,6 @@ class TestChart:
                     assert abs(eval_chart_g(n, t * u) - t * t * qu) <= 10.0 * t**3
 
 
-def digest(*arrays) -> str:
-    return hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest()[:16]
-
-
 def refinement_starts() -> np.ndarray:
     """Twelve unrefined n = 3 link samples; every third one scaled by 1e-3,
     which stops after one step."""
@@ -254,14 +262,14 @@ class TestStackedChart:
         with pytest.raises(ValueError, match="expected 2n-2 = 4 coordinates for n = 3"):
             eval_chart_g(3, np.zeros((5, 3), dtype=complex))
 
-    def test_fd_hessian_bytes_are_pinned(self):
+    def test_fd_hessian_bytes_are_pinned(self, digest):
         # sha256 of fd_hessian(n).tobytes(), recorded when each stencil point
         # was evaluated on its own, with numpy 2.4 on x86-64 Linux
         pinned = {2: "cf02175a1ec8ac72", 3: "e6a48cfadf0a487b", 4: "3d37b67ff7c7d2c9", 5: "dc248f595f149540"}
         for n, want in pinned.items():
             assert digest(fd_hessian(n)) == want
 
-    def test_refined_link_bytes_are_pinned(self):
+    def test_refined_link_bytes_are_pinned(self, digest):
         # recorded when each Newton step evaluated its stencil point by point
         points = sample_link(3, 5, np.random.default_rng((3, 14)), refine=True)
         assert digest(*(pt.zs for pt in points)) == "f39c0734d39637a3"
@@ -288,7 +296,7 @@ class TestStackedChart:
         # one stack per step: the 17-point stencils of the rows still moving
         assert sizes == [(17 * sum(s > step for s in steps), 4) for step in range(max(steps))]
 
-    def test_stack_rows_are_the_one_point_refinements(self):
+    def test_stack_rows_are_the_one_point_refinements(self, digest):
         # step counts 1, 4, 5 and 6 in one stack; the digest was recorded
         # when each point was refined on its own
         starts = refinement_starts()

@@ -18,14 +18,12 @@ from charvar.quat import (
     commutator,
     commutator_defect,
     conjugate,
-    cross,
     exp_chart,
     exp_pure,
     from_rotation_matrix,
     gprod,
     im,
     is_pure_unit,
-    is_unit,
     norm,
     normalize,
     qconj,
@@ -183,7 +181,7 @@ class TestRotation:
     )
     def test_from_rotation_matrix_round_trip(self, g):
         back = from_rotation_matrix(rotation_matrix(g))
-        assert is_unit(back)
+        assert abs(norm(back) - 1.0) <= 1e-12
         assert min(np.linalg.norm(back - g), np.linalg.norm(back + g)) <= 1e-14
 
     def test_stacks_match_rows(self):
@@ -211,7 +209,7 @@ class TestRotation:
     def test_rotor_between_antipodal(self):
         for u in (I, J, K, random_pure(np.random.default_rng(8))):
             g = rotor_between(u, -u)
-            assert is_unit(g)
+            assert abs(norm(g) - 1.0) <= 1e-12
             assert np.allclose(conjugate(g, u), -u, atol=1e-13)
 
     def test_rotor_between_random(self):
@@ -219,6 +217,26 @@ class TestRotation:
         for _ in range(50):
             u, v = random_pure(rng), random_pure(rng)
             assert np.allclose(conjugate(rotor_between(u, v), u), v, atol=1e-12)
+
+    def test_rotor_between_bytes_are_pinned(self, digest):
+        # recorded from rotor_between called one pair at a time, with numpy
+        # 2.4 on x86-64 Linux: random, equal and antipodal pairs, and every
+        # pair of +-i, +-j, +-k; the stack gives the same bytes
+        rng = np.random.default_rng(23)
+        u = np.stack([random_pure(rng) for _ in range(200)])
+        v = np.stack([random_pure(rng) for _ in range(200)])
+        basis = np.stack([s * q for q in (I, J, K) for s in (1.0, -1.0)])
+        pairs = {
+            "bae452cf51656f9f": (u, v),
+            "9a3892eec951b2ac": (u, u),
+            "94bc1e7f36f80714": (u, -u),
+            "8ed15f73a8e49f71": (np.repeat(basis, 6, axis=0), np.tile(basis, (6, 1))),
+        }
+        for want, (a, b) in pairs.items():
+            assert digest(np.stack([rotor_between(x, y) for x, y in zip(a, b)])) == want
+            stacked = rotor_between(a, b)
+            assert digest(stacked) == want
+        assert np.allclose(conjugate(stacked, a), b, atol=1e-13)
 
 
 class TestExponential:
@@ -389,13 +407,6 @@ def test_gprod_of_stacked_factors_matches_rows_exactly():
     a, b, c = (np.stack([random_unit(rng) for _ in range(50)]) for _ in range(3))
     for row, qa, qb, qc in zip(gprod(a, b, c), a, b, c):
         assert row.tobytes() == group_product([qa, qb, qc]).tobytes()
-
-
-def test_cross_is_np_cross_bit_for_bit():
-    rng = np.random.default_rng(49)
-    for a, b in rng.normal(size=(500, 2, 3)):
-        assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
-        assert cross(a, (1.0, 0.0, 0.0)).tobytes() == np.cross(a, [1.0, 0.0, 0.0]).tobytes()
 
 
 def test_ufuncs_give_scalar_bits_on_arrays():

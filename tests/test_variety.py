@@ -7,7 +7,16 @@ import pytest
 from charvar import selftest, variety
 from charvar.errors import AbelianInput, ConstraintViolated
 from charvar.quat import I, J, K, ONE, exp_pure, gprod, qmul
-from charvar.rep import alpha_star, bd_from_angles, bd_from_torus, fingerprint, make_rep, TorusCoords
+from charvar.rep import (
+    TorusCoords,
+    alpha_star,
+    bd_from_angles,
+    bd_from_torus,
+    complete_rep,
+    complete_reps,
+    fingerprint,
+    make_rep,
+)
 from charvar.variety import (
     ABELIAN,
     BINARY_DIHEDRAL,
@@ -370,8 +379,33 @@ class TestCensus:
     def test_sign_transport_validates_domain(self):
         # jk = i, so re(i * jk) = -1: not in g^{-1}(0)
         bad = np.stack([J, K])
-        with pytest.raises(ConstraintViolated):
+        with pytest.raises(ConstraintViolated) as exc:
             sign_transport(bad, [1.0, 1.0])
+        assert not hasattr(exc.value, "row")
+
+    def test_sign_transport_stack_names_its_off_variety_row(self):
+        stack = np.tile(I, (5, 2, 1))
+        stack[3] = [J, K]
+        signs = np.ones((5, 2))
+        with pytest.raises(ConstraintViolated, match=r"not in g\^\{-1\}\(0\)") as exc:
+            sign_transport(stack, signs)
+        assert exc.value.row == 3
+        with pytest.raises(ValueError, match="signs must be"):
+            sign_transport(stack, signs[:, :1])
+
+    def test_census_sign_stacks_are_pinned(self, digest):
+        # the sign-flipped tuples of the census and their completions,
+        # recorded when each tuple was flipped and completed on its own, with
+        # numpy 2.4 on x86-64 Linux; the stacked forms give the same bytes
+        for k, want in ((4, "bd1064e5ac7411c4"), (6, "ff5ccb96cf217310")):
+            signs = np.where((np.arange(2 ** (k - 2))[:, None] >> np.arange(k - 2)) & 1, -1.0, 1.0)
+            base = np.tile(I, (k - 2, 1))
+            flipped = np.stack([sign_transport(base, s) for s in signs])
+            completed = np.stack([complete_rep([I, *f]).meridians for f in flipped])
+            assert digest(flipped, completed) == want
+            flipped = sign_transport(np.broadcast_to(I, (*signs.shape, 4)), signs)
+            completed = complete_reps(np.concatenate([np.broadcast_to(I, (len(signs), 1, 4)), flipped], axis=1))
+            assert digest(flipped, completed) == want
 
 
 class TestSecondConstraint:
