@@ -9,8 +9,7 @@ bench/BENCH_<date>_<revision>.json; the revision ends in -dirty when src/
 differs from HEAD.  Every time is recorded raw and scaled
 to perfbench's reference host speed: a shared host's speed swings by up to
 2x within minutes, so each measurement is bracketed by samples of
-perfbench's host-speed probe and multiplied by their factor.  An operation
-whose stacked form the checkout lacks is recorded as null.
+perfbench's host-speed probe and multiplied by their factor.
 """
 
 from __future__ import annotations
@@ -32,25 +31,26 @@ import numpy as np  # noqa: E402
 
 from charvar import cover, morse, quat, rep, selftest, variety  # noqa: E402
 from perfbench.worker import HostSpeed  # noqa: E402
+from perfbench.workloads import BUDGETS_S  # noqa: E402
 
 ROWS = 256  # inputs per timed pass, scalar and stacked alike
 REPEATS = 5
 REFINE_POINTS = 16  # link points refined per timed pass, one at a time and as one stack
 CONJUGATOR_PAIRS = 32  # k = 6 pairs per timed pass, conjugate and independent
-# acceptance criteria, with their budgets in tests/test_acceptance.py; the
-# link sampler is no criterion and has no budget
+# acceptance criteria by number; their budgets are perfbench's BUDGETS_S.
+# The link sampler is no criterion and has no budget
 CRITERIA = (
-    (1, "abelian-census", selftest.check_abelian_census, 1.0),
-    (2, "cover-roundtrip", selftest.check_cover_roundtrip, 10.0),
-    (3, "fiber-two-fold", selftest.check_fiber_two_fold, 10.0),
-    (4, "lemma52-branches", selftest.check_lemma52_branches, 10.0),
-    (5, "hessian-exact", selftest.check_hessian_exact, 1.0),
-    (6, "hessian-numeric", selftest.check_hessian_numeric, 5.0),
-    (7, "small-k-rigidity", selftest.check_small_k_rigidity, 5.0),
-    (8, "submersion-certificates", selftest.check_submersion, 10.0),
-    (9, "chart-symmetries", selftest.check_chart_symmetries, 5.0),
-    (10, "bd-torus", selftest.check_bd_torus, 5.0),
-    (None, "link-sampler", selftest.check_link_sampler, None),
+    (1, "abelian-census", selftest.check_abelian_census),
+    (2, "cover-roundtrip", selftest.check_cover_roundtrip),
+    (3, "fiber-two-fold", selftest.check_fiber_two_fold),
+    (4, "lemma52-branches", selftest.check_lemma52_branches),
+    (5, "hessian-exact", selftest.check_hessian_exact),
+    (6, "hessian-numeric", selftest.check_hessian_numeric),
+    (7, "small-k-rigidity", selftest.check_small_k_rigidity),
+    (8, "submersion-certificates", selftest.check_submersion),
+    (9, "chart-symmetries", selftest.check_chart_symmetries),
+    (10, "bd-torus", selftest.check_bd_torus),
+    (None, "link-sampler", selftest.check_link_sampler),
 )
 
 
@@ -87,20 +87,13 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
     gens = np.stack([np.stack(s.generators()) for s in surfaces])
     quads = [cover.section_inputs(np.stack(s.generators()))[:4] for s in surfaces]
     quad_stack = [np.stack(v) for v in zip(*quads)]
-    stacked = {name: getattr(cover, name, None) for name in ("pushforwards", "lifts", "lemma52_stack", "fibers")}
     thetas = np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, size=(ROWS, 4))
-    bd_from_angles = getattr(rep, "bd_from_angles", None)
     bd = np.stack([rep.bd_from_torus(rep.TorusCoords(3, t)).meridians for t in thetas])
-    angles_from_bd = getattr(rep, "angles_from_bd", None)
     pure_u, pure_v = (
         np.stack([quat.random_pure(np.random.default_rng((seed, i))) for i in range(ROWS)]) for seed in (16, 17)
     )
     qa, qb = (np.random.default_rng(seed).normal(size=(ROWS, 4)) for seed in (12, 13))
     parts = meridians[:, :-1]
-    certificates = {
-        name: getattr(variety, name, None)
-        for name in ("submersion_certificates", "conjugation_ranks", "local_dimensions")
-    }
     zs = 0.5 * (qa + 1j * qb)  # n = 3 chart coordinates
     ops = {
         "qmul": (
@@ -110,7 +103,7 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
         ),
         "eval_chart_g(3)": (
             lambda: [morse.eval_chart_g(3, z) for z in zs],
-            stacked_chart(zs) and (lambda: morse.eval_chart_g(3, zs)),
+            lambda: morse.eval_chart_g(3, zs),
             "morse.eval_chart_g on (N, 4) coordinate stacks",
         ),
         "make_rep": (
@@ -130,17 +123,17 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
         ),
         "bd_from_torus": (
             lambda: [rep.bd_from_torus(rep.TorusCoords(3, t)) for t in thetas],
-            bd_from_angles and (lambda: bd_from_angles(thetas)),
+            lambda: rep.bd_from_angles(thetas),
             "rep.bd_from_angles",
         ),
         "torus_from_bd": (
             lambda: [rep.torus_from_bd(rep.PuncturedSphereRep(m)) for m in bd],
-            angles_from_bd and (lambda: angles_from_bd(bd)),
+            lambda: rep.angles_from_bd(bd),
             "rep.angles_from_bd",
         ),
         "rotor_between": (
             lambda: [quat.rotor_between(u, v) for u, v in zip(pure_u, pure_v)],
-            stacked_rotor(pure_u, pure_v) and (lambda: quat.rotor_between(pure_u, pure_v)),
+            lambda: quat.rotor_between(pure_u, pure_v),
             "quat.rotor_between on (N, 4) stacks",
         ),
         "sample_point": (
@@ -150,37 +143,37 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
         ),
         "submersion_certificate": (
             lambda: [variety.submersion_certificate(p) for p in parts],
-            certificates["submersion_certificates"] and (lambda: certificates["submersion_certificates"](parts)),
+            lambda: variety.submersion_certificates(parts),
             "variety.submersion_certificates",
         ),
         "conjugation_rank": (
             lambda: [variety.conjugation_rank(p) for p in parts],
-            certificates["conjugation_ranks"] and (lambda: certificates["conjugation_ranks"](parts)),
+            lambda: variety.conjugation_ranks(parts),
             "variety.conjugation_ranks",
         ),
         "local_dimension": (
             lambda: [variety.local_dimension(r) for r in reps],
-            certificates["local_dimensions"] and (lambda: certificates["local_dimensions"](meridians)),
+            lambda: variety.local_dimensions(meridians),
             "variety.local_dimensions",
         ),
         "pushforward": (
             lambda: [cover.pushforward(r) for r in reps],
-            stacked["pushforwards"] and (lambda: stacked["pushforwards"](meridians)),
+            lambda: cover.pushforwards(meridians),
             "cover.pushforwards",
         ),
         "extend": (
             lambda: [cover.extend(s, sign) for s in surfaces for sign in (1, -1)],
-            stacked["lifts"] and (lambda: stacked["lifts"](gens)),
+            lambda: cover.lifts(gens),
             "cover.lifts (both sheets: per row and sheet)",
         ),
         "lemma52_detailed": (
             lambda: [cover.lemma52_detailed(*q) for q in quads],
-            stacked["lemma52_stack"] and (lambda: stacked["lemma52_stack"](*quad_stack)),
+            lambda: cover.lemma52_stack(*quad_stack),
             "cover.lemma52_stack",
         ),
         "fiber": (
             lambda: [cover.fiber(s) for s in surfaces],
-            stacked["fibers"] and (lambda: stacked["fibers"](gens)),
+            lambda: cover.fibers(gens),
             "cover.fibers",
         ),
     }
@@ -189,38 +182,13 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
         calls = 2 * ROWS if name == "extend" else ROWS
         out[name] = {
             "scalar": per_op(scalar, calls, speed),
-            "batch_row": per_op(batch, calls, speed) if batch else None,
+            "batch_row": per_op(batch, calls, speed),
             "batch_form": form,
         }
     return out
 
 
-def stacked_chart(zs: np.ndarray) -> bool:
-    """Whether this checkout's ``eval_chart_g`` takes coordinate stacks."""
-    try:
-        morse.eval_chart_g(3, zs)
-    except ValueError:
-        return False
-    return True
-
-
-def stacked_rotor(u: np.ndarray, v: np.ndarray) -> bool:
-    """Whether this checkout's ``rotor_between`` takes stacks of pairs."""
-    try:
-        return quat.rotor_between(u, v).shape == u.shape
-    except ValueError:
-        return False
-
-
-def stacked_refine(starts: np.ndarray) -> bool:
-    """Whether this checkout's ``refine_chart_zero`` takes stacks of points."""
-    try:
-        return morse.refine_chart_zero(3, starts).shape == starts.shape
-    except ValueError:
-        return False
-
-
-def morse_solvers(speed: HostSpeed) -> dict[str, dict | None]:
+def morse_solvers(speed: HostSpeed) -> dict[str, dict]:
     """Microseconds per call of the finite-difference Hessian at n = 8, and
     per refined link point at n = 3: REFINE_POINTS unrefined samples refined
     one at a time and as one stack."""
@@ -230,11 +198,7 @@ def morse_solvers(speed: HostSpeed) -> dict[str, dict | None]:
         "refine_chart_zero(3)": per_op(
             lambda: [morse.refine_chart_zero(3, z) for z in starts], REFINE_POINTS, speed
         ),
-        "refine_chart_zero(3) stacked": (
-            per_op(lambda: morse.refine_chart_zero(3, starts), REFINE_POINTS, speed)
-            if stacked_refine(starts)
-            else None
-        ),
+        "refine_chart_zero(3) stacked": per_op(lambda: morse.refine_chart_zero(3, starts), REFINE_POINTS, speed),
     }
 
 
@@ -254,22 +218,20 @@ def conjugator(speed: HostSpeed) -> dict[str, dict]:
 
 
 def criteria(speed: HostSpeed) -> dict[str, dict]:
+    """Seconds of each criterion at full counts, seed 0, the fastest of
+    REPEATS runs as :func:`timed` takes it, and its share of its budget."""
     out = {}
-    for number, name, check, budget in CRITERIA:
-        speed.probe()
-        first = len(speed.samples)
-        start = time.perf_counter()
-        result = check(selftest.FULL_COUNTS, 0)
-        elapsed = time.perf_counter() - start
-        speed.probe()
-        scaled = elapsed * speed.factor(first - 1, len(speed.samples))
+    for number, name, check in CRITERIA:
+        results = []
+        raw, scaled = timed(lambda: results.append(check(selftest.FULL_COUNTS, 0)), speed)
+        budget = BUDGETS_S.get(name)
         out[name if number is None else f"criterion_{number}"] = {
             "check": name,
-            "ok": result.ok,
-            "raw_s": elapsed,
+            "ok": all(result.ok for result in results),
+            "raw_s": raw,
             "scaled_s": scaled,
             "budget_s": budget,
-            "raw_share": budget and elapsed / budget,
+            "raw_share": budget and raw / budget,
             "scaled_share": budget and scaled / budget,
         }
     return out

@@ -1,10 +1,11 @@
 """Command-line driver: sampling campaigns, cover diagnostics, Hessian
 certification, and the selftest suite.
 
-Every campaign draws per-sample generators keyed by (seed, index), so a
-given configuration produces byte-identical output.  Data goes to --out
-(or stdout); human summaries go to stderr.  Exit codes: 0 all invariants
-hold, 1 an invariant failed, 2 usage error.
+Sampling campaigns draw sample i from a generator keyed by (seed, i), and
+link-sample draws its points in order from one generator keyed by the
+seed, so a given configuration produces byte-identical output.  Data goes
+to --out (or stdout); human summaries go to stderr.  Exit codes: 0 all
+invariants hold, 1 an invariant failed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import cover, morse, selftest, variety
 from .cover import LEMMA_TOL  # re-exported: the bound of the lemma52 gate
-from .quat import ONE, commutator, gprod, qmul
 from .rep import (
     TOL_REL,
     Fingerprint,
@@ -27,13 +27,14 @@ from .rep import (
     fingerprint_batch,
     fingerprint_digest,
     product_residuals,
+    relation_residuals,
     sphere_names,
     surface_to_json,
     word_labels,
 )
 
 K_RANGE = (3, 16)
-N_RANGE = (2, 12)
+N_RANGE = (2, morse.N_MAX)
 
 
 class UsageError(Exception):
@@ -101,7 +102,7 @@ def cmd_sample(args: argparse.Namespace) -> Run:
     def sample(keys, rngs):
         mers = variety.sample_points(args.k, rngs)
         residuals = zip(
-            np.abs(gprod(mers[:, :-1])[:, 0]).tolist(),
+            np.abs(variety.eval_f(mers[:, :-1])).tolist(),
             product_residuals(mers).tolist(),
             np.max(np.abs(mers[..., 0]), axis=1).tolist(),
         )
@@ -146,9 +147,7 @@ def cmd_sample(args: argparse.Namespace) -> Run:
 def cmd_cover_push(args: argparse.Namespace) -> Run:
     def push(keys, rngs):
         gens = cover.surface_samples(rngs)
-        r1, s1, r2, s2 = np.moveaxis(gens, 1, 0)
-        d = qmul(commutator(r1, s1), commutator(r2, s2)) - ONE
-        residuals = np.sqrt(np.vecdot(d, d)).tolist()
+        residuals = relation_residuals(gens).tolist()
         return [
             {"index": i, "seed": seed, **surface_to_json(SurfaceRep(*g)), "relation_residual": residual}
             for (seed, i), g, residual in zip(keys, gens, residuals)

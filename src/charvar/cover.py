@@ -38,6 +38,7 @@ from .quat import (
     conjugate,
     exp_pure,
     gprod,
+    norm,
     qinv,
     qmul,
     random_pure,
@@ -50,6 +51,7 @@ from .rep import (
     SurfaceRep,
     TOL_REL,
     fingerprint_batch,
+    fingerprint_distances,
     make_surface_reps,
     normalize_reps,
     one_row,
@@ -80,10 +82,6 @@ class Lemma52Solution:
     x: np.ndarray
     branch: int
     residuals: np.ndarray
-
-
-def _norms(q: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.vecdot(q, q))
 
 
 def _surface_words(x1, x2, x3, x4, x5, x6) -> tuple[np.ndarray, ...]:
@@ -119,9 +117,8 @@ def surface_sample(rng: np.random.Generator) -> SurfaceRep:
     return SurfaceRep(*one_row(surface_samples, [rng])[0])
 
 
-def _lemma52_residuals(x, a, b, c, d) -> np.ndarray:
-    w = gprod(a, b, c, d)
-    parts = [x[..., 0], *(qmul(x, v)[..., 0] for v in (a, b, c, d, qinv(w)))]
+def _lemma52_residuals(x, a, b, c, d, abcd) -> np.ndarray:
+    parts = [x[..., 0], *(qmul(x, v)[..., 0] for v in (a, b, c, d, qinv(abcd)))]
     return np.abs(np.array(parts).T)
 
 
@@ -139,15 +136,13 @@ def _common_axes(a, b, c, d) -> np.ndarray:
     aa = axis_angle(np.stack([a, b, c, d], axis=1))
     away = np.minimum(aa.angle, np.pi - aa.angle) >= 1e-6
     axis = np.take_along_axis(aa.axis, np.argmax(away, axis=1)[:, None, None], axis=1)[:, 0]
-    near_i = np.minimum(_norms(axis - I), _norms(axis + I)) <= 1e-6
+    near_i = np.minimum(norm(axis - I), norm(axis + I)) <= 1e-6
     return np.where((near_i | ~away.any(axis=1))[:, None], J, conjugate(rotor_between(I, axis), J))
 
 
-def _ladder(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The case ladder on (N, 4) stacks: x, the rung, and the defect
-    |abcd - dcba| that must stay within TOL_REL.  Each pair's commutator
-    defect is computed on the rows no earlier pair solved."""
-    defect = _norms(gprod(a, b, c, d) - gprod(d, c, b, a))
+def _ladder(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
+    """The case ladder on (N, 4) stacks: x and the rung.  Each pair's
+    commutator defect is computed on the rows no earlier pair solved."""
     x = np.zeros(a.shape)
     rung = np.full(a.shape[0], 7)
     for idx, (u, v) in enumerate(_ladder_pairs(a, b, c, d)):
@@ -155,18 +150,19 @@ def _ladder(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if rows.size == 0:
             break
         w = commutator_defect(u[rows], v[rows])
-        norms = _norms(w)
+        norms = norm(w)
         hit = norms > COMM_TOL
         x[rows[hit]] = w[hit] / norms[hit, None]
         rung[rows[hit]] = idx + 1
     seven = np.flatnonzero(rung == 7)
     if seven.size:
         x[seven] = _common_axes(a[seven], b[seven], c[seven], d[seven])
-    return x, rung, defect
+    return x, rung
 
 
-def _defect_check(defect: np.ndarray) -> tuple:
+def _defect_check(abcd: np.ndarray, dcba: np.ndarray) -> tuple:
     """The ladder's input check: abcd = dcba within TOL_REL."""
+    defect = norm(abcd - dcba)
     return defect > TOL_REL, lambda row: ConstraintViolated(
         f"abcd and dcba differ by {defect[row]:.3e} > {TOL_REL:.1e}"
     )
@@ -185,9 +181,10 @@ def lemma52_stack(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     abcd != dcba raises ConstraintViolated.
     """
     a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
-    x, rung, defect = _ladder(a, b, c, d)
-    raise_first(_defect_check(defect))
-    return x, rung, _lemma52_residuals(x, a, b, c, d)
+    abcd = gprod(a, b, c, d)
+    x, rung = _ladder(a, b, c, d)
+    raise_first(_defect_check(abcd, gprod(d, c, b, a)))
+    return x, rung, _lemma52_residuals(x, a, b, c, d, abcd)
 
 
 def lemma52_detailed(a, b, c, d) -> Lemma52Solution:
@@ -248,12 +245,6 @@ def section_inputs(generators: np.ndarray):
     return a, b, c, d, e
 
 
-def _section_residual(a, b, c, d, e) -> np.ndarray:
-    """How far e^-1 = abcd = dcba fails."""
-    einv = qinv(e)
-    return np.maximum(_norms(einv - gprod(a, b, c, d)), _norms(einv - gprod(d, c, b, a)))
-
-
 def _meridian_words(x1, r1, s1, r2, s2) -> list[np.ndarray]:
     """The six meridians the section reads off the generator words, given
     x1: x2 = x1^-1 r1 and so on."""
@@ -282,13 +273,15 @@ def lifts(generators: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(generators, dtype=float)
     a, b, c, d, e = section_inputs(g)
-    residual = _section_residual(a, b, c, d, e)
-    x, _, defect = _ladder(a, b, c, d)
+    abcd, dcba, einv = gprod(a, b, c, d), gprod(d, c, b, a), qinv(e)
+    # how far e^-1 = abcd = dcba fails
+    residual = np.maximum(norm(einv - abcd), norm(einv - dcba))
+    x, _ = _ladder(a, b, c, d)
     words = [np.stack(_meridian_words(float(sign) * x, *np.moveaxis(g, 1, 0)), axis=1) for sign in (1, -1)]
     sheets, checks = zip(*(normalize_reps(w) for w in words))
     raise_first(
         (residual > TOL_REL, lambda row: RelationViolated(float(residual[row]))),
-        _defect_check(defect),
+        _defect_check(abcd, dcba),
         *checks[0],
         *checks[1],
     )
@@ -309,7 +302,7 @@ def roundtrip_residuals(generators: np.ndarray) -> np.ndarray:
     g = np.asarray(generators, dtype=float)
     sheets = lifts(g)
     back = np.stack([pushforwards(sheets[:, sheet]) for sheet in (0, 1)], axis=1)
-    return _norms(g[:, None] - back).max(axis=-1)
+    return norm(g[:, None] - back).max(axis=-1)
 
 
 def fibers(generators: np.ndarray) -> list[FiberReport]:
@@ -322,7 +315,7 @@ def fibers(generators: np.ndarray) -> list[FiberReport]:
     """
     sheets = lifts(generators)
     plus, minus = (fingerprint_batch(sheets[:, sheet]) for sheet in (0, 1))
-    separation = np.max(np.abs(plus - minus), axis=1)
+    separation = fingerprint_distances(plus, minus)
     labels = word_labels(sphere_names(6))
     reports = []
     for row, sep in enumerate(separation.tolist()):

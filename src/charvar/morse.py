@@ -31,6 +31,8 @@ REFINE_TOL = 1e-10
 # refine_chart_zero stops at this residual or after REFINE_STEPS Newton steps
 REFINE_TARGET = 1e-12
 REFINE_STEPS = 60
+# the largest n the command line takes and the hessian-exact check certifies
+N_MAX = 12
 
 
 @dataclass(frozen=True)

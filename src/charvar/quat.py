@@ -10,11 +10,11 @@ through :func:`gprod`, which renormalizes once the accumulated norm drift
 exceeds ``RENORM_DRIFT``.
 
 Every operation has one implementation, on (..., 4) stacks; one
-quaternion is a stack of one.  Every dot or norm is ``np.vecdot`` or
-``np.sqrt(np.vecdot(...))``: on 3- and 4-vectors these call the BLAS kernel
-``np.dot`` calls, as stacked ``matmul`` does, while a sequential sum,
-``einsum`` and ``np.linalg.norm(..., axis=-1)`` differ from it in the last
-bit on a sizeable share of rows.
+quaternion is a stack of one.  Every dot is ``np.vecdot`` and every norm
+:func:`norm`, its square root: on 3- and 4-vectors ``vecdot`` calls the
+BLAS kernel ``np.dot`` calls, as stacked ``matmul`` does, while a
+sequential sum, ``einsum`` and ``np.linalg.norm(..., axis=-1)`` differ
+from it in the last bit on a sizeable share of rows.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numpy as np
 TOL_UNIT = 1e-12
 TOL_PURE = 1e-12
 RENORM_DRIFT = 1e-14
-# a Gaussian draw of norm at most this is rejected and drawn again; the
-# batch sampler in ``variety`` rejects by the same cutoff to stay bit-exact
+# a Gaussian draw of norm at most this is rejected and drawn again, after
+# the rest of its stack (:func:`random_directions`)
 DRAW_CUTOFF = 1e-12
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
@@ -91,17 +91,15 @@ def normalize(q: np.ndarray) -> np.ndarray:
 def gprod(*qs: np.ndarray) -> np.ndarray:
     """Product of unit quaternions, renormalized if drift exceeds RENORM_DRIFT.
 
-    Takes the factors as arguments or as one list, or one (N, m, 4) stack:
-    then each of the N rows is the product of its m factors.  Factors may
-    be (..., 4) stacks; each row of the product is renormalized on its own.
+    Takes the factors as arguments, or one (N, m, 4) stack: then each of
+    the N rows is the product of its m factors.  Factors may be (..., 4)
+    stacks; each row of the product is renormalized on its own.
     """
     p = ONE
-    if len(qs) == 1 and isinstance(qs[0], np.ndarray) and qs[0].ndim == 3:
+    if len(qs) == 1 and np.ndim(qs[0]) == 3:
         # N rows of no factors are N identities
         p = np.broadcast_to(ONE, (qs[0].shape[0], 4))
         qs = tuple(np.moveaxis(qs[0], 1, 0))
-    elif len(qs) == 1 and isinstance(qs[0], (list, tuple)):
-        qs = tuple(qs[0])
     for q in qs:
         p = qmul(p, q)
     sq = np.vecdot(p, p)
@@ -230,7 +228,7 @@ def axis_angle(q: np.ndarray) -> AxisAngle:
     still carries all the information there).
     """
     v = q[..., 1:]
-    s = np.sqrt(np.vecdot(v, v))
+    s = norm(v)
     angle = np.arctan2(s, q[..., 0])
     central = s <= TOL_UNIT
     axis = np.zeros(q.shape)
@@ -255,26 +253,29 @@ def exp_chart(zs: np.ndarray) -> np.ndarray:
     return qmul(I, np.stack([np.cos(r), np.zeros_like(r), s * x, s * y], axis=-1))
 
 
+def random_directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """``count`` uniform unit ``dim``-vectors, (count, dim), drawn as ``count``
+    one-row calls draw them: one ``standard_normal((count, dim))``, and a
+    row of norm <= DRAW_CUTOFF is dropped and drawn again after the rest."""
+    v = rng.standard_normal((count, dim))
+    n = norm(v)
+    keep = n > DRAW_CUTOFF
+    if keep.all():
+        return v / n[:, None]
+    kept = v[keep] / n[keep, None]
+    return np.concatenate([kept, random_directions(rng, count - len(kept), dim)])
+
+
 def random_pure(rng: np.random.Generator) -> np.ndarray:
     """Uniform point of the traceless unit sphere."""
-    while True:
-        v = rng.standard_normal(3)
-        n = np.sqrt(np.dot(v, v))
-        if n > DRAW_CUTOFF:
-            break
-    out = np.empty(4)
-    out[0] = 0.0
-    out[1:] = v / n
+    out = np.zeros(4)
+    out[1:] = random_directions(rng, 1, 3)[0]
     return out
 
 
 def random_unit(rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform unit quaternion."""
-    while True:
-        v = rng.standard_normal(4)
-        n = np.sqrt(np.dot(v, v))
-        if n > DRAW_CUTOFF:
-            return v / n
+    return random_directions(rng, 1, 4)[0]
 
 
 def rotation_matrix(g: np.ndarray) -> np.ndarray:
@@ -322,25 +323,31 @@ def from_rotation_matrix(R: np.ndarray) -> np.ndarray:
     return g / np.sqrt(np.dot(g, g))
 
 
+def perpendicular(a: np.ndarray) -> np.ndarray:
+    """A nonzero vector orthogonal to each unit 3-vector of a (..., 3) stack,
+    not normalized: a x e1, or a x e2 where a x e1 is near zero."""
+    w = np.cross(a, (1.0, 0.0, 0.0))
+    return np.where((np.vecdot(w, w) < 1e-12)[..., None], np.cross(a, (0.0, 1.0, 0.0)), w)
+
+
 def rotor_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Unit g with g u g^-1 = v for pure unit quaternions u, v, or for each
     pair of broadcast (..., 4) stacks.
 
     Rotates about the axis u x v by the angle between them.  Where u = v
     that is 1; where u = -v the axis is ambiguous and the rotation by pi
-    about u x i (u x j if u is +-i) is taken.
+    about :func:`perpendicular` of u is taken.
     """
     a, b = np.asarray(u, dtype=float)[..., 1:], np.asarray(v, dtype=float)[..., 1:]
     c = np.cross(a, b)
     d = np.vecdot(a, b)
-    s = np.sqrt(np.vecdot(c, c))
+    s = norm(c)
     half = 0.5 * np.arctan2(s, d)
-    w = np.cross(a, (1.0, 0.0, 0.0))
-    w = np.where((np.vecdot(w, w) < 1e-12)[..., None], np.cross(a, (0.0, 1.0, 0.0)), w)
+    w = perpendicular(a)
     rotor, flip = np.zeros((2, *np.broadcast_shapes(a.shape, b.shape)[:-1], 4))
     with np.errstate(divide="ignore", invalid="ignore"):
         rotor[..., 1:] = np.sin(half)[..., None] * (c / s[..., None])
-        flip[..., 1:] = w / np.sqrt(np.vecdot(w, w))[..., None]
+        flip[..., 1:] = w / norm(w)[..., None]
     rotor[..., 0] = np.cos(half)
     parallel = (s <= 1e-14)[..., None]
     return np.where(parallel, np.where((d > 0)[..., None], ONE, flip), rotor)

@@ -54,8 +54,9 @@ TOL_REL = 1e-10
 UNIT_TOL = 1e-6
 FP_TOL = 1e-9
 DIGEST_DECIMALS = 9
-# angles_from_bd: singular values at most this times the largest count as zero
-PLANAR_TOL = 1e-8
+# the rank cutoff: a singular value at most this times the largest counts as
+# zero, here in angles_from_bd and in the ranks of charvar.variety
+RANK_TOL_FACTOR = 1e-8
 FP_CHUNK = 64
 
 GENERATOR_NAMES = ("r1", "s1", "r2", "s2")
@@ -143,8 +144,14 @@ def _unit_check(norms: np.ndarray, name) -> tuple:
 
 def product_residuals(meridians: np.ndarray) -> np.ndarray:
     """|q_1 ... q_k - 1| for each representation in an (N, k, 4) stack."""
-    d = gprod(meridians) - ONE
-    return np.sqrt(np.vecdot(d, d))
+    return quat.norm(gprod(meridians) - ONE)
+
+
+def relation_residuals(generators: np.ndarray) -> np.ndarray:
+    """|[r1,s1][r2,s2] - 1| for each quadruple (r1, s1, r2, s2) in an
+    (N, 4, 4) stack."""
+    r1, s1, r2, s2 = np.moveaxis(generators, -2, 0)
+    return quat.norm(gprod(quat.commutator(r1, s1), quat.commutator(r2, s2)) - ONE)
 
 
 def normalize_reps(meridians: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -152,7 +159,7 @@ def normalize_reps(meridians: np.ndarray) -> tuple[np.ndarray, tuple]:
     as (mask, error) pairs for :func:`raise_first`, in the order a row meets
     them: every meridian a unit, then traceless, then the product 1."""
     m = np.asarray(meridians, dtype=float)
-    n = np.sqrt(np.vecdot(m, m))
+    n = quat.norm(m)
     with np.errstate(divide="ignore", invalid="ignore"):
         m = m / n[..., None]
         traced = np.abs(m[..., 0]) > TOL_REL
@@ -215,12 +222,10 @@ def make_surface_reps(generators: np.ndarray) -> np.ndarray:
     renormalizes unit norms and checks the relation [r1,s1][r2,s2] = 1.
     Returns the renormalized stack; the first rejected row raises."""
     gens = np.asarray(generators, dtype=float)
-    n = np.sqrt(np.vecdot(gens, gens))
+    n = quat.norm(gens)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = gens / n[..., None]
-        r1, s1, r2, s2 = np.moveaxis(g, -2, 0)
-        d = gprod(quat.commutator(r1, s1), quat.commutator(r2, s2)) - ONE
-        residual = np.sqrt(np.vecdot(d, d))
+        residual = relation_residuals(g)
     units = _unit_check(n, lambda idx: f"generator {GENERATOR_NAMES[idx]}")
     raise_first(units, (residual > TOL_REL, lambda row: RelationViolated(float(residual[row]))))
     return g
@@ -267,7 +272,7 @@ class Fingerprint:
     def distance(self, other: "Fingerprint") -> float:
         if self.labels != other.labels:
             raise ValueError("fingerprints over different word lists are not comparable")
-        return float(np.max(np.abs(self.values - other.values)))
+        return float(fingerprint_distances(self.values, other.values))
 
     def close(self, other: "Fingerprint") -> bool:
         return self.distance(other) <= FP_TOL
@@ -347,6 +352,12 @@ def fingerprint_batch(meridians: np.ndarray) -> np.ndarray:
     for start in range(0, mers.shape[0], FP_CHUNK):
         out[start : start + FP_CHUNK] = _fingerprint_values(mers[start : start + FP_CHUNK])
     return out
+
+
+def fingerprint_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max |a - b| over the words, row by row of broadcast (..., L) stacks of
+    fingerprint values: the distance of :meth:`Fingerprint.distance`."""
+    return np.max(np.abs(a - b), axis=-1)
 
 
 def fingerprint_digest(fp: Fingerprint) -> str:
@@ -432,17 +443,15 @@ def angles_from_bd(meridians: np.ndarray) -> np.ndarray:
         raise NotBinaryDihedral(f"binary dihedral locus needs even k >= 4, got k = {k}")
     V = m[..., 1:]
     svals = np.linalg.svd(V, compute_uv=False)
-    rank3 = svals[:, 2] > PLANAR_TOL * svals[:, 0]
+    rank3 = svals[:, 2] > RANK_TOL_FACTOR * svals[:, 0]
     raise_first((rank3, lambda row: NotBinaryDihedral("meridian directions span rank 3, not a planar family")))
-    e1 = V[:, 0] / np.sqrt(np.vecdot(V[:, 0], V[:, 0]))[:, None]
+    e1 = V[:, 0] / quat.norm(V[:, 0])[:, None]
     resid = V - (V @ e1[..., None]) * e1[:, None]
     _, s, vt = np.linalg.svd(resid, full_matrices=False)
     # abelian rows: the plane is underdetermined, any completion works
-    e2 = np.cross(e1, (1.0, 0.0, 0.0))
-    e2 = np.where((np.vecdot(e2, e2) < 1e-12)[:, None], np.cross(e1, (0.0, 1.0, 0.0)), e2)
-    e2 = np.where((s[:, 0] > PLANAR_TOL * svals[:, 0])[:, None], vt[:, 0], e2)
+    e2 = np.where((s[:, 0] > RANK_TOL_FACTOR * svals[:, 0])[:, None], vt[:, 0], quat.perpendicular(e1))
     e2 = e2 - np.vecdot(e2, e1)[:, None] * e1
-    e2 /= np.sqrt(np.vecdot(e2, e2))[:, None]
+    e2 /= quat.norm(e2)[:, None]
     W = V @ np.stack([e1, e2, np.cross(e1, e2)], axis=1).transpose(0, 2, 1)
     cand = np.mod(np.arctan2(W[:, 1 : k - 1, 1], W[:, 1 : k - 1, 0]), 2.0 * np.pi)
     mirrored = np.mod(-cand, 2.0 * np.pi)

@@ -32,7 +32,6 @@ REDUCED_COUNTS: dict[str, int] = {
     "fiber_bd": 40,
     "lemma_generic": 600,
     "lemma_per_branch": 40,
-    "hessian_exact_n_max": 12,
     "hessian_numeric_n_max": 5,
     "symm_per_n": 40,
     "symm_n_max": 5,
@@ -53,7 +52,6 @@ FULL_COUNTS: dict[str, int] = {
     "fiber_bd": 200,
     "lemma_generic": 9400,
     "lemma_per_branch": 100,
-    "hessian_exact_n_max": 12,
     "hessian_numeric_n_max": 8,
     "symm_per_n": 200,
     "symm_n_max": 6,
@@ -108,8 +106,10 @@ ALGEBRA_TOL = 1e-12
 def check_quaternion_algebra(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     """Group algebra on random units: associativity, norms, conjugation,
     the rotation homomorphism, and the axis-angle round trip."""
-    rngs = [_rng(seed, 1, i) for i in range(counts["algebra"])]
-    triples = np.array([[quat.random_unit(rng) for _ in range(3)] for rng in rngs]).reshape(-1, 3, 4)
+    def draw(keys, rngs):
+        return [quat.random_directions(rng, 3, 4) for rng in rngs]
+
+    triples = np.array(chunked(seed, (1,), counts["algebra"], draw)).reshape(-1, 3, 4)
     a, b, c = np.moveaxis(triples, 1, 0)
     ab = qmul(a, b)
     aa = quat.axis_angle(a)
@@ -166,8 +166,7 @@ def check_small_k_rigidity(counts: Mapping[str, int], seed: int = 0) -> CheckRes
     ref = fingerprint(make_rep([I, J, -K])).values
 
     def spreads(keys, rngs):
-        # Fingerprint.distance to the reference, row by row
-        return np.max(np.abs(rep.fingerprint_batch(variety.sample_points(3, rngs)) - ref), axis=1).tolist()
+        return rep.fingerprint_distances(rep.fingerprint_batch(variety.sample_points(3, rngs)), ref).tolist()
 
     worst = max([0.0, *chunked(seed, (2,), counts["k3"], spreads)])
     if worst > RIGIDITY_TOL:
@@ -274,10 +273,10 @@ def check_fiber_two_fold(counts: Mapping[str, int], seed: int = 0) -> CheckResul
         i = key[-1]
         if report.on_branch or len(report.classes) != 2:
             return CheckResult(False, f"generic sample {i}: {len(report.classes)} class(es)")
-        got = [fp.values for fp in report.classes]
-        direct = max(_distance(got[0], want[0]), _distance(got[1], want[1]))
-        crossed = max(_distance(got[0], want[1]), _distance(got[1], want[0]))
-        match = min(direct, crossed)
+        got = np.stack([fp.values for fp in report.classes])
+        direct = rep.fingerprint_distances(got, np.stack(want)).max()
+        crossed = rep.fingerprint_distances(got, np.stack(want[::-1])).max()
+        match = float(min(direct, crossed))
         worst_match = max(worst_match, match)
         if match > cover.FIBER_TOL:
             return CheckResult(False, f"generic sample {i}: fiber mismatch {match:.3e}")
@@ -298,11 +297,6 @@ def check_fiber_two_fold(counts: Mapping[str, int], seed: int = 0) -> CheckResul
         f"{counts['fiber_generic']} generic fibers match {{rho, alpha*rho}} (worst {worst_match:.3e}); "
         f"{counts['fiber_bd']} dihedral fibers collapse to one class",
     )
-
-
-def _distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Fingerprint.distance on value arrays."""
-    return float(np.max(np.abs(a - b)))
 
 
 def ladder_records(
@@ -379,7 +373,7 @@ def check_hessian_exact(counts: Mapping[str, int], seed: int = 0) -> CheckResult
     """det(A) odd, Pf(A)^2 = det(A), and B^2 = I over F2, in exact
     integer arithmetic."""
     dets = []
-    for n in range(2, counts["hessian_exact_n_max"] + 1):
+    for n in range(2, morse.N_MAX + 1):
         report = morse.certify_hessian_combinatorics(n)
         if not report.exact_ok():
             detail = f"n={n}: det {report.det_A}, Pf {report.pfaffian}, B^2=I {report.b_squared_identity_mod2}"
@@ -387,7 +381,7 @@ def check_hessian_exact(counts: Mapping[str, int], seed: int = 0) -> CheckResult
         dets.append(report.det_A)
     if dets[0] != 1 or dets[1] != 1:
         return CheckResult(False, f"anchor determinants {dets[:2]} != [1, 1]")
-    return CheckResult(True, f"n=2..{counts['hessian_exact_n_max']}: det odd, Pf^2 = det, B^2 = I; dets {dets}")
+    return CheckResult(True, f"n=2..{morse.N_MAX}: det odd, Pf^2 = det, B^2 = I; dets {dets}")
 
 
 def check_hessian_numeric(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
@@ -421,11 +415,15 @@ def check_chart_symmetries(counts: Mapping[str, int], seed: int = 0) -> CheckRes
     count = counts["symm_per_n"]
     for n in range(2, counts["symm_n_max"] + 1):
         m = 2 * n - 2
-        zs, thetas = np.empty((count, m), dtype=complex), np.empty((count, 1))
-        for i in range(count):
-            rng = _rng(seed, 10, n, i)
-            zs[i] = 0.5 * (rng.normal(size=m) + 1j * rng.normal(size=m))
-            thetas[i] = rng.uniform(0.0, 2.0 * np.pi)
+
+        def draw(keys, rngs, m=m):
+            # m coordinates, then an orbit angle
+            return [
+                (0.5 * (rng.normal(size=m) + 1j * rng.normal(size=m)), [rng.uniform(0.0, 2.0 * np.pi)])
+                for rng in rngs
+            ]
+
+        zs, thetas = map(np.array, zip(*chunked(seed, (10, n), count, draw)))
         # the first 20 samples on the unit sphere (np.linalg.norm of a
         # complex vector, row by row), scaled by each step
         z = zs[:20]
@@ -481,7 +479,7 @@ def check_bd_torus(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
         thetas = np.stack([rng.uniform(0.0, 2.0 * np.pi, size=4) for rng in rngs])
         gens = np.moveaxis(cover.pushforwards(rep.bd_from_angles(thetas)), 1, 0)
         d = np.stack([qmul(gens[p], gens[q]) - qmul(gens[q], gens[p]) for p in range(4) for q in range(p + 1, 4)])
-        return np.sqrt(np.vecdot(d, d)).max(axis=0).tolist()
+        return quat.norm(d).max(axis=0).tolist()
 
     worst_comm = max(chunked(seed, (12,), counts["bd_push"], push_defects), default=0.0)
     ok = worst_rt <= TORUS_TOL and worst_comm <= TORUS_TOL

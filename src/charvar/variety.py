@@ -20,9 +20,8 @@ import numpy as np
 from . import quat
 from .errors import AbelianInput, ConstraintViolated
 from .quat import I, J, K, axis_angle, gprod, qmul
-from .rep import PuncturedSphereRep, TOL_REL, complete_reps, one_row, raise_first
+from .rep import RANK_TOL_FACTOR, PuncturedSphereRep, TOL_REL, complete_reps, one_row, raise_first
 
-RANK_TOL_FACTOR = 1e-8
 CONJUGATOR_TOL = 1e-7
 # the sampler takes w = q_1 ... q_{k-2} as central (+-1) when |im w| is at
 # most this
@@ -73,19 +72,6 @@ def eval_g(partial):
     return _real_part(gprod(I, *np.moveaxis(np.asarray(partial, dtype=float), -2, 0)))
 
 
-def _pure_directions(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The vectors ``count`` calls of :func:`quat.random_pure` keep, with their
-    norms, drawn as those calls draw them: one ``standard_normal(3)`` per
-    try, a try of norm <= ``quat.DRAW_CUTOFF`` rejected and drawn again."""
-    v = rng.standard_normal((count, 3))
-    n = np.sqrt(np.vecdot(v, v))
-    keep = n > quat.DRAW_CUTOFF
-    if not keep.all():
-        more_v, more_n = _pure_directions(rng, count - int(keep.sum()))
-        v, n = np.concatenate([v[keep], more_v]), np.concatenate([n[keep], more_n])
-    return v, n
-
-
 def _orthonormal_pair(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit vectors u and axis x u orthogonal to each unit 3-vector of a
     stack: u is axis x e_c, normalized, for the coordinate c of smallest
@@ -104,9 +90,10 @@ def sample_points(k: int, rngs) -> np.ndarray:
     cut out the great circle orthogonal to im(w), which is sampled uniformly;
     when w = +-1 the constraint is vacuous and the whole sphere is used.
 
-    Each generator draws its ``k - 2`` directions as ``quat.random_pure``
-    does, then the angle or, when w is central, one more direction.  A row
-    is the same bits in any stack (see :mod:`charvar.quat` on dot products).
+    Each generator draws its ``k - 2`` directions in one
+    :func:`quat.random_directions` call, then the angle or, when w is
+    central, one more direction.  A row is the same bits in any stack (see
+    :mod:`charvar.quat` on dot products).
     """
     if k < 3:
         raise ValueError(f"need k >= 3, got k = {k}")
@@ -115,11 +102,10 @@ def sample_points(k: int, rngs) -> np.ndarray:
         raise ValueError("each sample needs its own generator")
     qs = np.zeros((len(rngs), k - 1, 4))
     for row, rng in enumerate(rngs):
-        v, n = _pure_directions(rng, k - 2)
-        qs[row, : k - 2, 1:] = v / n[:, None]
+        qs[row, : k - 2, 1:] = quat.random_directions(rng, k - 2, 3)
     w = gprod(qs[:, : k - 2])
     wv = w[:, 1:]
-    nw = np.sqrt(np.vecdot(wv, wv))
+    nw = quat.norm(wv)
     central = nw <= CENTRAL_CUTOFF
     turning = ~central
     u, v = _orthonormal_pair(wv[turning] / nw[turning, None])

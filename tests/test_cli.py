@@ -69,7 +69,7 @@ class TestSample:
             locus = variety.classify_locus(sample)
             residuals = {
                 "constraint": abs(variety.eval_f(sample.meridians[:-1])),
-                "product": float(np.linalg.norm(gprod(list(sample.meridians)) - ONE)),
+                "product": float(np.linalg.norm(gprod(*sample.meridians) - ONE)),
                 "traceless": float(np.max(np.abs(sample.meridians[:, 0]))),
             }
             records.append((i, locus, fp, residuals))

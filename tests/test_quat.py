@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charvar import quat as quat_module
 from charvar.quat import (
     I,
     J,
@@ -26,10 +27,12 @@ from charvar.quat import (
     is_pure_unit,
     norm,
     normalize,
+    perpendicular,
     qconj,
     qinv,
     qmul,
     quat,
+    random_directions,
     random_pure,
     random_unit,
     re,
@@ -239,6 +242,39 @@ class TestRotation:
         assert np.allclose(conjugate(stacked, a), b, atol=1e-13)
 
 
+class TestDraws:
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_kernel_is_one_at_a_time_draws_with_rejections(self, dim, monkeypatch):
+        # a cutoff of 1 rejects about a fifth of the 3-vectors and a tenth of
+        # the 4-vectors: the stack keeps its rows in draw order and redraws
+        # the rejected ones after the rest, as one-row calls redraw at once
+        monkeypatch.setattr(quat_module, "DRAW_CUTOFF", 1.0)
+        stacked_rng, rows_rng, loop_rng = (np.random.default_rng(61) for _ in range(3))
+        stacked = random_directions(stacked_rng, 200, dim)
+        rows = np.concatenate([random_directions(rows_rng, 1, dim) for _ in range(200)])
+        tries, loop = 0, []
+        while len(loop) < 200:
+            v = loop_rng.standard_normal(dim)
+            n = np.sqrt(np.dot(v, v))
+            tries += 1
+            if n > 1.0:
+                loop.append(v / n)
+        assert tries > 210
+        assert stacked.shape == (200, dim)
+        assert stacked.tobytes() == rows.tobytes() == np.array(loop).tobytes()
+        assert stacked_rng.bit_generator.state == rows_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_perpendicular_on_axes_and_random_rows(self):
+        # +-i, where a x e1 vanishes, +-j, and random unit rows
+        axes = np.stack([s * q[1:] for q in (I, J) for s in (1.0, -1.0)])
+        rows = np.concatenate([axes, np.stack([random_pure(np.random.default_rng((71, i)))[1:] for i in range(50)])])
+        w = perpendicular(rows)
+        assert w.shape == rows.shape
+        assert np.all(np.abs(np.vecdot(w, rows)) <= 1e-15)
+        assert np.all(np.vecdot(w[:4], w[:4]) == 1.0)
+        assert np.all(np.vecdot(w, w) >= 1e-12)
+
+
 class TestExponential:
     def test_quarter_and_half_turns(self):
         assert np.allclose(exp_pure(np.pi / 2.0, I), I, atol=1e-15)
@@ -388,7 +424,7 @@ def test_gprod_stack_matches_rows_exactly():
         assert batch.shape == (6, 4)
         for row, qs in zip(batch, stack):
             assert row.tobytes() == group_product(qs).tobytes()
-            assert gprod(list(qs)).tobytes() == row.tobytes()
+            assert gprod(*qs).tobytes() == row.tobytes()
 
 
 def test_norm_and_normalize_stack_match_rows_exactly():

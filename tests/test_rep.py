@@ -29,6 +29,7 @@ from charvar.rep import (
     fingerprint,
     fingerprint_batch,
     fingerprint_digest,
+    fingerprint_distances,
     make_rep,
     make_reps,
     make_surface_rep,
@@ -119,6 +120,16 @@ class TestFingerprint:
                 if fps[a].distance(fps[b]) <= 1e-6:
                     close_pairs += 1
         assert close_pairs == 0
+
+    def test_distances_rows_are_fingerprint_distance(self):
+        fps = [fingerprint(sample_point(6, np.random.default_rng((43, i)))) for i in range(12)]
+        a, b = (np.stack([fp.values for fp in half]) for half in (fps[:6], fps[6:]))
+        rows = fingerprint_distances(a, b)
+        assert rows.shape == (6,)
+        for row, fa, fb in zip(rows.tolist(), fps[:6], fps[6:]):
+            assert row == fa.distance(fb)
+        # one fingerprint broadcast against a stack
+        assert fingerprint_distances(a, b[0]).tolist() == [fa.distance(fps[6]) for fa in fps[:6]]
 
     def test_digest_stability(self):
         r = make_rep([I, J, -K])

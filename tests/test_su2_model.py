@@ -22,7 +22,14 @@ from charvar.cover import (
 )
 from charvar.morse import eval_chart_g
 from charvar.quat import I, J, K, ONE, commutator_defect, exp_pure, qmul
-from charvar.rep import bd_from_angles, complete_reps, fingerprint_batch, sphere_names, word_labels
+from charvar.rep import (
+    bd_from_angles,
+    complete_reps,
+    fingerprint_batch,
+    relation_residuals,
+    sphere_names,
+    word_labels,
+)
 from charvar.variety import (
     RANK_TOL_FACTOR,
     conjugation_ranks,
@@ -81,6 +88,19 @@ class TestKernels:
         U, V = su2(u), su2(v)
         assert_close(su2(commutator_defect(u, v)), U @ V - V @ U)
         assert_close(su2(commutator_defect(u[None], v[None])[0]), U @ V - V @ U)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(*[quaternions.filter(lambda q: np.linalg.norm(q) > 0.1)] * 4), min_size=1), seeds)
+    def test_relation_residuals_are_the_distance_of_the_relation_from_one(self, quads, keys):
+        # random unit quadruples, whose relation fails, and surface samples,
+        # where it holds; |q| is the Frobenius norm of its matrix over sqrt 2
+        units = np.array(quads)
+        units /= np.linalg.norm(units, axis=-1, keepdims=True)
+        gens = np.concatenate([units, surface_samples(rngs_of(keys))])
+        R1, S1, R2, S2 = su2(gens).transpose(1, 0, 2, 3)
+        relation = R1 @ S1 @ inv(R1) @ inv(S1) @ R2 @ S2 @ inv(R2) @ inv(S2)
+        want = np.linalg.norm(relation - np.eye(2), axis=(-2, -1)) / np.sqrt(2.0)
+        assert_close(relation_residuals(gens), want)
 
 
 class TestVariety:
