@@ -11,7 +11,7 @@ from collections import Counter
 
 import numpy as np
 
-from charvar.rep import fingerprint, fingerprint_digest
+from charvar.rep import fingerprint, fingerprint_batch, fingerprint_digest
 from charvar.variety import (
     classify_locus,
     deform,
@@ -36,7 +36,7 @@ print()
 print("== the abelian census ==")
 for k in (4, 6, 8):
     points = enumerate_abelian(k)
-    digests = {fingerprint_digest(fingerprint(r)) for r in points}
+    digests = {fingerprint_digest(values) for values in fingerprint_batch(points)}
     print(f"  k = {k}: {len(points)} abelian classes, {len(digests)} distinct digests")
 
 print()
@@ -66,4 +66,4 @@ fp = fingerprint(sample)
 print(f"  {len(fp.labels)} word traces; first five:")
 for label, value in list(zip(fp.labels, fp.values))[:5]:
     print(f"    re({label}) = {value:+.6f}")
-print(f"  digest: {fingerprint_digest(fp)}")
+print(f"  digest: {fingerprint_digest(fp.values)}")

@@ -12,8 +12,11 @@ from .cover import (
     FiberReport,
     extend,
     fiber,
+    fibers,
     lemma52_detailed,
+    lifts,
     pushforward,
+    pushforwards,
     surface_sample,
 )
 from .errors import (
@@ -42,6 +45,7 @@ from .rep import (
     complete_rep,
     fingerprint,
     make_rep,
+    make_reps,
     make_surface_rep,
     torus_from_bd,
 )
@@ -54,8 +58,10 @@ from .variety import (
     eval_f,
     local_dimension,
     sample_point,
+    sample_points,
     sign_transport,
     submersion_certificate,
+    submersion_certificates,
 )
 
 __version__ = "0.1.0"
@@ -89,21 +95,27 @@ __all__ = [
     "eval_f",
     "extend",
     "fiber",
+    "fibers",
     "fingerprint",
     "lemma52_detailed",
+    "lifts",
     "local_dimension",
     "make_rep",
+    "make_reps",
     "make_surface_rep",
     "matrix_A",
     "morse",
     "pushforward",
+    "pushforwards",
     "quat",
     "rep",
     "sample_link",
     "sample_point",
+    "sample_points",
     "selftest",
     "sign_transport",
     "submersion_certificate",
+    "submersion_certificates",
     "surface_sample",
     "torus_from_bd",
     "variety",

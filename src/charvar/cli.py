@@ -22,18 +22,15 @@ from . import cover, morse, selftest, variety
 from .cover import LEMMA_TOL  # re-exported: the bound of the lemma52 gate
 from .rep import (
     TOL_REL,
-    Fingerprint,
-    SurfaceRep,
     fingerprint_batch,
     fingerprint_digest,
     product_residuals,
     relation_residuals,
-    sphere_names,
     surface_to_json,
-    word_labels,
 )
 
 K_RANGE = (3, 16)
+SEED_HELP = "base seed; sample i uses (seed, i)"
 N_RANGE = (2, morse.N_MAX)
 
 
@@ -97,7 +94,6 @@ def _parse_n_spec(spec: str) -> list[int]:
 
 def cmd_sample(args: argparse.Namespace) -> Run:
     _check_range("k", args.k, *K_RANGE)
-    labels = word_labels(sphere_names(args.k))
 
     def sample(keys, rngs):
         mers = variety.sample_points(args.k, rngs)
@@ -111,9 +107,9 @@ def cmd_sample(args: argparse.Namespace) -> Run:
                 "index": i,
                 "seed": seed,
                 "k": args.k,
-                "locus": variety.locus_label(rank).label,
+                "locus": variety.LOCUS_NAMES[rank],
                 "rank": rank,
-                "fingerprint_digest": fingerprint_digest(Fingerprint(labels, values)),
+                "fingerprint_digest": fingerprint_digest(values),
                 "fingerprint": values.tolist(),
                 "residuals": {"constraint": constraint, "product": product, "traceless": traceless},
             }
@@ -149,7 +145,7 @@ def cmd_cover_push(args: argparse.Namespace) -> Run:
         gens = cover.surface_samples(rngs)
         residuals = relation_residuals(gens).tolist()
         return [
-            {"index": i, "seed": seed, **surface_to_json(SurfaceRep(*g)), "relation_residual": residual}
+            {"index": i, "seed": seed, **surface_to_json(g), "relation_residual": residual}
             for (seed, i), g, residual in zip(keys, gens, residuals)
         ]
 
@@ -172,7 +168,7 @@ def cmd_cover_extend(args: argparse.Namespace) -> Run:
                 "index": i,
                 "seed": seed,
                 "lifts": [
-                    {"sign": sign, "locus": variety.locus_label(rank).label, "meridians": lifted.tolist()}
+                    {"sign": sign, "locus": variety.LOCUS_NAMES[rank], "meridians": lifted.tolist()}
                     for sign, lifted, rank in zip((1, -1), lifted_pair, ranks)
                 ],
             }
@@ -197,14 +193,13 @@ def cmd_cover_roundtrip(args: argparse.Namespace) -> Run:
 
 def cmd_cover_fiber(args: argparse.Namespace) -> Run:
     if args.abelian_points:
-        meridians = np.stack([r.meridians for r in variety.enumerate_abelian(6)])
-        reports = cover.fibers(cover.pushforwards(meridians))
+        fibers = cover.fiber_records(*cover.fibers(cover.pushforwards(variety.enumerate_abelian(6))))
     else:
-        def fibers(keys, rngs):
-            return cover.fibers(cover.surface_samples(rngs))
+        def chunk(keys, rngs):
+            return cover.fiber_records(*cover.fibers(cover.surface_samples(rngs)))
 
-        reports = selftest.chunked(args.seed, (), args.count, fibers)
-    records = [{"index": i, **cover.fiber_to_json(report)} for i, report in enumerate(reports)]
+        fibers = selftest.chunked(args.seed, (), args.count, chunk)
+    records = [{"index": i, **fiber} for i, fiber in enumerate(fibers)]
     fraction = sum(r["on_branch"] for r in records) / len(records)
     verdict = f"cover fiber: {len(records)} fibers, branch fraction {fraction:.4f}"
     ok = not args.abelian_points or fraction == 1.0
@@ -277,9 +272,9 @@ def cmd_selftest(args: argparse.Namespace) -> Run:
     return Run(lines, None, f"selftest: {'ok' if ok else 'FAILED'}", ok)
 
 
-def _add_sampling(parser: argparse.ArgumentParser, count_default: int) -> None:
+def _add_sampling(parser: argparse.ArgumentParser, count_default: int, seed_help: str = SEED_HELP) -> None:
     parser.add_argument("--count", type=int, default=count_default, help="number of samples")
-    parser.add_argument("--seed", type=int, default=0, help="base seed; sample i uses (seed, i)")
+    parser.add_argument("--seed", type=int, default=0, help=seed_help)
 
 
 def _add_output(parser: argparse.ArgumentParser, csv: bool = False) -> None:
@@ -346,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("link-sample", help="sample the link quadric at an abelian point")
     p.add_argument("--n", required=True, help="half the puncture count (single integer)")
-    _add_sampling(p, count_default=100)
+    _add_sampling(p, count_default=100, seed_help="seed of the one generator that draws the points in order")
     _add_output(p, csv=True)
     p.set_defaults(fn=cmd_link_sample)
 

@@ -14,10 +14,11 @@ Every operation is implemented once, on stacks of samples:
 :func:`lemma52_stack`, :func:`lifts`, :func:`roundtrip_residuals` and
 :func:`fibers`.  The one-sample functions :func:`pushforward`,
 :func:`surface_sample`, :func:`lemma52_detailed`, :func:`extend` and
-:func:`fiber` are one-row calls of them.  A row is independent of the
-others in its stack: the kernels of :mod:`charvar.quat` give the same bits
-whatever the stack shape.  A stack with a rejected row raises for the
-first such row, with the exception's ``row`` naming it; a one-sample
+:func:`fiber` are one-row calls of them; the stacked forms return arrays,
+and only :func:`fiber` builds a :class:`FiberReport`.  A row is independent
+of the others in its stack: the kernels of :mod:`charvar.quat` give the
+same bits whatever the stack shape.  A stack with a rejected row raises for
+the first such row, with the exception's ``row`` naming it; a one-sample
 function raises the same exception without ``row``.
 """
 
@@ -305,44 +306,42 @@ def roundtrip_residuals(generators: np.ndarray) -> np.ndarray:
     return norm(g[:, None] - back).max(axis=-1)
 
 
-def fibers(generators: np.ndarray) -> list[FiberReport]:
-    """Both sheets over each surface of an (N, 4, 4) stack of generators,
-    merged when they are conjugate.
+def fibers(generators: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Both sheets over each surface of an (N, 4, 4) stack of generators: the
+    (N, 2, 6, 4) sheets of :func:`lifts`, their (N, 2, L) fingerprint values,
+    the (N,) separation of the two, and the (N,) mask ``on_branch`` where it
+    is at most FIBER_TOL and the sheets are one class.
 
     The sheets coincide exactly over classes with abelian image, where the
     single preimage is binary dihedral; elsewhere the two fingerprints are
     macroscopically separated.
     """
     sheets = lifts(generators)
-    plus, minus = (fingerprint_batch(sheets[:, sheet]) for sheet in (0, 1))
-    separation = fingerprint_distances(plus, minus)
-    labels = word_labels(sphere_names(6))
-    reports = []
-    for row, sep in enumerate(separation.tolist()):
-        on_branch = sep <= FIBER_TOL
-        classes = (Fingerprint(labels, plus[row]),)
-        if not on_branch:
-            classes += (Fingerprint(labels, minus[row]),)
-        witnesses = (PuncturedSphereRep(sheets[row, 0]), PuncturedSphereRep(sheets[row, 1]))
-        reports.append(FiberReport(classes=classes, on_branch=on_branch, witnesses=witnesses, separation=sep))
-    return reports
+    values = np.stack([fingerprint_batch(sheets[:, sheet]) for sheet in (0, 1)], axis=1)
+    separation = fingerprint_distances(values[:, 0], values[:, 1])
+    return sheets, values, separation, separation <= FIBER_TOL
 
 
 def fiber(surface: SurfaceRep) -> FiberReport:
-    """:func:`fibers` over one surface class."""
-    return one_row(fibers, np.stack(surface.generators())[None])[0]
+    """:func:`fibers` over one surface class: one class on the branch locus,
+    two elsewhere."""
+    sheets, values, separation, on_branch = (v[0] for v in one_row(fibers, np.stack(surface.generators())[None]))
+    labels = word_labels(sphere_names(6))
+    classes = tuple(Fingerprint(labels, v) for v in values[: 1 if on_branch else 2])
+    return FiberReport(classes, bool(on_branch), tuple(map(PuncturedSphereRep, sheets)), float(separation))
 
 
-def fiber_to_json(report: FiberReport) -> dict:
-    return {
-        "on_branch": bool(report.on_branch),
-        "class_count": len(report.classes),
-        "separation": float(report.separation),
-        "fingerprints": [
-            {"labels": list(fp.labels), "values": [float(v) for v in fp.values]}
-            for fp in report.classes
-        ],
-        "witnesses": [
-            [[float(c) for c in q] for q in w.meridians] for w in report.witnesses
-        ],
-    }
+def fiber_records(sheets, values, separation, on_branch) -> list[dict]:
+    """The JSON record of each row of :func:`fibers`: its fingerprints, one
+    per class, and both sheets as witnesses."""
+    labels = list(word_labels(sphere_names(6)))
+    return [
+        {
+            "on_branch": branch,
+            "class_count": 1 if branch else 2,
+            "separation": sep,
+            "fingerprints": [{"labels": labels, "values": v} for v in vals[: 1 if branch else 2]],
+            "witnesses": witnesses,
+        }
+        for witnesses, vals, sep, branch in zip(*(v.tolist() for v in (sheets, values, separation, on_branch)))
+    ]

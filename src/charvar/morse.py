@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quat import I, exp_chart
+from .quat import I, exp_chart, random_directions
 from .rep import PuncturedSphereRep, complete_rep, one_row, raise_first
 from .variety import eval_g
 
@@ -268,14 +268,6 @@ def gauge_fix(zs) -> np.ndarray:
     return z
 
 
-def _unit_vector(rng: np.random.Generator, m: int) -> np.ndarray:
-    while True:
-        v = rng.normal(size=m)
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            return v / norm
-
-
 def refine_chart_zero(n: int, zs) -> np.ndarray:
     """Newton-project each point of a (..., m) stack on the unit sphere onto
     the exact cutout g^{-1}(0), staying on the sphere; central-difference
@@ -296,9 +288,7 @@ def refine_chart_zero(n: int, zs) -> np.ndarray:
     v = out
     for step in range(REFINE_STEPS + 1):
         w = v[:, None]
-        # one flat (A (1+4m), m) stack: a 3-D stack costs a third more per call
-        stencil = np.concatenate([w, w + d, w - d, w + 1j * d, w - 1j * d], axis=1)
-        vals = eval_chart_g(n, stencil.reshape(-1, m)).reshape(-1, 1 + 4 * m)
+        vals = eval_chart_g(n, np.concatenate([w, w + d, w - d, w + 1j * d, w - 1j * d], axis=1))
         val = vals[:, 0]
         plus_re, minus_re, plus_im, minus_im = vals[:, 1:].reshape(-1, 4, m).transpose(1, 0, 2)
         grad = (plus_re - minus_re) / (2 * h) + 1j * ((plus_im - minus_im) / (2 * h))
@@ -345,7 +335,7 @@ def sample_link(n: int, count: int, rng: np.random.Generator, refine: bool = Fal
     A = matrix_A(n).astype(float)
     zs = np.empty((count, m), dtype=complex)
     for i in range(count):
-        y = _unit_vector(rng, m)
+        y = random_directions(rng, 1, m)[0]
         w = A @ y
         w /= np.linalg.norm(w)
         while True:

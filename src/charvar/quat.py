@@ -93,18 +93,24 @@ def gprod(*qs: np.ndarray) -> np.ndarray:
 
     Takes the factors as arguments, or one (N, m, 4) stack: then each of
     the N rows is the product of its m factors.  Factors may be (..., 4)
-    stacks; each row of the product is renormalized on its own.
+    stacks; each row of the product is renormalized on its own.  Factors
+    with two or more leading axes are multiplied as one (-1, 4) stack.
     """
     p = ONE
     if len(qs) == 1 and np.ndim(qs[0]) == 3:
         # N rows of no factors are N identities
         p = np.broadcast_to(ONE, (qs[0].shape[0], 4))
         qs = tuple(np.moveaxis(qs[0], 1, 0))
+    shape = None
+    if max(map(np.ndim, qs), default=0) > 2:
+        shape = np.broadcast(*qs).shape
+        qs = tuple(q if q.ndim == 1 else (q if q.shape == shape else np.broadcast_to(q, shape)).reshape(-1, 4) for q in qs)
     for q in qs:
         p = qmul(p, q)
     sq = np.vecdot(p, p)
     drifted = np.abs(sq - 1.0) > RENORM_DRIFT
-    return np.where(drifted[..., None], p / np.sqrt(sq)[..., None], p)
+    out = np.where(drifted[..., None], p / np.sqrt(sq)[..., None], p)
+    return out if shape is None else out.reshape(shape)
 
 
 def conjugate(g: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -22,9 +22,10 @@ scales this package works at; the closed-form conjugator in
 backstops that claim in the test suite.
 
 One kernel computes fingerprints: :func:`fingerprint` runs it on one
-representation, :func:`fingerprint_batch` on a stack.  For each k it caches
-the two factors of every pair word, and for every triple word the position
-of its leading pair and its last index.  All pair products come from one
+representation, :func:`fingerprint_batch` on a stack, whose rows
+:func:`fingerprint_digest` hashes.  For each k it caches the two factors of
+every pair word, and for every triple word the position of its leading
+pair and its last index.  All pair products come from one
 stacked :func:`~charvar.quat.qmul`; a triple's half-trace is the real part
 of its pair product times its last factor, summed in the order of the
 Hamilton product, so every value is the same bits whatever the stack shape.
@@ -360,8 +361,9 @@ def fingerprint_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a - b), axis=-1)
 
 
-def fingerprint_digest(fp: Fingerprint) -> str:
-    """Short hex identifier of a fingerprint rounded to DIGEST_DECIMALS places.
+def fingerprint_digest(values) -> str:
+    """Short hex identifier of a row of fingerprint values rounded to
+    DIGEST_DECIMALS places.
 
     A grouping hint, not a class test: the rounding absorbs floating-point
     noise, but a value within noise of a rounding boundary can give two
@@ -369,7 +371,7 @@ def fingerprint_digest(fp: Fingerprint) -> str:
     with `Fingerprint.close` or `variety.conjugator_search`.  Adding 0.0
     normalizes negative zeros before hashing.
     """
-    vals = np.round(np.asarray(fp.values, dtype=float), DIGEST_DECIMALS) + 0.0
+    vals = np.round(np.asarray(values, dtype=float), DIGEST_DECIMALS) + 0.0
     return hashlib.sha256(vals.tobytes()).hexdigest()[:16]
 
 
@@ -471,11 +473,6 @@ def torus_from_bd(rep: PuncturedSphereRep) -> TorusCoords:
 # serialization
 
 
-def surface_to_json(rep: SurfaceRep) -> dict:
-    return {
-        "kind": "surface",
-        "generators": {
-            name: [float(c) for c in g]
-            for name, g in zip(GENERATOR_NAMES, rep.generators())
-        },
-    }
+def surface_to_json(generators: np.ndarray) -> dict:
+    """The JSON record of one (4, 4) array of generators (r1, s1, r2, s2)."""
+    return {"kind": "surface", "generators": dict(zip(GENERATOR_NAMES, np.asarray(generators, dtype=float).tolist()))}

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import cover, morse, quat, rep, variety
 from .quat import I, J, K, exp_pure, gprod, qconj, qmul
-from .rep import fingerprint, make_rep
-from .variety import ABELIAN, BINARY_DIHEDRAL, GENERIC
+from .variety import ABELIAN, BINARY_DIHEDRAL, GENERIC, LOCUS_NAMES
 
 REDUCED_COUNTS: dict[str, int] = {
     "algebra": 200,
@@ -132,26 +131,24 @@ def check_abelian_census(counts: Mapping[str, int], seed: int = 0) -> CheckResul
     details = []
     for n in range(2, counts["census_n_max"] + 1):
         k = 2 * n
-        reps = variety.enumerate_abelian(k)
-        if len(reps) != 2 ** (k - 2):
-            return CheckResult(False, f"k={k}: {len(reps)} classes, expected {2 ** (k - 2)}")
-        meridians = np.stack([r.meridians for r in reps])
-        labels = {variety.locus_label(rank).label for rank in variety.locus_ranks(meridians).tolist()}
+        meridians = variety.enumerate_abelian(k)
+        if len(meridians) != 2 ** (k - 2):
+            return CheckResult(False, f"k={k}: {len(meridians)} classes, expected {2 ** (k - 2)}")
+        labels = {LOCUS_NAMES[rank] for rank in variety.locus_ranks(meridians).tolist()}
         if labels != {ABELIAN}:
             return CheckResult(False, f"k={k}: non-abelian labels {labels}")
         values = rep.fingerprint_batch(meridians)
         distinct = np.unique(np.round(values, 6), axis=0).shape[0]
-        if distinct != len(reps):
+        if distinct != len(meridians):
             return CheckResult(False, f"k={k}: only {distinct} distinct fingerprints")
-        details.append(f"k={k}:{len(reps)}")
+        details.append(f"k={k}:{len(meridians)}")
     for n in (2, 3):
         k = 2 * n
         # row b flips the sign of meridian p + 2 where bit p of b is set
         signs = np.where((np.arange(2 ** (k - 2))[:, None] >> np.arange(k - 2)) & 1, -1.0, 1.0)
         flipped = variety.sign_transport(np.broadcast_to(I, (*signs.shape, 4)), signs)
         reps = rep.complete_reps(np.concatenate([np.broadcast_to(I, (len(signs), 1, 4)), flipped], axis=1))
-        labels = rep.word_labels(rep.sphere_names(k))
-        seen = {rep.fingerprint_digest(rep.Fingerprint(labels, v)) for v in rep.fingerprint_batch(reps)}
+        seen = {rep.fingerprint_digest(v) for v in rep.fingerprint_batch(reps)}
         if len(seen) != 2 ** (k - 2):
             return CheckResult(False, f"k={k}: sign action reached {len(seen)} classes")
     return CheckResult(True, "counts " + " ".join(details) + ", all distinct")
@@ -163,7 +160,7 @@ RIGIDITY_TOL = 1e-9
 def check_small_k_rigidity(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     """k = 3 has a single class (the fingerprint of (i, j, -k)); k = 4
     sees only the abelian and binary dihedral loci."""
-    ref = fingerprint(make_rep([I, J, -K])).values
+    ref = rep.fingerprint_batch(rep.make_reps(np.array([[I, J, -K]])))[0]
 
     def spreads(keys, rngs):
         return rep.fingerprint_distances(rep.fingerprint_batch(variety.sample_points(3, rngs)), ref).tolist()
@@ -174,7 +171,7 @@ def check_small_k_rigidity(counts: Mapping[str, int], seed: int = 0) -> CheckRes
 
     def loci(keys, rngs):
         ranks = variety.locus_ranks(variety.sample_points(4, rngs)).tolist()
-        return [variety.locus_label(rank).label for rank in ranks]
+        return [LOCUS_NAMES[rank] for rank in ranks]
 
     tally = Counter(chunked(seed, (3,), counts["k4"], loci))
     bad = set(tally) - {ABELIAN, BINARY_DIHEDRAL}
@@ -261,40 +258,38 @@ def check_cover_roundtrip(counts: Mapping[str, int], seed: int = 0) -> CheckResu
 def check_fiber_two_fold(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     """Fibers over generic classes hold exactly the two classes rho and
     alpha*(rho); fibers over abelian-image classes hold one binary
-    dihedral class."""
+    dihedral class.  A failure names the key of its sample."""
 
     def generic(keys, rngs):
         rho = variety.sample_points(6, rngs)
-        want = zip(rep.fingerprint_batch(rho), rep.fingerprint_batch(rep.make_reps(-rho)))
-        return list(zip(keys, cover.fibers(cover.pushforwards(rho)), want))
+        _, got, _, on_branch = cover.fibers(cover.pushforwards(rho))
+        want = np.stack([rep.fingerprint_batch(rho), rep.fingerprint_batch(rep.make_reps(-rho))], axis=1)
+        direct = rep.fingerprint_distances(got, want).max(axis=1)
+        crossed = rep.fingerprint_distances(got, want[:, ::-1]).max(axis=1)
+        return list(zip(keys, on_branch.tolist(), np.minimum(direct, crossed).tolist()))
 
-    worst_match = 0.0
-    for key, report, want in chunked(seed, (6,), counts["fiber_generic"], generic):
-        i = key[-1]
-        if report.on_branch or len(report.classes) != 2:
-            return CheckResult(False, f"generic sample {i}: {len(report.classes)} class(es)")
-        got = np.stack([fp.values for fp in report.classes])
-        direct = rep.fingerprint_distances(got, np.stack(want)).max()
-        crossed = rep.fingerprint_distances(got, np.stack(want[::-1])).max()
-        match = float(min(direct, crossed))
-        worst_match = max(worst_match, match)
-        if match > cover.FIBER_TOL:
-            return CheckResult(False, f"generic sample {i}: fiber mismatch {match:.3e}")
+    keys, on_branch, match = zip(*chunked(seed, (6,), counts["fiber_generic"], generic))
+    bad = np.flatnonzero(np.array(on_branch) | (np.array(match) > cover.FIBER_TOL))
+    if bad.size:
+        i = bad[0]
+        why = "1 class(es)" if on_branch[i] else f"fiber mismatch {match[i]:.3e}"
+        return CheckResult(False, f"generic sample {keys[i]}: {why}")
 
     def dihedral(keys, rngs):
         thetas = np.stack([rng.uniform(0.0, 2.0 * np.pi, size=4) for rng in rngs])
-        reports = cover.fibers(cover.pushforwards(rep.bd_from_angles(thetas)))
-        ranks = variety.locus_ranks(np.stack([r.witnesses[0].meridians for r in reports]))
-        return list(zip(keys, reports, ranks))
+        sheets, _, _, on_branch = cover.fibers(cover.pushforwards(rep.bd_from_angles(thetas)))
+        generic = np.take(LOCUS_NAMES, variety.locus_ranks(sheets[:, 0])) == GENERIC
+        return list(zip(keys, on_branch.tolist(), generic.tolist()))
 
-    for (*_, i), report, rank in chunked(seed, (7,), counts["fiber_bd"], dihedral):
-        if not report.on_branch or len(report.classes) != 1:
-            return CheckResult(False, f"dihedral sample {i}: not a single class")
-        if variety.locus_label(int(rank)).label == GENERIC:
-            return CheckResult(False, f"dihedral sample {i}: generic witness")
+    keys, on_branch, generic = zip(*chunked(seed, (7,), counts["fiber_bd"], dihedral))
+    bad = np.flatnonzero(~np.array(on_branch) | np.array(generic))
+    if bad.size:
+        i = bad[0]
+        why = "generic witness" if on_branch[i] else "not a single class"
+        return CheckResult(False, f"dihedral sample {keys[i]}: {why}")
     return CheckResult(
         True,
-        f"{counts['fiber_generic']} generic fibers match {{rho, alpha*rho}} (worst {worst_match:.3e}); "
+        f"{counts['fiber_generic']} generic fibers match {{rho, alpha*rho}} (worst {max(match):.3e}); "
         f"{counts['fiber_bd']} dihedral fibers collapse to one class",
     )
 
@@ -456,37 +451,41 @@ TORUS_TOL = 1e-9
 def check_bd_torus(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     """Torus coordinates survive the round trip through a binary dihedral
     representation up to the mirror identification, and such
-    representations push forward to commuting surface generators."""
-    worst_rt = 0.0
+    representations push forward to commuting surface generators.  A
+    failure names the key of its sample, or of the worst sample."""
+    gaps = []
     for n in range(2, 6):
 
-        def gaps(keys, rngs, n=n):
-            # a generic image has no torus angles: its gap is None
+        def round_trip(keys, rngs, n=n):
+            # a generic image has no torus angles: its gap is nan
             thetas = np.stack([rng.uniform(0.0, 2.0 * np.pi, size=2 * n - 2) for rng in rngs])
             bd = rep.bd_from_angles(thetas)
             planar = variety.locus_ranks(bd) < 3
+            gap = np.full(len(keys), np.nan)
             rec, t = rep.angles_from_bd(bd[planar]), thetas[planar]
-            found = iter(np.minimum(_circle_gaps(rec, t), _circle_gaps(rec, -t)).tolist())
-            return [(key, next(found) if flat else None) for key, flat in zip(keys, planar.tolist())]
+            gap[planar] = np.minimum(_circle_gaps(rec, t), _circle_gaps(rec, -t))
+            return list(zip(keys, gap.tolist()))
 
-        for (*_, i), gap in chunked(seed, (11, n), counts["bd_roundtrip_per_n"], gaps):
-            if gap is None:
-                return CheckResult(False, f"n={n} sample {i}: generic image")
-            worst_rt = max(worst_rt, gap)
+        gaps += chunked(seed, (11, n), counts["bd_roundtrip_per_n"], round_trip)
+    rt_keys, gap = zip(*gaps)
+    generic = np.flatnonzero(np.isnan(gap))
+    if generic.size:
+        return CheckResult(False, f"sample {rt_keys[generic[0]]}: generic image")
 
     def push_defects(keys, rngs):
         # the largest commutator norm over the six generator pairs of each row
         thetas = np.stack([rng.uniform(0.0, 2.0 * np.pi, size=4) for rng in rngs])
         gens = np.moveaxis(cover.pushforwards(rep.bd_from_angles(thetas)), 1, 0)
         d = np.stack([qmul(gens[p], gens[q]) - qmul(gens[q], gens[p]) for p in range(4) for q in range(p + 1, 4)])
-        return quat.norm(d).max(axis=0).tolist()
+        return list(zip(keys, quat.norm(d).max(axis=0).tolist()))
 
-    worst_comm = max(chunked(seed, (12,), counts["bd_push"], push_defects), default=0.0)
-    ok = worst_rt <= TORUS_TOL and worst_comm <= TORUS_TOL
-    return CheckResult(
-        ok,
-        f"round-trip gap {worst_rt:.3e} (n=2..5); pushforward commutator defect {worst_comm:.3e}",
-    )
+    push_keys, defect = zip(*chunked(seed, (12,), counts["bd_push"], push_defects))
+    worst_rt, worst_comm = max(gap), max(defect)
+    detail = f"round-trip gap {worst_rt:.3e} (n=2..5); pushforward commutator defect {worst_comm:.3e}"
+    over = [keys[int(np.argmax(v))] for keys, v in ((rt_keys, gap), (push_keys, defect)) if max(v) > TORUS_TOL]
+    if over:
+        detail += f"; worst samples {over}"
+    return CheckResult(not over, detail)
 
 
 def check_link_sampler(counts: Mapping[str, int], seed: int = 0) -> CheckResult:

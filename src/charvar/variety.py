@@ -9,6 +9,8 @@ produces explicit submersion certificates away from the abelian points.
 The sampler and the certificate layer are implemented once, on stacks;
 :func:`sample_point`, :func:`submersion_certificate`, :func:`conjugation_rank`
 and :func:`local_dimension` are one-row calls of their stacked forms.
+Stacked forms return arrays; LOCUS_NAMES names the locus of each rank of
+:func:`locus_ranks`, and only :func:`classify_locus` builds a LocusLabel.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ CENTRAL_CUTOFF = 1e-12
 ABELIAN = "abelian"
 BINARY_DIHEDRAL = "binary_dihedral"
 GENERIC = "generic"
+# the locus of each rank of the meridian directions, 0 to 3
+LOCUS_NAMES = (ABELIAN, ABELIAN, BINARY_DIHEDRAL, GENERIC)
 
 
 @dataclass(frozen=True)
@@ -125,15 +129,6 @@ def sample_point(k: int, rng: np.random.Generator) -> PuncturedSphereRep:
     return PuncturedSphereRep(one_row(sample_points, k, [rng])[0])
 
 
-def locus_label(rank: int) -> LocusLabel:
-    """rank <= 1 abelian, rank 2 binary dihedral, rank 3 generic."""
-    if rank <= 1:
-        return LocusLabel(ABELIAN, rank)
-    if rank == 2:
-        return LocusLabel(BINARY_DIHEDRAL, rank)
-    return LocusLabel(GENERIC, rank)
-
-
 def locus_ranks(meridians: np.ndarray) -> np.ndarray:
     """Rank of the 3 x k matrix of meridian directions, for one (k, 4) tuple
     or each tuple of a (..., k, 4) stack: singular values above
@@ -145,7 +140,8 @@ def locus_ranks(meridians: np.ndarray) -> np.ndarray:
 def classify_locus(rep: PuncturedSphereRep) -> LocusLabel:
     """Locus of a point by the rank of the 3 x k matrix of meridian directions:
     rank <= 1 abelian, rank 2 binary dihedral, rank 3 generic."""
-    return locus_label(int(locus_ranks(rep.meridians)))
+    rank = int(locus_ranks(rep.meridians))
+    return LocusLabel(LOCUS_NAMES[rank], rank)
 
 
 def _df_ranks(parts: np.ndarray) -> np.ndarray:
@@ -267,15 +263,15 @@ def sign_transport(partial, signs) -> np.ndarray:
     return part * sg[..., None]
 
 
-def enumerate_abelian(k: int) -> list[PuncturedSphereRep]:
-    """All abelian classes for even k: sign vectors on (i, ..., i) with the
-    first sign normalized to +1 and the last meridian forced by the product,
-    bit b of the row index flipping the sign of meridian b + 2."""
+def enumerate_abelian(k: int) -> np.ndarray:
+    """All abelian classes for even k, one (2^(k-2), k, 4) stack: sign vectors
+    on (i, ..., i) with the first sign +1 and the last meridian forced by the
+    product, bit b of the row index flipping the sign of meridian b + 2."""
     if k % 2 != 0:
         raise ValueError(f"abelian points exist only for even k, got k = {k}")
     bits = np.arange(2 ** (k - 2))[:, None] >> np.arange(k - 2)
     signs = np.concatenate([np.ones((bits.shape[0], 1)), np.where(bits & 1, -1.0, 1.0)], axis=1)
-    return [PuncturedSphereRep(m) for m in complete_reps(signs[..., None] * I)]
+    return complete_reps(signs[..., None] * I)
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ class TestSample:
                     "k": k,
                     "locus": locus.label,
                     "rank": locus.rank,
-                    "fingerprint_digest": fingerprint_digest(fp),
+                    "fingerprint_digest": fingerprint_digest(fp.values),
                     "fingerprint": [float(v) for v in fp.values],
                     "residuals": res,
                 },
@@ -91,7 +91,7 @@ class TestSample:
             for i, locus, fp, res in records
         )
         want_csv = "index,seed,k,locus,rank,fingerprint_digest,constraint,product,traceless\n" + "".join(
-            f"{i},{seed},{k},{locus.label},{locus.rank},{fingerprint_digest(fp)},"
+            f"{i},{seed},{k},{locus.label},{locus.rank},{fingerprint_digest(fp.values)},"
             f"{res['constraint']!r},{res['product']!r},{res['traceless']!r}\n"
             for i, locus, fp, res in records
         )
@@ -232,6 +232,45 @@ def test_cli_options_are_pinned():
 
     found = dict(commands(cli.build_parser()))
     assert found == CLI_OPTIONS
+
+
+def test_seed_help_says_how_samples_are_keyed():
+    def seed_help(*path):
+        parser = cli.build_parser()
+        for name in path:
+            action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            parser = action.choices[name]
+        return next(a.help for a in parser._actions if "--seed" in a.option_strings)
+
+    # link-sample draws its points in order from one generator, not sample
+    # i from (seed, i)
+    assert seed_help("link-sample") == "seed of the one generator that draws the points in order"
+    for path in (("sample",), ("cover", "fiber"), ("lemma52",)):
+        assert seed_help(*path) == "base seed; sample i uses (seed, i)"
+
+
+def test_failed_fiber_and_torus_checks_name_the_sample_key(monkeypatch):
+    # every generic fiber counted as one class: the check names the key
+    # (seed, 6, i) that replays the first
+    monkeypatch.setattr(cover, "FIBER_TOL", 10.0)
+    result = selftest.check_fiber_two_fold({"fiber_generic": 5, "fiber_bd": 5}, 3)
+    assert (result.ok, result.detail) == (False, "generic sample (3, 6, 0): 1 class(es)")
+    monkeypatch.undo()
+    # every binary dihedral witness counted as generic: (seed, 7, i)
+    real = variety.locus_ranks
+    monkeypatch.setattr(variety, "locus_ranks", lambda m: np.full(real(m).shape, 3))
+    result = selftest.check_fiber_two_fold({"fiber_generic": 5, "fiber_bd": 5}, 3)
+    assert (result.ok, result.detail) == (False, "dihedral sample (3, 7, 0): generic witness")
+    # and every torus image counted as generic: (seed, 11, n, i)
+    result = selftest.check_bd_torus({"bd_roundtrip_per_n": 5, "bd_push": 5}, 3)
+    assert (result.ok, result.detail) == (False, "sample (3, 11, 2, 0): generic image")
+    monkeypatch.undo()
+    # over a tolerance, the worst sample of each failing gate is named
+    monkeypatch.setattr(selftest, "TORUS_TOL", -1.0)
+    result = selftest.check_bd_torus({"bd_roundtrip_per_n": 5, "bd_push": 5}, 3)
+    assert not result.ok
+    worst = result.detail.split("; worst samples ")[1]
+    assert worst.startswith("[(3, 11, ") and ", (3, 12, " in worst
 
 
 def test_failed_link_gate_names_samples(monkeypatch, capsys):

@@ -8,7 +8,7 @@ from charvar import cover, selftest
 from charvar.cover import (
     extend,
     fiber,
-    fiber_to_json,
+    fiber_records,
     fibers,
     lemma52_detailed,
     lemma52_stack,
@@ -213,11 +213,16 @@ class TestFiber:
                 assert np.linalg.norm(g1 - g2) <= 1e-9
 
     def test_json_shape(self):
-        report = fiber(pushforward(sample_point(6, np.random.default_rng(263))))
-        data = fiber_to_json(report)
+        rho = sample_point(6, np.random.default_rng(263))
+        (data,) = fiber_records(*fibers(pushforwards(rho.meridians[None])))
         assert data["on_branch"] is False
         assert data["class_count"] == 2
         assert len(data["fingerprints"]) == 2
+        # the record holds what the one-row report holds
+        report = fiber(pushforward(rho))
+        assert data["separation"] == report.separation
+        assert [fp["values"] for fp in data["fingerprints"]] == [fp.values.tolist() for fp in report.classes]
+        assert data["witnesses"] == [w.meridians.tolist() for w in report.witnesses]
 
 
 def _fiber_bytes(report):
@@ -227,6 +232,14 @@ def _fiber_bytes(report):
         [fp.values.tobytes() for fp in report.classes],
         [w.meridians.tobytes() for w in report.witnesses],
     )
+
+
+def _fiber_rows(sheets, values, separation, on_branch):
+    """The rows of :func:`fibers` as :func:`_fiber_bytes` gives a report."""
+    return [
+        (float(sep), bool(branch), [v.tobytes() for v in vals[: 1 if branch else 2]], [w.tobytes() for w in pair])
+        for pair, vals, sep, branch in zip(sheets, values, separation, on_branch)
+    ]
 
 
 def _raised(fn, *args):
@@ -246,9 +259,9 @@ class TestStackedCover:
             gens = surface_samples(rngs)
             x, rung, residuals = lemma52_stack(*section_inputs(gens)[:4])
             return [
-                (key, g.tobytes(), xr.tobytes(), int(br), rr.tobytes(), sheets.tobytes(), rt.tobytes(), _fiber_bytes(fb))
+                (key, g.tobytes(), xr.tobytes(), int(br), rr.tobytes(), sheets.tobytes(), rt.tobytes(), fb)
                 for key, g, xr, br, rr, sheets, rt, fb in zip(
-                    keys, gens, x, rung, residuals, lifts(gens), roundtrip_residuals(gens), fibers(gens)
+                    keys, gens, x, rung, residuals, lifts(gens), roundtrip_residuals(gens), _fiber_rows(*fibers(gens))
                 )
             ]
 
@@ -299,11 +312,11 @@ class TestStackedCover:
             assert (sol.x.tobytes(), sol.branch, sol.residuals.tobytes()) == (xr.tobytes(), br, rr.tobytes())
 
     def test_abelian_points_match_scalar(self):
-        meridians = np.stack([r.meridians for r in enumerate_abelian(6)])
-        reports = fibers(pushforwards(meridians))
-        assert all(report.on_branch for report in reports)
-        for report, rep in zip(reports, enumerate_abelian(6)):
-            assert _fiber_bytes(report) == _fiber_bytes(fiber(pushforward(rep)))
+        meridians = enumerate_abelian(6)
+        sheets, values, separation, on_branch = fibers(pushforwards(meridians))
+        assert on_branch.all()
+        for row, m in zip(_fiber_rows(sheets, values, separation, on_branch), meridians):
+            assert row == _fiber_bytes(fiber(pushforward(PuncturedSphereRep(m))))
 
     def test_rejected_rows_raise_the_scalar_exception(self, monkeypatch):
         # a stack names its first rejected row; the one-row call raises the

@@ -288,13 +288,13 @@ class TestStackedChart:
         for z in starts:
             sizes.clear()
             refine_chart_zero(3, z)
-            assert set(sizes) == {(17, 4)}
+            assert set(sizes) == {(1, 17, 4)}
             steps.append(len(sizes))
         assert steps == [6, 1, 6]
         sizes.clear()
         refine_chart_zero(3, starts)
         # one stack per step: the 17-point stencils of the rows still moving
-        assert sizes == [(17 * sum(s > step for s in steps), 4) for step in range(max(steps))]
+        assert sizes == [(sum(s > step for s in steps), 17, 4) for step in range(max(steps))]
 
     def test_stack_rows_are_the_one_point_refinements(self, digest):
         # step counts 1, 4, 5 and 6 in one stack; the digest was recorded
@@ -326,7 +326,7 @@ class TestStackedChart:
             stall, flat = (stencils[:, 0, c] == 0.0 for c in (3, 2))
             vals[stall] = 1.0 + 1e-3 * stencils[stall, :, 0].real
             vals[flat] = 1.0
-            return vals.reshape(-1)
+            return vals
 
         monkeypatch.setattr(morse, "eval_chart_g", rigged)
         good, stall, flat = refinement_starts()[:3]

@@ -150,7 +150,7 @@ class TestVariety:
     def test_conjugation_rank_is_the_rank_of_the_brackets(self, n, keys):
         k = 2 * n
         thetas = np.stack([np.random.default_rng(key).uniform(-10.0, 10.0, size=k - 2) for key in keys])
-        abelian = np.stack([r.meridians for r in enumerate_abelian(k)])
+        abelian = enumerate_abelian(k)
         parts = np.concatenate([sample_points(k, rngs_of(keys)), bd_from_angles(thetas), abelian])[:, :-1]
         # [X, Q_a] for X in the su(2) basis, one row of real coordinates per X
         X, Q = su2(np.stack([I, J, K]))[:, None], su2(parts)[:, None]

@@ -8,6 +8,7 @@ from charvar import selftest, variety
 from charvar.errors import AbelianInput, ConstraintViolated
 from charvar.quat import I, J, K, ONE, exp_pure, gprod, qmul
 from charvar.rep import (
+    PuncturedSphereRep,
     TorusCoords,
     alpha_star,
     bd_from_angles,
@@ -348,13 +349,12 @@ class TestCensus:
     def test_counts(self):
         for k in (4, 6, 8):
             reps = enumerate_abelian(k)
-            assert len(reps) == 2 ** (k - 2)
-            for r in reps:
-                assert classify_locus(r).label == ABELIAN
+            assert reps.shape == (2 ** (k - 2), k, 4)
+            for m in reps:
+                assert classify_locus(PuncturedSphereRep(m)).label == ABELIAN
 
     def test_distinct_classes_k6(self):
-        reps = enumerate_abelian(6)
-        fps = [fingerprint(r) for r in reps]
+        fps = [fingerprint(PuncturedSphereRep(m)) for m in enumerate_abelian(6)]
         for a in range(len(fps)):
             for b in range(a + 1, len(fps)):
                 assert fps[a].distance(fps[b]) > 1e-6
