@@ -1,6 +1,7 @@
-"""Speed snapshot of charvar: microseconds per operation, scalar and per
-stacked row, the morse and conjugator solvers per call, and the acceptance criteria and
-the link sampler at full counts.
+"""Speed snapshot of charvar: microseconds per key of a campaign's keyed
+draws, per operation, scalar and per stacked row, the morse and conjugator
+solvers per call, and the acceptance criteria and the link sampler at full
+counts.
 
     python3 bench/snapshot.py
 
@@ -188,6 +189,20 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
     return out
 
 
+def keyed_draws(speed: HostSpeed) -> dict[str, dict]:
+    """Microseconds per key of ROWS keyed rows, as ``selftest.chunked`` hands
+    them to a campaign: its generators taken in turn and left unused, and
+    ``variety.sample_points(6)`` drawing from them."""
+
+    def campaign(fn):
+        return lambda: selftest.chunked(7, (), ROWS, fn)
+
+    return {
+        "generators": per_op(campaign(lambda keys, rngs: [None for _ in rngs]), ROWS, speed),
+        "sample_points(6)": per_op(campaign(lambda keys, rngs: list(variety.sample_points(6, rngs))), ROWS, speed),
+    }
+
+
 def morse_solvers(speed: HostSpeed) -> dict[str, dict]:
     """Microseconds per call of the finite-difference Hessian at n = 8, and
     per refined link point at n = 3: REFINE_POINTS unrefined samples refined
@@ -255,6 +270,7 @@ def main() -> int:
         "numpy": np.__version__,
         "rows": ROWS,
         "repeats": REPEATS,
+        "keyed_us_per_key": keyed_draws(speed),
         "layers_us_per_op": layers(speed),
         "morse_us_per_call": morse_solvers(speed),
         "variety_us_per_call": conjugator(speed),

@@ -272,9 +272,21 @@ def cmd_selftest(args: argparse.Namespace) -> Run:
     return Run(lines, None, f"selftest: {'ok' if ok else 'FAILED'}", ok)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: every key starts with it, and key entries are
+    non-negative ints."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_sampling(parser: argparse.ArgumentParser, count_default: int, seed_help: str = SEED_HELP) -> None:
     parser.add_argument("--count", type=int, default=count_default, help="number of samples")
-    parser.add_argument("--seed", type=int, default=0, help=seed_help)
+    parser.add_argument("--seed", type=_seed, default=0, help=seed_help)
 
 
 def _add_output(parser: argparse.ArgumentParser, csv: bool = False) -> None:
@@ -346,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_link_sample)
 
     p = sub.add_parser("selftest", help="run the named verification suite at reduced counts")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_selftest)
 

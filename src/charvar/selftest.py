@@ -6,13 +6,22 @@ The CLI selftest runs all of them at reduced counts; the acceptance test
 suite runs the same functions at full counts.  All randomness is drawn
 from generators keyed by (seed, check id, sample index), so output is
 reproducible byte for byte.
+
+The campaign engine lives here too: :func:`chunked` runs a campaign in
+stacks of CHUNK keyed rows.  The generator of a key starts in the state
+np.random.default_rng(key) starts in (:func:`key_states`, numpy's
+SeedSequence hash run over a chunk's keys as uint32 arrays), and a chunk's
+rows draw in turn from one Generator set to each state
+(:func:`keyed_rngs`).  This follows numpy's SeedSequence and PCG64 seeding,
+stable since numpy 1.17; tests/test_keyed_draws.py fails if it changes.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -67,8 +76,125 @@ class CheckResult:
     detail: str
 
 
+# numpy's seeding of np.random.default_rng(key), stable since numpy 1.17:
+# SeedSequence hashes the key's uint32 words into a pool of four words,
+# each hash step xoring with one constant of a sequence and multiplying by
+# the next; generate_state(4, uint64) hashes the pool into a 128-bit PCG64
+# seed and increment, and PCG64 takes two steps of its LCG
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+
+def _key_words(key: tuple[int, ...]) -> list[int]:
+    """The uint32 words SeedSequence reads from a key: each entry in as
+    many little-endian words as it needs, 0 in one word."""
+    words = []
+    for entry in key:
+        if entry < 0:
+            raise ValueError(f"key {key}: entries must be non-negative, got {entry}")
+        words.append(entry & 0xFFFFFFFF)
+        entry >>= 32
+        while entry:
+            words.append(entry & 0xFFFFFFFF)
+            entry >>= 32
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    """The constant of each hash step: init, then times mult mod 2^32."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return out
+
+
+@functools.cache
+def _pool_steps(length: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (xor, multiplier) uint32 vectors of the pool hash of keys of
+    ``length`` words, one pair per step of :func:`_seed_words` over the four
+    pool words: their first hash, one mixing round per pool word (xor 0 and
+    multiplier 1 in its own slot, which the round leaves as it is), and one
+    round per key word past the fourth."""
+    h = _hash_constants(_INIT_A, _MULT_A, 17 + 4 * max(0, length - 4))
+    steps = [(h[0:4], h[1:5])]
+    for src in range(4):
+        x, m = h[4 + 3 * src : 7 + 3 * src], h[5 + 3 * src : 8 + 3 * src]
+        steps.append((x[:src] + [0] + x[src:], m[:src] + [1] + m[src:]))
+    for used in range(16, len(h) - 1, 4):
+        steps.append((h[used : used + 4], h[used + 1 : used + 5]))
+    return [(np.array(x, dtype=np.uint32), np.array(m, dtype=np.uint32)) for x, m in steps]
+
+
+_OUT_CONSTS = np.array(_hash_constants(_INIT_B, _MULT_B, 9), dtype=np.uint32)
+
+
+def _seed_words(words: np.ndarray) -> np.ndarray:
+    """SeedSequence(key).generate_state(4, uint64) for each row of an (N, L)
+    uint32 stack of key words: the (N, 4) uint64 seed, in uint32 arithmetic
+    over an (N, 4) pool."""
+    n, length = words.shape
+    first, *rounds = _pool_steps(length)
+    entropy = np.zeros((n, max(4, length)), dtype=np.uint32)
+    entropy[:, :length] = words
+
+    def hashmix(value, step):
+        value = (value ^ step[0]) * step[1]
+        return value ^ (value >> 16)
+
+    pool = hashmix(entropy[:, :4], first)
+    for src, step in enumerate(rounds):
+        # pool word src, or key word src past the pool, mixes into the pool
+        word = (pool if src < 4 else entropy)[:, src : src + 1]
+        mixed = _MIX_L * pool - _MIX_R * hashmix(word, step)
+        mixed ^= mixed >> 16
+        if src < 4:
+            mixed[:, src] = pool[:, src]
+        pool = mixed
+    halves = (pool[:, [0, 1, 2, 3, 0, 1, 2, 3]] ^ _OUT_CONSTS[:-1]) * _OUT_CONSTS[1:]
+    halves = (halves ^ (halves >> 16)).astype(np.uint64)
+    return halves[:, 0::2] | (halves[:, 1::2] << np.uint64(32))
+
+
+def key_states(keys: list[tuple[int, ...]]) -> list[dict]:
+    """The PCG64 ``state`` dict that np.random.default_rng(key) starts in,
+    for each key of non-negative ints.  Keys with the same number of words
+    (:func:`_key_words`) are hashed as one stack; seeding PCG64 from its
+    128-bit seed s and increment i is two steps of its LCG, on Python ints."""
+    words = [_key_words(key) for key in keys]
+    states: list = [None] * len(keys)
+    for length in set(map(len, words)):
+        rows = [row for row, w in enumerate(words) if len(w) == length]
+        stack = np.array([words[row] for row in rows], dtype=np.uint32).reshape(len(rows), length)
+        for row, (s0, s1, i0, i1) in zip(rows, _seed_words(stack).tolist()):
+            inc = (i0 << 65 | i1 << 1 | 1) & _M128
+            states[row] = {"state": ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128, "inc": inc}
+    return states
+
+
+def keyed_rngs(keys: list[tuple[int, ...]]) -> Iterator[np.random.Generator]:
+    """One pass over the generators of ``keys``: one Generator, set before
+    each yield to the state np.random.default_rng(key) starts in, so it
+    draws what that generator draws.  Each row must be drawn before the
+    next is taken.  The states are computed, and the keys checked, when
+    this is called."""
+    states = key_states(keys)
+    rng = np.random.Generator(np.random.PCG64(0))
+
+    def each():
+        for state in states:
+            rng.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+    return each()
+
+
 def _rng(seed: int, *path: int) -> np.random.Generator:
-    return np.random.default_rng((seed, *path))
+    """A generator of its own, drawing what np.random.default_rng((seed,
+    *path)) draws."""
+    return next(keyed_rngs([(seed, *path)]))
 
 
 # samples per stacked pass of a chunked campaign: a campaign's stacks stay a
@@ -87,15 +213,15 @@ def rows_named(keys: list, stacked, *args):
         raise
 
 
-def chunked(seed: int, path: tuple[int, ...], count: int, fn: Callable[[list, list], list]) -> list:
+def chunked(seed: int, path: tuple[int, ...], count: int, fn: Callable[[list, Iterator], list]) -> list:
     """The concatenated lists ``fn(keys, rngs)`` over runs of CHUNK samples
     i < count, sample i keyed (seed, *path, i) and drawing from the
-    generator of that key.  A stacked rejection names its sample's key
-    (:func:`rows_named`)."""
+    generator of that key: ``rngs`` is the one pass of :func:`keyed_rngs`.
+    A stacked rejection names its sample's key (:func:`rows_named`)."""
     out = []
     for start in range(0, count, CHUNK):
         keys = [(seed, *path, i) for i in range(start, min(start + CHUNK, count))]
-        out += rows_named(keys, fn, keys, [np.random.default_rng(key) for key in keys])
+        out += rows_named(keys, fn, keys, keyed_rngs(keys))
     return out
 
 
@@ -193,12 +319,15 @@ SUBMERSION_FD_TOL = 1e-6
 def check_submersion(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     """Non-abelian points carry a certificate with nonzero derivative that
     matches a finite difference, a rank-1 constraint Jacobian, a rank-3
-    conjugation action, and local dimension 2k-6."""
+    conjugation action, and local dimension 2k-6.  A failure names the key
+    (seed, 4, i, retry) that drew its sample, or the worst sample."""
     ks = (4, 6, 8)
-    jac, conj = np.zeros(counts["submersion"], dtype=int), np.zeros(counts["submersion"], dtype=int)
-    min_deriv, worst_fd = np.inf, 0.0
+    count = counts["submersion"]
+    jac, conj = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+    deriv, fd_err = np.zeros(count), np.zeros(count)
+    drawn: list = [None] * count
     for first, k in enumerate(ks):
-        group = range(first, counts["submersion"], len(ks))
+        group = range(first, count, len(ks))
         for start in range(0, len(group), CHUNK):
             # sample i has k = ks[i % 3] and draws from (seed, 4, i, retry),
             # retry counting up from 0 while its draw is abelian
@@ -207,7 +336,8 @@ def check_submersion(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
             retries = np.zeros(len(indices), dtype=int)
             redraw, retry = np.arange(len(indices)), 0
             while redraw.size:
-                rows[redraw] = variety.sample_points(k, [_rng(seed, 4, indices[j], retry) for j in redraw.tolist()])
+                keys = [(seed, 4, indices[j], retry) for j in redraw.tolist()]
+                rows[redraw] = variety.sample_points(k, keyed_rngs(keys))
                 redraw, retry = redraw[variety.locus_ranks(rows[redraw]) <= 1], retry + 1
                 retries[redraw] = retry
             parts = rows[:, :-1]
@@ -217,20 +347,27 @@ def check_submersion(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
                 gprod(variety.deform(parts, cert, SUBMERSION_STEP))[:, 0]
                 - gprod(variety.deform(parts, cert, -SUBMERSION_STEP))[:, 0]
             ) / (2.0 * SUBMERSION_STEP)
-            min_deriv = min(min_deriv, float(np.min(np.abs(cert.derivative))))
-            worst_fd = max(worst_fd, float(np.max(np.abs(fd - cert.derivative))))
+            deriv[indices] = np.abs(cert.derivative)
+            fd_err[indices] = np.abs(fd - cert.derivative)
             jac[indices] = cert.jacobian_rank
             conj[indices] = variety.conjugation_ranks(parts)
+            for i, key in zip(indices, keys):
+                drawn[i] = key
     # with df of rank 1 and conjugation of rank 3 the local dimension, 2(k - 1)
     # minus these two ranks, is 2k - 6
     for i in np.flatnonzero((jac != 1) | (conj != 3))[:1]:
         detail = f"df rank {jac[i]}" if jac[i] != 1 else "conjugation rank != 3"
-        return CheckResult(False, f"sample {i}: {detail}")
-    ok = min_deriv > MIN_DERIVATIVE and worst_fd <= SUBMERSION_FD_TOL
-    return CheckResult(
-        ok,
-        f"min |derivative| {min_deriv:.3e}, max fd mismatch {worst_fd:.3e} over {counts['submersion']} samples",
-    )
+        return CheckResult(False, f"sample {drawn[i]}: {detail}")
+    min_deriv, worst_fd = float(deriv.min(initial=np.inf)), float(fd_err.max(initial=0.0))
+    detail = f"min |derivative| {min_deriv:.3e}, max fd mismatch {worst_fd:.3e} over {count} samples"
+    over = []
+    if min_deriv <= MIN_DERIVATIVE:
+        over.append(drawn[np.argmin(deriv)])
+    if worst_fd > SUBMERSION_FD_TOL:
+        over.append(drawn[np.argmax(fd_err)])
+    if over:
+        detail += f"; worst samples {over}"
+    return CheckResult(not over, detail)
 
 
 def roundtrip_records(seed: int, path: tuple[int, ...], count: int) -> list[dict]:

@@ -86,41 +86,59 @@ def _orthonormal_pair(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_points(k: int, rngs) -> np.ndarray:
-    """Draw a point of f^{-1}(0) exactly from each of the distinct generators
-    ``rngs``: one (N, k, 4) stack of meridians.
+    """Draw a point of f^{-1}(0) exactly from each generator of ``rngs``: one
+    (N, k, 4) stack of meridians.
 
     q_1 ... q_{k-2} are uniform on the traceless sphere.  Writing w for their
     product, the two conditions on q_{k-1} (traceless, and w q_{k-1} traceless)
     cut out the great circle orthogonal to im(w), which is sampled uniformly;
     when w = +-1 the constraint is vacuous and the whole sphere is used.
 
-    Each generator draws its ``k - 2`` directions in one
-    :func:`quat.random_directions` call, then the angle or, when w is
-    central, one more direction.  A row is the same bits in any stack (see
+    A row draws what one-row calls draw in turn: its ``k - 2`` directions in
+    one :func:`quat.random_directions` call, then the angle or, when w is
+    central, one more direction.  Each row draws its normals and its angle
+    in one pass, before the next generator is taken, so ``rngs`` may be the
+    one pass of :func:`charvar.selftest.keyed_rngs` (one generator, set to
+    each key's state); a list must hold distinct generators.  A row with a
+    rejected direction or a central w is drawn again from its start state
+    through those sequential draws, which leave its generator where one-row
+    calls leave it.  A row is the same bits in any stack (see
     :mod:`charvar.quat` on dot products).
     """
     if k < 3:
         raise ValueError(f"need k >= 3, got k = {k}")
-    rngs = list(rngs)
-    if len({id(rng) for rng in rngs}) != len(rngs):
+    if isinstance(rngs, (list, tuple)) and len({id(rng) for rng in rngs}) != len(rngs):
         raise ValueError("each sample needs its own generator")
-    qs = np.zeros((len(rngs), k - 1, 4))
-    for row, rng in enumerate(rngs):
+    gens, starts, normals, phi = [], [], [], []
+    for rng in rngs:
+        gens.append(rng)
+        starts.append(rng.bit_generator.state)
+        normals.append(rng.standard_normal((k - 2, 3)))
+        phi.append(rng.uniform(0.0, 2.0 * np.pi))
+    n = len(gens)
+    normals = np.reshape(normals, (n, k - 2, 3))
+    lengths = quat.norm(normals)
+    drawn = np.all(lengths > quat.DRAW_CUTOFF, axis=1)
+    qs = np.zeros((n, k - 1, 4))
+    qs[drawn, : k - 2, 1:] = normals[drawn] / lengths[drawn, :, None]
+    # a row with a rejected direction keeps w = 0, which counts as central
+    w = np.zeros((n, 4))
+    w[drawn] = gprod(qs[drawn, : k - 2])
+    phi = np.array(phi)
+    for row in np.flatnonzero(quat.norm(w[:, 1:]) <= CENTRAL_CUTOFF).tolist():
+        rng = gens[row]
+        rng.bit_generator.state = starts[row]
         qs[row, : k - 2, 1:] = quat.random_directions(rng, k - 2, 3)
-    w = gprod(qs[:, : k - 2])
+        w[row] = gprod(qs[row : row + 1, : k - 2])[0]
+        if quat.norm(w[row, 1:]) <= CENTRAL_CUTOFF:
+            qs[row, k - 2] = quat.random_pure(rng)
+        else:
+            phi[row] = rng.uniform(0.0, 2.0 * np.pi)
     wv = w[:, 1:]
     nw = quat.norm(wv)
-    central = nw <= CENTRAL_CUTOFF
-    turning = ~central
+    turning = nw > CENTRAL_CUTOFF
     u, v = _orthonormal_pair(wv[turning] / nw[turning, None])
-    phi = []
-    for rng, row, is_central in zip(rngs, qs, central):
-        if is_central:
-            row[k - 2] = quat.random_pure(rng)
-        else:
-            phi.append(rng.uniform(0.0, 2.0 * np.pi))
-    phi = np.array(phi)
-    qs[turning, k - 2, 1:] = np.cos(phi)[:, None] * u + np.sin(phi)[:, None] * v
+    qs[turning, k - 2, 1:] = np.cos(phi[turning])[:, None] * u + np.sin(phi[turning])[:, None] * v
     return complete_reps(qs)
 
 

@@ -362,6 +362,30 @@ class TestUsageErrors:
     def test_exit_2(self, argv):
         assert run_cli(*argv).returncode == 2
 
+    @pytest.mark.parametrize("argv", [("sample", "--k", "6"), ("selftest",)])
+    def test_negative_seed_exits_2(self, argv):
+        proc = run_cli(*argv, "--seed", "-1")
+        assert proc.returncode == 2
+        assert "argument --seed: must be non-negative, got -1" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cover", "push"),
+            ("cover", "extend"),
+            ("cover", "roundtrip"),
+            ("cover", "fiber"),
+            ("lemma52",),
+            ("link-sample", "--n", "3"),
+        ],
+    )
+    def test_every_seed_option_refuses_a_negative_seed(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--seed", "-3"])
+        assert exc.value.code == 2
+        assert "must be non-negative, got -3" in capsys.readouterr().err
+
     def test_invariant_failure_exits_1(self, monkeypatch, capsys):
         # the campaigns lift through the stacked section, cover.lifts
         def broken(generators):

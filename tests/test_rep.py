@@ -349,9 +349,12 @@ def _stacked_rows(monkeypatch, seed, stacked, inputs):
 
 
 def _perturbed(rngs, k):
-    """Samples of R(S^2, k) with each meridian scaled off unit norm by about
-    1e-8, so that the constructors renormalize."""
-    return sample_points(k, rngs) * (1.0 + 1e-8 * np.stack([rng.normal(size=(k, 1)) for rng in rngs]))
+    """Samples of R(S^2, k) with each meridian scaled off unit norm by up to
+    1e-8, so that the constructors renormalize.  The scale is read off the
+    sample (1e-8 times its i coordinate): a campaign draws from its
+    generators in one pass."""
+    points = sample_points(k, rngs)
+    return points * (1.0 + 1e-8 * points[..., 1:2])
 
 
 class TestStackedConstructors:

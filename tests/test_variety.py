@@ -1,6 +1,8 @@
 """Sampling, locus classification, submersion certificates, and the
 abelian census."""
 
+import ast
+
 import numpy as np
 import pytest
 
@@ -64,17 +66,33 @@ class TestSampler:
 
 
 class ScriptedNormals:
-    """Stand-in generator whose standard normals come from a script."""
+    """Stand-in generator whose standard normals and uniforms come from a
+    script; its state, the count of values used, can be read and set."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float).ravel()
         self.used = 0
+
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return self.used
+
+    @state.setter
+    def state(self, used):
+        self.used = used
 
     def standard_normal(self, size):
         count = int(np.prod(size))
         out = self.values[self.used : self.used + count]
         self.used += count
         return out.reshape(size)
+
+    def uniform(self, low, high):
+        return low + (high - low) * float(self.standard_normal(1)[0])
 
 
 class TestBatchSampler:
@@ -101,7 +119,9 @@ class TestBatchSampler:
     def test_central_product_and_rejected_draw(self):
         # q2 = +-q1 exactly makes w = q1 q2 = -+1, so the last free meridian
         # is a fresh uniform draw; the zero vector leading the first script
-        # is rejected and drawn again, as quat.random_pure does
+        # is rejected and drawn again, as quat.random_pure does.  Both rows
+        # draw an angle in the one pass over the stack, and are drawn again
+        # from their start state: each stub ends where its script does
         v = np.array([0.3, -1.2, 0.5])
         scripts = (
             [np.zeros(3), v, 2.0 * v, [0.1, 0.7, -0.4]],
@@ -118,6 +138,18 @@ class TestBatchSampler:
         assert all(s.used == len(np.ravel(np.concatenate(sc))) for s, sc in zip(stubs, scripts))
         for row, single in zip(rows, singles):
             assert row.tobytes() == single.meridians.tobytes()
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_generators_end_where_one_row_calls_leave_them(self, k):
+        # two stacked passes over two generators draw what two one-row calls
+        # on each draw in turn, and leave each generator where they leave it
+        stacked = [np.random.default_rng((7, k, i)) for i in range(2)]
+        passes = [sample_points(k, stacked) for _ in range(2)]
+        for i, rng in enumerate(stacked):
+            alone = np.random.default_rng((7, k, i))
+            for rows in passes:
+                assert rows[i].tobytes() == sample_point(k, alone).meridians.tobytes()
+            assert rng.bit_generator.state == alone.bit_generator.state
 
     def test_shared_generator_rejected(self):
         rng = np.random.default_rng(0)
@@ -315,13 +347,26 @@ class TestStackedCertificates:
             return ranks
 
         monkeypatch.setattr(variety, "submersion_certificates", jacobian_rank_0_at_sample_8)
-        assert selftest.check_submersion({"submersion": 30}, 2).detail == "sample 8: df rank 0"
+        # a sample is named by the key (seed, 4, i, retry) that draws it
+        assert selftest.check_submersion({"submersion": 30}, 2).detail == "sample (2, 4, 8, 0): df rank 0"
         monkeypatch.setattr(variety, "conjugation_ranks", conjugation_rank_2_at_samples_15_and_10)
         # samples 15 (k = 4), 10 (k = 6) and 8 (k = 8) fail: the k = 4 group
         # is certified first, and the smallest sample is reported
-        assert selftest.check_submersion({"submersion": 30}, 2).detail == "sample 8: df rank 0"
+        assert selftest.check_submersion({"submersion": 30}, 2).detail == "sample (2, 4, 8, 0): df rank 0"
         monkeypatch.setattr(variety, "submersion_certificates", true_certificates)
-        assert selftest.check_submersion({"submersion": 30}, 2).detail == "sample 10: conjugation rank != 3"
+        assert selftest.check_submersion({"submersion": 30}, 2).detail == "sample (2, 4, 10, 0): conjugation rank != 3"
+
+    def test_check_names_its_worst_sample_by_its_draw_key(self, monkeypatch):
+        # every |derivative| <= 1 is now too small: the smallest is reported,
+        # and its key replays the sample and that derivative
+        monkeypatch.setattr(selftest, "MIN_DERIVATIVE", 1.0)
+        result = selftest.check_submersion({"submersion": 30}, 2)
+        assert not result.ok
+        head, worst = result.detail.split("; worst samples ")
+        (key,) = ast.literal_eval(worst)
+        assert key[:2] == (2, 4) and len(key) == 4
+        parts = sample_point((4, 6, 8)[key[2] % 3], np.random.default_rng(key)).meridians[:-1]
+        assert head.startswith(f"min |derivative| {abs(submersion_certificate(parts).derivative):.3e},")
 
     def test_check_names_a_rejected_sample_by_its_draw_key(self, monkeypatch):
         def central_from_row_5(parts):
