@@ -1,7 +1,7 @@
 """Speed snapshot of charvar: microseconds per key of a campaign's keyed
 draws, per operation, scalar and per stacked row, the morse and conjugator
-solvers per call, and the acceptance criteria and the link sampler at full
-counts.
+solvers per call, per in-process CLI job, and the acceptance criteria and
+the link sampler at full counts.
 
     python3 bench/snapshot.py
 
@@ -15,7 +15,9 @@ perfbench's host-speed probe and multiplied by their factor.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
+import io
 import json
 import os
 import platform
@@ -30,7 +32,7 @@ sys.path.insert(0, str(ROOT))
 
 import numpy as np  # noqa: E402
 
-from charvar import cover, morse, quat, rep, selftest, variety  # noqa: E402
+from charvar import campaign, cli, cover, morse, quat, rep, selftest, variety  # noqa: E402
 from perfbench.worker import HostSpeed  # noqa: E402
 from perfbench.workloads import BUDGETS_S  # noqa: E402
 
@@ -38,6 +40,7 @@ ROWS = 256  # inputs per timed pass, scalar and stacked alike
 REPEATS = 5
 REFINE_POINTS = 16  # link points refined per timed pass, one at a time and as one stack
 CONJUGATOR_PAIRS = 32  # k = 6 pairs per timed pass, conjugate and independent
+CLI_JOBS = 20  # in-process CLI runs per timed pass
 # acceptance criteria by number; their budgets are perfbench's BUDGETS_S.
 # The link sampler is no criterion and has no budget
 CRITERIA = (
@@ -190,16 +193,16 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
 
 
 def keyed_draws(speed: HostSpeed) -> dict[str, dict]:
-    """Microseconds per key of ROWS keyed rows, as ``selftest.chunked`` hands
+    """Microseconds per key of ROWS keyed rows, as ``campaign.chunked`` hands
     them to a campaign: its generators taken in turn and left unused, and
     ``variety.sample_points(6)`` drawing from them."""
 
-    def campaign(fn):
-        return lambda: selftest.chunked(7, (), ROWS, fn)
+    def keyed(fn):
+        return lambda: campaign.chunked(7, (), ROWS, fn)
 
     return {
-        "generators": per_op(campaign(lambda keys, rngs: [None for _ in rngs]), ROWS, speed),
-        "sample_points(6)": per_op(campaign(lambda keys, rngs: list(variety.sample_points(6, rngs))), ROWS, speed),
+        "generators": per_op(keyed(lambda keys, rngs: [None for _ in rngs]), ROWS, speed),
+        "sample_points(6)": per_op(keyed(lambda keys, rngs: list(variety.sample_points(6, rngs))), ROWS, speed),
     }
 
 
@@ -230,6 +233,21 @@ def conjugator(speed: HostSpeed) -> dict[str, dict]:
         )
         for kind, pairs in (("conjugate", conjugates), ("independent", others))
     }
+
+
+def cli_jobs(speed: HostSpeed) -> dict[str, dict]:
+    """Microseconds per in-process ``cli.main`` run of the lemma52 command of
+    a perfbench cover-t2 job: its data to os.devnull, its verdict to a
+    buffer, and a failed run raises."""
+    argv = ["lemma52", "--count", "100", "--seed", "0", "--out", os.devnull]
+
+    def jobs():
+        with contextlib.redirect_stderr(io.StringIO()):
+            for _ in range(CLI_JOBS):
+                if cli.main(argv) != 0:
+                    raise RuntimeError(f"charvar {' '.join(argv)} failed")
+
+    return {"lemma52 --count 100": per_op(jobs, CLI_JOBS, speed)}
 
 
 def criteria(speed: HostSpeed) -> dict[str, dict]:
@@ -274,6 +292,7 @@ def main() -> int:
         "layers_us_per_op": layers(speed),
         "morse_us_per_call": morse_solvers(speed),
         "variety_us_per_call": conjugator(speed),
+        "cli_us_per_call": cli_jobs(speed),
         "criteria_full_counts": criteria(speed),
         "host_probe_median_s": speed.median(),
     }

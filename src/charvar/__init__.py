@@ -3,11 +3,11 @@
 Unit-quaternion arithmetic (`quat`), representation classes and conjugacy
 fingerprints (`rep`), sampling and local structure of the varieties
 (`variety`), the 2-fold branched cover between the 6-punctured sphere and
-the genus-2 surface varieties (`cover`), and the exact local analysis at
-the abelian singular points (`morse`).
+the genus-2 surface varieties (`cover`), the exact local analysis at
+the abelian singular points (`morse`), and keyed campaigns (`campaign`).
 """
 
-from . import cli, cover, morse, quat, rep, selftest, variety
+from . import campaign, cli, cover, morse, quat, rep, selftest, variety
 from .cover import (
     FiberReport,
     extend,
@@ -83,6 +83,7 @@ __all__ = [
     "TorusCoords",
     "alpha_star",
     "bd_from_torus",
+    "campaign",
     "certify_hessian_combinatorics",
     "certify_hessian_numeric",
     "classify_locus",

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import cover, morse, selftest, variety
+from . import campaign, cover, morse, selftest, variety
 from .cover import LEMMA_TOL  # re-exported: the bound of the lemma52 gate
 from .rep import (
     TOL_REL,
@@ -118,7 +118,7 @@ def cmd_sample(args: argparse.Namespace) -> Run:
             )
         ]
 
-    records = selftest.chunked(args.seed, (), args.count, sample)
+    records = campaign.chunked(args.seed, (), args.count, sample)
     failures = [r["index"] for r in records if max(r["residuals"].values()) > TOL_REL]
     header = None
     if args.format == "json":
@@ -149,7 +149,7 @@ def cmd_cover_push(args: argparse.Namespace) -> Run:
             for (seed, i), g, residual in zip(keys, gens, residuals)
         ]
 
-    records = selftest.chunked(args.seed, (), args.count, push)
+    records = campaign.chunked(args.seed, (), args.count, push)
     worst = max(r["relation_residual"] for r in records)
     verdict = f"cover push: count={args.count} max relation residual {worst:.3e}"
     ok = worst <= TOL_REL
@@ -175,12 +175,12 @@ def cmd_cover_extend(args: argparse.Namespace) -> Run:
             for (seed, i), lifted_pair, ranks in zip(keys, sheets, loci)
         ]
 
-    lines = [_json_line(r) for r in selftest.chunked(args.seed, (), args.count, lift)]
+    lines = [_json_line(r) for r in campaign.chunked(args.seed, (), args.count, lift)]
     return Run(lines, None, f"cover extend: count={args.count} ok", True)
 
 
 def cmd_cover_roundtrip(args: argparse.Namespace) -> Run:
-    records = selftest.roundtrip_records(args.seed, (), args.count)
+    records = campaign.roundtrip_records(args.seed, (), args.count)
     worst = max(max(r["residuals"].values()) for r in records)
     failures = [r["index"] for r in records if max(r["residuals"].values()) > cover.ROUNDTRIP_TOL]
     if failures:
@@ -198,7 +198,7 @@ def cmd_cover_fiber(args: argparse.Namespace) -> Run:
         def chunk(keys, rngs):
             return cover.fiber_records(*cover.fibers(cover.surface_samples(rngs)))
 
-        fibers = selftest.chunked(args.seed, (), args.count, chunk)
+        fibers = campaign.chunked(args.seed, (), args.count, chunk)
     records = [{"index": i, **fiber} for i, fiber in enumerate(fibers)]
     fraction = sum(r["on_branch"] for r in records) / len(records)
     verdict = f"cover fiber: {len(records)} fibers, branch fraction {fraction:.4f}"
@@ -231,10 +231,10 @@ def cmd_morse(args: argparse.Namespace) -> Run:
 
 def cmd_lemma52(args: argparse.Namespace) -> Run:
     per_branch = max(1, args.count // 20)
-    records = selftest.ladder_records(args.seed, ((), ()), args.count, per_branch)
-    failures = selftest.ladder_failures(records, args.seed, per_branch)
+    records = campaign.ladder_records(args.seed, ((), ()), args.count, per_branch)
+    failures = campaign.ladder_failures(records, args.seed, per_branch)
     worst = max(r["max_residual"] for r in records)
-    verdict = f"lemma52: max residual {worst:.3e}, branch coverage {selftest.ladder_coverage(records)}"
+    verdict = f"lemma52: max residual {worst:.3e}, branch coverage {campaign.ladder_coverage(records)}"
     verdict = "; ".join([verdict, *failures])
     return Run([_json_line(r) for r in records], None, verdict, not failures)
 
@@ -243,7 +243,7 @@ def cmd_link_sample(args: argparse.Namespace) -> Run:
     n, *rest = _parse_n_spec(args.n)
     if rest:
         raise UsageError("link-sample expects a single n, not a range")
-    points = morse.sample_link(n, args.count, selftest._rng(args.seed))
+    points = morse.sample_link(n, args.count, campaign.keyed_rng(args.seed))
     sphere, quad = morse.link_defects(n, np.stack([pt.zs for pt in points]))
     bad = np.flatnonzero((sphere > morse.LINK_TOL) | (quad > morse.LINK_TOL)).tolist()
     header = None

@@ -98,7 +98,7 @@ def sample_points(k: int, rngs) -> np.ndarray:
     one :func:`quat.random_directions` call, then the angle or, when w is
     central, one more direction.  Each row draws its normals and its angle
     in one pass, before the next generator is taken, so ``rngs`` may be the
-    one pass of :func:`charvar.selftest.keyed_rngs` (one generator, set to
+    one pass of :func:`charvar.campaign.keyed_rngs` (one generator, set to
     each key's state); a list must hold distinct generators.  A row with a
     rejected direction or a central w is drawn again from its start state
     through those sequential draws, which leave its generator where one-row

@@ -2,8 +2,10 @@
 determinism, and the selftest gate."""
 
 import argparse
+import ast
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
@@ -271,6 +273,52 @@ def test_failed_fiber_and_torus_checks_name_the_sample_key(monkeypatch):
     assert not result.ok
     worst = result.detail.split("; worst samples ")[1]
     assert worst.startswith("[(3, 11, ") and ", (3, 12, " in worst
+
+
+@pytest.mark.parametrize(
+    "check, tol, count, path",
+    [
+        (selftest.check_quaternion_algebra, (selftest, "ALGEBRA_TOL"), "algebra", 1),
+        (selftest.check_small_k_rigidity, (selftest, "RIGIDITY_TOL"), "k3", 2),
+        (selftest.check_cover_roundtrip, (cover, "ROUNDTRIP_TOL"), "roundtrip", 5),
+    ],
+)
+def test_failed_check_names_its_worst_sample(check, tol, count, path, monkeypatch):
+    # under a negative tolerance every sample fails and the check names the
+    # key (seed, path, i) of its worst: the first i + 1 samples reach the
+    # worst value, the first i stay below it
+    def worst(n):
+        result = check({**selftest.REDUCED_COUNTS, count: n}, 3)
+        return result, float(re.search(r"\d\.\d{3}e[-+]\d\d", result.detail).group())
+
+    passing, _ = worst(40)
+    monkeypatch.setattr(*tol, -1.0)
+    result, value = worst(40)
+    assert not result.ok
+    head, named = result.detail.split("; worst samples ")
+    (key,) = ast.literal_eval(named)
+    assert key[:2] == (3, path)
+    assert worst(key[2] + 1)[1] == value
+    assert key[2] == 0 or worst(key[2])[1] < value
+    if count != "k3":
+        # the verdict of a passing run is the failing verdict before the name
+        assert head == passing.detail
+
+
+def test_failed_rigidity_check_names_the_first_k4_sample_off_its_loci(monkeypatch):
+    # k = 4 sample 2 counted as generic: the check names its key (seed, 3, 2)
+    real = variety.locus_ranks
+
+    def generic_row_2(meridians):
+        ranks = real(meridians)
+        if meridians.shape[-2] == 4:
+            ranks[2] = 3
+        return ranks
+
+    monkeypatch.setattr(variety, "locus_ranks", generic_row_2)
+    result = selftest.check_small_k_rigidity({"k3": 5, "k4": 5}, 3)
+    assert not result.ok
+    assert result.detail.startswith("k=4 produced loci ['generic'] (first sample (3, 3, 2)); k=3 spread ")
 
 
 def test_failed_link_gate_names_samples(monkeypatch, capsys):

@@ -4,7 +4,7 @@ traceless-solution case ladder, and fiber enumeration."""
 import numpy as np
 import pytest
 
-from charvar import cover, selftest
+from charvar import campaign, cover
 from charvar.cover import (
     extend,
     fiber,
@@ -267,10 +267,10 @@ class TestStackedCover:
 
         # 40 rows in chunks of 16 cross two chunk boundaries; in chunks of
         # 256 they are one stack
-        monkeypatch.setattr(selftest, "CHUNK", 16)
-        chunked = selftest.chunked(seed, (), 40, rows)
-        monkeypatch.setattr(selftest, "CHUNK", 256)
-        assert chunked == selftest.chunked(seed, (), 40, rows)
+        monkeypatch.setattr(campaign, "CHUNK", 16)
+        chunked = campaign.chunked(seed, (), 40, rows)
+        monkeypatch.setattr(campaign, "CHUNK", 256)
+        assert chunked == campaign.chunked(seed, (), 40, rows)
         assert [key for key, *_ in chunked] == [(seed, i) for i in range(40)]
         for key, gens, x, rung, residuals, sheets, roundtrip, report in chunked:
             surface = surface_sample(np.random.default_rng(key))
@@ -283,8 +283,8 @@ class TestStackedCover:
             assert _fiber_bytes(fiber(surface)) == report
 
     def test_roundtrip_records_cross_a_chunk(self):
-        count = selftest.CHUNK + 4
-        records = selftest.roundtrip_records(3, (), count)
+        count = campaign.CHUNK + 4
+        records = campaign.roundtrip_records(3, (), count)
         # the records of two chunks are the rows of one stack of all samples
         rows = roundtrip_residuals(surface_samples([np.random.default_rng((3, i)) for i in range(count)]))
         assert len(records) == count
@@ -310,6 +310,43 @@ class TestStackedCover:
         for quad, xr, br, rr in zip(quads, *whole):
             sol = lemma52_detailed(*quad)
             assert (sol.x.tobytes(), sol.branch, sol.residuals.tobytes()) == (xr.tobytes(), br, rr.tobytes())
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_ladder_families_share_stacks(self, seed, monkeypatch):
+        # 10 generic rows and 6 families of 3: in chunks of 16 the first stack
+        # holds the generic rows and the rung-2 and rung-3 families, the
+        # second the rest; each record is the one-row solve of its key's draw
+        monkeypatch.setattr(campaign, "CHUNK", 16)
+        records = campaign.ladder_records(seed, ((8,), (9,)), 10, 3)
+        keys = [(seed, 8, i) for i in range(10)] + [(seed, 9, b, i) for b in range(2, 8) for i in range(3)]
+        assert len(records) == len(keys)
+        for key, record in zip(keys, records):
+            rng = np.random.default_rng(key)
+            if len(key) == 3:
+                family, quad = "generic", section_inputs(np.stack(surface_sample(rng).generators()))[:4]
+            else:
+                family, quad = f"branch{key[2]}", lemma_branch_inputs(key[2], rng)
+            sol = lemma52_detailed(*quad)
+            want = {"family": family, "index": key[-1], "branch": sol.branch, "max_residual": float(sol.residuals.max())}
+            assert record == want, key
+        monkeypatch.setattr(campaign, "CHUNK", 256)
+        assert campaign.ladder_records(seed, ((8,), (9,)), 10, 3) == records
+
+    def test_ladder_names_a_rejected_constructed_row_by_its_key(self, monkeypatch):
+        # input 1 of the rung-3 family, row 14 of the first stack of 16,
+        # breaks abcd = dcba after drawing what it draws
+        real, calls = lemma_branch_inputs, []
+
+        def broken(branch, rng):
+            quad = real(branch, rng)
+            calls.append(branch)
+            return (I, J, K, J) if (branch, calls.count(branch)) == (3, 2) else quad
+
+        monkeypatch.setattr(campaign, "CHUNK", 16)
+        monkeypatch.setattr(cover, "lemma_branch_inputs", broken)
+        kind, message, row = _raised(campaign.ladder_records, 5, ((8,), (9,)), 10, 3)
+        assert (kind, row) == (ConstraintViolated, 14)
+        assert message == "sample (5, 9, 3, 1): abcd and dcba differ by 2.000e+00 > 1.0e-10"
 
     def test_abelian_points_match_scalar(self):
         meridians = enumerate_abelian(6)
@@ -351,7 +388,7 @@ class TestStackedCover:
             gens[2, 3] = K
             return [extend(SurfaceRep(*g)) for g in gens]
 
-        assert _raised(selftest.chunked, 0, (99,), 3, lift_each) == (
+        assert _raised(campaign.chunked, 0, (99,), 3, lift_each) == (
             RelationViolated,
             "surface relation residual 4.969e-01",
             None,

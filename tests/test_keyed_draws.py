@@ -6,7 +6,7 @@ numpy 1.17); these tests fail if numpy changes it."""
 import numpy as np
 import pytest
 
-from charvar import selftest
+from charvar import campaign
 
 KEYS = (
     [(seed,) for seed in range(300)]
@@ -20,20 +20,20 @@ KEYS = (
 
 
 def test_states_match_default_rng():
-    states = selftest.key_states(KEYS)
+    states = campaign.key_states(KEYS)
     for key, state in zip(KEYS, states):
         assert state == np.random.default_rng(key).bit_generator.state["state"], key
 
 
 def test_first_draws_match_default_rng():
-    for key, rng in zip(KEYS, selftest.keyed_rngs(KEYS)):
+    for key, rng in zip(KEYS, campaign.keyed_rngs(KEYS)):
         want = np.random.default_rng(key)
         assert rng.standard_normal((4, 3)).tobytes() == want.standard_normal((4, 3)).tobytes(), key
         assert rng.uniform(0.0, 1.0) == want.uniform(0.0, 1.0), key
 
 
 def test_one_key_generator_is_its_own():
-    a, b = selftest._rng(3, 13, 2), selftest._rng(3, 13, 2)
+    a, b = campaign.keyed_rng(3, 13, 2), campaign.keyed_rng(3, 13, 2)
     assert a is not b
     want = np.random.default_rng((3, 13, 2))
     for _ in range(3):
@@ -45,16 +45,16 @@ def test_one_key_generator_is_its_own():
 @pytest.mark.parametrize("key", [(-1,), (0, 4, -2), (5, -(2**40))])
 def test_negative_entry_is_refused(key):
     with pytest.raises(ValueError, match="non-negative"):
-        selftest.key_states([(0, 1), key])
+        campaign.key_states([(0, 1), key])
     with pytest.raises(ValueError, match="non-negative"):
-        selftest.keyed_rngs([key])
+        campaign.keyed_rngs([key])
 
 
 def test_chunked_draws_from_the_keyed_generators():
     def draws(keys, rngs):
         return [(key, rng.standard_normal(3).tobytes()) for key, rng in zip(keys, rngs)]
 
-    rows = selftest.chunked(11, (6,), selftest.CHUNK + 3, draws)
-    assert [key for key, _ in rows] == [(11, 6, i) for i in range(selftest.CHUNK + 3)]
+    rows = campaign.chunked(11, (6,), campaign.CHUNK + 3, draws)
+    assert [key for key, _ in rows] == [(11, 6, i) for i in range(campaign.CHUNK + 3)]
     for key, got in rows:
         assert got == np.random.default_rng(key).standard_normal(3).tobytes()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from charvar import morse, selftest
+from charvar import campaign, morse
 from charvar.morse import (
     bareiss_determinant,
     certify_hessian_combinatorics,
@@ -359,7 +359,7 @@ class TestLinkSampler:
     def test_cancelling_projection_stays_on_quadric(self, seed):
         # at n = 2 (m = 2) some draws of x are nearly parallel to Ay, and one
         # projection left quadric defects of 1.2e-12 and 1.5e-12 at these seeds
-        points = sample_link(2, 2500, selftest._rng(seed, 13, 2))
+        points = sample_link(2, 2500, campaign.keyed_rng(seed, 13, 2))
         assert max(abs(quadratic_form(2, pt.zs)) for pt in points) <= 1e-12
 
     def test_gauge_fix_normalizes_phase(self):

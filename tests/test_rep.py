@@ -4,7 +4,7 @@ the binary dihedral torus parametrization."""
 import numpy as np
 import pytest
 
-from charvar import selftest
+from charvar import campaign
 from charvar.cover import pushforwards
 from charvar.errors import (
     ConstraintViolated,
@@ -100,10 +100,10 @@ class TestFingerprint:
         def rows(keys, rngs):
             return list(fingerprint_batch(sample_points(6, rngs)))
 
-        monkeypatch.setattr(selftest, "CHUNK", 16)
-        chunked = np.stack(selftest.chunked(29, (), 40, rows))
-        monkeypatch.setattr(selftest, "CHUNK", 256)
-        whole = np.stack(selftest.chunked(29, (), 40, rows))
+        monkeypatch.setattr(campaign, "CHUNK", 16)
+        chunked = np.stack(campaign.chunked(29, (), 40, rows))
+        monkeypatch.setattr(campaign, "CHUNK", 256)
+        whole = np.stack(campaign.chunked(29, (), 40, rows))
         assert chunked.tobytes() == whole.tobytes()
         for i, row in enumerate(whole):
             assert row.tobytes() == fingerprint(sample_point(6, np.random.default_rng((29, i)))).values.tobytes()
@@ -340,12 +340,12 @@ def _stacked_rows(monkeypatch, seed, stacked, inputs):
     def rows(keys, rngs):
         return list(stacked(inputs(rngs)))
 
-    monkeypatch.setattr(selftest, "CHUNK", 16)
-    chunked = np.stack(selftest.chunked(seed, (), 40, rows))
-    monkeypatch.setattr(selftest, "CHUNK", 256)
-    whole = np.stack(selftest.chunked(seed, (), 40, rows))
+    monkeypatch.setattr(campaign, "CHUNK", 16)
+    chunked = np.stack(campaign.chunked(seed, (), 40, rows))
+    monkeypatch.setattr(campaign, "CHUNK", 256)
+    whole = np.stack(campaign.chunked(seed, (), 40, rows))
     assert chunked.tobytes() == whole.tobytes()
-    return zip(selftest.chunked(seed, (), 40, lambda keys, rngs: list(inputs(rngs))), whole)
+    return zip(campaign.chunked(seed, (), 40, lambda keys, rngs: list(inputs(rngs))), whole)
 
 
 def _perturbed(rngs, k):

@@ -6,7 +6,7 @@ import ast
 import numpy as np
 import pytest
 
-from charvar import selftest, variety
+from charvar import campaign, selftest, variety
 from charvar.errors import AbelianInput, ConstraintViolated
 from charvar.quat import I, J, K, ONE, exp_pure, gprod, qmul
 from charvar.rep import (
@@ -106,10 +106,10 @@ class TestBatchSampler:
 
         # 40 rows in chunks of 16 cross two chunk boundaries; in chunks of
         # 256 they are one stack
-        monkeypatch.setattr(selftest, "CHUNK", 16)
-        chunked = np.stack(selftest.chunked(107, (k,), 40, rows))
-        monkeypatch.setattr(selftest, "CHUNK", 256)
-        whole = np.stack(selftest.chunked(107, (k,), 40, rows))
+        monkeypatch.setattr(campaign, "CHUNK", 16)
+        chunked = np.stack(campaign.chunked(107, (k,), 40, rows))
+        monkeypatch.setattr(campaign, "CHUNK", 256)
+        whole = np.stack(campaign.chunked(107, (k,), 40, rows))
         assert whole.shape == (40, k, 4)
         assert chunked.tobytes() == whole.tobytes()
         for i, row in enumerate(whole):
@@ -248,7 +248,7 @@ class TestStackedCertificates:
         # 30 samples per k: chunks of 8 split each group in four
         counts = {"submersion": 90}
         line = selftest.check_submersion(counts, seed)
-        monkeypatch.setattr(selftest, "CHUNK", 8)
+        monkeypatch.setattr(campaign, "CHUNK", 8)
         assert selftest.check_submersion(counts, seed) == line
         assert line.ok
 
