@@ -210,7 +210,7 @@ def morse_solvers(speed: HostSpeed) -> dict[str, dict]:
     """Microseconds per call of the finite-difference Hessian at n = 8, and
     per refined link point at n = 3: REFINE_POINTS unrefined samples refined
     one at a time and as one stack."""
-    starts = np.stack([p.zs for p in morse.sample_link(3, REFINE_POINTS, np.random.default_rng(14))])
+    starts = morse.link_samples(3, REFINE_POINTS, np.random.default_rng(14))
     return {
         "fd_hessian(8)": per_op(lambda: morse.fd_hessian(8), 1, speed),
         "refine_chart_zero(3)": per_op(

@@ -18,9 +18,9 @@ from charvar.morse import (
     fd_hessian,
     hessian_block,
     link_csv,
+    link_samples,
     matrix_A,
     pfaffian_exact,
-    sample_link,
     tau,
 )
 
@@ -55,10 +55,10 @@ print(f"  g on a real slice point = {eval_chart_g(3, real):+.1e}  (exactly zero:
 
 print()
 print("== sampling the link of the singular point, n = 3 ==")
-points = sample_link(3, 5, np.random.default_rng(12), refine=True)
-for pt in points:
-    print(f"  |zs| - 1 = {abs(np.linalg.norm(pt.zs) - 1):.1e}, "
-          f"g(zs) = {eval_chart_g(3, pt.zs):+.1e}, real: {pt.is_real}")
+zs = link_samples(3, 5, np.random.default_rng(12), refine=True)
+for z, real in zip(zs, np.all(zs.imag == 0.0, axis=-1)):
+    print(f"  |zs| - 1 = {abs(np.linalg.norm(z) - 1):.1e}, "
+          f"g(zs) = {eval_chart_g(3, z):+.1e}, real: {real}")
 print()
 print("plot-ready CSV:")
-print(link_csv(points[:2]))
+print(link_csv(zs[:2]))

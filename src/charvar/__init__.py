@@ -32,6 +32,7 @@ from .morse import (
     certify_hessian_combinatorics,
     certify_hessian_numeric,
     eval_chart_g,
+    link_samples,
     matrix_A,
     sample_link,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "fingerprint",
     "lemma52_detailed",
     "lifts",
+    "link_samples",
     "local_dimension",
     "make_rep",
     "make_reps",

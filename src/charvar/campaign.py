@@ -132,8 +132,8 @@ def keyed_rngs(keys: list[tuple[int, ...]]) -> Iterator[np.random.Generator]:
 
 
 def keyed_rng(*key: int) -> np.random.Generator:
-    """A generator of its own, drawing what np.random.default_rng(key) draws."""
-    return next(keyed_rngs([key]))
+    """np.random.default_rng(key) itself: one key gains nothing from keyed_rngs."""
+    return np.random.default_rng(key)
 
 
 # rows per stacked pass of a campaign: a campaign's stacks stay a few

@@ -243,25 +243,17 @@ def cmd_link_sample(args: argparse.Namespace) -> Run:
     n, *rest = _parse_n_spec(args.n)
     if rest:
         raise UsageError("link-sample expects a single n, not a range")
-    points = morse.sample_link(n, args.count, campaign.keyed_rng(args.seed))
-    sphere, quad = morse.link_defects(n, np.stack([pt.zs for pt in points]))
+    zs = morse.link_samples(n, args.count, campaign.keyed_rng(args.seed))
+    sphere, quad = morse.link_defects(n, zs)
     bad = np.flatnonzero((sphere > morse.LINK_TOL) | (quad > morse.LINK_TOL)).tolist()
+    real = np.all(zs.imag == 0.0, axis=-1)
     header = None
     if args.format == "csv":
-        header, *lines = morse.link_csv(points).splitlines()
+        header, *lines = morse.link_csv(zs).splitlines()
     else:
-        lines = [
-            _json_line(
-                {
-                    "index": i,
-                    "zs": [[float(z.real), float(z.imag)] for z in pt.zs],
-                    "is_real": pt.is_real,
-                }
-            )
-            for i, pt in enumerate(points)
-        ]
-    real_count = sum(pt.is_real for pt in points)
-    verdict = f"link-sample: n={n} count={args.count} real-tagged {real_count}"
+        rows = zip(np.stack([zs.real, zs.imag], axis=-1).tolist(), real.tolist())
+        lines = [_json_line({"index": i, "zs": row, "is_real": tag}) for i, (row, tag) in enumerate(rows)]
+    verdict = f"link-sample: n={n} count={args.count} real-tagged {int(real.sum())}"
     if bad:
         verdict += f"; {_failing(args.seed, bad)}"
     return Run(lines, header, verdict, not bad)
@@ -311,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="number of punctures (3..16)")
     _add_sampling(p, count_default=10)
     _add_output(p, csv=True)
-    p.set_defaults(fn=cmd_sample)
+    p.set_defaults(fn="cmd_sample")
 
     c = sub.add_parser("cover", help="the 2-fold branched cover at k = 6")
     csub = c.add_subparsers(dest="subaction", required=True)
@@ -319,17 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("push", help="pushforward of sampled 6-punctured classes")
     _add_sampling(p, count_default=10)
     _add_output(p)
-    p.set_defaults(fn=cmd_cover_push)
+    p.set_defaults(fn="cmd_cover_push")
 
     p = csub.add_parser("extend", help="lift sampled surface classes along both sheets")
     _add_sampling(p, count_default=10)
     _add_output(p)
-    p.set_defaults(fn=cmd_cover_extend)
+    p.set_defaults(fn="cmd_cover_extend")
 
     p = csub.add_parser("roundtrip", help="verify pushforward after extend is the identity")
     _add_sampling(p, count_default=100)
     _add_output(p)
-    p.set_defaults(fn=cmd_cover_roundtrip)
+    p.set_defaults(fn="cmd_cover_roundtrip")
 
     p = csub.add_parser("fiber", help="enumerate both sheets over surface classes")
     _add_sampling(p, count_default=100)
@@ -339,28 +331,28 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the 16 abelian classes of the 6-punctured sphere as inputs",
     )
-    p.set_defaults(fn=cmd_cover_fiber)
+    p.set_defaults(fn="cmd_cover_fiber")
 
     p = sub.add_parser("morse", help="Hessian certification at the abelian points")
     p.add_argument("--n", required=True, help="half the puncture count: an integer or a range like 2..8")
     _add_output(p, csv=True)
-    p.set_defaults(fn=cmd_morse)
+    p.set_defaults(fn="cmd_morse")
 
     p = sub.add_parser("lemma52", help="case-ladder solver campaign with branch coverage")
     _add_sampling(p, count_default=1000)
     _add_output(p)
-    p.set_defaults(fn=cmd_lemma52)
+    p.set_defaults(fn="cmd_lemma52")
 
     p = sub.add_parser("link-sample", help="sample the link quadric at an abelian point")
     p.add_argument("--n", required=True, help="half the puncture count (single integer)")
     _add_sampling(p, count_default=100, seed_help="seed of the one generator that draws the points in order")
     _add_output(p, csv=True)
-    p.set_defaults(fn=cmd_link_sample)
+    p.set_defaults(fn="cmd_link_sample")
 
     p = sub.add_parser("selftest", help="run the named verification suite at reduced counts")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_selftest)
+    p.set_defaults(fn="cmd_selftest")
 
     return parser
 
@@ -370,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "count", 1) < 1:
             raise UsageError("count must be >= 1")
-        run = args.fn(args)
+        run = globals()[args.fn](args)  # looked up by name now, so a wrapped cmd_* runs
         # selftest has no --sorted
         _emit(run.lines, args.out, getattr(args, "sorted", False), run.header)
     except UsageError as exc:

@@ -15,12 +15,13 @@ each step one stack of the points still moving and their stencils.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .quat import I, exp_chart, random_directions
+from . import quat
+from .quat import I, exp_chart, norm
 from .rep import PuncturedSphereRep, complete_rep, one_row, raise_first
 from .variety import eval_g
 
@@ -316,16 +317,38 @@ def refine_chart_zero(n: int, zs) -> np.ndarray:
     return out.reshape(z.shape)
 
 
-def sample_link(n: int, count: int, rng: np.random.Generator, refine: bool = False) -> list[LinkPoint]:
+def _project(A: np.ndarray, ys: np.ndarray, xs: np.ndarray):
+    """The unit y, and the unit x orthogonal to w = Ay/|Ay|, of each row of
+    (N, m) stacks of Gaussian draws, with the keep masks |y| > DRAW_CUTOFF
+    and |x| > 1e-6 after projection.  A row is the same bits in any stack."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ny = norm(ys)
+        y = ys / ny[:, None]
+        w = np.matmul(A, y[:, :, None])[..., 0]
+        w /= norm(w)[:, None]
+        x = xs - np.vecdot(xs, w)[:, None] * w
+        nx = norm(x)
+        # A pass that cancels leaves x about eps * |xs| along w, which
+        # normalizing inflates by |xs| / nx.  A second pass removes it
+        # ("twice is enough"); it fires almost only at m = 2.
+        again = nx < 1e-2 * norm(xs)
+        x[again] -= np.vecdot(x[again], w[again])[:, None] * w[again]
+        nx[again] = norm(x[again])
+        return x / nx[:, None], y, ny > quat.DRAW_CUTOFF, nx > 1e-6
+
+
+def link_samples(n: int, count: int, rng: np.random.Generator, refine: bool = False) -> np.ndarray:
     """Gauge-fixed samples of the null set of the Hessian quadric on the
-    unit sphere: the local model of the link of the singular point.
+    unit sphere, the local model of the link of the singular point: a
+    (count, 2n-2) stack.
 
     The bilinear constraint x^T A y = 0 is solved exactly by drawing the
     y factor on the sphere, drawing x in the hyperplane orthogonal to Ay,
-    and mixing radially.  With ``refine`` (n = 3 only) the samples are
-    Newton-projected onto the exact cutout as one stack, residual at most
-    ``REFINE_TOL``.  Each sample draws from ``rng`` in turn; refinement and
-    the gauge fix draw nothing and run on the whole stack.
+    and mixing radially by an angle t.  Each point draws y, x and t from
+    ``rng`` in turn, so point i replays with ``count = i + 1``.  A rejected
+    y or x is drawn again before the next draw, so after a rejection every
+    point is drawn again from the start state, one at a time.  With
+    ``refine`` (n = 3 only) the stack is Newton-projected onto the cutout.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -333,48 +356,45 @@ def sample_link(n: int, count: int, rng: np.random.Generator, refine: bool = Fal
         raise ValueError("exact-cutout refinement is implemented for n = 3 only")
     m = 2 * n - 2
     A = matrix_A(n).astype(float)
-    zs = np.empty((count, m), dtype=complex)
+    start = rng.bit_generator.state
+    ys, xs, t = np.empty((count, m)), np.empty((count, m)), np.empty(count)
     for i in range(count):
-        y = random_directions(rng, 1, m)[0]
-        w = A @ y
-        w /= np.linalg.norm(w)
-        while True:
-            x = rng.normal(size=m)
-            drawn = np.linalg.norm(x)
-            x -= (x @ w) * w
-            nx = np.linalg.norm(x)
-            if nx < 1e-2 * drawn:
-                # The pass cancelled: x keeps about eps * drawn along w, which
-                # normalizing inflates by drawn / nx.  A second pass removes it
-                # ("twice is enough"); it fires almost only at m = 2.
-                x -= (x @ w) * w
-                nx = np.linalg.norm(x)
-            if nx > 1e-6:
-                x /= nx
-                break
-        t = rng.uniform(0.0, np.pi / 2.0)
-        zs[i] = np.cos(t) * x + 1j * (np.sin(t) * y)
+        ys[i], xs[i], t[i] = rng.standard_normal(m), rng.normal(size=m), rng.uniform(0.0, np.pi / 2.0)
+    x, y, keep_y, keep_x = _project(A, ys, xs)
+    if not (keep_y & keep_x).all():
+        rng.bit_generator.state = start
+        for i in range(count):
+            # y is drawn until kept, then x: a zero x is never kept
+            ys[i], xs[i] = rng.standard_normal(m), 0.0
+            while not all(keep := _project(A, ys[i : i + 1], xs[i : i + 1])[2:]):
+                if keep[0]:
+                    xs[i] = rng.normal(size=m)
+                else:
+                    ys[i] = rng.standard_normal(m)
+            t[i] = rng.uniform(0.0, np.pi / 2.0)
+        x, y, _, _ = _project(A, ys, xs)
+    zs = np.cos(t)[:, None] * x + 1j * (np.sin(t)[:, None] * y)
     if refine:
         zs = refine_chart_zero(n, zs)
-    zs = gauge_fix(zs)
-    return [LinkPoint(zs=z, is_real=bool(real)) for z, real in zip(zs, np.all(zs.imag == 0.0, axis=-1))]
+    return gauge_fix(zs)
 
 
-def link_csv(points: list[LinkPoint]) -> str:
-    """CSV export: interleaved real/imaginary columns plus the real-slice tag."""
-    if not points:
+def sample_link(n: int, count: int, rng: np.random.Generator, refine: bool = False) -> list[LinkPoint]:
+    """:func:`link_samples` as one LinkPoint per point."""
+    zs = link_samples(n, count, rng, refine)
+    return [LinkPoint(zs=z, is_real=real) for z, real in zip(zs, np.all(zs.imag == 0.0, axis=-1).tolist())]
+
+
+def link_csv(zs) -> str:
+    """CSV export of an (N, m) stack of link points: interleaved real and
+    imaginary columns plus the real-slice tag."""
+    if not len(zs):
         return ""
-    m = points[0].zs.shape[0]
-    header = ",".join(f"re_{idx + 1},im_{idx + 1}" for idx in range(m)) + ",is_real"
-    lines = [header]
-    for pt in points:
-        cols = []
-        for z in pt.zs:
-            cols.append(repr(float(z.real)))
-            cols.append(repr(float(z.imag)))
-        cols.append("1" if pt.is_real else "0")
-        lines.append(",".join(cols))
-    return "\n".join(lines) + "\n"
+    header = ",".join(f"re_{idx + 1},im_{idx + 1}" for idx in range(zs.shape[-1])) + ",is_real"
+    cols = np.stack([zs.real, zs.imag], axis=-1).reshape(len(zs), -1).tolist()
+    tags = np.all(zs.imag == 0.0, axis=-1).tolist()
+    lines = [",".join([*map(repr, row), "1" if real else "0"]) for row, real in zip(cols, tags)]
+    return "\n".join([header, *lines]) + "\n"
 
 
 def rep_from_chart(zs) -> PuncturedSphereRep:
@@ -385,19 +405,6 @@ def rep_from_chart(zs) -> PuncturedSphereRep:
 
 
 def hessian_report_json(report: HessianReport) -> dict:
-    return {
-        "n": report.n,
-        "A": [[int(x) for x in row] for row in report.A],
-        "det_A": str(report.det_A),
-        "pfaffian": str(report.pfaffian),
-        "b_squared_identity_mod2": report.b_squared_identity_mod2,
-        "eig_positive": report.eig_positive,
-        "eig_negative": report.eig_negative,
-        "fd_max_error": report.fd_max_error,
-        "step": report.step,
-        "link": report.link,
-        "quotient_link": report.quotient_link,
-        "bd_sublink": report.bd_sublink,
-        "exact_ok": report.exact_ok(),
-        "numeric_ok": report.numeric_ok() if report.fd_max_error is not None else None,
-    }
+    exact = {"A": report.A.tolist(), "det_A": str(report.det_A), "pfaffian": str(report.pfaffian)}
+    numeric_ok = report.numeric_ok() if report.fd_max_error is not None else None
+    return {**asdict(report), **exact, "exact_ok": report.exact_ok(), "numeric_ok": numeric_ok}

@@ -404,18 +404,16 @@ def check_link_sampler(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     real_tagged = 0
     total = 0
     for n, count in ((2, counts["link"] // 4), (3, counts["link"]), (4, counts["link"] // 4)):
-        points = morse.sample_link(n, max(count, 1), campaign.keyed_rng(seed, 13, n))
-        zs = np.stack([pt.zs for pt in points])
-        total += len(points)
+        zs = morse.link_samples(n, max(count, 1), campaign.keyed_rng(seed, 13, n))
+        total += len(zs)
         sphere, quad = morse.link_defects(n, zs)
         worst_unit = max(worst_unit, float(sphere.max()))
         worst_quad = max(worst_quad, float(quad.max()))
         lead = np.take_along_axis(zs, np.argmax(np.abs(zs), axis=-1)[:, None], axis=-1)
         if np.any((lead.imag != 0.0) | (lead.real < 0.0)):
             return CheckResult(False, f"n={n}: gauge not fixed")
-        real_tagged += sum(pt.is_real for pt in points)
-    refined = morse.sample_link(3, counts["link_refine"], campaign.keyed_rng(seed, 14), refine=True)
-    refined = np.stack([pt.zs for pt in refined])
+        real_tagged += int(np.all(zs.imag == 0.0, axis=-1).sum())
+    refined = morse.link_samples(3, counts["link_refine"], campaign.keyed_rng(seed, 14), refine=True)
     worst_refined = float(np.abs(morse.eval_chart_g(3, refined)).max())
     worst_unit = max(worst_unit, float(morse.link_defects(3, refined)[0].max()))
     ok = (

@@ -322,14 +322,14 @@ def test_failed_rigidity_check_names_the_first_k4_sample_off_its_loci(monkeypatc
 
 
 def test_failed_link_gate_names_samples(monkeypatch, capsys):
-    real = morse.sample_link
+    real = morse.link_samples
 
     def off_sphere(n, count, rng):
-        points = real(n, count, rng)
-        points[2] = morse.LinkPoint(zs=2.0 * points[2].zs, is_real=points[2].is_real)
-        return points
+        zs = real(n, count, rng)
+        zs[2] *= 2.0
+        return zs
 
-    monkeypatch.setattr(morse, "sample_link", off_sphere)
+    monkeypatch.setattr(morse, "link_samples", off_sphere)
     assert cli.main(["link-sample", "--n", "3", "--count", "5", "--seed", "4"]) == 1
     assert "failing (seed, index) pairs: [(4, 2)]" in capsys.readouterr().err
 
@@ -385,6 +385,25 @@ def test_repeated_calls_in_one_process(monkeypatch, capsys):
     first = run_all()
     assert [rc for rc, _, _ in first] == [0, 0, 0, 0, 1, 0, 2, 2]
     assert run_all() == first
+
+
+def test_commands_are_looked_up_when_run(monkeypatch, capsys):
+    # the parser is cached after the first call; a command wrapped after it
+    # (as a tracer wraps cli.cmd_*) still runs
+    argv = ["sample", "--k", "4", "--count", "2"]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr()
+    calls = []
+    real = cli.cmd_sample
+
+    def recording(args):
+        calls.append(args.k)
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_sample", recording)
+    assert cli.main(argv) == 0
+    assert calls == [4]
+    assert capsys.readouterr() == first
 
 
 class TestUsageErrors:

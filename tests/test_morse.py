@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from charvar import campaign, morse
+from charvar import campaign, morse, quat
 from charvar.morse import (
     bareiss_determinant,
     certify_hessian_combinatorics,
@@ -17,6 +17,8 @@ from charvar.morse import (
     hessian_block,
     hessian_report_json,
     link_csv,
+    link_defects,
+    link_samples,
     matrix_A,
     pfaffian_exact,
     quadratic_form,
@@ -26,7 +28,9 @@ from charvar.morse import (
     sample_link,
     tau,
 )
-from charvar.quat import I, exp_chart
+from charvar.quat import I, exp_chart, random_directions
+
+from scripted import ScriptedNormals
 
 
 def pfaffian_reference(M):
@@ -228,7 +232,7 @@ class TestChart:
 def refinement_starts() -> np.ndarray:
     """Twelve unrefined n = 3 link samples; every third one scaled by 1e-3,
     which stops after one step."""
-    starts = np.stack([pt.zs for pt in sample_link(3, 12, np.random.default_rng(409))])
+    starts = link_samples(3, 12, np.random.default_rng(409))
     starts[1::3] *= 1e-3
     return starts
 
@@ -309,7 +313,7 @@ class TestStackedChart:
     @pytest.mark.parametrize("seed", range(12))
     def test_stacks_of_samples_match_one_point_calls(self, seed):
         rng = np.random.default_rng((seed, 419))
-        starts = np.stack([pt.zs for pt in sample_link(3, 9, rng)])
+        starts = link_samples(3, 9, rng)
         starts *= rng.uniform(1e-3, 2.0, size=(9, 1))
         stacked = refine_chart_zero(3, starts)
         for z, row in zip(starts, stacked):
@@ -344,6 +348,59 @@ class TestStackedChart:
         assert refine_chart_zero(3, np.stack([good, good])).shape == (2, 4)
 
 
+def per_point_link_draws(n, count, rng):
+    """The per-point loop that link_samples replaced, without refinement:
+    the reference its stack must match bit for bit."""
+    m = 2 * n - 2
+    A = matrix_A(n).astype(float)
+    zs = np.empty((count, m), dtype=complex)
+    for i in range(count):
+        y = random_directions(rng, 1, m)[0]
+        w = A @ y
+        w /= np.linalg.norm(w)
+        while True:
+            x = rng.normal(size=m)
+            drawn = np.linalg.norm(x)
+            x -= (x @ w) * w
+            nx = np.linalg.norm(x)
+            if nx < 1e-2 * drawn:
+                x -= (x @ w) * w
+                nx = np.linalg.norm(x)
+            if nx > 1e-6:
+                x /= nx
+                break
+        t = rng.uniform(0.0, np.pi / 2.0)
+        zs[i] = np.cos(t) * x + 1j * (np.sin(t) * y)
+    return gauge_fix(zs)
+
+
+def assert_per_point(n, count, make_rng, kernel_calls=None):
+    """One count-point link_samples call gives the bytes of the per-point
+    loop and of count chained one-point calls, and leaves its generator
+    where they leave theirs; with ``kernel_calls``, the stack sizes the
+    count-point call projects."""
+    whole, loop, chained = make_rng(), make_rng(), make_rng()
+    sizes = []
+    real = morse._project
+
+    def counted(A, ys, xs):
+        sizes.append(len(ys))
+        return real(A, ys, xs)
+
+    morse._project = counted
+    try:
+        zs = link_samples(n, count, whole)
+    finally:
+        morse._project = real
+    rows = np.concatenate([link_samples(n, 1, chained) for _ in range(count)])
+    for other, rng in ((per_point_link_draws(n, count, loop), loop), (rows, chained)):
+        assert zs.tobytes() == other.tobytes()
+        assert whole.bit_generator.state == rng.bit_generator.state
+    if kernel_calls is not None:
+        assert sizes == kernel_calls
+    return zs
+
+
 class TestLinkSampler:
     def test_constraints_and_gauge(self):
         for n in (2, 3, 4):
@@ -356,11 +413,14 @@ class TestLinkSampler:
                 assert lead.imag == 0.0 and lead.real > 0.0
 
     @pytest.mark.parametrize("seed", [13, 15])
-    def test_cancelling_projection_stays_on_quadric(self, seed):
+    def test_cancelling_projection_stays_on_quadric(self, seed, digest):
         # at n = 2 (m = 2) some draws of x are nearly parallel to Ay, and one
-        # projection left quadric defects of 1.2e-12 and 1.5e-12 at these seeds
-        points = sample_link(2, 2500, campaign.keyed_rng(seed, 13, 2))
-        assert max(abs(quadratic_form(2, pt.zs)) for pt in points) <= 1e-12
+        # projection left quadric defects of 1.2e-12 and 1.5e-12 at these
+        # seeds; the digests were recorded when each point was projected on
+        # its own
+        zs = link_samples(2, 2500, campaign.keyed_rng(seed, 13, 2))
+        assert np.abs(quadratic_form(2, zs)).max() <= 1e-12
+        assert digest(zs) == {13: "0c5028b7af9e1daf", 15: "65d954ae0fb13ed1"}[seed]
 
     def test_gauge_fix_normalizes_phase(self):
         rng = np.random.default_rng(367)
@@ -398,12 +458,57 @@ class TestLinkSampler:
         assert tagged <= 2  # real slice has measure zero in the link
 
     def test_csv_format(self):
-        points = sample_link(3, 5, np.random.default_rng(383))
-        text = link_csv(points)
+        zs = link_samples(3, 5, np.random.default_rng(383))
+        zs[4] = zs[4].real
+        text = link_csv(zs)
         lines = text.strip().splitlines()
         assert lines[0] == "re_1,im_1,re_2,im_2,re_3,im_3,re_4,im_4,is_real"
         assert len(lines) == 6
-        assert lines[1].split(",")[-1] in ("0", "1")
+        assert [line.split(",")[-1] for line in lines[1:]] == ["0", "0", "0", "0", "1"]
+        values = np.array([[float(v) for v in line.split(",")[:-1]] for line in lines[1:]])
+        assert values.tobytes() == np.stack([zs.real, zs.imag], axis=-1).reshape(5, 8).tobytes()
+        assert link_csv(zs[:0]) == ""
+
+    def test_link_points_are_the_stack_rows(self):
+        a, b = np.random.default_rng(383), np.random.default_rng(383)
+        zs = link_samples(3, 50, a)
+        points = sample_link(3, 50, b)
+        assert [pt.zs.tobytes() for pt in points] == [z.tobytes() for z in zs]
+        assert [pt.is_real for pt in points] == np.all(zs.imag == 0.0, axis=-1).tolist()
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
+    def test_stack_is_the_per_point_draws(self, n):
+        # one projection kernel call serves the whole stack
+        assert_per_point(n, 300, lambda: np.random.default_rng((431, n)), kernel_calls=[300])
+
+    @pytest.mark.parametrize("n, cutoff", [(2, 0.5), (3, 1.0)])
+    def test_rejected_y_replays_point_by_point(self, n, cutoff, monkeypatch):
+        # about one y in ten is rejected: the stacked draw is thrown away and
+        # every point is drawn again in turn, each y until it is kept
+        probe = np.random.default_rng((433, n))
+        m = 2 * n - 2
+        first = [(probe.standard_normal(m), probe.normal(size=m), probe.uniform(0.0, np.pi / 2.0)) for _ in range(40)]
+        assert np.sum(quat.norm(np.array([y for y, _, _ in first])) <= cutoff) >= 2
+        monkeypatch.setattr(quat, "DRAW_CUTOFF", cutoff)
+        zs = assert_per_point(n, 40, lambda: np.random.default_rng((433, n)))
+        sphere, quad = link_defects(n, zs)
+        assert max(sphere.max(), quad.max()) <= morse.LINK_TOL
+
+    def test_cancelled_x_replays_point_by_point(self):
+        # at n = 2, w = A y / |A y| is (0, 1) for y = (1, 0): the x draw
+        # (1e-7, 1) projects to |x| = 1e-7 and is drawn again, as (1, 0.5)
+        script = [1, 0, 1e-7, 1, 1, 0.5, 0.3, 0.3, 0.8, 0.5, -1, 0.7, 0.2, 0.1, 0.4, 0.4, 0.9]
+        stubs = []
+
+        def scripted():
+            stubs.append(ScriptedNormals(script))
+            return stubs[-1]
+
+        zs = assert_per_point(2, 3, scripted, kernel_calls=[3, 1, 1, 1, 1, 1, 1, 1, 3])
+        assert [stub.used for stub in stubs] == [len(script)] * 3
+        sphere, quad = link_defects(2, zs)
+        assert max(sphere.max(), quad.max()) <= morse.LINK_TOL
 
     def test_rep_from_refined_chart_zero(self):
         pt = sample_link(3, 1, np.random.default_rng(389), refine=True)[0]

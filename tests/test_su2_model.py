@@ -23,8 +23,11 @@ from charvar.cover import (
 from charvar.morse import eval_chart_g
 from charvar.quat import I, J, K, ONE, commutator_defect, exp_pure, qmul
 from charvar.rep import (
+    GENERATOR_NAMES,
+    SurfaceRep,
     bd_from_angles,
     complete_reps,
+    fingerprint,
     fingerprint_batch,
     relation_residuals,
     sphere_names,
@@ -228,3 +231,14 @@ class TestCover:
         assert word_labels(names) == tuple("*".join(names[i] for i in w) for w in words)
         want = np.stack([half_trace(functools.reduce(np.matmul, [X[:, i] for i in w])) for w in words], axis=-1)
         assert_close(fingerprint_batch(meridians), want)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(seeds)
+    def test_surface_fingerprint_is_half_trace_of_each_generator_word(self, keys):
+        words = [w for n in (1, 2, 3) for w in itertools.combinations(range(4), n)]
+        labels = tuple("*".join(GENERATOR_NAMES[i] for i in w) for w in words)
+        for gens in surface_samples(rngs_of(keys)):
+            fp = fingerprint(SurfaceRep(*gens))
+            X = su2(gens)
+            assert fp.labels == labels
+            assert_close(fp.values, np.array([half_trace(functools.reduce(np.matmul, X[list(w)])) for w in words]))

@@ -41,6 +41,8 @@ from charvar.variety import (
     submersion_certificates,
 )
 
+from scripted import ScriptedNormals
+
 
 class TestSampler:
     @pytest.mark.parametrize("k", [3, 4, 5, 6, 8, 12])
@@ -63,36 +65,6 @@ class TestSampler:
             sample_point(2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             sample_points(2, [np.random.default_rng(0)])
-
-
-class ScriptedNormals:
-    """Stand-in generator whose standard normals and uniforms come from a
-    script; its state, the count of values used, can be read and set."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float).ravel()
-        self.used = 0
-
-    @property
-    def bit_generator(self):
-        return self
-
-    @property
-    def state(self):
-        return self.used
-
-    @state.setter
-    def state(self, used):
-        self.used = used
-
-    def standard_normal(self, size):
-        count = int(np.prod(size))
-        out = self.values[self.used : self.used + count]
-        self.used += count
-        return out.reshape(size)
-
-    def uniform(self, low, high):
-        return low + (high - low) * float(self.standard_normal(1)[0])
 
 
 class TestBatchSampler:
@@ -118,24 +90,28 @@ class TestBatchSampler:
 
     def test_central_product_and_rejected_draw(self):
         # q2 = +-q1 exactly makes w = q1 q2 = -+1, so the last free meridian
-        # is a fresh uniform draw; the zero vector leading the first script
-        # is rejected and drawn again, as quat.random_pure does.  Both rows
-        # draw an angle in the one pass over the stack, and are drawn again
-        # from their start state: each stub ends where its script does
+        # is a fresh uniform draw; the zero vector leading the first and last
+        # scripts is rejected and drawn again, as quat.random_pure does, and
+        # in the last the redrawn w = v u is not central, so the row draws
+        # its angle after its directions.  Every row draws an angle in the
+        # one pass over the stack, and is drawn again from its start state:
+        # each stub ends where its script does
         v = np.array([0.3, -1.2, 0.5])
         scripts = (
             [np.zeros(3), v, 2.0 * v, [0.1, 0.7, -0.4]],
             [v, -v, [1.5, 0.2, 0.9]],
+            [np.zeros(3), v, [1.1, 0.4, -0.7], [0.35]],
         )
         stubs = [ScriptedNormals(s) for s in scripts]
-        rngs = [stubs[0], np.random.default_rng(5), stubs[1]]
+        rngs = [stubs[0], np.random.default_rng(5), stubs[1], stubs[2]]
         rows = sample_points(4, rngs)
         singles = [
             sample_point(4, ScriptedNormals(scripts[0])),
             sample_point(4, np.random.default_rng(5)),
             sample_point(4, ScriptedNormals(scripts[1])),
+            sample_point(4, ScriptedNormals(scripts[2])),
         ]
-        assert all(s.used == len(np.ravel(np.concatenate(sc))) for s, sc in zip(stubs, scripts))
+        assert all(s.used == len(np.concatenate(sc)) for s, sc in zip(stubs, scripts))
         for row, single in zip(rows, singles):
             assert row.tobytes() == single.meridians.tobytes()
 
