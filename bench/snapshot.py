@@ -1,7 +1,8 @@
 """Speed snapshot of charvar: microseconds per key of a campaign's keyed
-draws, per operation, scalar and per stacked row, the morse and conjugator
-solvers per call, per in-process CLI job, and the acceptance criteria and
-the link sampler at full counts.
+draws and the share of keyed rows a real generator draws, per operation,
+scalar and per stacked row, the morse and conjugator solvers per call, per
+in-process CLI job, and the acceptance criteria and the link sampler at
+full counts.
 
     python3 bench/snapshot.py
 
@@ -41,6 +42,7 @@ REPEATS = 5
 REFINE_POINTS = 16  # link points refined per timed pass, one at a time and as one stack
 CONJUGATOR_PAIRS = 32  # k = 6 pairs per timed pass, conjugate and independent
 CLI_JOBS = 20  # in-process CLI runs per timed pass
+SHARE_KEYS = 10000  # keyed rows over which the share redrawn by a generator is counted
 # acceptance criteria by number; their budgets are perfbench's BUDGETS_S.
 # The link sampler is no criterion and has no budget
 CRITERIA = (
@@ -194,16 +196,33 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
 
 def keyed_draws(speed: HostSpeed) -> dict[str, dict]:
     """Microseconds per key of ROWS keyed rows, as ``campaign.chunked`` hands
-    them to a campaign: its generators taken in turn and left unused, and
-    ``variety.sample_points(6)`` drawing from them."""
+    them to a campaign: their states hashed (``campaign.key_states``), their
+    generators taken in turn and left unused, and ``variety.sample_points(6)``
+    drawing from them."""
 
     def keyed(fn):
         return lambda: campaign.chunked(7, (), ROWS, fn)
 
+    keys = [(7, i) for i in range(ROWS)]
     return {
+        "key_states": per_op(lambda: campaign.key_states(keys), ROWS, speed),
         "generators": per_op(keyed(lambda keys, rngs: [None for _ in rngs]), ROWS, speed),
         "sample_points(6)": per_op(keyed(lambda keys, rngs: list(variety.sample_points(6, rngs))), ROWS, speed),
     }
+
+
+def redrawn_share(k: int = 6) -> dict:
+    """The share of SHARE_KEYS keyed ``sample_points(k)`` rows that a real
+    generator draws: the rows with a normal off the ziggurat's fast path,
+    which ``charvar.pcg`` cannot decode.  Without that module every row is
+    drawn by a generator."""
+    try:
+        from charvar import pcg
+    except ImportError:
+        return {"k": k, "keys": SHARE_KEYS, "share": 1.0}
+    streams = campaign.keyed_rngs([(7, i) for i in range(SHARE_KEYS)])
+    _, fast = pcg.standard_normal(streams.draw(3 * (k - 2) + 1)[:, :-1])
+    return {"k": k, "keys": SHARE_KEYS, "share": 1.0 - float(fast.all(axis=1).mean())}
 
 
 def morse_solvers(speed: HostSpeed) -> dict[str, dict]:
@@ -289,6 +308,7 @@ def main() -> int:
         "rows": ROWS,
         "repeats": REPEATS,
         "keyed_us_per_key": keyed_draws(speed),
+        "keyed_redrawn_share": redrawn_share(),
         "layers_us_per_op": layers(speed),
         "morse_us_per_call": morse_solvers(speed),
         "variety_us_per_call": conjugator(speed),

@@ -2,10 +2,13 @@
 
 A campaign is a sequence of keys, one row each.  :func:`run` computes it in
 stacks of at most CHUNK rows, each row drawing what np.random.default_rng(key)
-draws (:func:`keyed_rngs`; tests/test_keyed_draws.py fails if numpy's
-seeding changes), and names a rejected row by its key.  The record and gate
-functions of the cover round trip and the case ladder are the ones the CLI
-commands and the selftest checks both call.
+draws, and names a rejected row by its key.  A stack's keys are hashed to
+PCG64 states in arrays (:func:`key_states`; tests/test_keyed_draws.py fails
+if numpy's seeding changes), and :func:`keyed_rngs` hands them on as one
+:class:`charvar.pcg.Streams`: the sampler decodes its rows' draws from the
+states, and other draws take a generator set to each row's state.  The
+record and gate functions of the cover round trip and the case ladder are
+the ones the CLI commands and the selftest checks both call.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
-from . import cover
+from . import cover, pcg
 
 # numpy's seeding of np.random.default_rng(key), stable since numpy 1.17:
 # SeedSequence hashes the key's uint32 words into a pool of four words,
@@ -27,8 +30,7 @@ from . import cover
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M128 = (1 << 128) - 1
+_MULT, _MULT_1 = pcg.words([pcg.MULT, pcg.MULT + 1])
 
 
 def _key_words(key: tuple[int, ...]) -> list[int]:
@@ -98,37 +100,32 @@ def _seed_words(words: np.ndarray) -> np.ndarray:
     return halves[:, 0::2] | (halves[:, 1::2] << np.uint64(32))
 
 
-def key_states(keys: list[tuple[int, ...]]) -> list[dict]:
-    """The PCG64 ``state`` dict that np.random.default_rng(key) starts in,
-    for each key of non-negative ints.  Keys with the same number of words
+def key_states(keys: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The PCG64 state and increment np.random.default_rng(key) starts in,
+    for each key of non-negative ints: two (N, 2) stacks of [high, low]
+    uint64 words (:mod:`charvar.pcg`).  Keys with the same number of words
     (:func:`_key_words`) are hashed as one stack; seeding PCG64 from its
-    128-bit seed s and increment i is two steps of its LCG, on Python ints."""
+    128-bit seed s and increment inc is two steps of its LCG,
+    M (s + inc) + inc = M s + (M + 1) inc."""
     words = [_key_words(key) for key in keys]
-    states: list = [None] * len(keys)
+    seeds = np.empty((len(keys), 4), dtype=np.uint64)
     for length in set(map(len, words)):
         rows = [row for row, w in enumerate(words) if len(w) == length]
         stack = np.array([words[row] for row in rows], dtype=np.uint32).reshape(len(rows), length)
-        for row, (s0, s1, i0, i1) in zip(rows, _seed_words(stack).tolist()):
-            inc = (i0 << 65 | i1 << 1 | 1) & _M128
-            states[row] = {"state": ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128, "inc": inc}
-    return states
+        seeds[rows] = _seed_words(stack)
+    # the increment is the seed's second half shifted left by one, plus 1
+    inc = np.stack([seeds[:, 2] << 1 | seeds[:, 3] >> 63, seeds[:, 3] << 1 | 1], axis=-1)
+    return pcg.mul_add(_MULT, seeds[:, :2], _MULT_1, inc), inc
 
 
-def keyed_rngs(keys: list[tuple[int, ...]]) -> Iterator[np.random.Generator]:
-    """One pass over the generators of ``keys``: one Generator, set before
-    each yield to the state np.random.default_rng(key) starts in, so it
-    draws what that generator draws.  Each row must be drawn before the
-    next is taken.  The states are computed, and the keys checked, when
-    this is called."""
-    states = key_states(keys)
-    rng = np.random.Generator(np.random.PCG64(0))
-
-    def each():
-        for state in states:
-            rng.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-            yield rng
-
-    return each()
+def keyed_rngs(keys: list[tuple[int, ...]]) -> pcg.Streams:
+    """The streams of ``keys``, as np.random.default_rng(key) starts them:
+    iterated, one Generator set before each yield to the row's start state,
+    so it draws what that generator draws, and each row must be drawn before
+    the next is taken; :func:`charvar.variety.sample_points` decodes the
+    rows from their states instead.  The states are computed, and the keys
+    checked, when this is called."""
+    return pcg.Streams(*key_states(keys))
 
 
 def keyed_rng(*key: int) -> np.random.Generator:
@@ -141,9 +138,9 @@ def keyed_rng(*key: int) -> np.random.Generator:
 CHUNK = 256
 
 
-def run(keys: Iterable[tuple[int, ...]], fn: Callable[[list, Iterator], list]) -> list:
+def run(keys: Iterable[tuple[int, ...]], fn: Callable[[list, pcg.Streams], list]) -> list:
     """The concatenated lists ``fn(chunk, rngs)`` over runs ``chunk`` of CHUNK
-    keys of ``keys``, ``rngs`` the one pass of :func:`keyed_rngs` over them.
+    keys of ``keys``, ``rngs`` the streams of :func:`keyed_rngs` of them.
     A stacked rejection (``exc.row``) is named by ``chunk[row]``, where ``fn``
     may have put the key that drew the row in the end."""
     keys, out = iter(keys), []
@@ -157,7 +154,7 @@ def run(keys: Iterable[tuple[int, ...]], fn: Callable[[list, Iterator], list]) -
     return out
 
 
-def chunked(seed: int, path: tuple[int, ...], count: int, fn: Callable[[list, Iterator], list]) -> list:
+def chunked(seed: int, path: tuple[int, ...], count: int, fn: Callable[[list, pcg.Streams], list]) -> list:
     """:func:`run` over the keys (seed, *path, i) of samples i < count."""
     return run(((seed, *path, i) for i in range(count)), fn)
 
@@ -188,8 +185,8 @@ def ladder_records(seed: int, paths: tuple[tuple[int, ...], ...], count: int, pe
         n = sum(key[:-1] == generic for key in keys)
         quads = np.empty((4, len(keys), 4))
         if n:
-            quads[:, :n] = cover.section_inputs(cover.surface_samples(islice(rngs, n)))[:4]
-        for row, (key, rng) in enumerate(zip(keys[n:], rngs), n):
+            quads[:, :n] = cover.section_inputs(cover.surface_samples(rngs[:n]))[:4]
+        for row, (key, rng) in enumerate(zip(keys[n:], rngs[n:]), n):
             quads[:, row] = cover.lemma_branch_inputs(key[-2], rng)
         _, rung, residuals = cover.lemma52_stack(*quads)
         return [

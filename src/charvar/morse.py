@@ -346,8 +346,9 @@ def link_samples(n: int, count: int, rng: np.random.Generator, refine: bool = Fa
     y factor on the sphere, drawing x in the hyperplane orthogonal to Ay,
     and mixing radially by an angle t.  Each point draws y, x and t from
     ``rng`` in turn, so point i replays with ``count = i + 1``.  A rejected
-    y or x is drawn again before the next draw, so after a rejection every
-    point is drawn again from the start state, one at a time.  With
+    y or x is drawn again before the next draw: the points before the first
+    rejected one are kept, that point is drawn one draw at a time, and the
+    rest are drawn again as a stack, until no point is rejected.  With
     ``refine`` (n = 3 only) the stack is Newton-projected onto the cutout.
     """
     if count < 1:
@@ -356,22 +357,34 @@ def link_samples(n: int, count: int, rng: np.random.Generator, refine: bool = Fa
         raise ValueError("exact-cutout refinement is implemented for n = 3 only")
     m = 2 * n - 2
     A = matrix_A(n).astype(float)
-    start = rng.bit_generator.state
     ys, xs, t = np.empty((count, m)), np.empty((count, m)), np.empty(count)
-    for i in range(count):
-        ys[i], xs[i], t[i] = rng.standard_normal(m), rng.normal(size=m), rng.uniform(0.0, np.pi / 2.0)
+
+    def draw(rows):
+        for i in rows:
+            ys[i], xs[i], t[i] = rng.standard_normal(m), rng.normal(size=m), rng.uniform(0.0, np.pi / 2.0)
+
+    start = rng.bit_generator.state
+    draw(range(count))
     x, y, keep_y, keep_x = _project(A, ys, xs)
-    if not (keep_y & keep_x).all():
+    keep, first = keep_y & keep_x, 0
+    while not keep[first:].all():
+        # the kept points are drawn again to reach the first rejected one
+        bad = first + int(np.argmin(keep[first:]))
         rng.bit_generator.state = start
-        for i in range(count):
-            # y is drawn until kept, then x: a zero x is never kept
-            ys[i], xs[i] = rng.standard_normal(m), 0.0
-            while not all(keep := _project(A, ys[i : i + 1], xs[i : i + 1])[2:]):
-                if keep[0]:
-                    xs[i] = rng.normal(size=m)
-                else:
-                    ys[i] = rng.standard_normal(m)
-            t[i] = rng.uniform(0.0, np.pi / 2.0)
+        draw(range(first, bad))
+        # y is drawn until kept, then x: a zero x is never kept
+        ys[bad], xs[bad] = rng.standard_normal(m), 0.0
+        while not all(point := _project(A, ys[bad : bad + 1], xs[bad : bad + 1])[2:]):
+            if point[0]:
+                xs[bad] = rng.normal(size=m)
+            else:
+                ys[bad] = rng.standard_normal(m)
+        t[bad] = rng.uniform(0.0, np.pi / 2.0)
+        first = bad + 1
+        start = rng.bit_generator.state
+        draw(range(first, count))
+        keep[first:] = np.logical_and(*_project(A, ys[first:], xs[first:])[2:])
+    if first:
         x, y, _, _ = _project(A, ys, xs)
     zs = np.cos(t)[:, None] * x + 1j * (np.sin(t)[:, None] * y)
     if refine:

@@ -1,0 +1,247 @@
+"""numpy's PCG64 stream read in arrays: the raw outputs of a stack of
+generators, numpy's standard normal and uniform draws decoded from them, and
+:class:`Streams`, a stack of start states that also yields real generators.
+
+PCG64 is the 128-bit LCG s -> M s + inc with the XSL-RR output function
+(O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient Statistically
+Good Algorithms for Random Number Generation"): each draw steps the state
+and outputs rotr64(hi ^ lo, hi >> 58).  After j steps from s the state is
+M^j s + (1 + M + ... + M^(j-1)) inc, so the first m outputs of N streams are
+one jump ahead on (N, m) arrays; a 128-bit number is a [high, low] pair of
+uint64 words, multiplied through 32-bit limbs.
+
+``standard_normal`` is numpy's 256-layer ziggurat (Marsaglia and Tsang
+2000, "The Ziggurat Method for Generating Random Variables", J. Stat.
+Softw. 5(8)).  Its fast path takes one output: the low 8 bits are the layer
+idx, the next bit the sign, the next 52 bits ``rabs``, and x = rabs wi[idx]
+is kept when rabs < ki[idx].  Off that path numpy draws more outputs and
+calls C's exp and log1p, which arrays need not round alike: such a draw is
+left to a real generator.  The tables WI and KI are in
+:mod:`charvar.ziggurat`, read from the installed numpy by
+:func:`probe_tables` (``python -m charvar.pcg`` writes that module); the
+tests probe them again, so a numpy that changes them fails loudly.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+from .ziggurat import KI, WI
+
+# PCG64's multiplier M, and 2^128 - 1
+MULT = 0x2360ED051FC65DA44385DF649FCCF645
+M128 = (1 << 128) - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
+_RABS = np.uint64((1 << 52) - 1)
+
+
+def words(values) -> np.ndarray:
+    """Python ints below 2^128 as an (N, 2) uint64 stack of [high, low] words."""
+    return np.array([(v >> 64, v & 0xFFFFFFFFFFFFFFFF) for v in values], dtype=np.uint64).reshape(-1, 2)
+
+
+def ints(stack: np.ndarray) -> list[int]:
+    """The Python ints of an (N, 2) stack of [high, low] words."""
+    return [hi << 64 | lo for hi, lo in stack.tolist()]
+
+
+def state_dict(state: int, inc: int) -> dict:
+    """numpy's PCG64 ``bit_generator.state`` of a state and increment."""
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+def _mulhi(a0, a1, b):
+    """The high word of the 128-bit product of uint64 words a and b, a given
+    by its 32-bit limbs a0 and a1."""
+    b0, b1 = b & _LOW32, b >> 32
+    low = a0 * b0
+    cross = a1 * b0
+    mid = (low >> 32) + (cross & _LOW32) + a0 * b1
+    return a1 * b1 + (cross >> 32) + (mid >> 32)
+
+
+def _mul(c: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of c v mod 2^128."""
+    c_hi, c_lo, v_hi, v_lo = c[..., 0], c[..., 1], v[..., 0], v[..., 1]
+    return _mulhi(c_lo & _LOW32, c_lo >> 32, v_lo) + c_lo * v_hi + c_hi * v_lo, c_lo * v_lo
+
+
+def mul_add(a: np.ndarray, x: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """a x + b y mod 2^128 of [high, low] stacks that broadcast against each
+    other."""
+    (p_hi, p_lo), (q_hi, q_lo) = _mul(a, x), _mul(b, y)
+    lo = p_lo + q_lo
+    return np.stack([p_hi + q_hi + (lo < p_lo), lo], axis=-1)
+
+
+@functools.cache
+def _jumps(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, 2) words of M^j and of 1 + M + ... + M^(j-1), j = 1..m."""
+    a, g = [MULT], [1]
+    for _ in range(m - 1):
+        a.append(a[-1] * MULT & M128)
+        g.append((g[-1] * MULT + 1) & M128)
+    return words(a), words(g)
+
+
+def outputs(state: np.ndarray, inc: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first m >= 1 raw 64-bit outputs of each stream of (N, 2) state
+    and increment stacks, (N, m), and the (N, 2) state they leave."""
+    a, g = _jumps(m)
+    states = mul_add(a, state[:, None], g, inc[:, None])
+    hi, lo = states[..., 0], states[..., 1]
+    x = hi ^ lo
+    rot = hi >> 58
+    return (x >> rot) | (x << ((64 - rot) & 63)), states[:, -1]
+
+
+def standard_normal(out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's standard_normal of each raw output, and the mask of those it
+    takes on the ziggurat's fast path; the others hold no draw."""
+    idx = (out & np.uint64(0xFF)).astype(np.intp)
+    rabs = (out >> 9) & _RABS
+    x = rabs.astype(float) * WI[idx]
+    np.negative(x, out=x, where=((out >> 8) & np.uint64(1)).astype(bool))
+    return x, rabs < KI[idx]
+
+
+def next_double(out: np.ndarray) -> np.ndarray:
+    """numpy's next_double of each raw output: its top 53 bits over 2^53.
+    ``uniform(0.0, high)`` draws 0.0 + high * next_double."""
+    return (out >> 11).astype(float) * (1.0 / 9007199254740992.0)
+
+
+class Streams:
+    """A stack of PCG64 streams, one per row: their start states and
+    increments as (N, 2) word stacks, and the generator that draws a row for
+    real (:meth:`generator`).
+
+    The streams of keys (:func:`charvar.campaign.keyed_rngs`) share one
+    Generator, set to a row's start state when it is asked for; iterating
+    yields it set to each row in turn, so each row must be drawn before the
+    next is taken.  The streams of a list of generators (:meth:`of`) read
+    their start states; a generator other than PCG64, such as a test's
+    stand-in, gives a row that is not ``decodable``.  Slicing takes rows.
+    """
+
+    def __init__(self, state: np.ndarray, inc: np.ndarray, gens: list | None = None, decodable=None):
+        self.state, self.inc = state, inc
+        self.decodable = np.ones(len(state), dtype=bool) if decodable is None else decodable
+        # (generator, start state) of each row, or None: one shared Generator,
+        # made when first asked for
+        self._gens = gens
+        self._shared: np.random.Generator | None = None
+
+    @classmethod
+    def of(cls, rngs) -> Streams:
+        """``rngs`` if it is Streams, else the streams of its generators."""
+        if isinstance(rngs, Streams):
+            return rngs
+        gens = list(rngs)
+        if len({id(rng) for rng in gens}) != len(gens):
+            raise ValueError("each sample needs its own generator")
+        starts = [rng.bit_generator.state for rng in gens]
+        decodable = [
+            isinstance(rng, np.random.Generator) and isinstance(rng.bit_generator, np.random.PCG64) for rng in gens
+        ]
+        pcg_states = [start["state"] if ok else {"state": 0, "inc": 1} for start, ok in zip(starts, decodable)]
+        state, inc = words(s["state"] for s in pcg_states), words(s["inc"] for s in pcg_states)
+        return cls(state, inc, list(zip(gens, starts)), np.array(decodable, dtype=bool))
+
+    def __len__(self) -> int:
+        return len(self.state)
+
+    def __getitem__(self, rows: slice) -> Streams:
+        gens = None if self._gens is None else self._gens[rows]
+        return Streams(self.state[rows], self.inc[rows], gens, self.decodable[rows])
+
+    def __iter__(self):
+        return map(self.generator, range(len(self)))
+
+    def generator(self, row: int) -> np.random.Generator:
+        """The generator of ``row``, set to the row's start state."""
+        if self._gens is not None:
+            rng, start = self._gens[row]
+            rng.bit_generator.state = start
+            return rng
+        if self._shared is None:
+            self._shared = np.random.Generator(np.random.PCG64(0))
+        (s_hi, s_lo), (i_hi, i_lo) = self.state[row].tolist(), self.inc[row].tolist()
+        self._shared.bit_generator.state = state_dict(s_hi << 64 | s_lo, i_hi << 64 | i_lo)
+        return self._shared
+
+    def draw(self, m: int) -> np.ndarray:
+        """The first m raw outputs of each row, (N, m).  A decodable
+        generator of a list is left where m draws leave it."""
+        out, end = outputs(self.state, self.inc, m)
+        if self._gens is not None:
+            for (rng, start), ok, s in zip(self._gens, self.decodable.tolist(), ints(end)):
+                if ok:
+                    rng.bit_generator.state = {**start, "state": {**start["state"], "state": s}}
+        return out
+
+
+def _probe(rng: np.random.Generator, first: int) -> tuple[float, bool]:
+    """numpy's standard_normal when its next raw output is ``first`` (below
+    2^64) and the one after it draws next_double 0, and whether it took the
+    fast path (one output).  The LCG step is invertible: the state whose next
+    two states are t1 = first and t2 (of the other parity, so that the
+    increment t2 - M t1 is odd) is (t1 - inc) / M; both output themselves."""
+    t1, t2 = first, 1 - (first & 1)
+    inc = (t2 - MULT * t1) & M128
+    state = (t1 - inc) * pow(MULT, -1, 1 << 128) & M128
+    rng.bit_generator.state = state_dict(state, inc)
+    x = rng.standard_normal()
+    return x, rng.bit_generator.state["state"]["state"] == t1
+
+
+def probe_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat tables wi and ki, read from the installed numpy: in
+    layer idx, rabs = 1 draws wi[idx] on either path (the slow path keeps
+    it at next_double 0), and ki[idx] is the least rabs off the fast path,
+    found by bisection."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    wi, ki = np.empty(256), np.empty(256, dtype=np.uint64)
+    for idx in range(256):
+        wi[idx] = _probe(rng, 1 << 9 | idx)[0]
+        lo, hi = 0, 1 << 52  # fast below lo, off it at hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _probe(rng, mid << 9 | idx)[1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        ki[idx] = lo
+    return wi, ki
+
+
+def _tables_module(wi: np.ndarray, ki: np.ndarray) -> str:
+    """The source of :mod:`charvar.ziggurat` for the tables."""
+    lines = [
+        '"""numpy\'s ziggurat tables for standard_normal, read from numpy by',
+        "charvar.pcg.probe_tables and written by ``python -m charvar.pcg``; the",
+        'tests read them again."""',
+        "",
+        "import numpy as np",
+        "",
+        "# wi[idx]: a fast-path draw of layer idx is rabs * wi[idx]",
+        "WI = np.array([",
+        *(f"    {', '.join(map(repr, wi[i : i + 4].tolist()))}," for i in range(0, 256, 4)),
+        "])",
+        "# ki[idx]: the draw is on the fast path when rabs < ki[idx]",
+        "KI = np.array([",
+        *(f"    {', '.join(f'0x{v:013X}' for v in ki[i : i + 6].tolist())}," for i in range(0, 256, 6)),
+        "], dtype=np.uint64)",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+if __name__ == "__main__":
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).with_name("ziggurat.py")
+    path.write_text(_tables_module(*probe_tables()))
+    print(path, file=sys.stderr)

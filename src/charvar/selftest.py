@@ -311,10 +311,10 @@ CUBIC_BOUND = 10.0
 def check_chart_symmetries(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     """The chart function changes sign under coordinate conjugation, is
     constant on circle orbits, and agrees with its quadratic term to
-    third order."""
-    worst_tau = 0.0
-    worst_orbit = 0.0
-    worst_cubic = 0.0
+    third order.  A failure names the key (seed, 10, n, i) of the worst
+    sample of each bound it breaks."""
+    # the worst conjugation, orbit and cubic defects, and their keys
+    worst = [(-np.inf, None)] * 3
     steps = (1e-1, 1e-2, 1e-3)
     count = counts["symm_per_n"]
     for n in range(2, counts["symm_n_max"] + 1):
@@ -323,27 +323,30 @@ def check_chart_symmetries(counts: Mapping[str, int], seed: int = 0) -> CheckRes
         def draw(keys, rngs, m=m):
             # m coordinates, then an orbit angle
             return [
-                (0.5 * (rng.normal(size=m) + 1j * rng.normal(size=m)), [rng.uniform(0.0, 2.0 * np.pi)])
-                for rng in rngs
+                (key, 0.5 * (rng.normal(size=m) + 1j * rng.normal(size=m)), [rng.uniform(0.0, 2.0 * np.pi)])
+                for key, rng in zip(keys, rngs)
             ]
 
-        zs, thetas = map(np.array, zip(*campaign.chunked(seed, (10, n), count, draw)))
+        keys, zs, thetas = zip(*campaign.chunked(seed, (10, n), count, draw))
+        zs, thetas = np.array(zs), np.array(thetas)
         # the first 20 samples on the unit sphere (np.linalg.norm of a
         # complex vector, row by row), scaled by each step
         z = zs[:20]
         u = z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
         stack = np.concatenate([zs, morse.tau(zs), morse.s1_orbit(zs, thetas), *(t * u for t in steps)])
         val, conj, orbit, *scaled = np.split(morse.eval_chart_g(n, stack), np.cumsum([count] * 3 + [len(u)] * 2))
-        worst_tau = max(worst_tau, float(np.abs(conj + val).max(initial=0.0)))
-        worst_orbit = max(worst_orbit, float(np.abs(orbit - val).max(initial=0.0)))
         qu = morse.quadratic_form(n, u)
-        for t, g in zip(steps, scaled):
-            worst_cubic = max(worst_cubic, float((np.abs(g - t * t * qu) / t**3).max(initial=0.0)))
-    ok = worst_tau <= SYMMETRY_TOL and worst_orbit <= SYMMETRY_TOL and worst_cubic <= CUBIC_BOUND
-    return CheckResult(
-        ok,
+        cubic = np.max([np.abs(g - t * t * qu) / t**3 for t, g in zip(steps, scaled)], axis=0)
+        for b, defect in enumerate((np.abs(conj + val), np.abs(orbit - val), cubic)):
+            i = int(np.argmax(defect))
+            if defect[i] > worst[b][0]:
+                worst[b] = (float(defect[i]), keys[i])
+    (worst_tau, _), (worst_orbit, _), (worst_cubic, _) = worst
+    bounds = (SYMMETRY_TOL, SYMMETRY_TOL, CUBIC_BOUND)
+    return _verdict(
         f"conjugation defect {worst_tau:.3e}, orbit defect {worst_orbit:.3e}, "
         f"cubic remainder coefficient {worst_cubic:.2f} <= {CUBIC_BOUND:g}",
+        [key for (value, key), bound in zip(worst, bounds) if value > bound],
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quat
+from . import pcg, quat
 from .errors import AbelianInput, ConstraintViolated
 from .quat import I, J, K, axis_angle, gprod, qmul
 from .rep import RANK_TOL_FACTOR, PuncturedSphereRep, TOL_REL, complete_reps, one_row, raise_first
@@ -96,27 +96,29 @@ def sample_points(k: int, rngs) -> np.ndarray:
 
     A row draws what one-row calls draw in turn: its ``k - 2`` directions in
     one :func:`quat.random_directions` call, then the angle or, when w is
-    central, one more direction.  Each row draws its normals and its angle
-    in one pass, before the next generator is taken, so ``rngs`` may be the
-    one pass of :func:`charvar.campaign.keyed_rngs` (one generator, set to
-    each key's state); a list must hold distinct generators.  A row with a
-    rejected direction or a central w is drawn again from its start state
-    through those sequential draws, which leave its generator where one-row
-    calls leave it.  A row is the same bits in any stack (see
+    central, one more direction.  ``rngs`` is a :class:`charvar.pcg.Streams`,
+    such as :func:`charvar.campaign.keyed_rngs`, or distinct generators.
+    Each row's normals and angle are decoded from its stream in one array
+    pass (:mod:`charvar.pcg`), and a list's generators are left where those
+    draws leave them.  A row with a normal off the ziggurat's fast path, or
+    whose generator is not PCG64, draws them from its generator instead; a
+    row with a rejected direction or a central w is drawn again from its
+    start state through the sequential draws, which leave its generator
+    where one-row calls leave it.  A row is the same bits in any stack (see
     :mod:`charvar.quat` on dot products).
     """
     if k < 3:
         raise ValueError(f"need k >= 3, got k = {k}")
-    if isinstance(rngs, (list, tuple)) and len({id(rng) for rng in rngs}) != len(rngs):
-        raise ValueError("each sample needs its own generator")
-    gens, starts, normals, phi = [], [], [], []
-    for rng in rngs:
-        gens.append(rng)
-        starts.append(rng.bit_generator.state)
-        normals.append(rng.standard_normal((k - 2, 3)))
-        phi.append(rng.uniform(0.0, 2.0 * np.pi))
-    n = len(gens)
-    normals = np.reshape(normals, (n, k - 2, 3))
+    streams = pcg.Streams.of(rngs)
+    n = len(streams)
+    out = streams.draw(3 * (k - 2) + 1)
+    normals, fast = pcg.standard_normal(out[:, :-1])
+    phi = 2.0 * np.pi * pcg.next_double(out[:, -1])
+    for row in np.flatnonzero(~(fast.all(axis=1) & streams.decodable)).tolist():
+        rng = streams.generator(row)
+        normals[row] = rng.standard_normal((k - 2, 3)).reshape(-1)
+        phi[row] = rng.uniform(0.0, 2.0 * np.pi)
+    normals = normals.reshape(n, k - 2, 3)
     lengths = quat.norm(normals)
     drawn = np.all(lengths > quat.DRAW_CUTOFF, axis=1)
     qs = np.zeros((n, k - 1, 4))
@@ -124,10 +126,8 @@ def sample_points(k: int, rngs) -> np.ndarray:
     # a row with a rejected direction keeps w = 0, which counts as central
     w = np.zeros((n, 4))
     w[drawn] = gprod(qs[drawn, : k - 2])
-    phi = np.array(phi)
     for row in np.flatnonzero(quat.norm(w[:, 1:]) <= CENTRAL_CUTOFF).tolist():
-        rng = gens[row]
-        rng.bit_generator.state = starts[row]
+        rng = streams.generator(row)
         qs[row, : k - 2, 1:] = quat.random_directions(rng, k - 2, 3)
         w[row] = gprod(qs[row : row + 1, : k - 2])[0]
         if quat.norm(w[row, 1:]) <= CENTRAL_CUTOFF:

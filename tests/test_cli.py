@@ -305,6 +305,32 @@ def test_failed_check_names_its_worst_sample(check, tol, count, path, monkeypatc
         assert head == passing.detail
 
 
+def test_failed_chart_symmetry_check_names_its_worst_samples(monkeypatch):
+    # under a negative SYMMETRY_TOL both defect bounds break: the check names
+    # the key (seed, 10, n, i) of the worst sample of each, and replaying
+    # that key reproduces the defect it reports
+    passing = selftest.check_chart_symmetries(selftest.REDUCED_COUNTS, 3)
+    monkeypatch.setattr(selftest, "SYMMETRY_TOL", -1.0)
+    result = selftest.check_chart_symmetries(selftest.REDUCED_COUNTS, 3)
+    assert not result.ok
+    head, named = result.detail.split("; worst samples ")
+    assert head == passing.detail
+    reported = re.findall(r"\d\.\d{3}e[-+]\d\d", head)[:2]
+
+    def replay(key, moved):
+        # sample i draws its coordinates, then its orbit angle
+        seed, path, n, i = key
+        assert (seed, path) == (3, 10) and i < selftest.REDUCED_COUNTS["symm_per_n"]
+        rng = np.random.default_rng(key)
+        z = 0.5 * (rng.normal(size=2 * n - 2) + 1j * rng.normal(size=2 * n - 2))
+        return morse.eval_chart_g(n, np.stack([z, moved(z, rng.uniform(0.0, 2.0 * np.pi))]))
+
+    tau_key, orbit_key = ast.literal_eval(named)
+    val, conj = replay(tau_key, lambda z, theta: morse.tau(z))
+    val_orbit, orbit = replay(orbit_key, morse.s1_orbit)
+    assert [f"{abs(conj + val):.3e}", f"{abs(orbit - val_orbit):.3e}"] == reported
+
+
 def test_failed_rigidity_check_names_the_first_k4_sample_off_its_loci(monkeypatch):
     # k = 4 sample 2 counted as generic: the check names its key (seed, 3, 2)
     real = variety.locus_ranks

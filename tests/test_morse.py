@@ -484,8 +484,9 @@ class TestLinkSampler:
 
     @pytest.mark.parametrize("n, cutoff", [(2, 0.5), (3, 1.0)])
     def test_rejected_y_replays_point_by_point(self, n, cutoff, monkeypatch):
-        # about one y in ten is rejected: the stacked draw is thrown away and
-        # every point is drawn again in turn, each y until it is kept
+        # about one y in ten is rejected: each rejected point is drawn again
+        # one draw at a time, each y until it is kept, and the points after
+        # it are drawn again as a stack
         probe = np.random.default_rng((433, n))
         m = 2 * n - 2
         first = [(probe.standard_normal(m), probe.normal(size=m), probe.uniform(0.0, np.pi / 2.0)) for _ in range(40)]
@@ -494,6 +495,21 @@ class TestLinkSampler:
         zs = assert_per_point(n, 40, lambda: np.random.default_rng((433, n)))
         sphere, quad = link_defects(n, zs)
         assert max(sphere.max(), quad.max()) <= morse.LINK_TOL
+
+    def test_rejections_resume_the_stack(self, monkeypatch):
+        # about one y in seventy is rejected at n = 3: the points before a
+        # rejected one are kept, and the stack is drawn again after it, so
+        # the stacks projected shrink and each point is drawn as the
+        # per-point loop draws it
+        monkeypatch.setattr(quat, "DRAW_CUTOFF", 0.6)
+        sizes = []
+        real = morse._project
+        monkeypatch.setattr(morse, "_project", lambda A, ys, xs: sizes.append(len(ys)) or real(A, ys, xs))
+        zs = link_samples(3, 600, np.random.default_rng((439, 3)))
+        assert zs.tobytes() == per_point_link_draws(3, 600, np.random.default_rng((439, 3))).tobytes()
+        stacks = [size for size in sizes if size > 1]
+        assert stacks[0] == stacks[-1] == 600 and len(stacks) >= 5
+        assert stacks[1:-1] == sorted(stacks[1:-1], reverse=True) and stacks[-2] < 600
 
     def test_cancelled_x_replays_point_by_point(self):
         # at n = 2, w = A y / |A y| is (0, 1) for y = (1, 0): the x draw
@@ -505,7 +521,9 @@ class TestLinkSampler:
             stubs.append(ScriptedNormals(script))
             return stubs[-1]
 
-        zs = assert_per_point(2, 3, scripted, kernel_calls=[3, 1, 1, 1, 1, 1, 1, 1, 3])
+        # the stack, point 0 one draw at a time, the two points after it
+        # as a stack, and the final projection of all three
+        zs = assert_per_point(2, 3, scripted, kernel_calls=[3, 1, 1, 1, 2, 3])
         assert [stub.used for stub in stubs] == [len(script)] * 3
         sphere, quad = link_defects(2, zs)
         assert max(sphere.max(), quad.max()) <= morse.LINK_TOL
