@@ -85,7 +85,8 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
     """Microseconds per operation: the one-sample function ("scalar") on ROWS
     inputs one at a time, and its stacked form on one stack of ROWS rows,
     per row.  Where the one-sample function is a one-row call of the
-    stacked form, "scalar" is the cost of such a call."""
+    stacked form, "scalar" is the cost of such a call; a stacked form
+    without one has no "scalar"."""
     rngs = lambda: [np.random.default_rng((7, i)) for i in range(ROWS)]  # noqa: E731
     reps = [variety.sample_point(6, rng) for rng in rngs()]
     surfaces = [cover.pushforward(r) for r in reps]
@@ -94,7 +95,7 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
     quads = [cover.section_inputs(np.stack(s.generators()))[:4] for s in surfaces]
     quad_stack = [np.stack(v) for v in zip(*quads)]
     thetas = np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, size=(ROWS, 4))
-    bd = np.stack([rep.bd_from_torus(rep.TorusCoords(3, t)).meridians for t in thetas])
+    bd = rep.bd_from_angles(thetas)
     pure_u, pure_v = (
         np.stack([quat.random_pure(np.random.default_rng((seed, i))) for i in range(ROWS)]) for seed in (16, 17)
     )
@@ -127,16 +128,8 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
             lambda: rep.make_surface_reps(gens),
             "rep.make_surface_reps",
         ),
-        "bd_from_torus": (
-            lambda: [rep.bd_from_torus(rep.TorusCoords(3, t)) for t in thetas],
-            lambda: rep.bd_from_angles(thetas),
-            "rep.bd_from_angles",
-        ),
-        "torus_from_bd": (
-            lambda: [rep.torus_from_bd(rep.PuncturedSphereRep(m)) for m in bd],
-            lambda: rep.angles_from_bd(bd),
-            "rep.angles_from_bd",
-        ),
+        "bd_from_angles": (None, lambda: rep.bd_from_angles(thetas), "rep.bd_from_angles"),
+        "angles_from_bd": (None, lambda: rep.angles_from_bd(bd), "rep.angles_from_bd"),
         "rotor_between": (
             lambda: [quat.rotor_between(u, v) for u, v in zip(pure_u, pure_v)],
             lambda: quat.rotor_between(pure_u, pure_v),
@@ -152,11 +145,7 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
             lambda: variety.submersion_certificates(parts),
             "variety.submersion_certificates",
         ),
-        "conjugation_rank": (
-            lambda: [variety.conjugation_rank(p) for p in parts],
-            lambda: variety.conjugation_ranks(parts),
-            "variety.conjugation_ranks",
-        ),
+        "conjugation_ranks": (None, lambda: variety.conjugation_ranks(parts), "variety.conjugation_ranks"),
         "local_dimension": (
             lambda: [variety.local_dimension(r) for r in reps],
             lambda: variety.local_dimensions(meridians),
@@ -186,11 +175,9 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
     out = {}
     for name, (scalar, batch, form) in ops.items():
         calls = 2 * ROWS if name == "extend" else ROWS
-        out[name] = {
-            "scalar": per_op(scalar, calls, speed),
-            "batch_row": per_op(batch, calls, speed),
-            "batch_form": form,
-        }
+        out[name] = {"batch_row": per_op(batch, calls, speed), "batch_form": form}
+        if scalar is not None:
+            out[name]["scalar"] = per_op(scalar, calls, speed)
     return out
 
 

@@ -11,23 +11,30 @@ from collections import Counter
 
 import numpy as np
 
-from charvar.rep import fingerprint, fingerprint_batch, fingerprint_digest
+from charvar.rep import fingerprint, fingerprint_batch, fingerprint_digest, fingerprint_distances
 from charvar.variety import (
-    classify_locus,
+    LOCUS_NAMES,
     deform,
     enumerate_abelian,
     eval_f,
     local_dimension,
+    locus_ranks,
     sample_point,
+    sample_points,
     submersion_certificate,
 )
 
 rng_for = lambda *path: np.random.default_rng(path)
 
+
+def loci(k, *path, count):
+    """The locus of each of `count` samples, sample i drawn from (*path, i)."""
+    points = sample_points(k, [rng_for(*path, i) for i in range(count)])
+    return Counter(LOCUS_NAMES[rank] for rank in locus_ranks(points).tolist())
+
+
 print("== the three loci at k = 6 ==")
-tally = Counter()
-for i in range(300):
-    tally[classify_locus(sample_point(6, rng_for(2, i))).label] += 1
+tally = loci(6, 2, count=300)
 for label, count in sorted(tally.items()):
     print(f"  {label:16s} {count}")
 print("(random sampling lands on the 4-dimensional generic stratum)")
@@ -41,10 +48,10 @@ for k in (4, 6, 8):
 
 print()
 print("== small k is rigid ==")
-fp3 = [fingerprint(sample_point(3, rng_for(3, i))) for i in range(50)]
-spread = max(fp3[0].distance(other) for other in fp3)
+fp3 = fingerprint_batch(sample_points(3, [rng_for(3, i) for i in range(50)]))
+spread = fingerprint_distances(fp3, fp3[0]).max()
 print(f"  k = 3: fingerprint spread over 50 samples = {spread:.2e} (a single class)")
-tally4 = Counter(classify_locus(sample_point(4, rng_for(4, i))).label for i in range(200))
+tally4 = loci(4, 4, count=200)
 print(f"  k = 4: loci seen in 200 samples: {dict(tally4)} (nothing generic)")
 
 print()

@@ -9,9 +9,9 @@ at once (the case-ladder solver), then telescope the remaining meridians.
 
 import numpy as np
 
-from charvar.cover import extend, fiber, lemma52_detailed, pushforward, section_inputs, surface_sample
+from charvar.cover import extend, fiber, lemma52_detailed, pushforward, section_inputs
 from charvar.quat import I, J, K, ONE, exp_pure
-from charvar.rep import TorusCoords, alpha_star, bd_from_torus, fingerprint, make_rep
+from charvar.rep import PuncturedSphereRep, bd_from_angles, fingerprint, make_rep
 from charvar.variety import classify_locus, sample_point
 
 rng_for = lambda *path: np.random.default_rng(path)
@@ -50,14 +50,15 @@ print("== a generic fiber holds exactly two classes ==")
 report = fiber(surface)
 print(f"  classes found : {len(report.classes)}")
 print(f"  separation    : {report.separation:.4f}")
-want = fingerprint(alpha_star(rho))
+# alpha* negates every meridian
+want = fingerprint(make_rep(-rho.meridians))
 got = min(c.distance(want) for c in report.classes)
 print(f"  one matches alpha*(rho) to {got:.2e} (the other is rho itself)")
 
 print()
 print("== over the binary dihedral locus the sheets merge ==")
-coords = TorusCoords(n=3, thetas=np.array([0.8, 2.0, 3.1, 4.7]))
-bd_surface = pushforward(bd_from_torus(coords))
+bd = bd_from_angles(np.array([[0.8, 2.0, 3.1, 4.7]]))
+bd_surface = pushforward(PuncturedSphereRep(bd[0]))
 bd_report = fiber(bd_surface)
 print(f"  on_branch = {bd_report.on_branch}, classes = {len(bd_report.classes)}")
 print(f"  witness locus: {classify_locus(bd_report.witnesses[0]).label}")

@@ -17,7 +17,6 @@ from .cover import (
     lifts,
     pushforward,
     pushforwards,
-    surface_sample,
 )
 from .errors import (
     AbelianInput,
@@ -40,15 +39,11 @@ from .rep import (
     Fingerprint,
     PuncturedSphereRep,
     SurfaceRep,
-    TorusCoords,
-    alpha_star,
-    bd_from_torus,
     complete_rep,
     fingerprint,
     make_rep,
     make_reps,
     make_surface_rep,
-    torus_from_bd,
 )
 from .variety import (
     LocusLabel,
@@ -81,9 +76,6 @@ __all__ = [
     "RelationViolated",
     "SubmersionCertificate",
     "SurfaceRep",
-    "TorusCoords",
-    "alpha_star",
-    "bd_from_torus",
     "campaign",
     "certify_hessian_combinatorics",
     "certify_hessian_numeric",
@@ -119,7 +111,5 @@ __all__ = [
     "sign_transport",
     "submersion_certificate",
     "submersion_certificates",
-    "surface_sample",
-    "torus_from_bd",
     "variety",
 ]

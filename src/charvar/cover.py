@@ -13,8 +13,8 @@ Every operation is implemented once, on stacks of samples:
 :func:`pushforwards`, :func:`surface_samples`, :func:`section_inputs`,
 :func:`lemma52_stack`, :func:`lifts`, :func:`roundtrip_residuals` and
 :func:`fibers`.  The one-sample functions :func:`pushforward`,
-:func:`surface_sample`, :func:`lemma52_detailed`, :func:`extend` and
-:func:`fiber` are one-row calls of them; the stacked forms return arrays,
+:func:`lemma52_detailed`, :func:`extend` and :func:`fiber` are one-row
+calls of them; the stacked forms return arrays,
 and only :func:`fiber` builds a :class:`FiberReport`.  A row is independent
 of the others in its stack: the kernels of :mod:`charvar.quat` give the
 same bits whatever the stack shape.  A stack with a rejected row raises for
@@ -111,11 +111,6 @@ def surface_samples(rngs) -> np.ndarray:
     """Sample the surface variety through the cover, which is onto: one
     (N, 4, 4) stack of generators, a row per distinct generator in ``rngs``."""
     return pushforwards(sample_points(6, rngs))
-
-
-def surface_sample(rng: np.random.Generator) -> SurfaceRep:
-    """One sample of :func:`surface_samples`."""
-    return SurfaceRep(*one_row(surface_samples, [rng])[0])
 
 
 def _lemma52_residuals(x, a, b, c, d, abcd) -> np.ndarray:

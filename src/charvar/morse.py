@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import quat
-from .quat import I, exp_chart, norm
-from .rep import PuncturedSphereRep, complete_rep, one_row, raise_first
+from .quat import exp_chart, norm
+from .rep import one_row, raise_first
 from .variety import eval_g
 
 FD_STEP = 1e-4
@@ -408,13 +408,6 @@ def link_csv(zs) -> str:
     tags = np.all(zs.imag == 0.0, axis=-1).tolist()
     lines = [",".join([*map(repr, row), "1" if real else "0"]) for row, real in zip(cols, tags)]
     return "\n".join([header, *lines]) + "\n"
-
-
-def rep_from_chart(zs) -> PuncturedSphereRep:
-    """Lift a chart point on g^{-1}(0) to a full representation: meridians
-    (i, i e^{x_1 j + y_1 k}, ..., completion)."""
-    z = np.asarray(zs, dtype=complex)
-    return complete_rep([I, *exp_chart(z)])
 
 
 def hessian_report_json(report: HessianReport) -> dict:

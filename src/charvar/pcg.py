@@ -1,6 +1,7 @@
 """numpy's PCG64 stream read in arrays: the raw outputs of a stack of
 generators, numpy's standard normal and uniform draws decoded from them, and
-:class:`Streams`, a stack of start states that also yields real generators.
+:class:`Streams`, a stack of keyed start states, or of plain generators,
+that also yields real generators.
 
 PCG64 is the 128-bit LCG s -> M s + inc with the XSL-RR output function
 (O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient Statistically
@@ -40,11 +41,6 @@ _RABS = np.uint64((1 << 52) - 1)
 def words(values) -> np.ndarray:
     """Python ints below 2^128 as an (N, 2) uint64 stack of [high, low] words."""
     return np.array([(v >> 64, v & 0xFFFFFFFFFFFFFFFF) for v in values], dtype=np.uint64).reshape(-1, 2)
-
-
-def ints(stack: np.ndarray) -> list[int]:
-    """The Python ints of an (N, 2) stack of [high, low] words."""
-    return [hi << 64 | lo for hi, lo in stack.tolist()]
 
 
 def state_dict(state: int, inc: int) -> dict:
@@ -114,23 +110,23 @@ def next_double(out: np.ndarray) -> np.ndarray:
 
 
 class Streams:
-    """A stack of PCG64 streams, one per row: their start states and
-    increments as (N, 2) word stacks, and the generator that draws a row for
-    real (:meth:`generator`).
+    """A stack of generators' streams, one per row, and the generator that
+    draws a row for real (:meth:`generator`).  Slicing takes rows.
 
-    The streams of keys (:func:`charvar.campaign.keyed_rngs`) share one
-    Generator, set to a row's start state when it is asked for; iterating
-    yields it set to each row in turn, so each row must be drawn before the
-    next is taken.  The streams of a list of generators (:meth:`of`) read
-    their start states; a generator other than PCG64, such as a test's
-    stand-in, gives a row that is not ``decodable``.  Slicing takes rows.
+    The streams of keys (:func:`charvar.campaign.keyed_rngs`) are PCG64
+    start states and increments, (N, 2) word stacks whose raw outputs
+    :meth:`draw` reads.  They share one Generator, set to a row's start
+    state when it is asked for; iterating yields it set to each row in
+    turn, so each row must be drawn before the next is taken.  The streams
+    of a list of generators (:meth:`of`), of any bit generator, are the
+    generators themselves with their start states; they are drawn, not
+    decoded, and ``state`` is None.
     """
 
-    def __init__(self, state: np.ndarray, inc: np.ndarray, gens: list | None = None, decodable=None):
+    def __init__(self, state: np.ndarray | None, inc: np.ndarray | None, gens: list | None = None):
         self.state, self.inc = state, inc
-        self.decodable = np.ones(len(state), dtype=bool) if decodable is None else decodable
-        # (generator, start state) of each row, or None: one shared Generator,
-        # made when first asked for
+        # (generator, start state) of each row of a list; keyed rows share
+        # one Generator, made when first asked for
         self._gens = gens
         self._shared: np.random.Generator | None = None
 
@@ -142,27 +138,22 @@ class Streams:
         gens = list(rngs)
         if len({id(rng) for rng in gens}) != len(gens):
             raise ValueError("each sample needs its own generator")
-        starts = [rng.bit_generator.state for rng in gens]
-        decodable = [
-            isinstance(rng, np.random.Generator) and isinstance(rng.bit_generator, np.random.PCG64) for rng in gens
-        ]
-        pcg_states = [start["state"] if ok else {"state": 0, "inc": 1} for start, ok in zip(starts, decodable)]
-        state, inc = words(s["state"] for s in pcg_states), words(s["inc"] for s in pcg_states)
-        return cls(state, inc, list(zip(gens, starts)), np.array(decodable, dtype=bool))
+        return cls(None, None, [(rng, rng.bit_generator.state) for rng in gens])
 
     def __len__(self) -> int:
-        return len(self.state)
+        return len(self._gens if self.state is None else self.state)
 
     def __getitem__(self, rows: slice) -> Streams:
-        gens = None if self._gens is None else self._gens[rows]
-        return Streams(self.state[rows], self.inc[rows], gens, self.decodable[rows])
+        if self.state is None:
+            return Streams(None, None, self._gens[rows])
+        return Streams(self.state[rows], self.inc[rows])
 
     def __iter__(self):
         return map(self.generator, range(len(self)))
 
     def generator(self, row: int) -> np.random.Generator:
         """The generator of ``row``, set to the row's start state."""
-        if self._gens is not None:
+        if self.state is None:
             rng, start = self._gens[row]
             rng.bit_generator.state = start
             return rng
@@ -173,14 +164,8 @@ class Streams:
         return self._shared
 
     def draw(self, m: int) -> np.ndarray:
-        """The first m raw outputs of each row, (N, m).  A decodable
-        generator of a list is left where m draws leave it."""
-        out, end = outputs(self.state, self.inc, m)
-        if self._gens is not None:
-            for (rng, start), ok, s in zip(self._gens, self.decodable.tolist(), ints(end)):
-                if ok:
-                    rng.bit_generator.state = {**start, "state": {**start["state"], "state": s}}
-        return out
+        """The first m raw outputs of each keyed row, (N, m)."""
+        return outputs(self.state, self.inc, m)[0]
 
 
 def _probe(rng: np.random.Generator, first: int) -> tuple[float, bool]:

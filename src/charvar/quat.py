@@ -61,11 +61,6 @@ def re(q: np.ndarray) -> float:
     return np.take(q, 0, axis=-1)
 
 
-def im(q: np.ndarray) -> np.ndarray:
-    """Imaginary part as a 3-vector."""
-    return q[..., 1:]
-
-
 def qconj(q: np.ndarray) -> np.ndarray:
     out = np.array(q, dtype=float)
     out[..., 1:] = -out[..., 1:]
@@ -79,13 +74,6 @@ def qinv(q: np.ndarray) -> np.ndarray:
 
 def norm(q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(q, q))
-
-
-def normalize(q: np.ndarray) -> np.ndarray:
-    n = norm(q)
-    if np.any(n == 0.0):
-        raise ValueError("cannot normalize a zero quaternion")
-    return q / n[..., None]
 
 
 def gprod(*qs: np.ndarray) -> np.ndarray:

@@ -8,9 +8,9 @@ the images of the four standard generators r1, s1, r2, s2, subject to
 
 Validation is implemented once, on stacks: :func:`make_reps`,
 :func:`complete_reps`, :func:`make_surface_reps`, :func:`bd_from_angles` and
-its inverse :func:`angles_from_bd`; :func:`make_rep`, :func:`complete_rep`,
-:func:`make_surface_rep`, :func:`bd_from_torus` and :func:`torus_from_bd`
-are one-row calls of them (:func:`one_row`).  A stack raises for its first
+its inverse :func:`angles_from_bd`; :func:`make_rep`, :func:`complete_rep`
+and :func:`make_surface_rep` are one-row calls of them (:func:`one_row`).
+The sign involution alpha* of even k is ``make_reps(-meridians)``.  A stack raises for its first
 rejected row with ``exc.row`` naming it (:func:`raise_first`); a one-row
 call raises the same without ``row``.
 
@@ -80,9 +80,6 @@ class PuncturedSphereRep:
     @property
     def k(self) -> int:
         return self.meridians.shape[0]
-
-    def meridian(self, index: int) -> np.ndarray:
-        return self.meridians[index]
 
 
 @dataclass(frozen=True)
@@ -243,14 +240,6 @@ def conjugate_rep(g: np.ndarray, rep: PuncturedSphereRep) -> PuncturedSphereRep:
     return make_rep([quat.conjugate(g, m) for m in rep.meridians])
 
 
-def alpha_star(rep: PuncturedSphereRep) -> PuncturedSphereRep:
-    """Negate every meridian.  Defined for even k only: an odd number of sign
-    flips would break the product relation."""
-    if rep.k % 2 != 0:
-        raise ValueError(f"sign involution needs even k, got k = {rep.k}")
-    return make_rep(-rep.meridians)
-
-
 # ---------------------------------------------------------------------------
 # fingerprints
 
@@ -379,35 +368,6 @@ def fingerprint_digest(values) -> str:
 # the binary dihedral torus
 
 
-@dataclass(frozen=True)
-class TorusCoords:
-    """Angles (theta_2, ..., theta_{2n-1}) parametrizing the binary dihedral
-    locus for 2n punctures, stored mod 2 pi."""
-
-    n: int
-    thetas: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got n = {self.n}")
-        t = np.mod(np.asarray(self.thetas, dtype=float), 2.0 * np.pi)
-        if t.shape != (2 * self.n - 2,):
-            raise ValueError(f"expected {2 * self.n - 2} angles, got shape {t.shape}")
-        t.flags.writeable = False
-        object.__setattr__(self, "thetas", t)
-
-
-def _bd_meridians(thetas: np.ndarray) -> np.ndarray:
-    """The validated (N, 2n, 4) meridians of an (N, 2n-2) stack of angles
-    already reduced mod 2 pi."""
-    n = thetas.shape[1] // 2 + 1
-    signs = np.array([(-1.0) ** (idx + 1) for idx in range(2 * n - 2)])
-    t = np.concatenate([thetas, (n * np.pi + np.vecdot(thetas, signs))[:, None]], axis=1)
-    rotors = np.sin(t)[..., None] * K
-    rotors[..., 0] = np.cos(t)
-    return make_reps(np.concatenate([np.broadcast_to(I, (t.shape[0], 1, 4)), qmul(rotors, I)], axis=1))
-
-
 def bd_from_angles(thetas: np.ndarray) -> np.ndarray:
     """Binary dihedral representations of an (N, 2n-2) stack of torus angles
     (theta_2, ..., theta_{2n-1}), taken mod 2 pi: the (N, 2n, 4) meridians.
@@ -419,12 +379,13 @@ def bd_from_angles(thetas: np.ndarray) -> np.ndarray:
     t = np.asarray(thetas, dtype=float)
     if t.ndim != 2 or t.shape[1] < 2 or t.shape[1] % 2:
         raise ValueError(f"expected an (N, 2n-2) angle stack with n >= 2, got shape {t.shape}")
-    return _bd_meridians(np.mod(t, 2.0 * np.pi))
-
-
-def bd_from_torus(coords: TorusCoords) -> PuncturedSphereRep:
-    """:func:`bd_from_angles` on the angles of one torus point."""
-    return PuncturedSphereRep(one_row(_bd_meridians, coords.thetas[None])[0])
+    t = np.mod(t, 2.0 * np.pi)
+    n = t.shape[1] // 2 + 1
+    signs = np.array([(-1.0) ** (idx + 1) for idx in range(2 * n - 2)])
+    t = np.concatenate([t, (n * np.pi + np.vecdot(t, signs))[:, None]], axis=1)
+    rotors = np.sin(t)[..., None] * K
+    rotors[..., 0] = np.cos(t)
+    return make_reps(np.concatenate([np.broadcast_to(I, (t.shape[0], 1, 4)), qmul(rotors, I)], axis=1))
 
 
 def angles_from_bd(meridians: np.ndarray) -> np.ndarray:
@@ -462,11 +423,6 @@ def angles_from_bd(meridians: np.ndarray) -> np.ndarray:
     first = np.argmax(cand != mirrored, axis=1)[:, None]
     mirror = np.take_along_axis(mirrored < cand, first, axis=1)
     return np.mod(np.where(mirror, mirrored, cand), 2.0 * np.pi)
-
-
-def torus_from_bd(rep: PuncturedSphereRep) -> TorusCoords:
-    """:func:`angles_from_bd` on one binary dihedral representation."""
-    return TorusCoords(rep.k // 2, one_row(angles_from_bd, rep.meridians[None])[0])
 
 
 # ---------------------------------------------------------------------------

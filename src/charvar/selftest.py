@@ -401,35 +401,43 @@ def check_bd_torus(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
 def check_link_sampler(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     """Link samples sit on the unit sphere and the Hessian quadric with
     the gauge fixed; refined samples (n = 3) land on the exact cutout.
-    Each sample stack is checked as one stack."""
-    worst_unit = 0.0
-    worst_quad = 0.0
+    Each sample stack is checked as one stack.  A failure names the key of
+    its stack, (seed, 13, n) or (seed, 14) for the refined one, and the
+    index of the point: point i replays with ``count = i + 1``."""
+    # the worst sphere, quadric and refined-cutout defects, each with the
+    # (stack key, point index) that drew it
+    worst = [(-np.inf, None)] * 3
+
+    def note(bound, key, defect):
+        i = int(np.argmax(defect))
+        if defect[i] > worst[bound][0]:
+            worst[bound] = (float(defect[i]), (key, i))
+
     real_tagged = 0
     total = 0
     for n, count in ((2, counts["link"] // 4), (3, counts["link"]), (4, counts["link"] // 4)):
-        zs = morse.link_samples(n, max(count, 1), campaign.keyed_rng(seed, 13, n))
+        key = (seed, 13, n)
+        zs = morse.link_samples(n, max(count, 1), campaign.keyed_rng(*key))
         total += len(zs)
-        sphere, quad = morse.link_defects(n, zs)
-        worst_unit = max(worst_unit, float(sphere.max()))
-        worst_quad = max(worst_quad, float(quad.max()))
-        lead = np.take_along_axis(zs, np.argmax(np.abs(zs), axis=-1)[:, None], axis=-1)
-        if np.any((lead.imag != 0.0) | (lead.real < 0.0)):
-            return CheckResult(False, f"n={n}: gauge not fixed")
+        for bound, defect in enumerate(morse.link_defects(n, zs)):
+            note(bound, key, defect)
+        lead = np.take_along_axis(zs, np.argmax(np.abs(zs), axis=-1)[:, None], axis=-1)[:, 0]
+        loose = np.flatnonzero((lead.imag != 0.0) | (lead.real < 0.0))
+        if loose.size:
+            return _verdict(f"n={n}: gauge not fixed", [(key, int(loose[0]))])
         real_tagged += int(np.all(zs.imag == 0.0, axis=-1).sum())
-    refined = morse.link_samples(3, counts["link_refine"], campaign.keyed_rng(seed, 14), refine=True)
-    worst_refined = float(np.abs(morse.eval_chart_g(3, refined)).max())
-    worst_unit = max(worst_unit, float(morse.link_defects(3, refined)[0].max()))
-    ok = (
-        worst_unit <= morse.LINK_TOL
-        and worst_quad <= morse.LINK_TOL
-        and worst_refined <= morse.REFINE_TOL
-        and real_tagged <= max(1, total // 1000)
-    )
-    return CheckResult(
-        ok,
+    key = (seed, 14)
+    refined = morse.link_samples(3, counts["link_refine"], campaign.keyed_rng(*key), refine=True)
+    note(2, key, np.abs(morse.eval_chart_g(3, refined)))
+    note(0, key, morse.link_defects(3, refined)[0])
+    (worst_unit, _), (worst_quad, _), (worst_refined, _) = worst
+    bounds = (morse.LINK_TOL, morse.LINK_TOL, morse.REFINE_TOL)
+    verdict = _verdict(
         f"sphere defect {worst_unit:.3e}, quadric defect {worst_quad:.3e}, "
         f"refined cutout residual {worst_refined:.3e}, {real_tagged}/{total} real-tagged",
+        [at for (value, at), bound in zip(worst, bounds) if value > bound],
     )
+    return CheckResult(verdict.ok and real_tagged <= max(1, total // 1000), verdict.detail)
 
 
 CHECKS: tuple[tuple[str, Callable[[Mapping[str, int], int], CheckResult]], ...] = (

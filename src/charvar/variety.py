@@ -7,8 +7,8 @@ samples f^{-1}(0) exactly, classifies points into the abelian, binary
 dihedral, and generic loci by the rank of the meridian directions, and
 produces explicit submersion certificates away from the abelian points.
 The sampler and the certificate layer are implemented once, on stacks;
-:func:`sample_point`, :func:`submersion_certificate`, :func:`conjugation_rank`
-and :func:`local_dimension` are one-row calls of their stacked forms.
+:func:`sample_point`, :func:`submersion_certificate` and
+:func:`local_dimension` are one-row calls of their stacked forms.
 Stacked forms return arrays; LOCUS_NAMES names the locus of each rank of
 :func:`locus_ranks`, and only :func:`classify_locus` builds a LocusLabel.
 """
@@ -97,24 +97,28 @@ def sample_points(k: int, rngs) -> np.ndarray:
     A row draws what one-row calls draw in turn: its ``k - 2`` directions in
     one :func:`quat.random_directions` call, then the angle or, when w is
     central, one more direction.  ``rngs`` is a :class:`charvar.pcg.Streams`,
-    such as :func:`charvar.campaign.keyed_rngs`, or distinct generators.
-    Each row's normals and angle are decoded from its stream in one array
-    pass (:mod:`charvar.pcg`), and a list's generators are left where those
-    draws leave them.  A row with a normal off the ziggurat's fast path, or
-    whose generator is not PCG64, draws them from its generator instead; a
-    row with a rejected direction or a central w is drawn again from its
-    start state through the sequential draws, which leave its generator
-    where one-row calls leave it.  A row is the same bits in any stack (see
-    :mod:`charvar.quat` on dot products).
+    such as :func:`charvar.campaign.keyed_rngs`, or distinct generators of
+    any bit generator.  A keyed row's normals and angle are decoded from
+    its stream in one array pass (:mod:`charvar.pcg`); a keyed row with a
+    normal off the ziggurat's fast path, and every row of a list, draws
+    them from its generator.  A row with a rejected direction or a central
+    w is drawn again from its start state through the sequential draws.
+    Either way a list's generators are left where one-row calls leave
+    them, and a row is the same bits in any stack (see :mod:`charvar.quat`
+    on dot products).
     """
     if k < 3:
         raise ValueError(f"need k >= 3, got k = {k}")
     streams = pcg.Streams.of(rngs)
     n = len(streams)
-    out = streams.draw(3 * (k - 2) + 1)
-    normals, fast = pcg.standard_normal(out[:, :-1])
-    phi = 2.0 * np.pi * pcg.next_double(out[:, -1])
-    for row in np.flatnonzero(~(fast.all(axis=1) & streams.decodable)).tolist():
+    if streams.state is None:
+        normals, phi, sequential = np.empty((n, 3 * (k - 2))), np.empty(n), range(n)
+    else:
+        out = streams.draw(3 * (k - 2) + 1)
+        normals, fast = pcg.standard_normal(out[:, :-1])
+        phi = 2.0 * np.pi * pcg.next_double(out[:, -1])
+        sequential = np.flatnonzero(~fast.all(axis=1)).tolist()
+    for row in sequential:
         rng = streams.generator(row)
         normals[row] = rng.standard_normal((k - 2, 3)).reshape(-1)
         phi[row] = rng.uniform(0.0, 2.0 * np.pi)
@@ -240,11 +244,6 @@ def conjugation_ranks(parts) -> np.ndarray:
     brackets = qmul(u, parts[:, None]) - qmul(parts[:, None], u)
     svals = np.linalg.svd(brackets[..., 1:].reshape(len(parts), 3, 3 * parts.shape[1]), compute_uv=False)
     return np.sum(svals > RANK_TOL_FACTOR * svals[:, :1], axis=-1)
-
-
-def conjugation_rank(partial) -> int:
-    """:func:`conjugation_ranks` on one tuple of meridians."""
-    return int(one_row(conjugation_ranks, [partial])[0])
 
 
 def local_dimensions(meridians) -> np.ndarray:

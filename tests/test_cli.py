@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from charvar import cli, cover, morse, selftest, variety
+from charvar import campaign, cli, cover, morse, selftest, variety
 from charvar.errors import RelationViolated
 from charvar.quat import ONE, gprod
 from charvar.rep import fingerprint, fingerprint_digest
@@ -273,6 +273,28 @@ def test_failed_fiber_and_torus_checks_name_the_sample_key(monkeypatch):
     assert not result.ok
     worst = result.detail.split("; worst samples ")[1]
     assert worst.startswith("[(3, 11, ") and ", (3, 12, " in worst
+
+
+def test_failed_link_sampler_names_its_stack_and_point(monkeypatch):
+    # under a negative LINK_TOL the sphere and quadric bounds break: the
+    # check names the key of the stack and the index i of the worst point,
+    # and the first i + 1 points of that stack's generator replay it
+    counts = {"link": 300, "link_refine": 40}
+    passing = selftest.check_link_sampler(counts, 3)
+    monkeypatch.setattr(morse, "LINK_TOL", -1.0)
+    result = selftest.check_link_sampler(counts, 3)
+    detail, worst = result.detail.split("; worst samples ")
+    assert not result.ok and detail == passing.detail
+    reported = re.search(r"sphere defect (\S+), quadric defect (\S+),", detail).groups()
+    for bound, (key, i) in enumerate(ast.literal_eval(worst)):
+        n, refine = (key[2], False) if key[1] == 13 else (3, True)
+        z = morse.link_samples(n, i + 1, campaign.keyed_rng(*key), refine=refine)[-1:]
+        assert f"{morse.link_defects(n, z)[bound][0]:.3e}" == reported[bound], key
+    # a point off the gauge slice is named by its stack and index
+    real = morse.link_samples
+    monkeypatch.setattr(morse, "link_samples", lambda *args, **kwargs: -real(*args, **kwargs))
+    result = selftest.check_link_sampler(counts, 3)
+    assert (result.ok, result.detail) == (False, "n=2: gauge not fixed; worst samples [((3, 13, 2), 0)]")
 
 
 @pytest.mark.parametrize(

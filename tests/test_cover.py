@@ -18,7 +18,6 @@ from charvar.cover import (
     pushforwards,
     roundtrip_residuals,
     section_inputs,
-    surface_sample,
     surface_samples,
 )
 from charvar.errors import ConstraintViolated, NotTraceless, RelationViolated
@@ -26,14 +25,22 @@ from charvar.quat import I, J, K, ONE, exp_pure, gprod, qmul, random_unit
 from charvar.rep import (
     PuncturedSphereRep,
     SurfaceRep,
-    TorusCoords,
-    alpha_star,
-    bd_from_torus,
+    bd_from_angles,
     fingerprint,
     make_rep,
     make_surface_rep,
 )
 from charvar.variety import BINARY_DIHEDRAL, GENERIC, classify_locus, enumerate_abelian, sample_point
+
+
+def _surface(rng) -> SurfaceRep:
+    """The surface sample of one generator: its row of surface_samples."""
+    return SurfaceRep(*surface_samples([rng])[0])
+
+
+def _bd(thetas) -> PuncturedSphereRep:
+    """The binary dihedral representation of one point of the torus."""
+    return PuncturedSphereRep(bd_from_angles(np.asarray(thetas)[None])[0])
 
 
 class TestPushforward:
@@ -58,13 +65,12 @@ class TestPushforward:
         for i in range(15):
             r = sample_point(6, np.random.default_rng((211, i)))
             s1 = pushforward(r)
-            s2 = pushforward(alpha_star(r))
+            s2 = pushforward(make_rep(-r.meridians))
             for g1, g2 in zip(s1.generators(), s2.generators()):
                 assert float(np.max(np.abs(g1 - g2))) <= 1e-15
 
     def test_dihedral_image_is_abelian(self):
-        coords = TorusCoords(n=3, thetas=np.array([0.7, 1.8, 3.0, 4.9]))
-        gens = pushforward(bd_from_torus(coords)).generators()
+        gens = pushforward(_bd([0.7, 1.8, 3.0, 4.9])).generators()
         for p in range(4):
             for q in range(p + 1, 4):
                 defect = np.linalg.norm(qmul(gens[p], gens[q]) - qmul(gens[q], gens[p]))
@@ -125,14 +131,14 @@ class TestCaseLadder:
     def test_residuals_on_random_valid_inputs(self):
         worst = 0.0
         for i in range(200):
-            surface = surface_sample(np.random.default_rng((223, i)))
+            surface = _surface(np.random.default_rng((223, i)))
             a, b, c, d, _ = section_inputs(np.stack(surface.generators()))
             sol = lemma52_detailed(a, b, c, d)
             worst = max(worst, float(sol.residuals.max()))
         assert worst <= 1e-10
 
     def test_solve_returns_pure_unit(self):
-        surface = surface_sample(np.random.default_rng(227))
+        surface = _surface(np.random.default_rng(227))
         a, b, c, d, _ = section_inputs(np.stack(surface.generators()))
         x = lemma52_detailed(a, b, c, d).x
         assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
@@ -147,15 +153,15 @@ class TestExtend:
         assert np.allclose(lift.meridians, want, atol=1e-15)
 
     def test_signs_are_sign_involution_partners(self):
-        surface = surface_sample(np.random.default_rng(229))
+        surface = _surface(np.random.default_rng(229))
         plus = extend(surface, 1)
         minus = extend(surface, -1)
-        assert np.array_equal(minus.meridians, alpha_star(plus).meridians)
+        assert np.array_equal(minus.meridians, -plus.meridians)
 
     def test_round_trip_both_signs(self):
         worst = 0.0
         for i in range(100):
-            surface = surface_sample(np.random.default_rng((233, i)))
+            surface = _surface(np.random.default_rng((233, i)))
             for sign in (1, -1):
                 back = pushforward(extend(surface, sign))
                 for g1, g2 in zip(surface.generators(), back.generators()):
@@ -163,7 +169,7 @@ class TestExtend:
         assert worst <= 1e-9
 
     def test_rejects_invalid_sign(self):
-        surface = surface_sample(np.random.default_rng(239))
+        surface = _surface(np.random.default_rng(239))
         with pytest.raises(ValueError):
             extend(surface, 2)
 
@@ -189,7 +195,7 @@ class TestFiber:
             report = fiber(pushforward(rho))
             assert not report.on_branch
             assert len(report.classes) == 2
-            want = (fingerprint(rho), fingerprint(alpha_star(rho)))
+            want = (fingerprint(rho), fingerprint(make_rep(-rho.meridians)))
             direct = max(report.classes[0].distance(want[0]), report.classes[1].distance(want[1]))
             crossed = max(report.classes[0].distance(want[1]), report.classes[1].distance(want[0]))
             assert min(direct, crossed) <= 1e-6
@@ -197,8 +203,7 @@ class TestFiber:
     def test_dihedral_fiber_is_one_class(self):
         for i in range(15):
             rng = np.random.default_rng((251, i))
-            coords = TorusCoords(n=3, thetas=rng.uniform(0.0, 2.0 * np.pi, 4))
-            report = fiber(pushforward(bd_from_torus(coords)))
+            report = fiber(pushforward(_bd(rng.uniform(0.0, 2.0 * np.pi, 4))))
             assert report.on_branch
             assert len(report.classes) == 1
             assert classify_locus(report.witnesses[0]).label != GENERIC
@@ -273,7 +278,7 @@ class TestStackedCover:
         assert chunked == campaign.chunked(seed, (), 40, rows)
         assert [key for key, *_ in chunked] == [(seed, i) for i in range(40)]
         for key, gens, x, rung, residuals, sheets, roundtrip, report in chunked:
-            surface = surface_sample(np.random.default_rng(key))
+            surface = _surface(np.random.default_rng(key))
             one = np.stack(surface.generators())
             assert one.tobytes() == gens
             sol = lemma52_detailed(*section_inputs(one)[:4])
@@ -323,7 +328,7 @@ class TestStackedCover:
         for key, record in zip(keys, records):
             rng = np.random.default_rng(key)
             if len(key) == 3:
-                family, quad = "generic", section_inputs(np.stack(surface_sample(rng).generators()))[:4]
+                family, quad = "generic", section_inputs(np.stack(_surface(rng).generators()))[:4]
             else:
                 family, quad = f"branch{key[2]}", lemma_branch_inputs(key[2], rng)
             sol = lemma52_detailed(*quad)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from charvar import campaign, pcg, ziggurat
-from charvar.variety import sample_point
+from charvar.variety import sample_point, sample_points
 
 KEYS = (
     [(seed,) for seed in range(300)]
@@ -20,8 +20,13 @@ KEYS = (
 )
 
 
+def _ints(stack: np.ndarray) -> list[int]:
+    """The Python ints of an (N, 2) stack of [high, low] words."""
+    return [hi << 64 | lo for hi, lo in stack.tolist()]
+
+
 def test_states_match_default_rng():
-    state, inc = map(pcg.ints, campaign.key_states(KEYS))
+    state, inc = map(_ints, campaign.key_states(KEYS))
     for key, s, i in zip(KEYS, state, inc):
         assert {"state": s, "inc": i} == np.random.default_rng(key).bit_generator.state["state"], key
 
@@ -84,7 +89,7 @@ def test_ziggurat_tables_are_numpys():
 def test_raw_outputs_are_numpys():
     state, inc = campaign.key_states(DECODED_KEYS[::50])
     out, end = pcg.outputs(state, inc, 31)
-    for key, row, left in zip(DECODED_KEYS[::50], out, pcg.ints(end)):
+    for key, row, left in zip(DECODED_KEYS[::50], out, _ints(end)):
         rng = np.random.default_rng(key)
         assert rng.bit_generator.random_raw(31).tobytes() == row.tobytes(), key
         assert rng.bit_generator.state["state"]["state"] == left, key
@@ -100,7 +105,7 @@ def test_decoded_rows_are_default_rng_draws(k):
     normals, fast = pcg.standard_normal(out[:, :-1])
     phi = 2.0 * np.pi * pcg.next_double(out[:, -1])
     want, one_each = np.empty_like(normals), []
-    for row, (key, left) in enumerate(zip(DECODED_KEYS, pcg.ints(end))):
+    for row, (key, left) in enumerate(zip(DECODED_KEYS, _ints(end))):
         rng = np.random.default_rng(key)
         want[row] = rng.standard_normal((k - 2, 3)).reshape(-1)
         assert rng.uniform(0.0, 2.0 * np.pi) == phi[row] or not fast[row].all(), key
@@ -152,3 +157,29 @@ def test_one_row_call_leaves_its_generator_as_before(k):
         want.standard_normal((k - 2, 3))
         want.uniform(0.0, 2.0 * np.pi)
         assert rng.bit_generator.state == want.bit_generator.state, key
+
+
+def _bit_generators(seed: int, count: int) -> list[np.random.Generator]:
+    """Generators of three bit generators in turn: MT19937, Philox and
+    numpy's default PCG64."""
+    makers = (np.random.MT19937, np.random.Philox, np.random.PCG64)
+    return [np.random.Generator(makers[i % 3]((seed, i))) for i in range(count)]
+
+
+def _state(value):
+    """A bit generator's state with its arrays as lists, so that states
+    compare with ==."""
+    if isinstance(value, dict):
+        return {key: _state(v) for key, v in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@pytest.mark.parametrize("k", [3, 6, 12])
+def test_any_bit_generator_in_a_list(k):
+    # a list's generators are drawn, not decoded: each row is its one-row
+    # call, and each generator ends where that call leaves it
+    rngs, alone = _bit_generators(k, 60), _bit_generators(k, 60)
+    rows = sample_points(k, rngs)
+    for i, (row, rng, want) in enumerate(zip(rows, rngs, alone)):
+        assert row.tobytes() == sample_point(k, want).meridians.tobytes(), i
+        assert _state(rng.bit_generator.state) == _state(want.bit_generator.state), i

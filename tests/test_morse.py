@@ -23,12 +23,12 @@ from charvar.morse import (
     pfaffian_exact,
     quadratic_form,
     refine_chart_zero,
-    rep_from_chart,
     s1_orbit,
     sample_link,
     tau,
 )
 from charvar.quat import I, exp_chart, random_directions
+from charvar.rep import complete_reps
 
 from scripted import ScriptedNormals
 
@@ -533,6 +533,7 @@ class TestLinkSampler:
         # scale into the chart's neighborhood of the singular point
         zs = 1e-3 * pt.zs
         refined = refine_chart_zero(3, zs)
-        r = rep_from_chart(refined)
-        assert r.k == 6
-        assert np.max(np.abs(r.meridians[:, 0])) <= 1e-10
+        # the meridians (i, i e^{x_1 j + y_1 k}, ...) and their completion
+        r = complete_reps(np.concatenate([I[None], exp_chart(refined)])[None])
+        assert r.shape == (1, 6, 4)
+        assert np.max(np.abs(r[..., 0])) <= 1e-10

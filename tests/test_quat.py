@@ -23,10 +23,8 @@ from charvar.quat import (
     exp_pure,
     from_rotation_matrix,
     gprod,
-    im,
     is_pure_unit,
     norm,
-    normalize,
     perpendicular,
     qconj,
     qinv,
@@ -109,8 +107,8 @@ class TestMultiplicationTable:
 
     def test_half_sum_product(self):
         # (1+i)(1+j) = 1 + i + j + k, worked out termwise
-        a = normalize(quat(1.0, 1.0, 0.0, 0.0))
-        b = normalize(quat(1.0, 0.0, 1.0, 0.0))
+        a = quat(1.0, 1.0, 0.0, 0.0) / np.sqrt(2.0)
+        b = quat(1.0, 0.0, 1.0, 0.0) / np.sqrt(2.0)
         assert np.allclose(qmul(a, b), quat(0.5, 0.5, 0.5, 0.5), atol=1e-15)
 
     def test_stacked_broadcast(self):
@@ -174,7 +172,7 @@ class TestRotation:
     def test_conjugation_matches_matrix_action(self):
         g = units(5)
         p = random_pure(np.random.default_rng(6))
-        assert np.allclose(im(conjugate(g, p)), rotation_matrix(g) @ im(p), atol=1e-13)
+        assert np.allclose(conjugate(g, p)[1:], rotation_matrix(g) @ p[1:], atol=1e-13)
 
     @pytest.mark.parametrize(
         "g",
@@ -432,10 +430,10 @@ def test_norm_and_normalize_stack_match_rows_exactly():
     # np.dot on a share of rows; the kernels must not
     stack = np.random.default_rng(47).normal(size=(4000, 4))
     norms = norm(stack)
-    unit = normalize(stack)
+    unit = stack / norms[:, None]
     for q, n, u in zip(stack, norms, unit):
         assert n == row_norm(q) == norm(q)
-        assert u.tobytes() == (q / row_norm(q)).tobytes() == normalize(q).tobytes()
+        assert u.tobytes() == (q / row_norm(q)).tobytes() == (q / norm(q)).tobytes()
 
 
 def test_gprod_of_stacked_factors_matches_rows_exactly():

@@ -1,5 +1,5 @@
-"""Representation containers, fingerprints, the sign-flip involution, and
-the binary dihedral torus parametrization."""
+"""Representation containers, fingerprints, the sign-flip involution
+(``make_reps(-meridians)``), and the binary dihedral torus parametrization."""
 
 import numpy as np
 import pytest
@@ -18,11 +18,8 @@ from charvar.rep import (
     Fingerprint,
     PuncturedSphereRep,
     SurfaceRep,
-    TorusCoords,
-    alpha_star,
     angles_from_bd,
     bd_from_angles,
-    bd_from_torus,
     complete_rep,
     complete_reps,
     conjugate_rep,
@@ -35,7 +32,6 @@ from charvar.rep import (
     make_surface_rep,
     make_surface_reps,
     surface_to_json,
-    torus_from_bd,
     word_indices,
 )
 from charvar.variety import conjugator_search, enumerate_abelian, sample_point, sample_points
@@ -45,7 +41,7 @@ class TestConstruction:
     def test_make_rep_valid(self):
         r = make_rep([I, J, -K])
         assert r.k == 3
-        assert np.array_equal(r.meridian(1), J)
+        assert np.array_equal(r.meridians[1], J)
 
     def test_make_rep_rejects_bad_product(self):
         with pytest.raises(ProductNotIdentity):
@@ -60,7 +56,7 @@ class TestConstruction:
         # ij = k is traceless, so the completion appends k^-1 = -k
         r = complete_rep([I, J])
         assert r.k == 3
-        assert np.allclose(r.meridian(2), -K, atol=1e-15)
+        assert np.allclose(r.meridians[2], -K, atol=1e-15)
         # a partial whose product has nonzero real part cannot close
         with pytest.raises(ConstraintViolated):
             complete_rep([I, I])
@@ -150,26 +146,28 @@ class TestFingerprint:
 
 
 class TestAlphaStar:
+    """alpha* negates every meridian: ``make_reps(-meridians)``."""
+
     def test_involution(self):
-        r = sample_point(6, np.random.default_rng(31))
-        assert np.array_equal(alpha_star(alpha_star(r)).meridians, r.meridians)
+        m = sample_points(6, [np.random.default_rng(31)])
+        assert np.array_equal(make_reps(-make_reps(-m)), m)
 
     def test_flips_all_meridians(self):
-        r = make_rep([I, J, -J, -I])
-        assert np.array_equal(alpha_star(r).meridians, -r.meridians)
+        m = make_reps(np.array([[I, J, -J, -I]]))
+        assert np.array_equal(make_reps(-m), -m)
 
     def test_rejects_odd_k(self):
-        with pytest.raises(ValueError):
-            alpha_star(make_rep([I, J, -K]))
+        # an odd number of sign flips negates the product
+        with pytest.raises(ProductNotIdentity):
+            make_reps(-make_reps(np.array([[I, J, -K]])))
 
     def test_fixes_binary_dihedral_class(self):
-        coords = TorusCoords(n=3, thetas=np.array([0.4, 1.9, 2.6, 5.1]))
-        bd = bd_from_torus(coords)
-        assert fingerprint(bd).distance(fingerprint(alpha_star(bd))) <= 1e-12
+        bd = bd_from_angles(np.array([[0.4, 1.9, 2.6, 5.1]]))
+        assert fingerprint_distances(*fingerprint_batch(np.concatenate([bd, make_reps(-bd)]))) <= 1e-12
 
     def test_moves_generic_class(self):
-        r = sample_point(6, np.random.default_rng(37))
-        assert fingerprint(r).distance(fingerprint(alpha_star(r))) > 1e-3
+        r = sample_points(6, [np.random.default_rng(37)])
+        assert fingerprint_distances(*fingerprint_batch(np.concatenate([r, make_reps(-r)]))) > 1e-3
 
 
 class TestConjugatorSearch:
@@ -215,7 +213,7 @@ class TestConjugatorSearch:
     def test_binary_dihedral_pair(self):
         # rank-2 directions: the SVD has a null direction and is not unique
         rng = np.random.default_rng(59)
-        a = bd_from_torus(TorusCoords(n=3, thetas=rng.uniform(0.0, 2.0 * np.pi, size=4)))
+        a = PuncturedSphereRep(bd_from_angles(rng.uniform(0.0, 2.0 * np.pi, size=(1, 4)))[0])
         b = conjugate_rep(random_unit(rng), a)
         found = conjugator_search(a, b)
         assert found is not None
@@ -229,41 +227,32 @@ class TestConjugatorSearch:
 
     def test_generic_point_not_conjugate_to_its_sign_flip(self):
         r = sample_point(6, np.random.default_rng(61))
-        assert conjugator_search(r, alpha_star(r)) is None
+        assert conjugator_search(r, make_rep(-r.meridians)) is None
 
 
 class TestTorus:
-    def test_coords_validation(self):
-        with pytest.raises(ValueError):
-            TorusCoords(n=1, thetas=np.array([]))
-        with pytest.raises(ValueError):
-            TorusCoords(n=3, thetas=np.zeros(3))
-
     def test_bd_product_closes_exactly(self):
         for n in (2, 3, 4, 5):
             rng = np.random.default_rng((53, n))
-            coords = TorusCoords(n=n, thetas=rng.uniform(0.0, 2.0 * np.pi, 2 * n - 2))
-            bd = bd_from_torus(coords)
-            assert bd.k == 2 * n
-            assert np.max(np.abs(bd.meridians[:, 0])) <= 1e-15
+            bd = bd_from_angles(rng.uniform(0.0, 2.0 * np.pi, (1, 2 * n - 2)))
+            assert bd.shape == (1, 2 * n, 4)
+            assert np.max(np.abs(bd[..., 0])) <= 1e-15
 
     def test_round_trip_up_to_mirror(self):
         for n in (2, 3, 4):
             rng = np.random.default_rng((59, n))
             thetas = rng.uniform(0.0, 2.0 * np.pi, 2 * n - 2)
-            rec = torus_from_bd(bd_from_torus(TorusCoords(n=n, thetas=thetas))).thetas
+            rec = angles_from_bd(bd_from_angles(thetas[None]))[0]
             direct = np.max(np.abs(np.mod(rec - thetas + np.pi, 2 * np.pi) - np.pi))
             mirror = np.max(np.abs(np.mod(rec + thetas + np.pi, 2 * np.pi) - np.pi))
             assert min(direct, mirror) <= 1e-9
 
     def test_rejects_generic_input(self):
-        r = sample_point(6, np.random.default_rng(61))
+        r = sample_points(6, [np.random.default_rng(61)])
         with pytest.raises(NotBinaryDihedral):
-            torus_from_bd(r)
+            angles_from_bd(r)
 
     def test_rejects_odd_k(self):
-        with pytest.raises(NotBinaryDihedral):
-            torus_from_bd(make_rep([I, J, -K]))
         with pytest.raises(NotBinaryDihedral, match="needs even k >= 4, got k = 3"):
             angles_from_bd(np.stack([make_rep([I, J, -K]).meridians] * 2))
 
@@ -287,8 +276,8 @@ def torus_inputs(n: int) -> dict[str, np.ndarray]:
 
 class TestAnglesFromBd:
     def test_torus_bytes_are_pinned(self, digest):
-        # recorded from torus_from_bd called one representation at a time,
-        # with numpy 2.4 on x86-64 Linux; the stack gives the same bytes
+        # recorded from one-row calls, with numpy 2.4 on x86-64 Linux; the
+        # stack gives the same bytes
         pinned = {
             2: ("57f2ce4d46a9cf80", "a6714be657df0389", "0694dc092d18b9b2", "7993a02f347b1344"),
             3: ("e8880bb272d7290b", "641b87bfcf712aad", "9dd2d81bdc1295b0", "eafc6b28c97c314f"),
@@ -297,7 +286,7 @@ class TestAnglesFromBd:
         }
         for n, wants in pinned.items():
             for stack, want in zip(torus_inputs(n).values(), wants):
-                rows = np.stack([torus_from_bd(PuncturedSphereRep(m)).thetas for m in stack])
+                rows = np.concatenate([angles_from_bd(m[None]) for m in stack])
                 assert digest(rows) == want
                 assert digest(angles_from_bd(stack)) == want
 
@@ -316,9 +305,6 @@ class TestAnglesFromBd:
         with pytest.raises(NotBinaryDihedral, match=message) as exc:
             angles_from_bd(stack)
         assert exc.value.row == 4
-        with pytest.raises(NotBinaryDihedral, match=message) as exc:
-            torus_from_bd(PuncturedSphereRep(stack[4]))
-        assert not hasattr(exc.value, "row")
 
 
 class TestSerialization:
@@ -379,18 +365,12 @@ class TestStackedConstructors:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_bd_from_angles(self, n, monkeypatch):
-        # angles on both sides of [0, 2 pi): the stacked form reduces them
-        # as TorusCoords does
+        # angles on both sides of [0, 2 pi)
         def angles(rngs):
             return np.stack([rng.uniform(-10.0, 10.0, size=2 * n - 2) for rng in rngs])
 
-        for thetas, row in _stacked_rows(monkeypatch, 11, bd_from_angles, angles):
+        for _, row in _stacked_rows(monkeypatch, 11, bd_from_angles, angles):
             assert row.shape == (2 * n, 4)
-            assert bd_from_torus(TorusCoords(n, thetas)).meridians.tobytes() == row.tobytes()
-        # a tiny negative angle reduces to exactly 2 pi, which a second
-        # reduction would turn into 0, with other bits
-        thetas = np.full((1, 2 * n - 2), -1e-20)
-        assert bd_from_angles(thetas)[0].tobytes() == bd_from_torus(TorusCoords(n, thetas[0])).meridians.tobytes()
 
     def test_bd_from_angles_rejects_odd_angle_counts(self):
         with pytest.raises(ValueError):

@@ -11,14 +11,12 @@ from charvar.errors import AbelianInput, ConstraintViolated
 from charvar.quat import I, J, K, ONE, exp_pure, gprod, qmul
 from charvar.rep import (
     PuncturedSphereRep,
-    TorusCoords,
-    alpha_star,
     bd_from_angles,
-    bd_from_torus,
     complete_rep,
     complete_reps,
     fingerprint,
     make_rep,
+    make_reps,
 )
 from charvar.variety import (
     ABELIAN,
@@ -26,7 +24,6 @@ from charvar.variety import (
     GENERIC,
     classify_locus,
     locus_ranks,
-    conjugation_rank,
     conjugation_ranks,
     deform,
     enumerate_abelian,
@@ -135,7 +132,7 @@ class TestBatchSampler:
 
 class TestClassification:
     def test_stacked_ranks_match_single(self):
-        reps = [make_rep([I, I, -I, -I]), bd_from_torus(TorusCoords(n=2, thetas=np.array([0.4, 1.9])))]
+        reps = [make_rep([I, I, -I, -I]), PuncturedSphereRep(bd_from_angles(np.array([[0.4, 1.9]]))[0])]
         reps += [sample_point(4, np.random.default_rng((109, i))) for i in range(4)]
         ranks = locus_ranks(np.stack([r.meridians for r in reps]))
         assert [classify_locus(r).rank for r in reps] == ranks.tolist()
@@ -148,8 +145,7 @@ class TestClassification:
         assert label.rank <= 1
 
     def test_binary_dihedral_anchor(self):
-        coords = TorusCoords(n=3, thetas=np.array([0.9, 2.1, 3.3, 4.5]))
-        label = classify_locus(bd_from_torus(coords))
+        label = classify_locus(PuncturedSphereRep(bd_from_angles(np.array([[0.9, 2.1, 3.3, 4.5]]))[0]))
         assert label.label == BINARY_DIHEDRAL
         assert label.rank == 2
 
@@ -160,12 +156,11 @@ class TestClassification:
         assert label.rank == 3
 
     def test_commutes_with_sign_involution(self):
-        for i in range(25):
-            r = sample_point(6, np.random.default_rng((109, i)))
-            assert classify_locus(alpha_star(r)).label == classify_locus(r).label
-        coords = TorusCoords(n=2, thetas=np.array([1.4, 0.2]))
-        bd = bd_from_torus(coords)
-        assert classify_locus(alpha_star(bd)).label == classify_locus(bd).label
+        # alpha* negates every meridian
+        reps = sample_points(6, [np.random.default_rng((109, i)) for i in range(25)])
+        bd = bd_from_angles(np.array([[1.4, 0.2]]))
+        for m in (reps, bd):
+            assert locus_ranks(make_reps(-m)).tolist() == locus_ranks(m).tolist()
 
 
 class TestSubmersion:
@@ -211,8 +206,8 @@ class TestSubmersion:
                 assert local_dimension(r) == 2 * k - 6
 
     def test_conjugation_rank_generic(self):
-        r = sample_point(6, np.random.default_rng(149))
-        assert conjugation_rank(r.meridians[:-1]) == 3
+        r = sample_points(6, [np.random.default_rng(149)])
+        assert conjugation_ranks(r[:, :-1]).tolist() == [3]
 
 
 class TestStackedCertificates:
@@ -249,7 +244,6 @@ class TestStackedCertificates:
             assert cert.axis.tobytes() == certs.axis[i].tobytes()
             assert np.float64(cert.derivative).tobytes() == certs.derivative[i].tobytes()
             assert deform(part, cert, 0.3).tobytes() == moved[i].tobytes()
-            assert conjugation_rank(part) == ranks[i]
             assert local_dimension(make_rep(row)) == dims[i]
         # an empty stack gives empty results
         assert submersion_certificates(parts[:0]).derivative.shape == (0,)
