@@ -1,8 +1,8 @@
 """Speed snapshot of charvar: microseconds per key of a campaign's keyed
-draws and the share of keyed rows a real generator draws, per operation,
-scalar and per stacked row, the morse and conjugator solvers per call, per
-in-process CLI job, and the acceptance criteria and the link sampler at
-full counts.
+draws, the sampler's and those of four certification checks, and the share
+of keyed rows a real generator draws, per operation, scalar and per
+stacked row, the morse and conjugator solvers per call, per in-process CLI
+job, and the acceptance criteria and the link sampler at full counts.
 
     python3 bench/snapshot.py
 
@@ -181,21 +181,56 @@ def layers(speed: HostSpeed) -> dict[str, dict]:
     return out
 
 
+TWO_PI = 2.0 * np.pi
+
+
+def _site_draws() -> dict:
+    """The draws of a chunk of keyed rows at four certification sites, as
+    the checks make them: a quaternion-algebra triple, a chart-symmetries
+    row at n = 6 (10 coordinates and an angle), a bd-torus row (four
+    angles) and the constructed ladder families' inputs.  A tree without
+    ``quat.random_draws`` draws them one generator at a time."""
+    if hasattr(quat, "random_draws"):
+        return {
+            "algebra": lambda keys, rngs: quat.random_draws(rngs, [("directions", 3, 4)]),
+            "chart": lambda keys, rngs: rngs.draws([("normal", 10), ("normal", 10), ("uniform", 1, 0.0, TWO_PI)]),
+            "torus": lambda keys, rngs: rngs.draws([("uniform", 4, 0.0, TWO_PI)]),
+            "branch_families": lambda keys, rngs: [cover.lemma_branch_inputs([key[-2] for key in keys], rngs)],
+        }
+    return {
+        "algebra": lambda keys, rngs: [quat.random_directions(rng, 3, 4) for rng in rngs],
+        "chart": lambda keys, rngs: [
+            (0.5 * (rng.normal(size=10) + 1j * rng.normal(size=10)), rng.uniform(0.0, TWO_PI)) for rng in rngs
+        ],
+        "torus": lambda keys, rngs: [rng.uniform(0.0, TWO_PI, size=4) for rng in rngs],
+        "branch_families": lambda keys, rngs: [cover.lemma_branch_inputs(key[-2], rng) for key, rng in zip(keys, rngs)],
+    }
+
+
 def keyed_draws(speed: HostSpeed) -> dict[str, dict]:
     """Microseconds per key of ROWS keyed rows, as ``campaign.chunked`` hands
     them to a campaign: their states hashed (``campaign.key_states``), their
-    generators taken in turn and left unused, and ``variety.sample_points(6)``
-    drawing from them."""
+    generators taken in turn and left unused, ``variety.sample_points(6)``
+    drawing from them, and the draws of :func:`_site_draws`; the ladder's
+    families take ROWS // 6 keys (seed, 9, b, i) each, b = 2..7, as
+    ``campaign.ladder_records`` orders them."""
 
     def keyed(fn):
         return lambda: campaign.chunked(7, (), ROWS, fn)
 
     keys = [(7, i) for i in range(ROWS)]
-    return {
+    family_keys = [(7, 9, b, i) for b in range(2, 8) for i in range(ROWS // 6)]
+    out = {
         "key_states": per_op(lambda: campaign.key_states(keys), ROWS, speed),
         "generators": per_op(keyed(lambda keys, rngs: [None for _ in rngs]), ROWS, speed),
         "sample_points(6)": per_op(keyed(lambda keys, rngs: list(variety.sample_points(6, rngs))), ROWS, speed),
     }
+    for name, draw in _site_draws().items():
+        if name == "branch_families":
+            out[name] = per_op(lambda: campaign.run(family_keys, draw), len(family_keys), speed)
+        else:
+            out[name] = per_op(keyed(draw), ROWS, speed)
+    return out
 
 
 def redrawn_share(k: int = 6) -> dict:

@@ -5,10 +5,13 @@ stacks of at most CHUNK rows, each row drawing what np.random.default_rng(key)
 draws, and names a rejected row by its key.  A stack's keys are hashed to
 PCG64 states in arrays (:func:`key_states`; tests/test_keyed_draws.py fails
 if numpy's seeding changes), and :func:`keyed_rngs` hands them on as one
-:class:`charvar.pcg.Streams`: the sampler decodes its rows' draws from the
-states, and other draws take a generator set to each row's state.  The
-record and gate functions of the cover round trip and the case ladder are
-the ones the CLI commands and the selftest checks both call.
+:class:`charvar.pcg.Streams`.  Every keyed draw of a campaign, the
+sampler's, the checks' and the ladder's constructed families', is decoded
+from the states in arrays (:meth:`charvar.pcg.Streams.draws`); only a row
+with a normal off the ziggurat's fast path, or with a rejected direction,
+is drawn by a generator set to the row's state.  The record and gate
+functions of the cover round trip and the case ladder are the ones the
+CLI commands and the selftest checks both call.
 """
 
 from __future__ import annotations
@@ -119,11 +122,13 @@ def key_states(keys: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def keyed_rngs(keys: list[tuple[int, ...]]) -> pcg.Streams:
-    """The streams of ``keys``, as np.random.default_rng(key) starts them:
-    iterated, one Generator set before each yield to the row's start state,
-    so it draws what that generator draws, and each row must be drawn before
-    the next is taken; :func:`charvar.variety.sample_points` decodes the
-    rows from their states instead.  The states are computed, and the keys
+    """The streams of ``keys``, as np.random.default_rng(key) starts them.
+    Their draws are decoded from the start states by
+    :meth:`charvar.pcg.Streams.draws`, which the sampler, the checks and
+    :func:`charvar.quat.random_draws` call; a row that cannot be decoded
+    exactly, and a row iterated, gets one Generator set to the row's start
+    state, so it draws what that generator draws, and each row must be
+    drawn before the next is taken.  The states are computed, and the keys
     checked, when this is called."""
     return pcg.Streams(*key_states(keys))
 
@@ -177,7 +182,9 @@ def ladder_records(seed: int, paths: tuple[tuple[int, ...], ...], count: int, pe
     """Case-ladder solutions: `count` generic section inputs, sample i drawn
     from (seed, *paths[0], i), then `per_branch` inputs constructed for
     each rung b = 2..7, input i drawn from (seed, *paths[1], b, i).  The
-    families share stacks, one :func:`cover.lemma52_stack` call each."""
+    families share stacks, one :func:`cover.lemma52_stack` call each, and
+    a stack's constructed rows are one :func:`cover.lemma_branch_inputs`
+    call."""
     generic = (seed, *paths[0])
 
     def records(keys, rngs):
@@ -186,8 +193,8 @@ def ladder_records(seed: int, paths: tuple[tuple[int, ...], ...], count: int, pe
         quads = np.empty((4, len(keys), 4))
         if n:
             quads[:, :n] = cover.section_inputs(cover.surface_samples(rngs[:n]))[:4]
-        for row, (key, rng) in enumerate(zip(keys[n:], rngs[n:]), n):
-            quads[:, row] = cover.lemma_branch_inputs(key[-2], rng)
+        if n < len(keys):
+            quads[:, n:] = cover.lemma_branch_inputs([key[-2] for key in keys[n:]], rngs[n:])
         _, rung, residuals = cover.lemma52_stack(*quads)
         return [
             {"family": "generic" if row < n else f"branch{key[-2]}", "index": key[-1], "branch": b, "max_residual": r}

@@ -11,8 +11,8 @@ sign for x give the two sheets.
 
 Every operation is implemented once, on stacks of samples:
 :func:`pushforwards`, :func:`surface_samples`, :func:`section_inputs`,
-:func:`lemma52_stack`, :func:`lifts`, :func:`roundtrip_residuals` and
-:func:`fibers`.  The one-sample functions :func:`pushforward`,
+:func:`lemma_branch_inputs`, :func:`lemma52_stack`, :func:`lifts`,
+:func:`roundtrip_residuals` and :func:`fibers`.  The one-sample functions :func:`pushforward`,
 :func:`lemma52_detailed`, :func:`extend` and :func:`fiber` are one-row
 calls of them; the stacked forms return arrays,
 and only :func:`fiber` builds a :class:`FiberReport`.  A row is independent
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pcg
 from .errors import ConstraintViolated, RelationViolated
 from .quat import (
     I,
@@ -42,8 +43,7 @@ from .quat import (
     norm,
     qinv,
     qmul,
-    random_pure,
-    random_unit,
+    random_draws,
     rotor_between,
 )
 from .rep import (
@@ -193,38 +193,76 @@ def _coset_point(theta) -> np.ndarray:
     return qmul(exp_pure(theta, K), I)
 
 
-def lemma_branch_inputs(branch: int, rng: np.random.Generator):
-    """Deterministic input families that land on each rung of the case
-    ladder.  Branches 5 and 6 need commutator defects straddling the
-    commutation cutoff, realized by binary dihedral quadruples with angle
-    gaps eps and 2*eps around it; both satisfy abcd = dcba exactly.  The
-    dihedral quadruples stay in the i,j coordinate plane: the structural
-    zeros keep the tiny defect pointing exactly along k, which a random
-    conjugation would smear by roundoff/defect ~ 1e-8."""
+# the draws of a row of each constructed family, in order (quat.random_draws)
+_PURE, _UNIT = ("directions", 1, 3), ("directions", 1, 4)
+_BRANCH_DRAWS = {
+    2: (_UNIT, _UNIT),
+    3: (_PURE, ("uniform", 2, 0.2, 1.2), _UNIT),
+    4: (_PURE, ("uniform", 1, 0.2, 1.2), _UNIT),
+    5: (("uniform", 1, 0.0, 2.0 * np.pi),),
+    6: (("uniform", 1, 0.0, 2.0 * np.pi),),
+    7: (_PURE, ("uniform", 4, 0.0, 2.0 * np.pi)),
+}
+# the most raw outputs a row decodes its draws from: 3 + 2 + 4 on branch 3
+_BRANCH_OUTPUTS = 9
+
+
+def _pure(directions: np.ndarray) -> np.ndarray:
+    """The pure quaternions of an (N, 1, 3) stack of directions."""
+    out = np.zeros((len(directions), 4))
+    out[:, 1:] = directions[:, 0]
+    return out
+
+
+def _branch_family(branch: int, draws: list[np.ndarray]) -> tuple:
+    """(a, b, c, d) of a constructed family, (N, 4) stacks or ONE, from the
+    stacks of its rows' draws."""
     eps = 3.7e-9
     if branch == 2:
-        b, c = random_unit(rng), random_unit(rng)
+        b, c = (v[:, 0] for v in draws)
         return ONE, b, c, b
     if branch == 3:
-        u = random_pure(rng)
-        alpha, beta = rng.uniform(0.2, 1.2, size=2)
+        u, (alpha, beta), d = _pure(draws[0]), draws[1].T, draws[2][:, 0]
         gamma = np.pi - alpha - beta
-        return (*exp_pure(np.array([alpha, beta, gamma]), u), random_unit(rng))
+        return (*np.moveaxis(exp_pure(np.stack([alpha, beta, gamma], axis=1), u[:, None]), 1, 0), d)
     if branch == 4:
-        u = random_pure(rng)
-        c = exp_pure(rng.uniform(0.2, 1.2), u)
-        return random_unit(rng), ONE, c, qinv(c)
+        u, theta, a = _pure(draws[0]), draws[1][:, 0], draws[2][:, 0]
+        c = exp_pure(theta, u)
+        return a, ONE, c, qinv(c)
     if branch in (5, 6):
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        if branch == 5:
-            gaps = (0.0, -eps, -2.0 * eps, -eps)
-        else:
-            gaps = (0.0, eps, 0.0, -eps)
-        return tuple(_coset_point(theta + np.array(gaps)))
-    if branch == 7:
-        u = random_pure(rng)
-        return tuple(exp_pure(rng.uniform(0.0, 2.0 * np.pi, size=4), u))
-    raise ValueError(f"no constructed family for branch {branch}")
+        gaps = (0.0, -eps, -2.0 * eps, -eps) if branch == 5 else (0.0, eps, 0.0, -eps)
+        return tuple(np.moveaxis(_coset_point(draws[0] + np.array(gaps)), 1, 0))
+    # branch 7: four angles about one axis
+    return tuple(np.moveaxis(exp_pure(draws[1], _pure(draws[0])[:, None]), 1, 0))
+
+
+def lemma_branch_inputs(branches, rngs) -> np.ndarray:
+    """Deterministic input families that land on each rung of the case
+    ladder: the (4, N, 4) stack of (a, b, c, d), row i constructed for
+    rung ``branches[i]`` from ``rngs[i]``, a :class:`charvar.pcg.Streams`
+    or distinct generators.  Branches 5 and 6 need commutator defects
+    straddling the commutation cutoff, realized by binary dihedral
+    quadruples with angle gaps eps and 2*eps around it; both satisfy abcd =
+    dcba exactly.  The dihedral quadruples stay in the i,j coordinate
+    plane: the structural zeros keep the tiny defect pointing exactly along
+    k, which a random conjugation would smear by roundoff/defect ~ 1e-8.
+
+    Each family's rows are one stack, drawn by :func:`quat.random_draws`;
+    keyed rows of every family decode from one draw of their streams.  A
+    row draws what the one-row calls draw in turn: random_pure for u,
+    random_unit for a unit, ``rng.uniform`` for its angles."""
+    streams = pcg.Streams.of(rngs)
+    branches = np.asarray(branches)
+    out = None if streams.state is None else streams.draw(_BRANCH_OUTPUTS)
+    quads = np.empty((4, len(streams), 4))
+    for branch in sorted(set(branches.tolist())):
+        if branch not in _BRANCH_DRAWS:
+            raise ValueError(f"no constructed family for branch {branch}")
+        rows = np.flatnonzero(branches == branch)
+        draws = random_draws(streams[rows], _BRANCH_DRAWS[branch], None if out is None else out[rows])
+        for slot, value in enumerate(_branch_family(branch, draws)):
+            quads[slot, rows] = value
+    return quads
 
 
 def section_inputs(generators: np.ndarray):

@@ -17,7 +17,13 @@ Softw. 5(8)).  Its fast path takes one output: the low 8 bits are the layer
 idx, the next bit the sign, the next 52 bits ``rabs``, and x = rabs wi[idx]
 is kept when rabs < ki[idx].  Off that path numpy draws more outputs and
 calls C's exp and log1p, which arrays need not round alike: such a draw is
-left to a real generator.  The tables WI and KI are in
+left to a real generator.  :func:`decode` reads a row's fixed sequence of
+numpy calls (``standard_normal``, ``normal`` and ``uniform``) from its raw
+outputs, and :meth:`Streams.draws` does so for every keyed row of a stack
+at once.  The sampler, the selftest checks and the case ladder's
+constructed families decode their keyed rows so; only rows with a normal
+off the fast path, and every row of a list of generators, are drawn by
+their generators.  The tables WI and KI are in
 :mod:`charvar.ziggurat`, read from the installed numpy by
 :func:`probe_tables` (``python -m charvar.pcg`` writes that module); the
 tests probe them again, so a numpy that changes them fails loudly.
@@ -109,9 +115,33 @@ def next_double(out: np.ndarray) -> np.ndarray:
     return (out >> 11).astype(float) * (1.0 / 9007199254740992.0)
 
 
+def decode(out: np.ndarray, calls) -> tuple[list[np.ndarray], np.ndarray]:
+    """The values of ``calls``, a row's fixed sequence of numpy draws, read
+    from each row of raw outputs ``out``: one (N, size) array per call, and
+    the mask of the rows read exactly, those whose normals all take the
+    ziggurat's fast path (the others hold no draw).  A call is (name, size,
+    *bounds), one of ("standard_normal", size), ("normal", size), which draws
+    0.0 + 1.0 x and so turns a -0.0 into 0.0, and ("uniform", size, low,
+    high), which draws low + (high - low) next_double.  ``out`` holds at
+    least the calls' total size of outputs a row."""
+    values, exact, start = [], np.ones(len(out), dtype=bool), 0
+    for name, size, *bounds in calls:
+        raw = out[:, start : start + size]
+        start += size
+        if name == "uniform":
+            low, high = bounds
+            values.append(low + (high - low) * next_double(raw))
+        else:
+            x, fast = standard_normal(raw)
+            exact &= fast.all(axis=1)
+            values.append(x if name == "standard_normal" else 0.0 + 1.0 * x)
+    return values, exact
+
+
 class Streams:
     """A stack of generators' streams, one per row, and the generator that
-    draws a row for real (:meth:`generator`).  Slicing takes rows.
+    draws a row for real (:meth:`generator`).  Indexing takes rows, and
+    :meth:`draws` draws a row's sequence of calls for every row.
 
     The streams of keys (:func:`charvar.campaign.keyed_rngs`) are PCG64
     start states and increments, (N, 2) word stacks whose raw outputs
@@ -143,9 +173,10 @@ class Streams:
     def __len__(self) -> int:
         return len(self._gens if self.state is None else self.state)
 
-    def __getitem__(self, rows: slice) -> Streams:
+    def __getitem__(self, rows) -> Streams:
+        """The streams of ``rows``, a slice or a sequence of row indices."""
         if self.state is None:
-            return Streams(None, None, self._gens[rows])
+            return Streams(None, None, self._gens[rows] if isinstance(rows, slice) else [self._gens[i] for i in rows])
         return Streams(self.state[rows], self.inc[rows])
 
     def __iter__(self):
@@ -166,6 +197,25 @@ class Streams:
     def draw(self, m: int) -> np.ndarray:
         """The first m raw outputs of each keyed row, (N, m)."""
         return outputs(self.state, self.inc, m)[0]
+
+    def draws(self, calls, out: np.ndarray | None = None) -> list[np.ndarray]:
+        """Each call of ``calls`` (:func:`decode`) for every row, one (N, size)
+        array per call, as the calls on the row's generator draw them.
+        Keyed rows are decoded from their raw outputs: ``out`` if given, else
+        one :meth:`draw`.  A keyed row with a normal off the fast path, and
+        every row of a list, makes the calls on its generator, and a list's
+        generators are left where the calls leave them."""
+        n = len(self)
+        if self.state is None:
+            values, rows = [np.empty((n, size)) for _, size, *_ in calls], range(n)
+        else:
+            values, exact = decode(self.draw(sum(size for _, size, *_ in calls)) if out is None else out, calls)
+            rows = np.flatnonzero(~exact).tolist()
+        for row in rows:
+            rng = self.generator(row)
+            for (name, size, *bounds), value in zip(calls, values):
+                value[row] = getattr(rng, name)(*bounds, size=size)
+        return values
 
 
 def _probe(rng: np.random.Generator, first: int) -> tuple[float, bool]:

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pcg
+
 TOL_UNIT = 1e-12
 TOL_PURE = 1e-12
 RENORM_DRIFT = 1e-14
@@ -258,6 +260,35 @@ def random_directions(rng: np.random.Generator, count: int, dim: int) -> np.ndar
         return v / n[:, None]
     kept = v[keep] / n[keep, None]
     return np.concatenate([kept, random_directions(rng, count - len(kept), dim)])
+
+
+def random_draws(rngs, calls, out: np.ndarray | None = None) -> list[np.ndarray]:
+    """A row's fixed sequence of one-row draws for each row of ``rngs``, a
+    :class:`charvar.pcg.Streams` or distinct generators: one stack per call.
+    A call ("directions", count, dim) is :func:`random_directions`, an
+    (N, count, dim) stack, and ("uniform", size, low, high) is
+    ``rng.uniform(low, high, size)``, (N, size).  The normals and uniforms
+    are drawn by :meth:`charvar.pcg.Streams.draws`, from ``out`` if given;
+    a row with a direction of norm <= DRAW_CUTOFF is drawn again from its
+    start state through the one-row calls, so a list's generators end where
+    they leave them."""
+    streams = pcg.Streams.of(rngs)
+    n = len(streams)
+    raw = [("standard_normal", call[1] * call[2]) if call[0] == "directions" else call for call in calls]
+    values = streams.draws(raw, out)
+    rejected = np.zeros(n, dtype=bool)
+    for i, (name, count, *dims) in enumerate(calls):
+        if name == "directions":
+            v = values[i].reshape(n, count, *dims)
+            lengths = norm(v)
+            rejected |= np.any(lengths <= DRAW_CUTOFF, axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values[i] = v / lengths[..., None]
+    for row in np.flatnonzero(rejected).tolist():
+        rng = streams.generator(row)
+        for value, (name, size, *rest) in zip(values, calls):
+            value[row] = random_directions(rng, size, *rest) if name == "directions" else rng.uniform(*rest, size=size)
+    return values
 
 
 def random_pure(rng: np.random.Generator) -> np.ndarray:

@@ -99,10 +99,11 @@ def sample_points(k: int, rngs) -> np.ndarray:
     central, one more direction.  ``rngs`` is a :class:`charvar.pcg.Streams`,
     such as :func:`charvar.campaign.keyed_rngs`, or distinct generators of
     any bit generator.  A keyed row's normals and angle are decoded from
-    its stream in one array pass (:mod:`charvar.pcg`); a keyed row with a
-    normal off the ziggurat's fast path, and every row of a list, draws
-    them from its generator.  A row with a rejected direction or a central
-    w is drawn again from its start state through the sequential draws.
+    its stream in one array pass (:meth:`charvar.pcg.Streams.draws`); a
+    keyed row with a normal off the ziggurat's fast path, and every row of
+    a list, draws them from its generator.  A row with a rejected direction
+    or a central w is drawn again from its start state through the
+    sequential draws.
     Either way a list's generators are left where one-row calls leave
     them, and a row is the same bits in any stack (see :mod:`charvar.quat`
     on dot products).
@@ -111,18 +112,8 @@ def sample_points(k: int, rngs) -> np.ndarray:
         raise ValueError(f"need k >= 3, got k = {k}")
     streams = pcg.Streams.of(rngs)
     n = len(streams)
-    if streams.state is None:
-        normals, phi, sequential = np.empty((n, 3 * (k - 2))), np.empty(n), range(n)
-    else:
-        out = streams.draw(3 * (k - 2) + 1)
-        normals, fast = pcg.standard_normal(out[:, :-1])
-        phi = 2.0 * np.pi * pcg.next_double(out[:, -1])
-        sequential = np.flatnonzero(~fast.all(axis=1)).tolist()
-    for row in sequential:
-        rng = streams.generator(row)
-        normals[row] = rng.standard_normal((k - 2, 3)).reshape(-1)
-        phi[row] = rng.uniform(0.0, 2.0 * np.pi)
-    normals = normals.reshape(n, k - 2, 3)
+    normals, phi = streams.draws([("standard_normal", 3 * (k - 2)), ("uniform", 1, 0.0, 2.0 * np.pi)])
+    normals, phi = normals.reshape(n, k - 2, 3), phi[:, 0]
     lengths = quat.norm(normals)
     drawn = np.all(lengths > quat.DRAW_CUTOFF, axis=1)
     qs = np.zeros((n, k - 1, 4))

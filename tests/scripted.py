@@ -32,5 +32,7 @@ class ScriptedNormals:
     def normal(self, size):
         return self.standard_normal(size)
 
-    def uniform(self, low, high):
-        return low + (high - low) * float(self.standard_normal(1)[0])
+    def uniform(self, low, high, size=None):
+        if size is None:
+            return low + (high - low) * float(self.standard_normal(1)[0])
+        return low + (high - low) * self.standard_normal(size)

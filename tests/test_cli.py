@@ -297,6 +297,31 @@ def test_failed_link_sampler_names_its_stack_and_point(monkeypatch):
     assert (result.ok, result.detail) == (False, "n=2: gauge not fixed; worst samples [((3, 13, 2), 0)]")
 
 
+def test_real_tagged_link_points_are_named(monkeypatch):
+    # every seventh point of each stack made real (and its gauge kept): the
+    # bound of one real-tagged point in a thousand breaks, and the check
+    # names the first limit + 1 such points, each of which replays real
+    counts = {"link": 300, "link_refine": 40}
+    passing = selftest.check_link_sampler(counts, 3)
+    real = morse.link_samples
+
+    def tagged(n, count, rng, refine=False):
+        zs = real(n, count, rng, refine=refine)
+        zs[::7] = np.abs(zs[::7])
+        return zs
+
+    monkeypatch.setattr(morse, "link_samples", tagged)
+    result = selftest.check_link_sampler(counts, 3)
+    detail, worst = result.detail.split("; worst samples ")
+    assert not result.ok and detail.endswith(", 65/450 real-tagged > 1")
+    assert passing.ok and passing.detail.endswith(", 0/450 real-tagged")
+    named = ast.literal_eval(worst)[-2:]
+    assert named == [((3, 13, 2), 0), ((3, 13, 2), 7)]
+    for key, i in named:
+        z = morse.link_samples(key[2], i + 1, campaign.keyed_rng(*key))[-1]
+        assert np.all(z.imag == 0.0), key
+
+
 @pytest.mark.parametrize(
     "check, tol, count, path",
     [

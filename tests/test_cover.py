@@ -109,12 +109,12 @@ class TestCaseLadder:
         # x of lemma52_stack on rung-7 stacks, recorded when each rung-7 row
         # was solved on its own, with numpy 2.4 on x86-64 Linux: constructed
         # rung-7 inputs, inputs on the axis +-i, and +-1 in every sign
-        quads = [lemma_branch_inputs(7, np.random.default_rng((29, i))) for i in range(100)]
+        quads = lemma_branch_inputs([7] * 100, [np.random.default_rng((29, i)) for i in range(100)])
         angles = np.random.default_rng(31).uniform(0.0, 2.0 * np.pi, size=(40, 4))
         axis_i = np.where((np.arange(40) % 2 == 0)[:, None, None], 1.0, -1.0) * exp_pure(angles, I)
         signs = np.where((np.arange(16)[:, None] >> np.arange(4)) & 1, -1.0, 1.0)
         stacks = {
-            "4261f6e722172e85": [np.stack(q) for q in zip(*quads)],
+            "4261f6e722172e85": list(quads),
             "1914681dfaf35482": list(np.moveaxis(axis_i, 1, 0)),
             "91e74f6a0c805024": list(np.moveaxis(signs[..., None] * ONE, 1, 0)),
         }
@@ -301,11 +301,9 @@ class TestStackedCover:
         # common-axis rung 7) and the anchors: the whole stack, its chunks of
         # 16 and one-row calls give the same bytes
         quads = [(I, J, -J, -I), (ONE, ONE, ONE, ONE)]
-        quads += [
-            lemma_branch_inputs(branch, np.random.default_rng((5, branch, i)))
-            for branch in (2, 3, 4, 5, 6, 7)
-            for i in range(8)
-        ]
+        branches = [branch for branch in (2, 3, 4, 5, 6, 7) for _ in range(8)]
+        rngs = [np.random.default_rng((5, branch, i)) for branch in (2, 3, 4, 5, 6, 7) for i in range(8)]
+        quads += list(zip(*lemma_branch_inputs(branches, rngs)))
         stack = [np.stack(v) for v in zip(*quads)]
         whole = lemma52_stack(*stack)
         assert whole[1].tolist() == [1, 7] + [b for b in (2, 3, 4, 5, 6, 7) for _ in range(8)]
@@ -330,7 +328,7 @@ class TestStackedCover:
             if len(key) == 3:
                 family, quad = "generic", section_inputs(np.stack(_surface(rng).generators()))[:4]
             else:
-                family, quad = f"branch{key[2]}", lemma_branch_inputs(key[2], rng)
+                family, quad = f"branch{key[2]}", lemma_branch_inputs([key[2]], [rng])[:, 0]
             sol = lemma52_detailed(*quad)
             want = {"family": family, "index": key[-1], "branch": sol.branch, "max_residual": float(sol.residuals.max())}
             assert record == want, key
@@ -339,18 +337,22 @@ class TestStackedCover:
 
     def test_ladder_names_a_rejected_constructed_row_by_its_key(self, monkeypatch):
         # input 1 of the rung-3 family, row 14 of the first stack of 16,
-        # breaks abcd = dcba after drawing what it draws
+        # breaks abcd = dcba after drawing what it draws; the first stack's
+        # constructed rows are one call, rung 2's three rows then rung 3's
         real, calls = lemma_branch_inputs, []
 
-        def broken(branch, rng):
-            quad = real(branch, rng)
-            calls.append(branch)
-            return (I, J, K, J) if (branch, calls.count(branch)) == (3, 2) else quad
+        def broken(branches, rngs):
+            quads = real(branches, rngs)
+            calls.append(list(branches))
+            if len(calls) == 1:
+                quads[:, 4] = (I, J, K, J)
+            return quads
 
         monkeypatch.setattr(campaign, "CHUNK", 16)
         monkeypatch.setattr(cover, "lemma_branch_inputs", broken)
         kind, message, row = _raised(campaign.ladder_records, 5, ((8,), (9,)), 10, 3)
         assert (kind, row) == (ConstraintViolated, 14)
+        assert calls == [[2, 2, 2, 3, 3, 3]]
         assert message == "sample (5, 9, 3, 1): abcd and dcba differ by 2.000e+00 > 1.0e-10"
 
     def test_abelian_points_match_scalar(self):

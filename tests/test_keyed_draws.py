@@ -6,7 +6,8 @@ numpy 1.17); these tests fail if numpy changes it."""
 import numpy as np
 import pytest
 
-from charvar import campaign, pcg, ziggurat
+from charvar import campaign, cover, pcg, quat, ziggurat
+from charvar.quat import I, K, ONE, exp_pure, qinv, qmul, random_directions, random_pure, random_unit
 from charvar.variety import sample_point, sample_points
 
 KEYS = (
@@ -183,3 +184,158 @@ def test_any_bit_generator_in_a_list(k):
     for i, (row, rng, want) in enumerate(zip(rows, rngs, alone)):
         assert row.tobytes() == sample_point(k, want).meridians.tobytes(), i
         assert _state(rng.bit_generator.state) == _state(want.bit_generator.state), i
+
+
+# every keyed draw of a certification: the calls each site makes on a row,
+# decoded, against the same calls on np.random.default_rng(key)
+
+SITE_KEYS = [(seed, 8, i) for seed in (0, 2**32, 25660265120, 2**64 + 7) for i in range(600)]
+TWO_PI = 2.0 * np.pi
+# (site, its calls, the one-row draws of a generator); the chart's calls
+# draw the real and imaginary parts of m = 2n - 2 coordinates at n = 6
+SITE_CALLS = {
+    "chart-symmetries": (
+        [("normal", 10), ("normal", 10), ("uniform", 1, 0.0, TWO_PI)],
+        lambda rng: [rng.normal(size=10), rng.normal(size=10), [rng.uniform(0.0, TWO_PI)]],
+    ),
+    "bd-torus round trip": ([("uniform", 8, 0.0, TWO_PI)], lambda rng: [rng.uniform(0.0, TWO_PI, size=8)]),
+    "bd-torus push, fiber-two-fold": ([("uniform", 4, 0.0, TWO_PI)], lambda rng: [rng.uniform(0.0, TWO_PI, size=4)]),
+    "sample_points(6)": (
+        [("standard_normal", 12), ("uniform", 1, 0.0, TWO_PI)],
+        lambda rng: [rng.standard_normal((4, 3)).reshape(-1), [rng.uniform(0.0, TWO_PI)]],
+    ),
+    "uniform(0.2, 1.2)": ([("uniform", 2, 0.2, 1.2)], lambda rng: [rng.uniform(0.2, 1.2, size=2)]),
+}
+
+
+def _rows(draw, rngs) -> list[bytes]:
+    """The bytes of each generator's one-row draws, call after call."""
+    return [b"".join(np.asarray(v, dtype=float).tobytes() for v in draw(rng)) for rng in rngs]
+
+
+def _joined(values) -> list[bytes]:
+    """The bytes of each row of a stacked draw, call after call."""
+    return [b"".join(v.tobytes() for v in row) for row in zip(*values)]
+
+
+@pytest.mark.parametrize("site", SITE_CALLS)
+def test_site_draws_are_default_rng_draws(site):
+    calls, draw = SITE_CALLS[site]
+    streams = campaign.keyed_rngs(SITE_KEYS)
+    values = streams.draws(calls)
+    assert [v.shape for v in values] == [(len(SITE_KEYS), call[1]) for call in calls]
+    assert _joined(values) == _rows(draw, map(np.random.default_rng, SITE_KEYS))
+    # and a list's generators are drawn, and left where the one-row draws leave them
+    rngs, alone = [[np.random.default_rng(key) for key in SITE_KEYS[::40]] for _ in range(2)]
+    assert _joined(pcg.Streams.of(rngs).draws(calls)) == _rows(draw, alone)
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in alone]
+
+
+def _stepped_to(value: int, steps: int) -> int:
+    """The PCG64 state, with increment 1, whose ``steps``-th stepped state is
+    ``value`` (below 2^64), so that its ``steps``-th raw output is ``value``."""
+    inverse = pow(pcg.MULT, -1, 1 << 128)
+    for _ in range(steps):
+        value = (value - 1) * inverse & pcg.M128
+    return value
+
+
+# raw outputs that pin a normal: rabs << 9 | sign << 8 | idx
+SLOW_TAIL = (pcg.M128 >> 76) << 9 | 0  # layer 0 past ki: numpy's tail draw
+SLOW_LAYER = 12345 << 9 | 1 << 8 | 1  # layer 1 has ki = 0: never fast
+NEGATIVE_ZERO = 0 << 9 | 1 << 8 | 7  # rabs 0 with the sign bit: -0.0
+
+
+CHOSEN_CALLS = [("uniform", 1, 0.2, 1.2), ("standard_normal", 5), ("normal", 6), ("uniform", 2, 0.0, TWO_PI)]
+
+
+def _chosen_draws(rng):
+    return [[rng.uniform(0.2, 1.2)], rng.standard_normal(5), rng.normal(size=6), rng.uniform(0.0, TWO_PI, size=2)]
+
+
+@pytest.mark.parametrize("position", [2, 6, 7, 12])
+@pytest.mark.parametrize("value", [SLOW_TAIL, SLOW_LAYER, NEGATIVE_ZERO])
+def test_chosen_outputs_decode_as_numpy_draws(value, position):
+    # a row whose raw output ``position`` (from 1; 2..6 are the standard
+    # normals, 7..12 the normals) is chosen, after rows of keys: a slow-path
+    # normal sends the row to its generator, and normal() draws 0.0 where
+    # standard_normal() draws -0.0
+    keyed = campaign.keyed_rngs(SITE_KEYS[:3])
+    start = _stepped_to(value, position)
+    state = np.concatenate([keyed.state, pcg.words([start])])
+    streams = pcg.Streams(state, np.concatenate([keyed.inc, pcg.words([1])]))
+    out = streams.draw(14)
+    assert int(out[-1, position - 1]) == value
+    _, exact = pcg.decode(out, CHOSEN_CALLS)
+    assert exact[-1] or value != NEGATIVE_ZERO
+    assert not exact[-1] or value == NEGATIVE_ZERO
+    values = streams.draws(CHOSEN_CALLS)
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = pcg.state_dict(start, 1)
+    want = _rows(_chosen_draws, [*map(np.random.default_rng, SITE_KEYS[:3]), rng])
+    assert _joined(values) == want
+    if value == NEGATIVE_ZERO:
+        column = position - 2
+        got = values[1][-1, column] if column < 5 else values[2][-1, column - 5]
+        assert got == 0.0 and np.signbit(got) == (column < 5)
+
+
+def _family_row(branch, rng):
+    """The one-row draws and construction of a ladder family on one
+    generator: random_pure, random_unit and rng.uniform called in turn."""
+    eps = 3.7e-9
+    if branch == 2:
+        b, c = random_unit(rng), random_unit(rng)
+        return ONE, b, c, b
+    if branch == 3:
+        u = random_pure(rng)
+        alpha, beta = rng.uniform(0.2, 1.2, size=2)
+        return (*exp_pure(np.array([alpha, beta, np.pi - alpha - beta]), u), random_unit(rng))
+    if branch == 4:
+        u = random_pure(rng)
+        c = exp_pure(rng.uniform(0.2, 1.2), u)
+        return random_unit(rng), ONE, c, qinv(c)
+    if branch in (5, 6):
+        theta = rng.uniform(0.0, TWO_PI)
+        gaps = (0.0, -eps, -2.0 * eps, -eps) if branch == 5 else (0.0, eps, 0.0, -eps)
+        return tuple(qmul(exp_pure(theta + np.array(gaps), K), I))
+    u = random_pure(rng)
+    return tuple(exp_pure(rng.uniform(0.0, TWO_PI, size=4), u))
+
+
+def _family_bytes(quads) -> list[bytes]:
+    return [np.stack(q).tobytes() for q in zip(*quads)]
+
+
+BRANCH_KEYS = SITE_KEYS[:2400:2]
+
+
+@pytest.mark.parametrize("cutoff", [quat.DRAW_CUTOFF, 0.9])
+def test_algebra_and_family_rows_are_default_rng_draws(cutoff, monkeypatch):
+    # under a cutoff of 0.9 about one unit 3-vector direction in six and one
+    # 4-vector in sixteen is rejected, and the row replays on its generator
+    monkeypatch.setattr(quat, "DRAW_CUTOFF", cutoff)
+    streams = campaign.keyed_rngs(SITE_KEYS)
+    (normals,) = streams.draws([("standard_normal", 12)])
+    rejected = np.any(quat.norm(normals.reshape(-1, 3, 4)) <= cutoff, axis=1).sum()
+    assert (rejected == 0) == (cutoff < 0.5) and rejected < len(SITE_KEYS) // 2
+    (triples,) = quat.random_draws(streams, [("directions", 3, 4)])
+    want = [random_directions(np.random.default_rng(key), 3, 4) for key in SITE_KEYS]
+    assert triples.tobytes() == np.stack(want).tobytes()
+    branches = [2 + i % 6 for i in range(len(BRANCH_KEYS))]
+    quads = cover.lemma_branch_inputs(branches, campaign.keyed_rngs(BRANCH_KEYS))
+    want = [_family_row(b, np.random.default_rng(key)) for b, key in zip(branches, BRANCH_KEYS)]
+    assert _family_bytes(quads) == _family_bytes(zip(*want))
+    # lists: each generator ends where its one-row draws leave it
+    rngs, alone = [[np.random.default_rng(key) for key in BRANCH_KEYS[:120]] for _ in range(2)]
+    quads = cover.lemma_branch_inputs(branches[:120], rngs)
+    assert _family_bytes(quads) == _family_bytes(zip(*[_family_row(b, r) for b, r in zip(branches, alone)]))
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in alone]
+    (triples,) = quat.random_draws(rngs, [("directions", 3, 4)])
+    assert triples.tobytes() == np.stack([random_directions(rng, 3, 4) for rng in alone]).tobytes()
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in alone]
+
+
+def test_unknown_branch_is_refused():
+    with pytest.raises(ValueError, match="no constructed family for branch 8"):
+        cover.lemma_branch_inputs([2, 8], [np.random.default_rng(0), np.random.default_rng(1)])

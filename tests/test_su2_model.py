@@ -213,7 +213,8 @@ class TestCover:
         # (all central, a common axis i) and constructed inputs of rungs 2..7
         quads = list(zip(*section_inputs(surface_samples(rngs_of(keys)))[:4]))
         quads += [(I, J, -J, -I), (ONE, ONE, ONE, ONE), tuple(exp_pure(t, I) for t in (0.3, 1.1, -0.4, 2.0))]
-        quads += [lemma_branch_inputs(branch, np.random.default_rng(key)) for branch, key in constructed]
+        rngs = [np.random.default_rng(key) for _, key in constructed]
+        quads += list(zip(*lemma_branch_inputs([branch for branch, _ in constructed], rngs)))
         a, b, c, d = (np.stack(v) for v in zip(*quads))
         x, _, _ = lemma52_stack(a, b, c, d)
         X, A, B, C, D = (su2(v) for v in (x, a, b, c, d))
