@@ -33,7 +33,7 @@ sys.path.insert(0, str(ROOT))
 
 import numpy as np  # noqa: E402
 
-from charvar import campaign, cli, cover, morse, quat, rep, selftest, variety  # noqa: E402
+from charvar import campaign, cli, cover, morse, pcg, quat, rep, selftest, variety  # noqa: E402
 from perfbench.worker import HostSpeed  # noqa: E402
 from perfbench.workloads import BUDGETS_S  # noqa: E402
 
@@ -188,22 +188,14 @@ def _site_draws() -> dict:
     """The draws of a chunk of keyed rows at four certification sites, as
     the checks make them: a quaternion-algebra triple, a chart-symmetries
     row at n = 6 (10 coordinates and an angle), a bd-torus row (four
-    angles) and the constructed ladder families' inputs.  A tree without
-    ``quat.random_draws`` draws them one generator at a time."""
-    if hasattr(quat, "random_draws"):
-        return {
-            "algebra": lambda keys, rngs: quat.random_draws(rngs, [("directions", 3, 4)]),
-            "chart": lambda keys, rngs: rngs.draws([("normal", 10), ("normal", 10), ("uniform", 1, 0.0, TWO_PI)]),
-            "torus": lambda keys, rngs: rngs.draws([("uniform", 4, 0.0, TWO_PI)]),
-            "branch_families": lambda keys, rngs: [cover.lemma_branch_inputs([key[-2] for key in keys], rngs)],
-        }
+    angles) and the constructed ladder families' inputs."""
     return {
-        "algebra": lambda keys, rngs: [quat.random_directions(rng, 3, 4) for rng in rngs],
-        "chart": lambda keys, rngs: [
-            (0.5 * (rng.normal(size=10) + 1j * rng.normal(size=10)), rng.uniform(0.0, TWO_PI)) for rng in rngs
-        ],
-        "torus": lambda keys, rngs: [rng.uniform(0.0, TWO_PI, size=4) for rng in rngs],
-        "branch_families": lambda keys, rngs: [cover.lemma_branch_inputs(key[-2], rng) for key, rng in zip(keys, rngs)],
+        "algebra": lambda keys, rngs: quat.random_draws(rngs, [("directions", 3, 4)]),
+        "chart": lambda keys, rngs: quat.random_draws(
+            rngs, [("normal", 10), ("normal", 10), ("uniform", 1, 0.0, TWO_PI)]
+        ),
+        "torus": lambda keys, rngs: quat.random_draws(rngs, [("uniform", 4, 0.0, TWO_PI)]),
+        "branch_families": lambda keys, rngs: [cover.lemma_branch_inputs([key[-2] for key in keys], rngs)],
     }
 
 
@@ -222,7 +214,9 @@ def keyed_draws(speed: HostSpeed) -> dict[str, dict]:
     family_keys = [(7, 9, b, i) for b in range(2, 8) for i in range(ROWS // 6)]
     out = {
         "key_states": per_op(lambda: campaign.key_states(keys), ROWS, speed),
-        "generators": per_op(keyed(lambda keys, rngs: [None for _ in rngs]), ROWS, speed),
+        "generators": per_op(
+            keyed(lambda keys, rngs: [rngs.generator(row) for row in range(len(rngs))]), ROWS, speed
+        ),
         "sample_points(6)": per_op(keyed(lambda keys, rngs: list(variety.sample_points(6, rngs))), ROWS, speed),
     }
     for name, draw in _site_draws().items():
@@ -236,12 +230,7 @@ def keyed_draws(speed: HostSpeed) -> dict[str, dict]:
 def redrawn_share(k: int = 6) -> dict:
     """The share of SHARE_KEYS keyed ``sample_points(k)`` rows that a real
     generator draws: the rows with a normal off the ziggurat's fast path,
-    which ``charvar.pcg`` cannot decode.  Without that module every row is
-    drawn by a generator."""
-    try:
-        from charvar import pcg
-    except ImportError:
-        return {"k": k, "keys": SHARE_KEYS, "share": 1.0}
+    which ``charvar.pcg`` cannot decode."""
     streams = campaign.keyed_rngs([(7, i) for i in range(SHARE_KEYS)])
     _, fast = pcg.standard_normal(streams.draw(3 * (k - 2) + 1)[:, :-1])
     return {"k": k, "keys": SHARE_KEYS, "share": 1.0 - float(fast.all(axis=1).mean())}

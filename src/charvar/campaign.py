@@ -6,12 +6,13 @@ draws, and names a rejected row by its key.  A stack's keys are hashed to
 PCG64 states in arrays (:func:`key_states`; tests/test_keyed_draws.py fails
 if numpy's seeding changes), and :func:`keyed_rngs` hands them on as one
 :class:`charvar.pcg.Streams`.  Every keyed draw of a campaign, the
-sampler's, the checks' and the ladder's constructed families', is decoded
-from the states in arrays (:meth:`charvar.pcg.Streams.draws`); only a row
-with a normal off the ziggurat's fast path, or with a rejected direction,
-is drawn by a generator set to the row's state.  The record and gate
-functions of the cover round trip and the case ladder are the ones the
-CLI commands and the selftest checks both call.
+sampler's, the checks' and the ladder's constructed families', is one
+:func:`charvar.quat.random_draws` call, which decodes the rows from the
+states in arrays; only a row with a normal off the ziggurat's fast path,
+or with a rejected direction, is drawn by a generator set to the row's
+state.  The record and gate functions of the cover round trip and the
+case ladder are the ones the CLI commands and the selftest checks both
+call.
 """
 
 from __future__ import annotations
@@ -123,13 +124,11 @@ def key_states(keys: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
 
 def keyed_rngs(keys: list[tuple[int, ...]]) -> pcg.Streams:
     """The streams of ``keys``, as np.random.default_rng(key) starts them.
-    Their draws are decoded from the start states by
-    :meth:`charvar.pcg.Streams.draws`, which the sampler, the checks and
-    :func:`charvar.quat.random_draws` call; a row that cannot be decoded
-    exactly, and a row iterated, gets one Generator set to the row's start
-    state, so it draws what that generator draws, and each row must be
-    drawn before the next is taken.  The states are computed, and the keys
-    checked, when this is called."""
+    :func:`charvar.quat.random_draws` decodes their draws from the start
+    states; a row that cannot be decoded exactly gets one Generator set to
+    the row's start state (:meth:`charvar.pcg.Streams.generator`), so it
+    draws what that generator draws.  The states are computed, and the
+    keys checked, when this is called."""
     return pcg.Streams(*key_states(keys))
 
 

@@ -247,10 +247,11 @@ def lemma_branch_inputs(branches, rngs) -> np.ndarray:
     plane: the structural zeros keep the tiny defect pointing exactly along
     k, which a random conjugation would smear by roundoff/defect ~ 1e-8.
 
-    Each family's rows are one stack, drawn by :func:`quat.random_draws`;
-    keyed rows of every family decode from one draw of their streams.  A
-    row draws what the one-row calls draw in turn: random_pure for u,
-    random_unit for a unit, ``rng.uniform`` for its angles."""
+    Each family's rows are one stack of :func:`quat.random_draws`, which
+    draws every stacked row; keyed rows of every family decode from one
+    draw of their streams, handed to it as ``out``.  A row draws what the
+    one-row calls draw in turn: random_pure for u, random_unit for a unit,
+    ``rng.uniform`` for its angles."""
     streams = pcg.Streams.of(rngs)
     branches = np.asarray(branches)
     out = None if streams.state is None else streams.draw(_BRANCH_OUTPUTS)

@@ -1,7 +1,7 @@
 """numpy's PCG64 stream read in arrays: the raw outputs of a stack of
 generators, numpy's standard normal and uniform draws decoded from them, and
 :class:`Streams`, a stack of keyed start states, or of plain generators,
-that also yields real generators.
+that also hands out a row's real generator.
 
 PCG64 is the 128-bit LCG s -> M s + inc with the XSL-RR output function
 (O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient Statistically
@@ -19,14 +19,13 @@ is kept when rabs < ki[idx].  Off that path numpy draws more outputs and
 calls C's exp and log1p, which arrays need not round alike: such a draw is
 left to a real generator.  :func:`decode` reads a row's fixed sequence of
 numpy calls (``standard_normal``, ``normal`` and ``uniform``) from its raw
-outputs, and :meth:`Streams.draws` does so for every keyed row of a stack
-at once.  The sampler, the selftest checks and the case ladder's
-constructed families decode their keyed rows so; only rows with a normal
-off the fast path, and every row of a list of generators, are drawn by
-their generators.  The tables WI and KI are in
-:mod:`charvar.ziggurat`, read from the installed numpy by
-:func:`probe_tables` (``python -m charvar.pcg`` writes that module); the
-tests probe them again, so a numpy that changes them fails loudly.
+outputs; :func:`charvar.quat.random_draws`, the one stacked draw, decodes
+every keyed row of a stack so, and only rows with a normal off the fast
+path, and every row of a list of generators, are drawn by their
+generators.  The tables WI and KI are in :mod:`charvar.ziggurat`, read
+from the installed numpy by :func:`probe_tables` (``python -m
+charvar.pcg`` writes that module); the tests probe them again, so a numpy
+that changes them fails loudly.
 """
 
 from __future__ import annotations
@@ -141,16 +140,16 @@ def decode(out: np.ndarray, calls) -> tuple[list[np.ndarray], np.ndarray]:
 class Streams:
     """A stack of generators' streams, one per row, and the generator that
     draws a row for real (:meth:`generator`).  Indexing takes rows, and
-    :meth:`draws` draws a row's sequence of calls for every row.
+    :func:`charvar.quat.random_draws` draws a row's sequence of calls for
+    every row.
 
     The streams of keys (:func:`charvar.campaign.keyed_rngs`) are PCG64
     start states and increments, (N, 2) word stacks whose raw outputs
     :meth:`draw` reads.  They share one Generator, set to a row's start
-    state when it is asked for; iterating yields it set to each row in
-    turn, so each row must be drawn before the next is taken.  The streams
-    of a list of generators (:meth:`of`), of any bit generator, are the
-    generators themselves with their start states; they are drawn, not
-    decoded, and ``state`` is None.
+    state when it is asked for, so a row must be drawn before the next is
+    asked for.  The streams of a list of generators (:meth:`of`), of any
+    bit generator, are the generators themselves with their start states;
+    they are drawn, not decoded, and ``state`` is None.
     """
 
     def __init__(self, state: np.ndarray | None, inc: np.ndarray | None, gens: list | None = None):
@@ -174,13 +173,14 @@ class Streams:
         return len(self._gens if self.state is None else self.state)
 
     def __getitem__(self, rows) -> Streams:
-        """The streams of ``rows``, a slice or a sequence of row indices."""
+        """The streams of ``rows``, a slice or a sequence of row indices.  A
+        single row is refused, so that a Streams is not iterable: a row's
+        generator is :meth:`generator`."""
+        if isinstance(rows, int):
+            raise TypeError("Streams takes a slice or a sequence of rows; a row's generator is generator(row)")
         if self.state is None:
             return Streams(None, None, self._gens[rows] if isinstance(rows, slice) else [self._gens[i] for i in rows])
         return Streams(self.state[rows], self.inc[rows])
-
-    def __iter__(self):
-        return map(self.generator, range(len(self)))
 
     def generator(self, row: int) -> np.random.Generator:
         """The generator of ``row``, set to the row's start state."""
@@ -197,25 +197,6 @@ class Streams:
     def draw(self, m: int) -> np.ndarray:
         """The first m raw outputs of each keyed row, (N, m)."""
         return outputs(self.state, self.inc, m)[0]
-
-    def draws(self, calls, out: np.ndarray | None = None) -> list[np.ndarray]:
-        """Each call of ``calls`` (:func:`decode`) for every row, one (N, size)
-        array per call, as the calls on the row's generator draw them.
-        Keyed rows are decoded from their raw outputs: ``out`` if given, else
-        one :meth:`draw`.  A keyed row with a normal off the fast path, and
-        every row of a list, makes the calls on its generator, and a list's
-        generators are left where the calls leave them."""
-        n = len(self)
-        if self.state is None:
-            values, rows = [np.empty((n, size)) for _, size, *_ in calls], range(n)
-        else:
-            values, exact = decode(self.draw(sum(size for _, size, *_ in calls)) if out is None else out, calls)
-            rows = np.flatnonzero(~exact).tolist()
-        for row in rows:
-            rng = self.generator(row)
-            for (name, size, *bounds), value in zip(calls, values):
-                value[row] = getattr(rng, name)(*bounds, size=size)
-        return values
 
 
 def _probe(rng: np.random.Generator, first: int) -> tuple[float, bool]:

@@ -266,16 +266,27 @@ def random_draws(rngs, calls, out: np.ndarray | None = None) -> list[np.ndarray]
     """A row's fixed sequence of one-row draws for each row of ``rngs``, a
     :class:`charvar.pcg.Streams` or distinct generators: one stack per call.
     A call ("directions", count, dim) is :func:`random_directions`, an
-    (N, count, dim) stack, and ("uniform", size, low, high) is
-    ``rng.uniform(low, high, size)``, (N, size).  The normals and uniforms
-    are drawn by :meth:`charvar.pcg.Streams.draws`, from ``out`` if given;
-    a row with a direction of norm <= DRAW_CUTOFF is drawn again from its
-    start state through the one-row calls, so a list's generators end where
-    they leave them."""
+    (N, count, dim) stack; the others are numpy's calls of
+    :func:`charvar.pcg.decode`, (N, size).  Keyed rows are decoded from
+    their raw outputs, ``out`` if given, else one :meth:`Streams.draw
+    <charvar.pcg.Streams.draw>`; a keyed row with a normal off the
+    ziggurat's fast path, and every row of a list, makes the raw calls on
+    its generator, a direction as ``standard_normal(count * dim)``.  Every
+    direction is normalised in arrays, and a row with one of norm <=
+    DRAW_CUTOFF replays the one-row calls from its start state, so a list's
+    generators end where those calls leave them."""
     streams = pcg.Streams.of(rngs)
     n = len(streams)
     raw = [("standard_normal", call[1] * call[2]) if call[0] == "directions" else call for call in calls]
-    values = streams.draws(raw, out)
+    if streams.state is None:
+        values, slow = [np.empty((n, size)) for _, size, *_ in raw], range(n)
+    else:
+        values, exact = pcg.decode(streams.draw(sum(size for _, size, *_ in raw)) if out is None else out, raw)
+        slow = np.flatnonzero(~exact).tolist()
+    for row in slow:
+        rng = streams.generator(row)
+        for value, (name, size, *bounds) in zip(values, raw):
+            value[row] = getattr(rng, name)(*bounds, size=size)
     rejected = np.zeros(n, dtype=bool)
     for i, (name, count, *dims) in enumerate(calls):
         if name == "directions":
@@ -287,7 +298,10 @@ def random_draws(rngs, calls, out: np.ndarray | None = None) -> list[np.ndarray]
     for row in np.flatnonzero(rejected).tolist():
         rng = streams.generator(row)
         for value, (name, size, *rest) in zip(values, calls):
-            value[row] = random_directions(rng, size, *rest) if name == "directions" else rng.uniform(*rest, size=size)
+            if name == "directions":
+                value[row] = random_directions(rng, size, *rest)
+            else:
+                value[row] = getattr(rng, name)(*rest, size=size)
     return values
 
 

@@ -243,7 +243,7 @@ def check_fiber_two_fold(counts: Mapping[str, int], seed: int = 0) -> CheckResul
         return CheckResult(False, f"generic sample {keys[i]}: {why}")
 
     def dihedral(keys, rngs):
-        (thetas,) = rngs.draws([("uniform", 4, 0.0, 2.0 * np.pi)])
+        (thetas,) = quat.random_draws(rngs, [("uniform", 4, 0.0, 2.0 * np.pi)])
         sheets, _, _, on_branch = cover.fibers(cover.pushforwards(rep.bd_from_angles(thetas)))
         generic = np.take(LOCUS_NAMES, variety.locus_ranks(sheets[:, 0])) == GENERIC
         return list(zip(keys, on_branch.tolist(), generic.tolist()))
@@ -322,7 +322,7 @@ def check_chart_symmetries(counts: Mapping[str, int], seed: int = 0) -> CheckRes
 
         def draw(keys, rngs, m=m):
             # the real and imaginary parts of m coordinates, then an orbit angle
-            x, y, theta = rngs.draws([("normal", m), ("normal", m), ("uniform", 1, 0.0, 2.0 * np.pi)])
+            x, y, theta = quat.random_draws(rngs, [("normal", m), ("normal", m), ("uniform", 1, 0.0, 2.0 * np.pi)])
             return [(0.5 * (x + 1j * y), theta)]
 
         zs, thetas = map(np.concatenate, zip(*campaign.chunked(seed, (10, n), count, draw)))
@@ -367,7 +367,7 @@ def check_bd_torus(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
 
         def round_trip(keys, rngs, n=n):
             # a generic image has no torus angles: its gap is nan
-            (thetas,) = rngs.draws([("uniform", 2 * n - 2, 0.0, 2.0 * np.pi)])
+            (thetas,) = quat.random_draws(rngs, [("uniform", 2 * n - 2, 0.0, 2.0 * np.pi)])
             bd = rep.bd_from_angles(thetas)
             planar = variety.locus_ranks(bd) < 3
             gap = np.full(len(keys), np.nan)
@@ -383,7 +383,7 @@ def check_bd_torus(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
 
     def push_defects(keys, rngs):
         # the largest commutator norm over the six generator pairs of each row
-        (thetas,) = rngs.draws([("uniform", 4, 0.0, 2.0 * np.pi)])
+        (thetas,) = quat.random_draws(rngs, [("uniform", 4, 0.0, 2.0 * np.pi)])
         gens = np.moveaxis(cover.pushforwards(rep.bd_from_angles(thetas)), 1, 0)
         d = np.stack([qmul(gens[p], gens[q]) - qmul(gens[q], gens[p]) for p in range(4) for q in range(p + 1, 4)])
         return list(zip(keys, quat.norm(d).max(axis=0).tolist()))

@@ -98,37 +98,25 @@ def sample_points(k: int, rngs) -> np.ndarray:
     one :func:`quat.random_directions` call, then the angle or, when w is
     central, one more direction.  ``rngs`` is a :class:`charvar.pcg.Streams`,
     such as :func:`charvar.campaign.keyed_rngs`, or distinct generators of
-    any bit generator.  A keyed row's normals and angle are decoded from
-    its stream in one array pass (:meth:`charvar.pcg.Streams.draws`); a
-    keyed row with a normal off the ziggurat's fast path, and every row of
-    a list, draws them from its generator.  A row with a rejected direction
-    or a central w is drawn again from its start state through the
-    sequential draws.
-    Either way a list's generators are left where one-row calls leave
-    them, and a row is the same bits in any stack (see :mod:`charvar.quat`
-    on dot products).
+    any bit generator; :func:`quat.random_draws` draws the directions and
+    the angle of every row, and a row with a central w is drawn again from
+    its start state.  A list's generators are left where one-row calls
+    leave them, and a row is the same bits in any stack (see
+    :mod:`charvar.quat` on dot products).
     """
     if k < 3:
         raise ValueError(f"need k >= 3, got k = {k}")
     streams = pcg.Streams.of(rngs)
-    n = len(streams)
-    normals, phi = streams.draws([("standard_normal", 3 * (k - 2)), ("uniform", 1, 0.0, 2.0 * np.pi)])
-    normals, phi = normals.reshape(n, k - 2, 3), phi[:, 0]
-    lengths = quat.norm(normals)
-    drawn = np.all(lengths > quat.DRAW_CUTOFF, axis=1)
-    qs = np.zeros((n, k - 1, 4))
-    qs[drawn, : k - 2, 1:] = normals[drawn] / lengths[drawn, :, None]
-    # a row with a rejected direction keeps w = 0, which counts as central
-    w = np.zeros((n, 4))
-    w[drawn] = gprod(qs[drawn, : k - 2])
+    directions, phi = quat.random_draws(streams, [("directions", k - 2, 3), ("uniform", 1, 0.0, 2.0 * np.pi)])
+    qs = np.zeros((len(streams), k - 1, 4))
+    qs[:, : k - 2, 1:] = directions
+    phi = phi[:, 0]
+    w = gprod(qs[:, : k - 2])
     for row in np.flatnonzero(quat.norm(w[:, 1:]) <= CENTRAL_CUTOFF).tolist():
+        # the row's directions again, only to advance its generator past them
         rng = streams.generator(row)
-        qs[row, : k - 2, 1:] = quat.random_directions(rng, k - 2, 3)
-        w[row] = gprod(qs[row : row + 1, : k - 2])[0]
-        if quat.norm(w[row, 1:]) <= CENTRAL_CUTOFF:
-            qs[row, k - 2] = quat.random_pure(rng)
-        else:
-            phi[row] = rng.uniform(0.0, 2.0 * np.pi)
+        quat.random_directions(rng, k - 2, 3)
+        qs[row, k - 2] = quat.random_pure(rng)
     wv = w[:, 1:]
     nw = quat.norm(wv)
     turning = nw > CENTRAL_CUTOFF

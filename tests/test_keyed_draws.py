@@ -33,8 +33,9 @@ def test_states_match_default_rng():
 
 
 def test_first_draws_match_default_rng():
-    for key, rng in zip(KEYS, campaign.keyed_rngs(KEYS)):
-        want = np.random.default_rng(key)
+    streams = campaign.keyed_rngs(KEYS)
+    for row, key in enumerate(KEYS):
+        rng, want = streams.generator(row), np.random.default_rng(key)
         assert rng.standard_normal((4, 3)).tobytes() == want.standard_normal((4, 3)).tobytes(), key
         assert rng.uniform(0.0, 1.0) == want.uniform(0.0, 1.0), key
 
@@ -57,9 +58,16 @@ def test_negative_entry_is_refused(key):
         campaign.keyed_rngs([key])
 
 
+def test_streams_are_not_iterable():
+    for streams in (campaign.keyed_rngs([(0, i) for i in range(3)]), pcg.Streams.of([np.random.default_rng(0)])):
+        with pytest.raises(TypeError, match="generator"):
+            list(streams)
+
+
 def test_chunked_draws_from_the_keyed_generators():
     def draws(keys, rngs):
-        return [(key, rng.standard_normal(3).tobytes()) for key, rng in zip(keys, rngs)]
+        (normals,) = quat.random_draws(rngs, [("standard_normal", 3)])
+        return [(key, row.tobytes()) for key, row in zip(keys, normals)]
 
     rows = campaign.chunked(11, (6,), campaign.CHUNK + 3, draws)
     assert [key for key, _ in rows] == [(11, 6, i) for i in range(campaign.CHUNK + 3)]
@@ -222,12 +230,12 @@ def _joined(values) -> list[bytes]:
 def test_site_draws_are_default_rng_draws(site):
     calls, draw = SITE_CALLS[site]
     streams = campaign.keyed_rngs(SITE_KEYS)
-    values = streams.draws(calls)
+    values = quat.random_draws(streams, calls)
     assert [v.shape for v in values] == [(len(SITE_KEYS), call[1]) for call in calls]
     assert _joined(values) == _rows(draw, map(np.random.default_rng, SITE_KEYS))
     # and a list's generators are drawn, and left where the one-row draws leave them
     rngs, alone = [[np.random.default_rng(key) for key in SITE_KEYS[::40]] for _ in range(2)]
-    assert _joined(pcg.Streams.of(rngs).draws(calls)) == _rows(draw, alone)
+    assert _joined(quat.random_draws(rngs, calls)) == _rows(draw, alone)
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in alone]
 
 
@@ -246,38 +254,50 @@ SLOW_LAYER = 12345 << 9 | 1 << 8 | 1  # layer 1 has ki = 0: never fast
 NEGATIVE_ZERO = 0 << 9 | 1 << 8 | 7  # rabs 0 with the sign bit: -0.0
 
 
-CHOSEN_CALLS = [("uniform", 1, 0.2, 1.2), ("standard_normal", 5), ("normal", 6), ("uniform", 2, 0.0, TWO_PI)]
+CHOSEN_CALLS = [
+    ("uniform", 1, 0.2, 1.2),
+    ("standard_normal", 5),
+    ("normal", 6),
+    ("directions", 1, 3),
+    ("uniform", 2, 0.0, TWO_PI),
+]
 
 
 def _chosen_draws(rng):
-    return [[rng.uniform(0.2, 1.2)], rng.standard_normal(5), rng.normal(size=6), rng.uniform(0.0, TWO_PI, size=2)]
+    return [
+        [rng.uniform(0.2, 1.2)],
+        rng.standard_normal(5),
+        rng.normal(size=6),
+        random_directions(rng, 1, 3),
+        rng.uniform(0.0, TWO_PI, size=2),
+    ]
 
 
-@pytest.mark.parametrize("position", [2, 6, 7, 12])
+@pytest.mark.parametrize("position", [2, 6, 7, 12, 14])
 @pytest.mark.parametrize("value", [SLOW_TAIL, SLOW_LAYER, NEGATIVE_ZERO])
 def test_chosen_outputs_decode_as_numpy_draws(value, position):
     # a row whose raw output ``position`` (from 1; 2..6 are the standard
-    # normals, 7..12 the normals) is chosen, after rows of keys: a slow-path
-    # normal sends the row to its generator, and normal() draws 0.0 where
-    # standard_normal() draws -0.0
+    # normals, 7..12 the normals, 13..15 the direction's) is chosen, after
+    # rows of keys: a slow-path normal sends the row to its generator, and
+    # normal() draws 0.0 where standard_normal() draws -0.0, which a
+    # direction keeps
     keyed = campaign.keyed_rngs(SITE_KEYS[:3])
     start = _stepped_to(value, position)
     state = np.concatenate([keyed.state, pcg.words([start])])
     streams = pcg.Streams(state, np.concatenate([keyed.inc, pcg.words([1])]))
-    out = streams.draw(14)
+    out = streams.draw(17)
     assert int(out[-1, position - 1]) == value
-    _, exact = pcg.decode(out, CHOSEN_CALLS)
+    _, exact = pcg.decode(out, [("standard_normal", 3) if call[0] == "directions" else call for call in CHOSEN_CALLS])
     assert exact[-1] or value != NEGATIVE_ZERO
     assert not exact[-1] or value == NEGATIVE_ZERO
-    values = streams.draws(CHOSEN_CALLS)
+    values = quat.random_draws(streams, CHOSEN_CALLS)
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = pcg.state_dict(start, 1)
     want = _rows(_chosen_draws, [*map(np.random.default_rng, SITE_KEYS[:3]), rng])
     assert _joined(values) == want
     if value == NEGATIVE_ZERO:
-        column = position - 2
-        got = values[1][-1, column] if column < 5 else values[2][-1, column - 5]
-        assert got == 0.0 and np.signbit(got) == (column < 5)
+        got = np.concatenate([v[-1].reshape(-1) for v in values])[position - 1]
+        assert got == 0.0 and np.signbit(got) == (position not in range(7, 13))
 
 
 def _family_row(branch, rng):
@@ -316,7 +336,7 @@ def test_algebra_and_family_rows_are_default_rng_draws(cutoff, monkeypatch):
     # 4-vector in sixteen is rejected, and the row replays on its generator
     monkeypatch.setattr(quat, "DRAW_CUTOFF", cutoff)
     streams = campaign.keyed_rngs(SITE_KEYS)
-    (normals,) = streams.draws([("standard_normal", 12)])
+    (normals,) = quat.random_draws(streams, [("standard_normal", 12)])
     rejected = np.any(quat.norm(normals.reshape(-1, 3, 4)) <= cutoff, axis=1).sum()
     assert (rejected == 0) == (cutoff < 0.5) and rejected < len(SITE_KEYS) // 2
     (triples,) = quat.random_draws(streams, [("directions", 3, 4)])
@@ -334,6 +354,12 @@ def test_algebra_and_family_rows_are_default_rng_draws(cutoff, monkeypatch):
     (triples,) = quat.random_draws(rngs, [("directions", 3, 4)])
     assert triples.tobytes() == np.stack([random_directions(rng, 3, 4) for rng in alone]).tobytes()
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in alone]
+    # keyed sampler rows, at seeds up to 2^64 + 7: under the cutoff of 0.9
+    # 14%, 27% and 51% of them reject a direction at k = 3, 4 and 6
+    keys = SITE_KEYS[::4]
+    for k in (3, 4, 6):
+        want = [sample_point(k, np.random.default_rng(key)).meridians for key in keys]
+        assert sample_points(k, campaign.keyed_rngs(keys)).tobytes() == np.stack(want).tobytes(), k
 
 
 def test_unknown_branch_is_refused():

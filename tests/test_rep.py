@@ -13,7 +13,7 @@ from charvar.errors import (
     ProductNotIdentity,
     RelationViolated,
 )
-from charvar.quat import I, J, K, ONE, conjugate, exp_pure, qmul, random_unit
+from charvar.quat import I, J, K, ONE, conjugate, exp_pure, qmul, random_draws, random_unit
 from charvar.rep import (
     Fingerprint,
     PuncturedSphereRep,
@@ -367,7 +367,7 @@ class TestStackedConstructors:
     def test_bd_from_angles(self, n, monkeypatch):
         # angles on both sides of [0, 2 pi)
         def angles(rngs):
-            return np.stack([rng.uniform(-10.0, 10.0, size=2 * n - 2) for rng in rngs])
+            return random_draws(rngs, [("uniform", 2 * n - 2, -10.0, 10.0)])[0]
 
         for _, row in _stacked_rows(monkeypatch, 11, bd_from_angles, angles):
             assert row.shape == (2 * n, 4)
