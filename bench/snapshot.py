@@ -33,7 +33,7 @@ sys.path.insert(0, str(ROOT))
 
 import numpy as np  # noqa: E402
 
-from charvar import campaign, cli, cover, morse, pcg, quat, rep, selftest, variety  # noqa: E402
+from charvar import campaign, cli, cover, morse, quat, rep, selftest, variety  # noqa: E402
 from perfbench.worker import HostSpeed  # noqa: E402
 from perfbench.workloads import BUDGETS_S  # noqa: E402
 
@@ -190,11 +190,11 @@ def _site_draws() -> dict:
     row at n = 6 (10 coordinates and an angle), a bd-torus row (four
     angles) and the constructed ladder families' inputs."""
     return {
-        "algebra": lambda keys, rngs: quat.random_draws(rngs, [("directions", 3, 4)]),
-        "chart": lambda keys, rngs: quat.random_draws(
+        "algebra": lambda keys, rngs: campaign.random_draws(rngs, [("directions", 3, 4)]),
+        "chart": lambda keys, rngs: campaign.random_draws(
             rngs, [("normal", 10), ("normal", 10), ("uniform", 1, 0.0, TWO_PI)]
         ),
-        "torus": lambda keys, rngs: quat.random_draws(rngs, [("uniform", 4, 0.0, TWO_PI)]),
+        "torus": lambda keys, rngs: campaign.random_draws(rngs, [("uniform", 4, 0.0, TWO_PI)]),
         "branch_families": lambda keys, rngs: [cover.lemma_branch_inputs([key[-2] for key in keys], rngs)],
     }
 
@@ -205,7 +205,7 @@ def keyed_draws(speed: HostSpeed) -> dict[str, dict]:
     generators taken in turn and left unused, ``variety.sample_points(6)``
     drawing from them, and the draws of :func:`_site_draws`; the ladder's
     families take ROWS // 6 keys (seed, 9, b, i) each, b = 2..7, as
-    ``campaign.ladder_records`` orders them."""
+    ``cover.ladder_records`` orders them."""
 
     def keyed(fn):
         return lambda: campaign.chunked(7, (), ROWS, fn)
@@ -230,9 +230,9 @@ def keyed_draws(speed: HostSpeed) -> dict[str, dict]:
 def redrawn_share(k: int = 6) -> dict:
     """The share of SHARE_KEYS keyed ``sample_points(k)`` rows that a real
     generator draws: the rows with a normal off the ziggurat's fast path,
-    which ``charvar.pcg`` cannot decode."""
+    which ``charvar.campaign`` cannot decode."""
     streams = campaign.keyed_rngs([(7, i) for i in range(SHARE_KEYS)])
-    _, fast = pcg.standard_normal(streams.draw(3 * (k - 2) + 1)[:, :-1])
+    _, fast = campaign.standard_normal(streams.draw(3 * (k - 2) + 1)[:, :-1])
     return {"k": k, "keys": SHARE_KEYS, "share": 1.0 - float(fast.all(axis=1).mean())}
 
 

@@ -5,7 +5,8 @@ Sampling campaigns draw sample i from a generator keyed by (seed, i), and
 link-sample draws its points in order from one generator keyed by the
 seed, so a given configuration produces byte-identical output.  Data goes
 to --out (or stdout); human summaries go to stderr.  Exit codes: 0 all
-invariants hold, 1 an invariant failed, 2 usage error.
+invariants hold, 1 an invariant failed, 2 usage error or an output that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def cmd_cover_extend(args: argparse.Namespace) -> Run:
 
 
 def cmd_cover_roundtrip(args: argparse.Namespace) -> Run:
-    records = campaign.roundtrip_records(args.seed, (), args.count)
+    records = cover.roundtrip_records(args.seed, (), args.count)
     worst = max(max(r["residuals"].values()) for r in records)
     failures = [r["index"] for r in records if max(r["residuals"].values()) > cover.ROUNDTRIP_TOL]
     if failures:
@@ -231,10 +232,10 @@ def cmd_morse(args: argparse.Namespace) -> Run:
 
 def cmd_lemma52(args: argparse.Namespace) -> Run:
     per_branch = max(1, args.count // 20)
-    records = campaign.ladder_records(args.seed, ((), ()), args.count, per_branch)
-    failures = campaign.ladder_failures(records, args.seed, per_branch)
+    records = cover.ladder_records(args.seed, ((), ()), args.count, per_branch)
+    failures = cover.ladder_failures(records, args.seed, per_branch)
     worst = max(r["max_residual"] for r in records)
-    verdict = f"lemma52: max residual {worst:.3e}, branch coverage {campaign.ladder_coverage(records)}"
+    verdict = f"lemma52: max residual {worst:.3e}, branch coverage {cover.ladder_coverage(records)}"
     verdict = "; ".join([verdict, *failures])
     return Run([_json_line(r) for r in records], None, verdict, not failures)
 
@@ -243,7 +244,7 @@ def cmd_link_sample(args: argparse.Namespace) -> Run:
     n, *rest = _parse_n_spec(args.n)
     if rest:
         raise UsageError("link-sample expects a single n, not a range")
-    zs = morse.link_samples(n, args.count, campaign.keyed_rng(args.seed))
+    zs = morse.link_samples(n, args.count, np.random.default_rng((args.seed,)))
     sphere, quad = morse.link_defects(n, zs)
     bad = np.flatnonzero((sphere > morse.LINK_TOL) | (quad > morse.LINK_TOL)).tolist()
     real = np.all(zs.imag == 0.0, axis=-1)
@@ -363,8 +364,6 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "count", 1) < 1:
             raise UsageError("count must be >= 1")
         run = globals()[args.fn](args)  # looked up by name now, so a wrapped cmd_* runs
-        # selftest has no --sorted
-        _emit(run.lines, args.out, getattr(args, "sorted", False), run.header)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -372,6 +371,12 @@ def main(argv: list[str] | None = None) -> int:
         # every validation error of the library: an invariant failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        # selftest has no --sorted
+        _emit(run.lines, args.out, getattr(args, "sorted", False), run.header)
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     print(run.verdict, file=sys.stderr)
     return 0 if run.ok else 1
 

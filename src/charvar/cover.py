@@ -19,16 +19,19 @@ and only :func:`fiber` builds a :class:`FiberReport`.  A row is independent
 of the others in its stack: the kernels of :mod:`charvar.quat` give the
 same bits whatever the stack shape.  A stack with a rejected row raises for
 the first such row, with the exception's ``row`` naming it; a one-sample
-function raises the same exception without ``row``.
+function raises the same exception without ``row``.  The keyed campaigns
+of the round trip and the case ladder, which the CLI and the selftest both
+run, are here too.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import pcg
+from . import campaign
 from .errors import ConstraintViolated, RelationViolated
 from .quat import (
     I,
@@ -43,7 +46,6 @@ from .quat import (
     norm,
     qinv,
     qmul,
-    random_draws,
     rotor_between,
 )
 from .rep import (
@@ -193,7 +195,7 @@ def _coset_point(theta) -> np.ndarray:
     return qmul(exp_pure(theta, K), I)
 
 
-# the draws of a row of each constructed family, in order (quat.random_draws)
+# the draws of a row of each constructed family, in order (campaign.random_draws)
 _PURE, _UNIT = ("directions", 1, 3), ("directions", 1, 4)
 _BRANCH_DRAWS = {
     2: (_UNIT, _UNIT),
@@ -203,8 +205,8 @@ _BRANCH_DRAWS = {
     6: (("uniform", 1, 0.0, 2.0 * np.pi),),
     7: (_PURE, ("uniform", 4, 0.0, 2.0 * np.pi)),
 }
-# the most raw outputs a row decodes its draws from: 3 + 2 + 4 on branch 3
-_BRANCH_OUTPUTS = 9
+# the most raw outputs a row decodes its draws from
+_BRANCH_OUTPUTS = max(map(campaign.raw_outputs, _BRANCH_DRAWS.values()))
 
 
 def _pure(directions: np.ndarray) -> np.ndarray:
@@ -239,20 +241,20 @@ def _branch_family(branch: int, draws: list[np.ndarray]) -> tuple:
 def lemma_branch_inputs(branches, rngs) -> np.ndarray:
     """Deterministic input families that land on each rung of the case
     ladder: the (4, N, 4) stack of (a, b, c, d), row i constructed for
-    rung ``branches[i]`` from ``rngs[i]``, a :class:`charvar.pcg.Streams`
-    or distinct generators.  Branches 5 and 6 need commutator defects
+    rung ``branches[i]`` from ``rngs[i]``, a :class:`campaign.Streams` or
+    distinct generators.  Branches 5 and 6 need commutator defects
     straddling the commutation cutoff, realized by binary dihedral
     quadruples with angle gaps eps and 2*eps around it; both satisfy abcd =
     dcba exactly.  The dihedral quadruples stay in the i,j coordinate
     plane: the structural zeros keep the tiny defect pointing exactly along
     k, which a random conjugation would smear by roundoff/defect ~ 1e-8.
 
-    Each family's rows are one stack of :func:`quat.random_draws`, which
-    draws every stacked row; keyed rows of every family decode from one
-    draw of their streams, handed to it as ``out``.  A row draws what the
-    one-row calls draw in turn: random_pure for u, random_unit for a unit,
-    ``rng.uniform`` for its angles."""
-    streams = pcg.Streams.of(rngs)
+    Each family's rows are one stack of :func:`campaign.random_draws`;
+    keyed rows of every family decode from one draw of their streams,
+    handed to it as ``out``.  A row draws what the one-row calls draw in
+    turn: random_pure for u, random_unit for a unit, ``rng.uniform`` for
+    its angles."""
+    streams = campaign.Streams.of(rngs)
     branches = np.asarray(branches)
     out = None if streams.state is None else streams.draw(_BRANCH_OUTPUTS)
     quads = np.empty((4, len(streams), 4))
@@ -260,7 +262,7 @@ def lemma_branch_inputs(branches, rngs) -> np.ndarray:
         if branch not in _BRANCH_DRAWS:
             raise ValueError(f"no constructed family for branch {branch}")
         rows = np.flatnonzero(branches == branch)
-        draws = random_draws(streams[rows], _BRANCH_DRAWS[branch], None if out is None else out[rows])
+        draws = campaign.random_draws(streams[rows], _BRANCH_DRAWS[branch], None if out is None else out[rows])
         for slot, value in enumerate(_branch_family(branch, draws)):
             quads[slot, rows] = value
     return quads
@@ -379,3 +381,69 @@ def fiber_records(sheets, values, separation, on_branch) -> list[dict]:
         }
         for witnesses, vals, sep, branch in zip(*(v.tolist() for v in (sheets, values, separation, on_branch)))
     ]
+
+
+def roundtrip_records(seed: int, path: tuple[int, ...], count: int) -> list[dict]:
+    """Round-trip residuals of `count` surface samples, both signs; sample
+    i draws from the generator keyed by (seed, *path, i)."""
+
+    def records(keys, rngs):
+        residuals = roundtrip_residuals(surface_samples(rngs)).tolist()
+        return [
+            {"index": key[-1], "seed": seed, "residuals": {"plus": plus, "minus": minus}}
+            for key, (plus, minus) in zip(keys, residuals)
+        ]
+
+    return campaign.chunked(seed, path, count, records)
+
+
+def ladder_records(seed: int, paths: tuple[tuple[int, ...], ...], count: int, per_branch: int) -> list[dict]:
+    """Case-ladder solutions: `count` generic section inputs, sample i drawn
+    from (seed, *paths[0], i), then `per_branch` inputs constructed for
+    each rung b = 2..7, input i drawn from (seed, *paths[1], b, i).  The
+    families share stacks, one :func:`lemma52_stack` call each, and a
+    stack's constructed rows are one :func:`lemma_branch_inputs` call."""
+    generic = (seed, *paths[0])
+
+    def records(keys, rngs):
+        # the generic rows lead the campaign, so they lead every stack
+        n = sum(key[:-1] == generic for key in keys)
+        quads = np.empty((4, len(keys), 4))
+        if n:
+            quads[:, :n] = section_inputs(surface_samples(rngs[:n]))[:4]
+        if n < len(keys):
+            quads[:, n:] = lemma_branch_inputs([key[-2] for key in keys[n:]], rngs[n:])
+        _, rung, residuals = lemma52_stack(*quads)
+        return [
+            {"family": "generic" if row < n else f"branch{key[-2]}", "index": key[-1], "branch": b, "max_residual": r}
+            for row, (key, b, r) in enumerate(zip(keys, rung.tolist(), residuals.max(axis=1).tolist()))
+        ]
+
+    families = [(paths[0], count)] + [((*paths[1], b), per_branch) for b in range(2, 8)]
+    return campaign.run(((seed, *path, i) for path, n in families for i in range(n)), records)
+
+
+def ladder_coverage(records: list[dict]) -> str:
+    """How many records each rung 1..7 solved, as `1:n1 2:n2 ...`."""
+    tally = Counter(r["branch"] for r in records)
+    return " ".join(f"{b}:{tally[b]}" for b in range(1, 8))
+
+
+def ladder_failures(records: list[dict], seed: int, min_needed: int) -> list[str]:
+    """Why case-ladder records fail, empty if they pass: constructed inputs
+    solved on another rung, residuals over LEMMA_TOL, and rungs solved
+    fewer than `min_needed` times.  Records are named by (seed, family,
+    index)."""
+    named = [(seed, r["family"], r["index"], r["branch"]) for r in records]
+    wrong = [w for w in named if w[1] not in ("generic", f"branch{w[3]}")]
+    over = [(seed, r["family"], r["index"]) for r in records if r["max_residual"] > LEMMA_TOL]
+    tally = Counter(r["branch"] for r in records)
+    missing = [b for b in range(1, 8) if tally[b] < min_needed]
+    failures = []
+    if wrong:
+        failures.append(f"constructed inputs solved on another rung, (seed, family, index, rung): {wrong}")
+    if over:
+        failures.append(f"failing (seed, family, index) over {LEMMA_TOL:g}: {over}")
+    if missing:
+        failures.append(f"branches below {min_needed}: {missing}")
+    return failures

@@ -14,7 +14,8 @@ quaternion is a stack of one.  Every dot is ``np.vecdot`` and every norm
 :func:`norm`, its square root: on 3- and 4-vectors ``vecdot`` calls the
 BLAS kernel ``np.dot`` calls, as stacked ``matmul`` does, while a
 sequential sum, ``einsum`` and ``np.linalg.norm(..., axis=-1)`` differ
-from it in the last bit on a sizeable share of rows.
+from it in the last bit on a sizeable share of rows.  It imports no other
+module of the package; stacked draws are :mod:`charvar.campaign`'s.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import pcg
 
 TOL_UNIT = 1e-12
 TOL_PURE = 1e-12
@@ -260,49 +259,6 @@ def random_directions(rng: np.random.Generator, count: int, dim: int) -> np.ndar
         return v / n[:, None]
     kept = v[keep] / n[keep, None]
     return np.concatenate([kept, random_directions(rng, count - len(kept), dim)])
-
-
-def random_draws(rngs, calls, out: np.ndarray | None = None) -> list[np.ndarray]:
-    """A row's fixed sequence of one-row draws for each row of ``rngs``, a
-    :class:`charvar.pcg.Streams` or distinct generators: one stack per call.
-    A call ("directions", count, dim) is :func:`random_directions`, an
-    (N, count, dim) stack; the others are numpy's calls of
-    :func:`charvar.pcg.decode`, (N, size).  Keyed rows are decoded from
-    their raw outputs, ``out`` if given, else one :meth:`Streams.draw
-    <charvar.pcg.Streams.draw>`; a keyed row with a normal off the
-    ziggurat's fast path, and every row of a list, makes the raw calls on
-    its generator, a direction as ``standard_normal(count * dim)``.  Every
-    direction is normalised in arrays, and a row with one of norm <=
-    DRAW_CUTOFF replays the one-row calls from its start state, so a list's
-    generators end where those calls leave them."""
-    streams = pcg.Streams.of(rngs)
-    n = len(streams)
-    raw = [("standard_normal", call[1] * call[2]) if call[0] == "directions" else call for call in calls]
-    if streams.state is None:
-        values, slow = [np.empty((n, size)) for _, size, *_ in raw], range(n)
-    else:
-        values, exact = pcg.decode(streams.draw(sum(size for _, size, *_ in raw)) if out is None else out, raw)
-        slow = np.flatnonzero(~exact).tolist()
-    for row in slow:
-        rng = streams.generator(row)
-        for value, (name, size, *bounds) in zip(values, raw):
-            value[row] = getattr(rng, name)(*bounds, size=size)
-    rejected = np.zeros(n, dtype=bool)
-    for i, (name, count, *dims) in enumerate(calls):
-        if name == "directions":
-            v = values[i].reshape(n, count, *dims)
-            lengths = norm(v)
-            rejected |= np.any(lengths <= DRAW_CUTOFF, axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                values[i] = v / lengths[..., None]
-    for row in np.flatnonzero(rejected).tolist():
-        rng = streams.generator(row)
-        for value, (name, size, *rest) in zip(values, calls):
-            if name == "directions":
-                value[row] = random_directions(rng, size, *rest)
-            else:
-                value[row] = getattr(rng, name)(*rest, size=size)
-    return values
 
 
 def random_pure(rng: np.random.Generator) -> np.ndarray:

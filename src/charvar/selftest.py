@@ -80,7 +80,7 @@ def check_quaternion_algebra(counts: Mapping[str, int], seed: int = 0) -> CheckR
     """Group algebra on random units: associativity, norms, conjugation,
     the rotation homomorphism, and the axis-angle round trip."""
     def draw(keys, rngs):
-        return quat.random_draws(rngs, [("directions", 3, 4)])
+        return campaign.random_draws(rngs, [("directions", 3, 4)])
 
     count = counts["algebra"]
     a, b, c = np.moveaxis(np.concatenate(campaign.chunked(seed, (1,), count, draw)), 1, 0)
@@ -215,7 +215,7 @@ def check_submersion(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
 
 def check_cover_roundtrip(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     """pushforward(extend(s, sign)) returns s generator-wise, both signs."""
-    records = campaign.roundtrip_records(seed, (5,), counts["roundtrip"])
+    records = cover.roundtrip_records(seed, (5,), counts["roundtrip"])
     worst_record = max(records, key=lambda r: max(r["residuals"].values()))
     worst = max(worst_record["residuals"].values())
     over = [(seed, 5, worst_record["index"])] if worst > cover.ROUNDTRIP_TOL else []
@@ -243,7 +243,7 @@ def check_fiber_two_fold(counts: Mapping[str, int], seed: int = 0) -> CheckResul
         return CheckResult(False, f"generic sample {keys[i]}: {why}")
 
     def dihedral(keys, rngs):
-        (thetas,) = quat.random_draws(rngs, [("uniform", 4, 0.0, 2.0 * np.pi)])
+        (thetas,) = campaign.random_draws(rngs, [("uniform", 4, 0.0, 2.0 * np.pi)])
         sheets, _, _, on_branch = cover.fibers(cover.pushforwards(rep.bd_from_angles(thetas)))
         generic = np.take(LOCUS_NAMES, variety.locus_ranks(sheets[:, 0])) == GENERIC
         return list(zip(keys, on_branch.tolist(), generic.tolist()))
@@ -266,10 +266,10 @@ def check_lemma52_branches(counts: Mapping[str, int], seed: int = 0) -> CheckRes
     valid inputs, constructed inputs land on their rung, and every rung
     of the ladder is exercised."""
     min_needed = counts["lemma_per_branch"]
-    records = campaign.ladder_records(seed, ((8,), (9,)), counts["lemma_generic"], min_needed)
-    failures = campaign.ladder_failures(records, seed, min_needed)
+    records = cover.ladder_records(seed, ((8,), (9,)), counts["lemma_generic"], min_needed)
+    failures = cover.ladder_failures(records, seed, min_needed)
     worst = max(r["max_residual"] for r in records)
-    detail = "; ".join([f"max residual {worst:.3e}", f"branch coverage {campaign.ladder_coverage(records)}", *failures])
+    detail = "; ".join([f"max residual {worst:.3e}", f"branch coverage {cover.ladder_coverage(records)}", *failures])
     return CheckResult(not failures, detail)
 
 
@@ -322,7 +322,7 @@ def check_chart_symmetries(counts: Mapping[str, int], seed: int = 0) -> CheckRes
 
         def draw(keys, rngs, m=m):
             # the real and imaginary parts of m coordinates, then an orbit angle
-            x, y, theta = quat.random_draws(rngs, [("normal", m), ("normal", m), ("uniform", 1, 0.0, 2.0 * np.pi)])
+            x, y, theta = campaign.random_draws(rngs, [("normal", m), ("normal", m), ("uniform", 1, 0.0, 2.0 * np.pi)])
             return [(0.5 * (x + 1j * y), theta)]
 
         zs, thetas = map(np.concatenate, zip(*campaign.chunked(seed, (10, n), count, draw)))
@@ -367,7 +367,7 @@ def check_bd_torus(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
 
         def round_trip(keys, rngs, n=n):
             # a generic image has no torus angles: its gap is nan
-            (thetas,) = quat.random_draws(rngs, [("uniform", 2 * n - 2, 0.0, 2.0 * np.pi)])
+            (thetas,) = campaign.random_draws(rngs, [("uniform", 2 * n - 2, 0.0, 2.0 * np.pi)])
             bd = rep.bd_from_angles(thetas)
             planar = variety.locus_ranks(bd) < 3
             gap = np.full(len(keys), np.nan)
@@ -383,7 +383,7 @@ def check_bd_torus(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
 
     def push_defects(keys, rngs):
         # the largest commutator norm over the six generator pairs of each row
-        (thetas,) = quat.random_draws(rngs, [("uniform", 4, 0.0, 2.0 * np.pi)])
+        (thetas,) = campaign.random_draws(rngs, [("uniform", 4, 0.0, 2.0 * np.pi)])
         gens = np.moveaxis(cover.pushforwards(rep.bd_from_angles(thetas)), 1, 0)
         d = np.stack([qmul(gens[p], gens[q]) - qmul(gens[q], gens[p]) for p in range(4) for q in range(p + 1, 4)])
         return list(zip(keys, quat.norm(d).max(axis=0).tolist()))
@@ -418,7 +418,7 @@ def check_link_sampler(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
     total = 0
     for n, count in ((2, counts["link"] // 4), (3, counts["link"]), (4, counts["link"] // 4)):
         key = (seed, 13, n)
-        zs = morse.link_samples(n, max(count, 1), campaign.keyed_rng(*key))
+        zs = morse.link_samples(n, max(count, 1), np.random.default_rng(key))
         total += len(zs)
         for bound, defect in enumerate(morse.link_defects(n, zs)):
             note(bound, key, defect)
@@ -428,7 +428,7 @@ def check_link_sampler(counts: Mapping[str, int], seed: int = 0) -> CheckResult:
             return _verdict(f"n={n}: gauge not fixed", [(key, int(loose[0]))])
         real_tagged += [(key, i) for i in np.flatnonzero(np.all(zs.imag == 0.0, axis=-1)).tolist()]
     key = (seed, 14)
-    refined = morse.link_samples(3, counts["link_refine"], campaign.keyed_rng(*key), refine=True)
+    refined = morse.link_samples(3, counts["link_refine"], np.random.default_rng(key), refine=True)
     note(2, key, np.abs(morse.eval_chart_g(3, refined)))
     note(0, key, morse.link_defects(3, refined)[0])
     (worst_unit, _), (worst_quad, _), (worst_refined, _) = worst

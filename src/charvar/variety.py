@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pcg, quat
+from . import campaign, quat
 from .errors import AbelianInput, ConstraintViolated
 from .quat import I, J, K, axis_angle, gprod, qmul
 from .rep import RANK_TOL_FACTOR, PuncturedSphereRep, TOL_REL, complete_reps, one_row, raise_first
@@ -96,18 +96,18 @@ def sample_points(k: int, rngs) -> np.ndarray:
 
     A row draws what one-row calls draw in turn: its ``k - 2`` directions in
     one :func:`quat.random_directions` call, then the angle or, when w is
-    central, one more direction.  ``rngs`` is a :class:`charvar.pcg.Streams`,
-    such as :func:`charvar.campaign.keyed_rngs`, or distinct generators of
-    any bit generator; :func:`quat.random_draws` draws the directions and
-    the angle of every row, and a row with a central w is drawn again from
-    its start state.  A list's generators are left where one-row calls
-    leave them, and a row is the same bits in any stack (see
-    :mod:`charvar.quat` on dot products).
+    central, one more direction.  ``rngs`` is a :class:`campaign.Streams`,
+    such as :func:`campaign.keyed_rngs`, or distinct generators of any bit
+    generator; :func:`campaign.random_draws` draws the directions and the
+    angle of every row, and a row with a central w is drawn again from its
+    start state.  A list's generators are left where one-row calls leave
+    them, and a row is the same bits in any stack (see :mod:`charvar.quat`
+    on dot products).
     """
     if k < 3:
         raise ValueError(f"need k >= 3, got k = {k}")
-    streams = pcg.Streams.of(rngs)
-    directions, phi = quat.random_draws(streams, [("directions", k - 2, 3), ("uniform", 1, 0.0, 2.0 * np.pi)])
+    streams = campaign.Streams.of(rngs)
+    directions, phi = campaign.random_draws(streams, [("directions", k - 2, 3), ("uniform", 1, 0.0, 2.0 * np.pi)])
     qs = np.zeros((len(streams), k - 1, 4))
     qs[:, : k - 2, 1:] = directions
     phi = phi[:, 0]

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from charvar import campaign, cli, cover, morse, selftest, variety
+from charvar import cli, cover, morse, selftest, variety
 from charvar.errors import RelationViolated
 from charvar.quat import ONE, gprod
 from charvar.rep import fingerprint, fingerprint_digest
@@ -288,7 +288,7 @@ def test_failed_link_sampler_names_its_stack_and_point(monkeypatch):
     reported = re.search(r"sphere defect (\S+), quadric defect (\S+),", detail).groups()
     for bound, (key, i) in enumerate(ast.literal_eval(worst)):
         n, refine = (key[2], False) if key[1] == 13 else (3, True)
-        z = morse.link_samples(n, i + 1, campaign.keyed_rng(*key), refine=refine)[-1:]
+        z = morse.link_samples(n, i + 1, np.random.default_rng(key), refine=refine)[-1:]
         assert f"{morse.link_defects(n, z)[bound][0]:.3e}" == reported[bound], key
     # a point off the gauge slice is named by its stack and index
     real = morse.link_samples
@@ -318,7 +318,7 @@ def test_real_tagged_link_points_are_named(monkeypatch):
     named = ast.literal_eval(worst)[-2:]
     assert named == [((3, 13, 2), 0), ((3, 13, 2), 7)]
     for key, i in named:
-        z = morse.link_samples(key[2], i + 1, campaign.keyed_rng(*key))[-1]
+        z = morse.link_samples(key[2], i + 1, np.random.default_rng(key))[-1]
         assert np.all(z.imag == 0.0), key
 
 
@@ -507,6 +507,16 @@ class TestUsageErrors:
         proc = run_cli(*argv, "--seed", "-1")
         assert proc.returncode == 2
         assert "argument --seed: must be non-negative, got -1" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("target", ["missing/x.jsonl", "."])
+    def test_unwritable_out_exits_2(self, target, tmp_path):
+        # a path under a missing directory, and a path that is a directory
+        out = tmp_path / target
+        proc = run_cli("sample", "--k", "6", "--count", "2", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
     @pytest.mark.parametrize(

@@ -289,7 +289,7 @@ class TestStackedCover:
 
     def test_roundtrip_records_cross_a_chunk(self):
         count = campaign.CHUNK + 4
-        records = campaign.roundtrip_records(3, (), count)
+        records = cover.roundtrip_records(3, (), count)
         # the records of two chunks are the rows of one stack of all samples
         rows = roundtrip_residuals(surface_samples([np.random.default_rng((3, i)) for i in range(count)]))
         assert len(records) == count
@@ -320,7 +320,7 @@ class TestStackedCover:
         # holds the generic rows and the rung-2 and rung-3 families, the
         # second the rest; each record is the one-row solve of its key's draw
         monkeypatch.setattr(campaign, "CHUNK", 16)
-        records = campaign.ladder_records(seed, ((8,), (9,)), 10, 3)
+        records = cover.ladder_records(seed, ((8,), (9,)), 10, 3)
         keys = [(seed, 8, i) for i in range(10)] + [(seed, 9, b, i) for b in range(2, 8) for i in range(3)]
         assert len(records) == len(keys)
         for key, record in zip(keys, records):
@@ -333,7 +333,7 @@ class TestStackedCover:
             want = {"family": family, "index": key[-1], "branch": sol.branch, "max_residual": float(sol.residuals.max())}
             assert record == want, key
         monkeypatch.setattr(campaign, "CHUNK", 256)
-        assert campaign.ladder_records(seed, ((8,), (9,)), 10, 3) == records
+        assert cover.ladder_records(seed, ((8,), (9,)), 10, 3) == records
 
     def test_ladder_names_a_rejected_constructed_row_by_its_key(self, monkeypatch):
         # input 1 of the rung-3 family, row 14 of the first stack of 16,
@@ -350,7 +350,7 @@ class TestStackedCover:
 
         monkeypatch.setattr(campaign, "CHUNK", 16)
         monkeypatch.setattr(cover, "lemma_branch_inputs", broken)
-        kind, message, row = _raised(campaign.ladder_records, 5, ((8,), (9,)), 10, 3)
+        kind, message, row = _raised(cover.ladder_records, 5, ((8,), (9,)), 10, 3)
         assert (kind, row) == (ConstraintViolated, 14)
         assert calls == [[2, 2, 2, 3, 3, 3]]
         assert message == "sample (5, 9, 3, 1): abcd and dcba differ by 2.000e+00 > 1.0e-10"

@@ -3,10 +3,12 @@ state np.random.default_rng(key) starts in and draws the same numbers.
 This ties charvar to numpy's SeedSequence and PCG64 seeding (stable since
 numpy 1.17); these tests fail if numpy changes it."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from charvar import campaign, cover, pcg, quat, ziggurat
+from charvar import campaign, cover, quat, ziggurat
 from charvar.quat import I, K, ONE, exp_pure, qinv, qmul, random_directions, random_pure, random_unit
 from charvar.variety import sample_point, sample_points
 
@@ -41,7 +43,8 @@ def test_first_draws_match_default_rng():
 
 
 def test_one_key_generator_is_its_own():
-    a, b = campaign.keyed_rng(3, 13, 2), campaign.keyed_rng(3, 13, 2)
+    # the streams of each keyed_rngs call share one generator of their own
+    a, b = (campaign.keyed_rngs([(3, 13, 2)]).generator(0) for _ in range(2))
     assert a is not b
     want = np.random.default_rng((3, 13, 2))
     for _ in range(3):
@@ -59,14 +62,14 @@ def test_negative_entry_is_refused(key):
 
 
 def test_streams_are_not_iterable():
-    for streams in (campaign.keyed_rngs([(0, i) for i in range(3)]), pcg.Streams.of([np.random.default_rng(0)])):
+    for streams in (campaign.keyed_rngs([(0, i) for i in range(3)]), campaign.Streams.of([np.random.default_rng(0)])):
         with pytest.raises(TypeError, match="generator"):
             list(streams)
 
 
 def test_chunked_draws_from_the_keyed_generators():
     def draws(keys, rngs):
-        (normals,) = quat.random_draws(rngs, [("standard_normal", 3)])
+        (normals,) = campaign.random_draws(rngs, [("standard_normal", 3)])
         return [(key, row.tobytes()) for key, row in zip(keys, normals)]
 
     rows = campaign.chunked(11, (6,), campaign.CHUNK + 3, draws)
@@ -75,7 +78,7 @@ def test_chunked_draws_from_the_keyed_generators():
         assert got == np.random.default_rng(key).standard_normal(3).tobytes()
 
 
-# decoded draws: charvar.pcg reads numpy's PCG64 outputs and its ziggurat in
+# decoded draws: charvar.campaign reads numpy's PCG64 outputs and its ziggurat in
 # arrays; these tests tie it to the installed numpy
 
 DECODED_KEYS = [(seed, 8, i) for seed in (0, 2**32 + 5, 25660265120, 2**64 + 7) for i in range(2500)]
@@ -84,20 +87,22 @@ DECODED_KEYS = [(seed, 8, i) for seed in (0, 2**32 + 5, 25660265120, 2**64 + 7) 
 def _next_output_is(rng, value):
     """Set rng's PCG64 to the state whose next raw output is ``value`` (below
     2^64): with increment 1, the stepped state ``value`` outputs itself."""
-    rng.bit_generator.state = pcg.state_dict((value - 1) * pow(pcg.MULT, -1, 1 << 128) & pcg.M128, 1)
+    rng.bit_generator.state = campaign.state_dict((value - 1) * pow(campaign.MULT, -1, 1 << 128) & campaign.M128, 1)
     return value
 
 
 def test_ziggurat_tables_are_numpys():
-    wi, ki = pcg.probe_tables()
+    wi, ki = campaign.probe_tables()
     assert wi.tobytes() == ziggurat.WI.tobytes()
     assert ki.tobytes() == ziggurat.KI.tobytes()
     assert (ki[0], ki[1]) == (0xEF33D8025EF6A, 0)
+    # and ``python -m charvar.campaign`` writes this ziggurat.py from them
+    assert campaign._tables_module(wi, ki) == Path(ziggurat.__file__).read_text()
 
 
 def test_raw_outputs_are_numpys():
     state, inc = campaign.key_states(DECODED_KEYS[::50])
-    out, end = pcg.outputs(state, inc, 31)
+    out, end = campaign.outputs(state, inc, 31)
     for key, row, left in zip(DECODED_KEYS[::50], out, _ints(end)):
         rng = np.random.default_rng(key)
         assert rng.bit_generator.random_raw(31).tobytes() == row.tobytes(), key
@@ -110,9 +115,9 @@ def test_decoded_rows_are_default_rng_draws(k):
     # which is where numpy's draws take exactly one output each
     m = 3 * (k - 2) + 1
     state, inc = campaign.key_states(DECODED_KEYS)
-    out, end = pcg.outputs(state, inc, m)
-    normals, fast = pcg.standard_normal(out[:, :-1])
-    phi = 2.0 * np.pi * pcg.next_double(out[:, -1])
+    out, end = campaign.outputs(state, inc, m)
+    normals, fast = campaign.standard_normal(out[:, :-1])
+    phi = 2.0 * np.pi * campaign.next_double(out[:, -1])
     want, one_each = np.empty_like(normals), []
     for row, (key, left) in enumerate(zip(DECODED_KEYS, _ints(end))):
         rng = np.random.default_rng(key)
@@ -138,7 +143,7 @@ def test_every_layer_decodes_as_numpy_draws():
                 value = _next_output_is(rng, rabs << 9 | sign << 8 | idx)
                 x = rng.standard_normal()
                 one = rng.bit_generator.state["state"]["state"] == value
-                decoded, fast = pcg.standard_normal(np.array([value], dtype=np.uint64))
+                decoded, fast = campaign.standard_normal(np.array([value], dtype=np.uint64))
                 assert bool(fast[0]) == one == (rabs < ki), (idx, rabs, sign)
                 if one:
                     assert decoded.tobytes() == np.array([x]).tobytes(), (idx, rabs, sign)
@@ -150,7 +155,7 @@ def test_uniform_is_two_pi_next_double():
         start = rng.bit_generator.state
         raw = rng.bit_generator.random_raw(1)
         rng.bit_generator.state = start
-        assert 2.0 * np.pi * pcg.next_double(raw)[0] == rng.uniform(0.0, 2.0 * np.pi), key
+        assert 2.0 * np.pi * campaign.next_double(raw)[0] == rng.uniform(0.0, 2.0 * np.pi), key
 
 
 @pytest.mark.parametrize("k", [3, 6, 12])
@@ -230,26 +235,26 @@ def _joined(values) -> list[bytes]:
 def test_site_draws_are_default_rng_draws(site):
     calls, draw = SITE_CALLS[site]
     streams = campaign.keyed_rngs(SITE_KEYS)
-    values = quat.random_draws(streams, calls)
+    values = campaign.random_draws(streams, calls)
     assert [v.shape for v in values] == [(len(SITE_KEYS), call[1]) for call in calls]
     assert _joined(values) == _rows(draw, map(np.random.default_rng, SITE_KEYS))
     # and a list's generators are drawn, and left where the one-row draws leave them
     rngs, alone = [[np.random.default_rng(key) for key in SITE_KEYS[::40]] for _ in range(2)]
-    assert _joined(quat.random_draws(rngs, calls)) == _rows(draw, alone)
+    assert _joined(campaign.random_draws(rngs, calls)) == _rows(draw, alone)
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in alone]
 
 
 def _stepped_to(value: int, steps: int) -> int:
     """The PCG64 state, with increment 1, whose ``steps``-th stepped state is
     ``value`` (below 2^64), so that its ``steps``-th raw output is ``value``."""
-    inverse = pow(pcg.MULT, -1, 1 << 128)
+    inverse = pow(campaign.MULT, -1, 1 << 128)
     for _ in range(steps):
-        value = (value - 1) * inverse & pcg.M128
+        value = (value - 1) * inverse & campaign.M128
     return value
 
 
 # raw outputs that pin a normal: rabs << 9 | sign << 8 | idx
-SLOW_TAIL = (pcg.M128 >> 76) << 9 | 0  # layer 0 past ki: numpy's tail draw
+SLOW_TAIL = (campaign.M128 >> 76) << 9 | 0  # layer 0 past ki: numpy's tail draw
 SLOW_LAYER = 12345 << 9 | 1 << 8 | 1  # layer 1 has ki = 0: never fast
 NEGATIVE_ZERO = 0 << 9 | 1 << 8 | 7  # rabs 0 with the sign bit: -0.0
 
@@ -283,16 +288,16 @@ def test_chosen_outputs_decode_as_numpy_draws(value, position):
     # direction keeps
     keyed = campaign.keyed_rngs(SITE_KEYS[:3])
     start = _stepped_to(value, position)
-    state = np.concatenate([keyed.state, pcg.words([start])])
-    streams = pcg.Streams(state, np.concatenate([keyed.inc, pcg.words([1])]))
+    state = np.concatenate([keyed.state, campaign.words([start])])
+    streams = campaign.Streams(state, np.concatenate([keyed.inc, campaign.words([1])]))
     out = streams.draw(17)
     assert int(out[-1, position - 1]) == value
-    _, exact = pcg.decode(out, [("standard_normal", 3) if call[0] == "directions" else call for call in CHOSEN_CALLS])
+    _, exact = campaign.decode(out, [("standard_normal", 3) if call[0] == "directions" else call for call in CHOSEN_CALLS])
     assert exact[-1] or value != NEGATIVE_ZERO
     assert not exact[-1] or value == NEGATIVE_ZERO
-    values = quat.random_draws(streams, CHOSEN_CALLS)
+    values = campaign.random_draws(streams, CHOSEN_CALLS)
     rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = pcg.state_dict(start, 1)
+    rng.bit_generator.state = campaign.state_dict(start, 1)
     want = _rows(_chosen_draws, [*map(np.random.default_rng, SITE_KEYS[:3]), rng])
     assert _joined(values) == want
     if value == NEGATIVE_ZERO:
@@ -336,10 +341,10 @@ def test_algebra_and_family_rows_are_default_rng_draws(cutoff, monkeypatch):
     # 4-vector in sixteen is rejected, and the row replays on its generator
     monkeypatch.setattr(quat, "DRAW_CUTOFF", cutoff)
     streams = campaign.keyed_rngs(SITE_KEYS)
-    (normals,) = quat.random_draws(streams, [("standard_normal", 12)])
+    (normals,) = campaign.random_draws(streams, [("standard_normal", 12)])
     rejected = np.any(quat.norm(normals.reshape(-1, 3, 4)) <= cutoff, axis=1).sum()
     assert (rejected == 0) == (cutoff < 0.5) and rejected < len(SITE_KEYS) // 2
-    (triples,) = quat.random_draws(streams, [("directions", 3, 4)])
+    (triples,) = campaign.random_draws(streams, [("directions", 3, 4)])
     want = [random_directions(np.random.default_rng(key), 3, 4) for key in SITE_KEYS]
     assert triples.tobytes() == np.stack(want).tobytes()
     branches = [2 + i % 6 for i in range(len(BRANCH_KEYS))]
@@ -351,7 +356,7 @@ def test_algebra_and_family_rows_are_default_rng_draws(cutoff, monkeypatch):
     quads = cover.lemma_branch_inputs(branches[:120], rngs)
     assert _family_bytes(quads) == _family_bytes(zip(*[_family_row(b, r) for b, r in zip(branches, alone)]))
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in alone]
-    (triples,) = quat.random_draws(rngs, [("directions", 3, 4)])
+    (triples,) = campaign.random_draws(rngs, [("directions", 3, 4)])
     assert triples.tobytes() == np.stack([random_directions(rng, 3, 4) for rng in alone]).tobytes()
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in alone]
     # keyed sampler rows, at seeds up to 2^64 + 7: under the cutoff of 0.9

@@ -13,7 +13,8 @@ from charvar.errors import (
     ProductNotIdentity,
     RelationViolated,
 )
-from charvar.quat import I, J, K, ONE, conjugate, exp_pure, qmul, random_draws, random_unit
+from charvar.campaign import random_draws
+from charvar.quat import I, J, K, ONE, conjugate, exp_pure, qmul, random_unit
 from charvar.rep import (
     Fingerprint,
     PuncturedSphereRep,
