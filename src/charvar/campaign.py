@@ -23,10 +23,10 @@ Softw. 5(8)).  Its fast path takes one output: the low 8 bits are the layer
 idx, the next bit the sign, the next 52 bits ``rabs``, and x = rabs wi[idx]
 is kept when rabs < ki[idx].  Off that path numpy draws more outputs and
 calls C's exp and log1p, which arrays need not round alike: such a draw is
-left to a real generator.  The tables WI and KI are in
-:mod:`charvar.ziggurat`, read from the installed numpy by
-:func:`probe_tables` (``python -m charvar.campaign`` writes that module);
-the tests probe them again, so a numpy that changes them fails loudly.
+left to a real generator.  The tables WI and KI are numpy's, kept as data in
+:mod:`charvar.ziggurat`; tests/test_keyed_draws.py decodes chosen outputs
+of every layer against the installed numpy, so a numpy that changes them
+fails loudly.
 """
 
 from __future__ import annotations
@@ -220,7 +220,9 @@ def random_draws(rngs, calls, out: np.ndarray | None = None) -> list[np.ndarray]
     ``standard_normal(count * dim)``.  Every direction is normalised in
     arrays, and a row with one of norm <= quat.DRAW_CUTOFF replays the
     one-row calls from its start state, so a list's generators end where
-    those calls leave them."""
+    those calls leave them.  This is the one stacked replay of rows: a
+    caller that needs more of a row draws the row's calls again through
+    it, as the sampler does for a central w."""
     streams = Streams.of(rngs)
     n = len(streams)
     raw = [("standard_normal", call[1] * call[2]) if call[0] == "directions" else call for call in calls]
@@ -378,66 +380,3 @@ def chunked(seed: int, path: tuple[int, ...], count: int, fn: Callable[[list, St
     """:func:`run` over the keys (seed, *path, i) of samples i < count."""
     return run(((seed, *path, i) for i in range(count)), fn)
 
-
-def _probe(rng: np.random.Generator, first: int) -> tuple[float, bool]:
-    """numpy's standard_normal when its next raw output is ``first`` (below
-    2^64) and the one after it draws next_double 0, and whether it took the
-    fast path (one output).  The LCG step is invertible: the state whose next
-    two states are t1 = first and t2 (of the other parity, so that the
-    increment t2 - M t1 is odd) is (t1 - inc) / M; both output themselves."""
-    t1, t2 = first, 1 - (first & 1)
-    inc = (t2 - MULT * t1) & M128
-    state = (t1 - inc) * pow(MULT, -1, 1 << 128) & M128
-    rng.bit_generator.state = state_dict(state, inc)
-    x = rng.standard_normal()
-    return x, rng.bit_generator.state["state"]["state"] == t1
-
-
-def probe_tables() -> tuple[np.ndarray, np.ndarray]:
-    """numpy's ziggurat tables wi and ki, read from the installed numpy: in
-    layer idx, rabs = 1 draws wi[idx] on either path (the slow path keeps
-    it at next_double 0), and ki[idx] is the least rabs off the fast path,
-    found by bisection."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    wi, ki = np.empty(256), np.empty(256, dtype=np.uint64)
-    for idx in range(256):
-        wi[idx] = _probe(rng, 1 << 9 | idx)[0]
-        lo, hi = 0, 1 << 52  # fast below lo, off it at hi
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _probe(rng, mid << 9 | idx)[1]:
-                lo = mid + 1
-            else:
-                hi = mid
-        ki[idx] = lo
-    return wi, ki
-
-
-def _tables_module(wi: np.ndarray, ki: np.ndarray) -> str:
-    """The source of :mod:`charvar.ziggurat` for the tables."""
-    lines = [
-        '"""numpy\'s ziggurat tables for standard_normal, read from numpy by',
-        "charvar.campaign.probe_tables and written by ``python -m charvar.campaign``; the",
-        'tests read them again."""',
-        "",
-        "import numpy as np",
-        "",
-        "# wi[idx]: a fast-path draw of layer idx is rabs * wi[idx]",
-        "WI = np.array([",
-        *(f"    {', '.join(map(repr, wi[i : i + 4].tolist()))}," for i in range(0, 256, 4)),
-        "])",
-        "# ki[idx]: the draw is on the fast path when rabs < ki[idx]",
-        "KI = np.array([",
-        *(f"    {', '.join(f'0x{v:013X}' for v in ki[i : i + 6].tolist())}," for i in range(0, 256, 6)),
-        "], dtype=np.uint64)",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-if __name__ == "__main__":
-    import sys
-    from pathlib import Path
-
-    path = Path(__file__).with_name("ziggurat.py")
-    path.write_text(_tables_module(*probe_tables()))
-    print(path, file=sys.stderr)

@@ -94,15 +94,15 @@ def sample_points(k: int, rngs) -> np.ndarray:
     cut out the great circle orthogonal to im(w), which is sampled uniformly;
     when w = +-1 the constraint is vacuous and the whole sphere is used.
 
-    A row draws what one-row calls draw in turn: its ``k - 2`` directions in
-    one :func:`quat.random_directions` call, then the angle or, when w is
-    central, one more direction.  ``rngs`` is a :class:`campaign.Streams`,
-    such as :func:`campaign.keyed_rngs`, or distinct generators of any bit
-    generator; :func:`campaign.random_draws` draws the directions and the
-    angle of every row, and a row with a central w is drawn again from its
-    start state.  A list's generators are left where one-row calls leave
-    them, and a row is the same bits in any stack (see :mod:`charvar.quat`
-    on dot products).
+    A row draws, in turn, its ``k - 2`` directions in one call, then the
+    angle or, when w is central, one more direction.  ``rngs`` is a
+    :class:`campaign.Streams`, such as :func:`campaign.keyed_rngs`, or
+    distinct generators of any bit generator.  :func:`campaign.random_draws`
+    draws the directions and the angle of every row; the rows with a central
+    w draw their directions and one more direction through it again, from
+    their start states.  A list's generators are left where one-row calls
+    leave them, and a row is the same bits in any stack (see
+    :mod:`charvar.quat` on dot products).
     """
     if k < 3:
         raise ValueError(f"need k >= 3, got k = {k}")
@@ -111,15 +111,14 @@ def sample_points(k: int, rngs) -> np.ndarray:
     qs = np.zeros((len(streams), k - 1, 4))
     qs[:, : k - 2, 1:] = directions
     phi = phi[:, 0]
-    w = gprod(qs[:, : k - 2])
-    for row in np.flatnonzero(quat.norm(w[:, 1:]) <= CENTRAL_CUTOFF).tolist():
-        # the row's directions again, only to advance its generator past them
-        rng = streams.generator(row)
-        quat.random_directions(rng, k - 2, 3)
-        qs[row, k - 2] = quat.random_pure(rng)
-    wv = w[:, 1:]
+    wv = gprod(qs[:, : k - 2])[:, 1:]
     nw = quat.norm(wv)
     turning = nw > CENTRAL_CUTOFF
+    if not turning.all():
+        # a central row draws its directions again, then one more
+        central = np.flatnonzero(~turning)
+        calls = [("directions", k - 2, 3), ("directions", 1, 3)]
+        qs[central, k - 2, 1:] = campaign.random_draws(streams[central], calls)[1][:, 0]
     u, v = _orthonormal_pair(wv[turning] / nw[turning, None])
     qs[turning, k - 2, 1:] = np.cos(phi[turning])[:, None] * u + np.sin(phi[turning])[:, None] * v
     return complete_reps(qs)

@@ -3,6 +3,7 @@ determinism, and the selftest gate."""
 
 import argparse
 import ast
+import dataclasses
 import hashlib
 import json
 import re
@@ -13,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from charvar import cli, cover, morse, selftest, variety
+from charvar import cli, cover, morse, rep, selftest, variety
 from charvar.errors import RelationViolated
 from charvar.quat import ONE, gprod
 from charvar.rep import fingerprint, fingerprint_digest
@@ -152,6 +153,10 @@ PINNED_OUTPUTS = {
     "morse --n 2..4 --format csv": (0, "d7d2717e65208c2c"),
     "link-sample --n 3 --count 20 --seed 3": (0, "3f806eb7e00159d1"),
     "link-sample --n 3 --count 20 --seed 3 --format csv": (0, "61c1a3a3fe522e79"),
+    # enough draws to reach normals off the ziggurat's fast path, keyed by
+    # a seed of three uint32 words
+    "link-sample --n 3 --count 2000 --seed 3": (0, "9e35e5c38230f362"),
+    "sample --k 6 --count 200 --seed 18446744073709551623": (0, "dc4efc986fa53497"),
     "selftest --seed 0": (0, "ae4bd58a8f092303"),
     "selftest --seed 3": (0, "0af98e22f48e9123"),
     "selftest --seed 5": (0, "9ca05048513db6b1"),
@@ -392,6 +397,60 @@ def test_failed_rigidity_check_names_the_first_k4_sample_off_its_loci(monkeypatc
     result = selftest.check_small_k_rigidity({"k3": 5, "k4": 5}, 3)
     assert not result.ok
     assert result.detail.startswith("k=4 produced loci ['generic'] (first sample (3, 3, 2)); k=3 spread ")
+
+
+@pytest.mark.parametrize(
+    "module, name, broken, detail",
+    [
+        (variety, "enumerate_abelian", lambda real: lambda k: real(k)[:-1], "k=4: 3 classes, expected 4"),
+        (
+            variety,
+            "locus_ranks",
+            lambda real: lambda m: np.full(real(m).shape, 3),
+            "k=4: non-abelian labels {'generic'}",
+        ),
+        (rep, "fingerprint_batch", lambda real: lambda m: np.zeros_like(real(m)), "k=4: only 1 distinct fingerprints"),
+        (rep, "fingerprint_digest", lambda real: lambda values: "one class", "k=4: sign action reached 1 classes"),
+    ],
+    ids=["count", "labels", "fingerprints", "sign-action"],
+)
+def test_failed_abelian_census_names_what_failed(module, name, broken, detail, monkeypatch):
+    # each census gate broken in turn: the first k it fails at is named
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    result = selftest.check_abelian_census(selftest.REDUCED_COUNTS, 3)
+    assert (result.ok, result.detail) == (False, detail)
+
+
+@pytest.mark.parametrize(
+    "changes, detail",
+    [
+        ({3: {"b_squared_identity_mod2": False}}, "n=3: det 1, Pf 1, B^2=I False"),
+        ({2: {"det_A": 9, "pfaffian": 3}}, "anchor determinants [9, 1] != [1, 1]"),
+    ],
+    ids=["exact", "anchors"],
+)
+def test_failed_hessian_exact_check_names_what_failed(changes, detail, monkeypatch):
+    # a report of n = 3 off B^2 = I names n and its data; a consistent
+    # report with det 9 at n = 2 breaks the anchor determinants
+    real = morse.certify_hessian_combinatorics
+    monkeypatch.setattr(
+        morse, "certify_hessian_combinatorics", lambda n: dataclasses.replace(real(n), **changes.get(n, {}))
+    )
+    result = selftest.check_hessian_exact(selftest.REDUCED_COUNTS, 3)
+    assert (result.ok, result.detail) == (False, detail)
+
+
+def test_failed_submersion_check_names_its_worst_fd_mismatch(monkeypatch):
+    # under a negative fd bound the check names the key (seed, 4, i, retry)
+    # of its worst mismatch, and the verdict before it is the passing one
+    counts = {**selftest.REDUCED_COUNTS, "submersion": 30}
+    passing = selftest.check_submersion(counts, 3)
+    monkeypatch.setattr(selftest, "SUBMERSION_FD_TOL", -1.0)
+    result = selftest.check_submersion(counts, 3)
+    head, named = result.detail.split("; worst samples ")
+    assert not result.ok and passing.ok and head == passing.detail
+    (key,) = ast.literal_eval(named)
+    assert key[:2] == (3, 4) and 0 <= key[2] < 30 and key[3] >= 0
 
 
 def test_failed_link_gate_names_samples(monkeypatch, capsys):

@@ -3,12 +3,10 @@ state np.random.default_rng(key) starts in and draws the same numbers.
 This ties charvar to numpy's SeedSequence and PCG64 seeding (stable since
 numpy 1.17); these tests fail if numpy changes it."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from charvar import campaign, cover, quat, ziggurat
+from charvar import campaign, cover, quat, variety, ziggurat
 from charvar.quat import I, K, ONE, exp_pure, qinv, qmul, random_directions, random_pure, random_unit
 from charvar.variety import sample_point, sample_points
 
@@ -91,15 +89,6 @@ def _next_output_is(rng, value):
     return value
 
 
-def test_ziggurat_tables_are_numpys():
-    wi, ki = campaign.probe_tables()
-    assert wi.tobytes() == ziggurat.WI.tobytes()
-    assert ki.tobytes() == ziggurat.KI.tobytes()
-    assert (ki[0], ki[1]) == (0xEF33D8025EF6A, 0)
-    # and ``python -m charvar.campaign`` writes this ziggurat.py from them
-    assert campaign._tables_module(wi, ki) == Path(ziggurat.__file__).read_text()
-
-
 def test_raw_outputs_are_numpys():
     state, inc = campaign.key_states(DECODED_KEYS[::50])
     out, end = campaign.outputs(state, inc, 31)
@@ -171,6 +160,25 @@ def test_one_row_call_leaves_its_generator_as_before(k):
         want.standard_normal((k - 2, 3))
         want.uniform(0.0, 2.0 * np.pi)
         assert rng.bit_generator.state == want.bit_generator.state, key
+
+
+@pytest.mark.parametrize("k", [3, 4, 6, 12])
+def test_keyed_central_rows_are_default_rng_draws(k, monkeypatch):
+    # a cutoff above every |im w| makes every row central, and the rows are
+    # left as drawn; a central row draws its directions, then one more
+    monkeypatch.setattr(variety, "CENTRAL_CUTOFF", 2.0)
+    monkeypatch.setattr(variety, "complete_reps", lambda qs: qs)
+    keys = [(2**64 + 7, 5, k, i) for i in range(300)]
+    listed = [np.random.default_rng(key) for key in keys]
+    rows = sample_points(k, campaign.keyed_rngs(keys))
+    assert rows.tobytes() == sample_points(k, listed).tobytes()
+    for key, row, rng in zip(keys, rows, listed):
+        alone = np.random.default_rng(key)
+        assert row.tobytes() == sample_points(k, [alone])[0].tobytes(), key
+        want = np.random.default_rng(key)
+        random_directions(want, k - 2, 3)
+        random_pure(want)
+        assert rng.bit_generator.state == alone.bit_generator.state == want.bit_generator.state, key
 
 
 def _bit_generators(seed: int, count: int) -> list[np.random.Generator]:

@@ -1,6 +1,8 @@
 """Module boundaries of the package: no charvar module reads an underscore
 name of another, the arithmetic core and the stream decoder sit at the
-bottom of the import graph, and the graph has no cycle."""
+bottom of the import graph, the graph has no cycle, only the stream
+decoder hands out a row's generator, and only the command line runs as a
+script."""
 
 import ast
 import graphlib
@@ -76,3 +78,32 @@ def test_import_graph_has_no_cycle():
     graph = _graph()
     # static_order raises graphlib.CycleError on a cycle
     assert set(graphlib.TopologicalSorter(graph).static_order()) == set(graph)
+
+
+def _calls_of(path: Path, attr: str) -> bool:
+    """Whether one source file calls ``something.attr(...)``."""
+    return any(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == attr
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+
+
+def test_only_campaign_hands_out_generators():
+    # a row's generator is campaign's to set and draw; every other module
+    # draws through campaign.random_draws
+    assert [path.stem for path in sorted(SRC.glob("*.py")) if _calls_of(path, "generator")] == ["campaign"]
+
+
+def _runs_as_script(path: Path) -> bool:
+    """Whether one source file has an ``if __name__ == "__main__"`` block."""
+    return any(
+        isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and isinstance(node.test.left, ast.Name)
+        and node.test.left.id == "__name__"
+        for node in ast.parse(path.read_text()).body
+    )
+
+
+def test_only_the_command_line_runs_as_a_script():
+    assert [path.stem for path in sorted(SRC.glob("*.py")) if _runs_as_script(path)] == ["__main__", "cli"]
