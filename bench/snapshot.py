@@ -2,7 +2,9 @@
 draws, the sampler's and those of four certification checks, and the share
 of keyed rows a real generator draws, per operation, scalar and per
 stacked row, the morse and conjugator solvers per call, per in-process CLI
-job, and the acceptance criteria and the link sampler at full counts.
+job, the acceptance criteria and the link sampler at full counts, and a
+full-count certification's time per keyed row and memory peak against the
+campaign stack size ``campaign.CHUNK``.
 
     python3 bench/snapshot.py
 
@@ -25,6 +27,7 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,7 +38,7 @@ import numpy as np  # noqa: E402
 
 from charvar import campaign, cli, cover, morse, quat, rep, selftest, variety  # noqa: E402
 from perfbench.worker import HostSpeed  # noqa: E402
-from perfbench.workloads import BUDGETS_S  # noqa: E402
+from perfbench.workloads import BUDGETS_S, CERTIFY_CHECKS  # noqa: E402
 
 ROWS = 256  # inputs per timed pass, scalar and stacked alike
 REPEATS = 5
@@ -43,6 +46,7 @@ REFINE_POINTS = 16  # link points refined per timed pass, one at a time and as o
 CONJUGATOR_PAIRS = 32  # k = 6 pairs per timed pass, conjugate and independent
 CLI_JOBS = 20  # in-process CLI runs per timed pass
 SHARE_KEYS = 10000  # keyed rows over which the share redrawn by a generator is counted
+CHUNK_SIZES = (256, 1024, 4096, 16384)  # campaign stack sizes of the chunk curve
 # acceptance criteria by number; their budgets are perfbench's BUDGETS_S.
 # The link sampler is no criterion and has no budget
 CRITERIA = (
@@ -300,6 +304,74 @@ def criteria(speed: HostSpeed) -> dict[str, dict]:
     return out
 
 
+def _certification() -> None:
+    """One full-count certification at seed 0: every selftest check but
+    link-sampler, as perfbench certify runs them; a failed check raises."""
+    for name, check in CERTIFY_CHECKS:
+        result = check(selftest.FULL_COUNTS, 0)
+        if not result.ok:
+            raise RuntimeError(f"{name}: {result.detail}")
+
+
+def _keyed_rows(fn) -> int:
+    """The keyed rows whose states fn's campaigns hash, counted over every
+    ``campaign.key_states`` and ``campaign.family_states`` call."""
+    rows = 0
+    real = campaign.key_states, campaign.family_states
+
+    def counted(hash_states):
+        def states(arg):
+            nonlocal rows
+            state, inc = hash_states(arg)
+            rows += len(state)
+            return state, inc
+
+        return states
+
+    campaign.key_states, campaign.family_states = map(counted, real)
+    try:
+        fn()
+    finally:
+        campaign.key_states, campaign.family_states = real
+    return rows
+
+
+def chunk_curve() -> dict[str, dict]:
+    """A full-count certification (:func:`_certification`) at each
+    ``campaign.CHUNK`` of CHUNK_SIZES: its seconds, the fastest of REPEATS
+    rounds that each run every size in turn, so that a slow spell of the
+    host falls on all sizes alike, and microseconds per keyed row, raw; and
+    the tracemalloc peak in MB of each check in one more run, with their
+    largest.  A check's peak grows with the stacks its campaigns hold, so
+    CHUNK bounds it; the abelian census runs no campaign."""
+    default, seconds, out = campaign.CHUNK, {chunk: [] for chunk in CHUNK_SIZES}, {}
+    rows = _keyed_rows(_certification)
+    try:
+        for _ in range(REPEATS):
+            for chunk in CHUNK_SIZES:
+                campaign.CHUNK = chunk
+                start = time.perf_counter()
+                _certification()
+                seconds[chunk].append(time.perf_counter() - start)
+        for chunk in CHUNK_SIZES:
+            campaign.CHUNK = chunk
+            peaks = {}
+            for name, check in CERTIFY_CHECKS:
+                tracemalloc.start()
+                check(selftest.FULL_COUNTS, 0)
+                peaks[name] = tracemalloc.get_traced_memory()[1] / 1e6
+                tracemalloc.stop()
+            out[str(chunk)] = {
+                "raw_s": min(seconds[chunk]),
+                "raw_us_per_row": 1e6 * min(seconds[chunk]) / rows,
+                "tracemalloc_peak_mb": max(peaks.values()),
+                "check_tracemalloc_peak_mb": peaks,
+            }
+    finally:
+        campaign.CHUNK = default
+    return {"keyed_rows": rows, "default_chunk": default, "chunks": out}
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
 
@@ -325,6 +397,7 @@ def main() -> int:
         "variety_us_per_call": conjugator(speed),
         "cli_us_per_call": cli_jobs(speed),
         "criteria_full_counts": criteria(speed),
+        "chunk_curve": chunk_curve(),
         "host_probe_median_s": speed.median(),
     }
     path = ROOT / "bench" / f"BENCH_{snapshot['date']}_{revision}.json"

@@ -3,11 +3,13 @@ and computes keyed rows in stacks.
 
 A campaign is a sequence of keys, one row each.  :func:`run` computes it in
 stacks of at most CHUNK rows, each row drawing what np.random.default_rng(key)
-draws, and names a rejected row by its key.  A stack's keys are hashed to
-PCG64 states in arrays (:func:`key_states`; tests/test_keyed_draws.py fails
-if numpy's seeding changes) and handed on as one :class:`Streams`
-(:func:`keyed_rngs`).  Every keyed draw of a campaign is one
-:func:`random_draws` call, which decodes the rows from the states in arrays.
+draws, and names a rejected row by its key; :func:`families` does so for the
+keys (*head, i) of a sequence of families.  A stack's keys are hashed to
+PCG64 states in arrays (:func:`key_states`, or :func:`family_states` from
+each head's words and an index column; tests/test_keyed_draws.py fails if
+numpy's seeding changes) and handed on as one :class:`Streams`.  Every keyed
+draw of a campaign is one :func:`random_draws` call, which decodes the rows
+from the states in arrays.
 
 PCG64 is the 128-bit LCG s -> M s + inc with the XSL-RR output function
 (O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient Statistically
@@ -331,22 +333,58 @@ def _seed_words(words: np.ndarray) -> np.ndarray:
     return halves[:, 0::2] | (halves[:, 1::2] << np.uint64(32))
 
 
-def key_states(keys: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """The PCG64 state and increment np.random.default_rng(key) starts in,
-    for each key of non-negative ints: two (N, 2) stacks of [high, low]
-    uint64 words.  Keys with the same number of words (:func:`_key_words`)
-    are hashed as one stack; seeding PCG64 from its 128-bit seed s and
-    increment inc is two steps of its LCG, M (s + inc) + inc = M s +
-    (M + 1) inc."""
-    words = [_key_words(key) for key in keys]
-    seeds = np.empty((len(keys), 4), dtype=np.uint64)
-    for length in set(map(len, words)):
-        rows = [row for row, w in enumerate(words) if len(w) == length]
-        stack = np.array([words[row] for row in rows], dtype=np.uint32).reshape(len(rows), length)
+def _states(blocks: list[tuple[np.ndarray, np.ndarray]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The PCG64 state and increment np.random.default_rng(key) starts in
+    for each of n keys, two (N, 2) stacks of [high, low] uint64 words, from
+    ``blocks`` of (rows, words): words an (R, L) uint32 stack of the key
+    words of the keys in rows.  Blocks with the same L are hashed as one
+    stack; seeding PCG64 from its 128-bit seed s and increment inc is two
+    steps of its LCG, M (s + inc) + inc = M s + (M + 1) inc."""
+    lengths: dict[int, list] = {}
+    for block in blocks:
+        lengths.setdefault(block[1].shape[1], []).append(block)
+    seeds = np.empty((n, 4), dtype=np.uint64)
+    for group in lengths.values():
+        rows, stack = (np.concatenate(parts) for parts in zip(*group))
         seeds[rows] = _seed_words(stack)
     # the increment is the seed's second half shifted left by one, plus 1
     inc = np.stack([seeds[:, 2] << 1 | seeds[:, 3] >> 63, seeds[:, 3] << 1 | 1], axis=-1)
     return mul_add(_MULT, seeds[:, :2], _MULT_1, inc), inc
+
+
+def key_states(keys: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The PCG64 state and increment np.random.default_rng(key) starts in,
+    for each key of non-negative ints: two (N, 2) stacks of [high, low]
+    uint64 words.  Each key is split into words on its own
+    (:func:`_key_words`); :func:`family_states` hashes the keys of a
+    campaign's families without that per-key loop."""
+    words = [_key_words(key) for key in keys]
+    blocks = []
+    for length in set(map(len, words)):
+        rows = [row for row, w in enumerate(words) if len(w) == length]
+        stack = np.array([words[row] for row in rows], dtype=np.uint32).reshape(len(rows), length)
+        blocks.append((np.array(rows, dtype=np.intp), stack))
+    return _states(blocks, len(keys))
+
+
+def family_states(segments: list[tuple[tuple[int, ...], int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`key_states` of the keys (*head, i), lo <= i < hi, of each
+    segment (head, lo, hi) in turn.  A head is split into words once, and
+    the index is a uint32 column, two from 2^32 on; a negative entry of a
+    head raises ValueError naming the key (*head, 0)."""
+    blocks, start = [], 0
+    for head, lo, hi in segments:
+        prefix = _key_words((*head, 0))[:-1]
+        # the indices below 2^32 take one word, the others two
+        for a, b in ((lo, min(hi, 1 << 32)), (max(lo, 1 << 32), hi)):
+            if a >= b:
+                continue
+            index = np.arange(a, b, dtype=np.uint64)
+            columns = (index & _LOW32, index >> np.uint64(32)) if a >> 32 else (index,)
+            stack = np.column_stack([np.tile(np.array(prefix, dtype=np.uint64), (b - a, 1)), *columns])
+            blocks.append((np.arange(start + a - lo, start + b - lo), stack.astype(np.uint32)))
+        start += hi - lo
+    return _states(blocks, start)
 
 
 def keyed_rngs(keys: list[tuple[int, ...]]) -> Streams:
@@ -355,20 +393,24 @@ def keyed_rngs(keys: list[tuple[int, ...]]) -> Streams:
     return Streams(*key_states(keys))
 
 
-# rows per stacked pass of a campaign: a campaign's stacks stay a few
-# hundred rows long whatever its count, which bounds its memory
-CHUNK = 256
+# rows per stacked pass of a campaign.  A stack pays its fixed costs once (a
+# qmul call takes 14 us at 1-64 rows and 97 us at 4,096) and holds arrays
+# that grow with its rows, so CHUNK bounds a campaign's memory.  The chunk
+# curve of bench/snapshot.py (a full-count certification, 2-core host, raw
+# minima) read 16.5, 11.8, 10.9 and 11.6 us per keyed row at 256, 1,024,
+# 4,096 and 16,384 rows, and a tracemalloc peak of the lemma52-branches
+# check of 0.9, 1.4, 5.2 and 11.3 MB: past 4,096 no time is saved while the
+# memory keeps growing
+CHUNK = 4096
 
 
-def run(keys: Iterable[tuple[int, ...]], fn: Callable[[list, Streams], list]) -> list:
-    """The concatenated lists ``fn(chunk, rngs)`` over runs ``chunk`` of CHUNK
-    keys of ``keys``, ``rngs`` the streams of :func:`keyed_rngs` of them.
-    A stacked rejection (``exc.row``) is named by ``chunk[row]``, where ``fn``
-    may have put the key that drew the row in the end."""
-    keys, out = iter(keys), []
-    while chunk := list(islice(keys, CHUNK)):
+def _each_stack(stacks, fn: Callable[[list, Streams], list]) -> list:
+    """The concatenated lists ``fn(chunk, rngs)`` over the (chunk, rngs)
+    of ``stacks``, a stacked rejection named as :func:`run` names it."""
+    out = []
+    for chunk, rngs in stacks:
         try:
-            out += fn(chunk, keyed_rngs(chunk))
+            out += fn(chunk, rngs)
         except ValueError as exc:
             if getattr(exc, "row", None) is not None:
                 exc.args = (f"sample {chunk[exc.row]}: {exc}",)
@@ -376,7 +418,41 @@ def run(keys: Iterable[tuple[int, ...]], fn: Callable[[list, Streams], list]) ->
     return out
 
 
-def chunked(seed: int, path: tuple[int, ...], count: int, fn: Callable[[list, Streams], list]) -> list:
-    """:func:`run` over the keys (seed, *path, i) of samples i < count."""
-    return run(((seed, *path, i) for i in range(count)), fn)
+def run(keys: Iterable[tuple[int, ...]], fn: Callable[[list, Streams], list]) -> list:
+    """The concatenated lists ``fn(chunk, rngs)`` over runs ``chunk`` of CHUNK
+    keys of ``keys``, ``rngs`` the streams of :func:`keyed_rngs` of them,
+    which splits each key into words on its own.  A stacked rejection
+    (``exc.row``) is named by ``chunk[row]``, where ``fn`` may have put the
+    key that drew the row in the end."""
+    keys = iter(keys)
+    chunks = iter(lambda: list(islice(keys, CHUNK)), [])
+    return _each_stack(((chunk, keyed_rngs(chunk)) for chunk in chunks), fn)
 
+
+def families(heads: Iterable[tuple[tuple[int, ...], int]], fn: Callable[[list, Streams], list]) -> list:
+    """:func:`run` over the keys (*head, i), i < count, of each (head, count)
+    of ``heads`` in turn, stacks running across the families' bounds; a
+    stack's streams are :func:`family_states` of its segments."""
+
+    def stacks():
+        segments, size = [], 0
+        for head, count in heads:
+            lo = 0
+            while lo < count:
+                hi = min(count, lo + CHUNK - size)
+                segments.append((head, lo, hi))
+                size, lo = size + hi - lo, hi
+                if size == CHUNK:
+                    yield segments
+                    segments, size = [], 0
+        if segments:
+            yield segments
+
+    keyed = (([(*head, i) for head, lo, hi in s for i in range(lo, hi)], Streams(*family_states(s))) for s in stacks())
+    return _each_stack(keyed, fn)
+
+
+def chunked(seed: int, path: tuple[int, ...], count: int, fn: Callable[[list, Streams], list]) -> list:
+    """:func:`run` over the keys (seed, *path, i) of samples i < count, the
+    one family (seed, *path) of :func:`families`."""
+    return families([((seed, *path), count)], fn)

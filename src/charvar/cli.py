@@ -232,12 +232,16 @@ def cmd_morse(args: argparse.Namespace) -> Run:
 
 def cmd_lemma52(args: argparse.Namespace) -> Run:
     per_branch = max(1, args.count // 20)
-    records = cover.ladder_records(args.seed, ((), ()), args.count, per_branch)
-    failures = cover.ladder_failures(records, args.seed, per_branch)
-    worst = max(r["max_residual"] for r in records)
-    verdict = f"lemma52: max residual {worst:.3e}, branch coverage {cover.ladder_coverage(records)}"
+    ladder = cover.ladder_records(args.seed, ((), ()), args.count, per_branch)
+    failures = cover.ladder_failures(ladder, args.seed, per_branch)
+    index, branch, residual = (v.tolist() for v in ladder[1:])
+    lines = [
+        _json_line({"family": f, "index": i, "branch": b, "max_residual": r})
+        for f, i, b, r in zip(ladder.family_names(), index, branch, residual)
+    ]
+    verdict = f"lemma52: max residual {max(residual):.3e}, branch coverage {cover.ladder_coverage(ladder)}"
     verdict = "; ".join([verdict, *failures])
-    return Run([_json_line(r) for r in records], None, verdict, not failures)
+    return Run(lines, None, verdict, not failures)
 
 
 def cmd_link_sample(args: argparse.Namespace) -> Run:

@@ -26,8 +26,8 @@ run, are here too.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -397,47 +397,68 @@ def roundtrip_records(seed: int, path: tuple[int, ...], count: int) -> list[dict
     return campaign.chunked(seed, path, count, records)
 
 
-def ladder_records(seed: int, paths: tuple[tuple[int, ...], ...], count: int, per_branch: int) -> list[dict]:
-    """Case-ladder solutions: `count` generic section inputs, sample i drawn
-    from (seed, *paths[0], i), then `per_branch` inputs constructed for
-    each rung b = 2..7, input i drawn from (seed, *paths[1], b, i).  The
-    families share stacks, one :func:`lemma52_stack` call each, and a
-    stack's constructed rows are one :func:`lemma_branch_inputs` call."""
-    generic = (seed, *paths[0])
+class Ladder(NamedTuple):
+    """Case-ladder solutions as (N,) columns, a row per input: its family
+    (0 for a generic input, b for one constructed for rung b), its index in
+    the family, the rung that solved it and its largest residual."""
 
-    def records(keys, rngs):
-        # the generic rows lead the campaign, so they lead every stack
-        n = sum(key[:-1] == generic for key in keys)
+    family: np.ndarray
+    index: np.ndarray
+    branch: np.ndarray
+    max_residual: np.ndarray
+
+    def family_names(self) -> list[str]:
+        """Each row's family as the records name it: generic or branch<b>."""
+        return ["generic" if f == 0 else f"branch{f}" for f in self.family.tolist()]
+
+
+def ladder_records(seed: int, paths: tuple[tuple[int, ...], ...], count: int, per_branch: int) -> Ladder:
+    """Case-ladder solutions, as :class:`Ladder` columns: `count` generic
+    section inputs, sample i drawn from (seed, *paths[0], i), then
+    `per_branch` inputs constructed for each rung b = 2..7, input i drawn
+    from (seed, *paths[1], b, i).  The families are one campaign
+    (:func:`campaign.families`) and share stacks, one :func:`lemma52_stack`
+    call each, and a stack's constructed rows are one
+    :func:`lemma_branch_inputs` call."""
+    heads = [((seed, *paths[0]), count)] + [((seed, *paths[1], b), per_branch) for b in range(2, 8)]
+    family = np.repeat([0, *range(2, 8)], [count] + [per_branch] * 6)
+    solved = 0
+
+    def solve(keys, rngs):
+        # the stacks take the rows in order, and the generic rows lead
+        nonlocal solved
+        branches = family[solved : solved + len(keys)]
+        solved += len(keys)
+        n = int(np.count_nonzero(branches == 0))
         quads = np.empty((4, len(keys), 4))
         if n:
             quads[:, :n] = section_inputs(surface_samples(rngs[:n]))[:4]
         if n < len(keys):
-            quads[:, n:] = lemma_branch_inputs([key[-2] for key in keys[n:]], rngs[n:])
+            quads[:, n:] = lemma_branch_inputs(branches[n:], rngs[n:])
         _, rung, residuals = lemma52_stack(*quads)
-        return [
-            {"family": "generic" if row < n else f"branch{key[-2]}", "index": key[-1], "branch": b, "max_residual": r}
-            for row, (key, b, r) in enumerate(zip(keys, rung.tolist(), residuals.max(axis=1).tolist()))
-        ]
+        return [(rung, residuals.max(axis=1))]
 
-    families = [(paths[0], count)] + [((*paths[1], b), per_branch) for b in range(2, 8)]
-    return campaign.run(((seed, *path, i) for path, n in families for i in range(n)), records)
+    rung, worst = map(np.concatenate, zip(*campaign.families(heads, solve)))
+    return Ladder(family, np.concatenate([np.arange(n) for _, n in heads]), rung, worst)
 
 
-def ladder_coverage(records: list[dict]) -> str:
-    """How many records each rung 1..7 solved, as `1:n1 2:n2 ...`."""
-    tally = Counter(r["branch"] for r in records)
+def ladder_coverage(ladder: Ladder) -> str:
+    """How many rows each rung 1..7 solved, as `1:n1 2:n2 ...`."""
+    tally = np.bincount(ladder.branch, minlength=8)
     return " ".join(f"{b}:{tally[b]}" for b in range(1, 8))
 
 
-def ladder_failures(records: list[dict], seed: int, min_needed: int) -> list[str]:
-    """Why case-ladder records fail, empty if they pass: constructed inputs
-    solved on another rung, residuals over LEMMA_TOL, and rungs solved
-    fewer than `min_needed` times.  Records are named by (seed, family,
-    index)."""
-    named = [(seed, r["family"], r["index"], r["branch"]) for r in records]
-    wrong = [w for w in named if w[1] not in ("generic", f"branch{w[3]}")]
-    over = [(seed, r["family"], r["index"]) for r in records if r["max_residual"] > LEMMA_TOL]
-    tally = Counter(r["branch"] for r in records)
+def ladder_failures(ladder: Ladder, seed: int, min_needed: int) -> list[str]:
+    """Why case-ladder solutions fail, empty if they pass: constructed
+    inputs solved on another rung, residuals over LEMMA_TOL, and rungs
+    solved fewer than `min_needed` times.  Rows are named by (seed, family,
+    index), family as :meth:`Ladder.family_names` names it."""
+    names = ladder.family_names()
+    index, rung = ladder.index.tolist(), ladder.branch.tolist()
+    wrong_rows = np.flatnonzero((ladder.family != 0) & (ladder.family != ladder.branch)).tolist()
+    wrong = [(seed, names[row], index[row], rung[row]) for row in wrong_rows]
+    over = [(seed, names[row], index[row]) for row in np.flatnonzero(ladder.max_residual > LEMMA_TOL).tolist()]
+    tally = np.bincount(ladder.branch, minlength=8)
     missing = [b for b in range(1, 8) if tally[b] < min_needed]
     failures = []
     if wrong:

@@ -266,10 +266,10 @@ def check_lemma52_branches(counts: Mapping[str, int], seed: int = 0) -> CheckRes
     valid inputs, constructed inputs land on their rung, and every rung
     of the ladder is exercised."""
     min_needed = counts["lemma_per_branch"]
-    records = cover.ladder_records(seed, ((8,), (9,)), counts["lemma_generic"], min_needed)
-    failures = cover.ladder_failures(records, seed, min_needed)
-    worst = max(r["max_residual"] for r in records)
-    detail = "; ".join([f"max residual {worst:.3e}", f"branch coverage {cover.ladder_coverage(records)}", *failures])
+    ladder = cover.ladder_records(seed, ((8,), (9,)), counts["lemma_generic"], min_needed)
+    failures = cover.ladder_failures(ladder, seed, min_needed)
+    worst = max(ladder.max_residual.tolist())
+    detail = "; ".join([f"max residual {worst:.3e}", f"branch coverage {cover.ladder_coverage(ladder)}", *failures])
     return CheckResult(not failures, detail)
 
 

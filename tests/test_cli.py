@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from charvar import cli, cover, morse, rep, selftest, variety
+from charvar import campaign, cli, cover, morse, rep, selftest, variety
 from charvar.errors import RelationViolated
 from charvar.quat import ONE, gprod
 from charvar.rep import fingerprint, fingerprint_digest
@@ -170,6 +170,30 @@ def test_output_bytes_are_pinned(command, capsys):
     assert cli.main(command.split()) == rc
     captured = capsys.readouterr()
     assert hashlib.sha256(f"{captured.out}\0{captured.err}".encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 7])
+def test_selftest_lines_do_not_depend_on_chunking(seed, monkeypatch):
+    ok, lines = selftest.run_selftest(selftest.REDUCED_COUNTS, seed)
+    assert ok
+    for chunk in (7, 256):
+        monkeypatch.setattr(campaign, "CHUNK", chunk)
+        assert selftest.run_selftest(selftest.REDUCED_COUNTS, seed) == (ok, lines), chunk
+
+
+@pytest.mark.parametrize("command", ["lemma52 --count 400", "cover fiber --count 30"])
+def test_output_does_not_depend_on_chunking(command, monkeypatch, capsys):
+    # lemma52's stacks mix its generic rows and constructed families, whose
+    # bounds fall inside a stack at each of these sizes
+    def output():
+        rc = cli.main(command.split())
+        return rc, *capsys.readouterr()
+
+    want = output()
+    assert want[0] == 0
+    for chunk in (7, 256):
+        monkeypatch.setattr(campaign, "CHUNK", chunk)
+        assert output() == want, chunk
 
 
 @pytest.mark.parametrize(

@@ -271,10 +271,11 @@ class TestStackedCover:
             ]
 
         # 40 rows in chunks of 16 cross two chunk boundaries; in chunks of
-        # 256 they are one stack
+        # the default CHUNK they are one stack
+        default = campaign.CHUNK
         monkeypatch.setattr(campaign, "CHUNK", 16)
         chunked = campaign.chunked(seed, (), 40, rows)
-        monkeypatch.setattr(campaign, "CHUNK", 256)
+        monkeypatch.setattr(campaign, "CHUNK", default)
         assert chunked == campaign.chunked(seed, (), 40, rows)
         assert [key for key, *_ in chunked] == [(seed, i) for i in range(40)]
         for key, gens, x, rung, residuals, sheets, roundtrip, report in chunked:
@@ -287,7 +288,8 @@ class TestStackedCover:
             assert roundtrip_residuals(one[None])[0].tobytes() == roundtrip
             assert _fiber_bytes(fiber(surface)) == report
 
-    def test_roundtrip_records_cross_a_chunk(self):
+    def test_roundtrip_records_cross_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(campaign, "CHUNK", 16)
         count = campaign.CHUNK + 4
         records = cover.roundtrip_records(3, (), count)
         # the records of two chunks are the rows of one stack of all samples
@@ -319,9 +321,11 @@ class TestStackedCover:
         # 10 generic rows and 6 families of 3: in chunks of 16 the first stack
         # holds the generic rows and the rung-2 and rung-3 families, the
         # second the rest; each record is the one-row solve of its key's draw
+        default = campaign.CHUNK
         monkeypatch.setattr(campaign, "CHUNK", 16)
-        records = cover.ladder_records(seed, ((8,), (9,)), 10, 3)
+        ladder = cover.ladder_records(seed, ((8,), (9,)), 10, 3)
         keys = [(seed, 8, i) for i in range(10)] + [(seed, 9, b, i) for b in range(2, 8) for i in range(3)]
+        records = list(zip(ladder.family_names(), *(v.tolist() for v in ladder[1:])))
         assert len(records) == len(keys)
         for key, record in zip(keys, records):
             rng = np.random.default_rng(key)
@@ -330,10 +334,10 @@ class TestStackedCover:
             else:
                 family, quad = f"branch{key[2]}", lemma_branch_inputs([key[2]], [rng])[:, 0]
             sol = lemma52_detailed(*quad)
-            want = {"family": family, "index": key[-1], "branch": sol.branch, "max_residual": float(sol.residuals.max())}
-            assert record == want, key
-        monkeypatch.setattr(campaign, "CHUNK", 256)
-        assert cover.ladder_records(seed, ((8,), (9,)), 10, 3) == records
+            assert record == (family, key[-1], sol.branch, float(sol.residuals.max())), key
+        monkeypatch.setattr(campaign, "CHUNK", default)
+        whole = cover.ladder_records(seed, ((8,), (9,)), 10, 3)
+        assert [v.tobytes() for v in whole] == [v.tobytes() for v in ladder]
 
     def test_ladder_names_a_rejected_constructed_row_by_its_key(self, monkeypatch):
         # input 1 of the rung-3 family, row 14 of the first stack of 16,

@@ -59,17 +59,67 @@ def test_negative_entry_is_refused(key):
         campaign.keyed_rngs([key])
 
 
+# a head's entries and the indices of family_states: one, two and three
+# uint32 words
+WIDE_ENTRIES = (0, 2**32 - 1, 2**32, 25660265120, 2**64 + 7)
+
+
+def _state_rows(keys, rngs):
+    """Each key of a stack with its stream's start state and increment."""
+    return list(zip(keys, _ints(rngs.state), _ints(rngs.inc)))
+
+
+def _assert_default_rng_states(rows):
+    for key, state, inc in rows:
+        assert {"state": state, "inc": inc} == np.random.default_rng(key).bit_generator.state["state"], key
+
+
+@pytest.mark.parametrize("seed", WIDE_ENTRIES)
+def test_family_states_match_default_rng(seed, monkeypatch):
+    # the ladder's heads at paths ((), ()): keys (seed, i) beside (seed, b, i)
+    # in one stack; in stacks of 4 the family bounds at rows 6, 9, 15, 18
+    # and 21 fall inside a stack
+    monkeypatch.setattr(campaign, "CHUNK", 4)
+    heads = [((seed,), 6)] + [((seed, b), 3) for b in range(2, 8)]
+    rows = campaign.families(heads, _state_rows)
+    assert [key for key, *_ in rows] == [(*head, i) for head, count in heads for i in range(count)]
+    _assert_default_rng_states(rows)
+
+
+def test_family_states_of_wide_entries():
+    # heads of every entry, and index ranges across 2^32, where an index
+    # takes a second word, in one call
+    segments = [((entry, 9, entry), 0, 2) for entry in WIDE_ENTRIES] + [((), 0, 2), ((7,), 2**32 - 2, 2**32 + 2)]
+    segments += [((entry,), index, index + 2) for entry in WIDE_ENTRIES for index in WIDE_ENTRIES[:-1]]
+    keys = [(*head, i) for head, lo, hi in segments for i in range(lo, hi)]
+    state, inc = campaign.family_states(segments)
+    assert [s.tobytes() for s in campaign.key_states(keys)] == [state.tobytes(), inc.tobytes()]
+    _assert_default_rng_states(zip(keys, _ints(state), _ints(inc)))
+
+
+@pytest.mark.parametrize("head", [(-1,), (0, 4, -2), (5, -(2**40))])
+def test_negative_head_entry_names_its_first_key(head):
+    # as key_states names the first key of a stack with a negative entry
+    want = f"key {(*head, 0)}: entries must be non-negative, got {min(head)}"
+    with pytest.raises(ValueError) as families:
+        campaign.families([((0, 1), 2), (head, 3)], _state_rows)
+    with pytest.raises(ValueError) as keys:
+        campaign.run([(0, 1, 0), (0, 1, 1), *((*head, i) for i in range(3))], _state_rows)
+    assert str(families.value) == str(keys.value) == want
+
+
 def test_streams_are_not_iterable():
     for streams in (campaign.keyed_rngs([(0, i) for i in range(3)]), campaign.Streams.of([np.random.default_rng(0)])):
         with pytest.raises(TypeError, match="generator"):
             list(streams)
 
 
-def test_chunked_draws_from_the_keyed_generators():
+def test_chunked_draws_from_the_keyed_generators(monkeypatch):
     def draws(keys, rngs):
         (normals,) = campaign.random_draws(rngs, [("standard_normal", 3)])
         return [(key, row.tobytes()) for key, row in zip(keys, normals)]
 
+    monkeypatch.setattr(campaign, "CHUNK", 16)
     rows = campaign.chunked(11, (6,), campaign.CHUNK + 3, draws)
     assert [key for key, _ in rows] == [(11, 6, i) for i in range(campaign.CHUNK + 3)]
     for key, got in rows:
